@@ -69,6 +69,8 @@ def _validated_family(args) -> tuple:
 
 def cmd_verify_hook(args) -> int:
     family, alpha, beta, f = _validated_family(args)
+    if args.degree < 0:
+        raise SystemExit(_usage("--degree must be >= 0"))
     if args.mode == "eval" and args.points < 1:
         raise SystemExit(_usage("eval mode needs --points >= 1"))
     report = suites.run_hook(family, alpha, beta, f, args.degree,
@@ -82,12 +84,16 @@ def cmd_verify_identity(args) -> int:
         raise SystemExit(_usage(
             f"unknown identity {args.name!r}; choose from "
             + ", ".join(suites.IDENTITY_NAMES)))
+    if args.trials < 1:
+        raise SystemExit(_usage("--trials must be >= 1"))
     report = suites.run_identity(args.name, seed=args.seed, trials=args.trials)
     _emit(report.to_dict(), args.out)
     return 0 if report.passed else 1
 
 
 def cmd_verify_all(args) -> int:
+    if args.points < 1:
+        raise SystemExit(_usage("--points must be >= 1"))
     reports = suites.run_all(seed=args.seed, points=args.points)
     payload = {
         "schemaVersion": 1,

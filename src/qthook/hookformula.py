@@ -3,14 +3,19 @@
 The generic weight (one f-factor per color-adjacent pair, divided by the
 equal-color pairs) is the ground truth; the per-family closed forms, the
 trace decompositions and the Macdonald-form rewrites of both sides are all
-validated against it.
+validated against it.  It runs from a per-poset plan: the pairs, their kinds
+and their f-arguments are found once per poset (where the rank parities are
+also checked), so weighing a P-partition is one pass of f-lookups summing
+factor exponents.
 """
 
 from __future__ import annotations
 
-from .dposet import ColoredPoset, enumerate_p_partitions, hook_monomials
+from .dposet import (ColoredPoset, _alias_tables, _complement,
+                     enumerate_p_partitions, hook_monomials)
 from .partitions import Partition, is_horizontal_strip, partitions_of
-from .qtcore import QTFactored, b_el, b_lambda, f_fun, phi_skew, psi_skew
+from .qtcore import (QTFactored, b_el, b_lambda, f_fun, phi_skew, psi_skew,
+                     resampled)
 from .report import VerificationReport, timed
 from .series import (
     CoeffRing,
@@ -41,36 +46,74 @@ def _color_adjacency(poset: ColoredPoset) -> set[frozenset]:
     return edges
 
 
-def weight_generic(poset: ColoredPoset, pi: dict) -> QTFactored:
-    """W_P(pi; q, t) straight from the pair-product definition."""
+def _weight_plan(poset: ColoredPoset) -> tuple[tuple, tuple, tuple]:
+    """The pairs weight_generic multiplies over, built once per poset.
+
+    (adjacent, equal, hat): comparable pairs (x, y, m) with color-adjacent
+    x < y, each contributing f(pi_x - pi_y; m); equal-color pairs (x, y, e),
+    each dividing by f(pi_x - pi_y; e) f(pi_x - pi_y; e - 1); and hat pairs
+    (x, d) for x of the top's color, each contributing f(pi_x; d).
+    """
+    plan = getattr(poset, "_weight_plan", None)
+    if plan is not None:
+        return plan
     edges = _color_adjacency(poset)
-    rank = poset.rank
-    color = poset.color
-    out = QTFactored.one()
-    elements = poset.elements
-    for xi, x in enumerate(elements):
+    rank, color, elements = poset.rank, poset.color, poset.elements
+    adjacent, equal = [], []
+    for x in elements:
         for y in elements:
             if x == y or not poset.le(x, y):
                 continue
-            cx, cy = color[x], color[y]
             diff = rank[x] - rank[y]
-            if frozenset((cx, cy)) in edges:
+            if frozenset((color[x], color[y])) in edges:
                 if diff % 2 != 1:
                     raise AssertionError(f"odd-rank parity fails at {x} < {y}")
-                out = out * f_fun(pi[x] - pi[y], (diff - 1) // 2)
-            elif cx == cy:
+                adjacent.append((x, y, (diff - 1) // 2))
+            elif color[x] == color[y]:
                 if diff % 2 != 0:
                     raise AssertionError(f"even-rank parity fails at {x} < {y}")
-                e = diff // 2
-                out = out / (f_fun(pi[x] - pi[y], e) * f_fun(pi[x] - pi[y], e - 1))
+                equal.append((x, y, diff // 2))
+    hat = []
     top_color = color[poset.top]
     for x in elements:  # pairs (x, 1-hat); the hat carries value 0, rank -1
         if color[x] == top_color:
             d = rank[x]  # (rank[x] - (-1) - 1) / 2 doubled: rank is even here
             if d % 2 != 0:
                 raise AssertionError(f"hat parity fails at {x}")
-            out = out * f_fun(pi[x], d // 2)
-    return out
+            hat.append((x, d // 2))
+    plan = poset._weight_plan = (tuple(adjacent), tuple(equal), tuple(hat))
+    return plan
+
+
+def weight_generic(poset: ColoredPoset, pi: dict) -> QTFactored:
+    """W_P(pi; q, t) straight from the pair-product definition.
+
+    Off P-partitions: a negative difference on an equal-color pair raises
+    ZeroDivisionError (it divides by f = 0); otherwise a negative difference
+    on an adjacent-color or hat pair makes the weight zero.
+    """
+    adjacent, equal, hat = _weight_plan(poset)
+    exps = {}
+    for x, y, e in equal:
+        n = pi[x] - pi[y]
+        if n < 0:
+            raise ZeroDivisionError(f"f({n}; {e}) = 0 divides at {x} < {y}")
+        for m in (e, e - 1):
+            for k, v in f_fun(n, m).factors.items():
+                exps[k] = exps.get(k, 0) - v
+    for x, y, m in adjacent:
+        n = pi[x] - pi[y]
+        if n < 0:
+            return QTFactored.zero()
+        for k, v in f_fun(n, m).factors.items():
+            exps[k] = exps.get(k, 0) + v
+    for x, m in hat:
+        n = pi[x]
+        if n < 0:
+            return QTFactored.zero()
+        for k, v in f_fun(n, m).factors.items():
+            exps[k] = exps.get(k, 0) + v
+    return QTFactored(1, 0, 0, exps)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +327,6 @@ def _bracket(chain, eps, psi_first: bool) -> QTFactored:
 
 def weight_via_traces(poset: ColoredPoset, pi: dict, horizon: int | None = None):
     """(weight, monomial-exponent-dict) in trace form, per family."""
-    from .dposet import _alias_tables
-
     fam = poset.family
     al = _alias_tables(poset)
     if fam == "shifted":
@@ -410,14 +451,14 @@ def rhs_series(poset: ColoredPoset, trunc: int, ring: CoeffRing,
 
 def verify_okada(poset: ColoredPoset, trunc: int, mode: str = "exact",
                  points=None, seed: int = 0) -> VerificationReport:
-    """seriesEquals(lhs, rhs) with full diagnostics; the theorem instance."""
-    from .qtcore import VanishingFactor, resample_point
+    """seriesEquals(lhs, rhs) with full diagnostics; the theorem instance.
 
+    ``report.points`` lists the eval points compared, replacements included.
+    """
     report = VerificationReport(
         check="hook", family=poset.family,
         params={k: str(v) for k, v in poset.params.items()},
-        degree=trunc, mode=mode,
-        points=[[str(p.q0), str(p.t0)] for p in (points or [])])
+        degree=trunc, mode=mode, points=[])
     with timed(report):
         terms = lhs_terms(poset, trunc)
         hooks = hook_monomials(poset, verify_choices=False)
@@ -427,17 +468,15 @@ def verify_okada(poset: ColoredPoset, trunc: int, mode: str = "exact",
             point_list = list(points)
         else:
             raise ValueError("eval mode requires points")
-        for idx, pt in enumerate(point_list):
-            attempt = 0
-            while True:
-                ring = CoeffRing("exact") if pt is None else CoeffRing("eval", pt)
-                try:
-                    lhs = lhs_series(poset, trunc, ring, terms)
-                    rhs = rhs_series(poset, trunc, ring, hooks)
-                    break
-                except VanishingFactor:
-                    attempt += 1
-                    pt = resample_point(seed + idx, attempt)
+
+        def sides(pt):
+            ring = CoeffRing("exact") if pt is None else CoeffRing("eval", pt)
+            return (lhs_series(poset, trunc, ring, terms),
+                    rhs_series(poset, trunc, ring, hooks))
+
+        for pt, (lhs, rhs) in resampled(point_list, seed, sides):
+            if pt is not None:
+                report.points.append([str(pt.q0), str(pt.t0)])
             equal, mismatch = series_equals(lhs, rhs)
             if not equal:
                 report.result = "fail"
@@ -450,16 +489,8 @@ def verify_okada(poset: ColoredPoset, trunc: int, mode: str = "exact",
 # Macdonald-form rewrites of both sides (the two structure theorems).
 # ---------------------------------------------------------------------------
 
-def _aliases_for(poset: ColoredPoset):
-    from .dposet import _alias_tables, _complement
-
-    return _alias_tables(poset)
-
-
 def _kernel_f_args(tilde: dict, parts: Partition, n: int) -> list[dict]:
     """F-arguments z~_{a_c}^(-1) z~_{a_j} over complement pairs below parts."""
-    from .dposet import _complement
-
     comp = _complement(parts, n)
     args = []
     for c in comp:
@@ -487,7 +518,7 @@ def lhs_macdonald_form(poset: ColoredPoset, trunc: int,
     """The trace-resummed left-hand side (kernel times Macdonald sums)."""
     from .macdonald import macdonald_p, macdonald_q
 
-    al = _aliases_for(poset)
+    al = _alias_tables(poset)
     varset = poset.varset
     fam = poset.family
     if fam == "shifted":
@@ -645,7 +676,7 @@ def rhs_macdonald_form(poset: ColoredPoset, trunc: int,
     """The hook-product right-hand side rewritten through Macdonald sums."""
     from .macdonald import macdonald_p, macdonald_q
 
-    al = _aliases_for(poset)
+    al = _alias_tables(poset)
     varset = poset.varset
     fam = poset.family
     if fam == "bird":

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from .partitions import Partition
-from .qtcore import b_el, b_lambda, f_fun, qt_equals
+from .qtcore import b_el, b_lambda, f_fun, qt_equals, resampled
 from .report import VerificationReport, timed
 from .series import QTCoeff
 
@@ -293,25 +293,14 @@ def _qsum(values) -> QTCoeff:
 def _coeff_equal(lhs: QTCoeff, rhs: QTCoeff, mode: str = "exact",
                  points=None, seed: int = 0) -> bool:
     """Compare two summed coefficients, exactly or at sample points."""
-    from .qtcore import VanishingFactor, resample_point
-
     if mode == "exact":
         return lhs.equals(rhs)
     if mode != "eval":
         raise ValueError(f"unknown mode {mode!r}")
     if not points:
         raise ValueError("eval mode requires at least one point")
-    for idx, pt in enumerate(points):
-        attempt = 0
-        while True:
-            try:
-                if lhs.evaluate(pt) != rhs.evaluate(pt):
-                    return False
-                break
-            except VanishingFactor:
-                attempt += 1
-                pt = resample_point(seed + idx, attempt)
-    return True
+    return all(same for _, same in resampled(
+        points, seed, lambda pt: lhs.evaluate(pt) == rhs.evaluate(pt)))
 
 
 def lemma_both_sides(m: int, k0: int, rho0: int, theta0: int, gamma: int):

@@ -185,8 +185,7 @@ class EvalPoint:
 def sample_points(count: int, seed: int) -> list[EvalPoint]:
     """Deterministic evaluation points; numerators/denominators in 2..7.
 
-    Points where some factor later vanishes are rejected by the caller
-    (VanishingFactor) and replaced via ``next_point``.
+    Points where some factor later vanishes are replaced by ``resampled``.
     """
     rng = random.Random(seed)
     pts = []
@@ -207,9 +206,30 @@ def _draw_point(rng: random.Random) -> EvalPoint:
         return EvalPoint(q0, t0)
 
 
-def resample_point(seed: int, attempt: int) -> EvalPoint:
-    """Replacement point when an earlier draw hit a vanishing factor."""
-    return _draw_point(random.Random((seed, attempt)))
+def resample_point(seed: int, idx: int, attempt: int) -> EvalPoint:
+    """Replacement for point ``idx`` of a run seeded with ``seed``, after
+    ``attempt`` draws hit a vanishing factor; distinct triples give distinct
+    integer seeds (the bytes of a text with a nonzero first byte)."""
+    key = f"{seed},{idx},{attempt}".encode()
+    return _draw_point(random.Random(int.from_bytes(key, "big")))
+
+
+def resampled(points, seed: int, fn):
+    """Yield (point used, fn(point)) for each point in turn.
+
+    Where ``fn`` raises VanishingFactor the point is replaced by
+    ``resample_point`` until ``fn`` goes through.
+    """
+    for idx, pt in enumerate(points):
+        attempt = 0
+        while True:
+            try:
+                value = fn(pt)
+                break
+            except VanishingFactor:
+                attempt += 1
+                pt = resample_point(seed, idx, attempt)
+        yield pt, value
 
 
 class QTFactored:
@@ -231,12 +251,12 @@ class QTFactored:
         self.qexp = qexp
         self.texp = texp
         self.factors = {}
-        for (a, b), e in (factors or {}).items():
+        for key, e in (factors or {}).items():  # reuse keys: copies cost memory
             if e == 0:
                 continue
-            if a == 0 and b == 0:
+            if key == (0, 0):
                 raise ValueError("factor (1 - q^0 t^0) is zero")
-            self.factors[(a, b)] = e
+            self.factors[key] = e
 
     @staticmethod
     def zero() -> "QTFactored":
@@ -364,17 +384,8 @@ def qt_equals(x: QTFactored, y: QTFactored, mode: str = "exact",
     if mode == "eval":
         if not points:
             raise ValueError("eval mode requires at least one point")
-        for idx, pt in enumerate(points):
-            attempt = 0
-            while True:
-                try:
-                    if x.evaluate(pt) != y.evaluate(pt):
-                        return False
-                    break
-                except VanishingFactor:
-                    attempt += 1
-                    pt = resample_point(seed + idx, attempt)
-        return True
+        return all(same for _, same in resampled(
+            points, seed, lambda pt: x.evaluate(pt) == y.evaluate(pt)))
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -26,12 +26,6 @@ def run_hook(family: str, alpha: Partition, beta: Partition | None,
     return verify_okada(poset, degree, mode, pts, seed=seed)
 
 
-def _simple_report(name: str, ok: bool, mismatch=None, **extra):
-    return VerificationReport(check=name, mode="exact",
-                              result="pass" if ok else "fail",
-                              mismatch=mismatch, extra=extra)
-
-
 def run_identity(name: str, seed: int = 0, trials: int = 50) -> VerificationReport:
     if name == "gasper":
         report = hypergeom.gasper_sweep(trials, seed)

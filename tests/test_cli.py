@@ -45,6 +45,19 @@ def test_verify_hook_usage_error(capsys):
     assert "length 2" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "hook", "--family", "shifted", "--alpha", "2,1",
+     "--degree", "-1"],
+    ["verify", "identity", "--name", "gasper", "--trials", "-3"],
+    ["verify", "all", "--points", "0"],
+])
+def test_usage_errors_exit_2(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_identity(capsys):
     code, out, _ = run_cli(["verify", "identity", "--name", "gasper",
                             "--trials", "10", "--seed", "7"], capsys)

@@ -1,11 +1,22 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from qthook import hookformula
 from qthook.partitions import Partition
-from qthook.qtcore import QTFactored, b_el, b_lambda, f_fun, qt_equals, sample_points
+from qthook.qtcore import (
+    EvalPoint,
+    QTFactored,
+    b_el,
+    b_lambda,
+    f_fun,
+    qt_equals,
+    sample_points,
+)
 from qthook.series import CoeffRing
 from qthook.dposet import (
+    ColoredPoset,
     build_banner,
     build_bird,
     build_shifted,
@@ -317,6 +328,43 @@ def test_okada_on_longer_tails():
                   build_banner(P([5, 3, 2, 1]), 3)):
         report = verify_okada(poset, 3, "eval", pts, seed=5)
         assert report.passed, report.to_json()
+
+
+def test_okada_reports_the_replacement_point():
+    # f(n; 0) carries (1 - q^2 t) from n = 3 on, which vanishes at (2, 1/4)
+    poset = build_shifted(P([3, 2]))
+    report = verify_okada(poset, 4, "eval", [EvalPoint(2, Fraction(1, 4))])
+    assert report.passed, report.to_json()
+    assert len(report.points) == 1 and report.points[0] != ["2", "1/4"]
+
+
+def test_weight_plan_is_built_once_per_poset(monkeypatch):
+    built = []
+    adjacency = hookformula._color_adjacency
+    monkeypatch.setattr(hookformula, "_color_adjacency",
+                        lambda poset: built.append(poset) or adjacency(poset))
+    poset = build_bird(P([3, 2]), P([2, 1]), 2)
+    pis = list(enumerate_p_partitions(poset, 4))
+    for pi in pis:
+        weight_generic(poset, pi)
+    assert len(pis) > 20 and built == [poset]
+    plan = poset._weight_plan
+    assert isinstance(plan, tuple) and len(plan) == 3
+    assert all(isinstance(pair, tuple) for part in plan for pair in part)
+    assert all(isinstance(part, tuple) for part in plan)
+
+
+@pytest.mark.parametrize("colors, message", [
+    (("z0", "z1", "z1"), "odd-rank parity"),
+    (("z0", "z0"), "hat parity"),
+])
+def test_weight_plan_rejects_a_wrong_coloring(colors, message):
+    # the chain (1,1) > (1,2) > ..., colored against the d-complete rules
+    cells = [(1, j) for j in range(1, len(colors) + 1)]
+    poset = ColoredPoset("chain", {}, cells, lambda e: {1},
+                         lambda e: colors[e[1] - 1])
+    with pytest.raises(AssertionError, match=message):
+        weight_generic(poset, zero_pi(poset))
 
 
 def test_phi_tilde_pair():

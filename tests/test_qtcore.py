@@ -19,6 +19,7 @@ from qthook.qtcore import (
     phi_skew,
     psi_skew,
     qt_equals,
+    resample_point,
     sample_points,
 )
 
@@ -165,6 +166,21 @@ def _random_qtf(rng):
             continue
         factors[(a, b)] = rng.randint(-2, 2)
     return QTFactored(coeff, rng.randint(-2, 2), rng.randint(-2, 2), factors)
+
+
+def test_eval_resamples_a_vanishing_point():
+    # (1 - q^2 t) vanishes at (2, 1/4), so that point has to be replaced
+    x = QTFactored.binomial(2, 1)
+    vanishing = [EvalPoint(2, Fraction(1, 4))]
+    assert qt_equals(x, x, "eval", vanishing)
+    assert not qt_equals(x, QTFactored.binomial(1, 1), "eval", vanishing)
+
+
+def test_resample_seeds_are_distinct_per_seed_index_attempt():
+    # (seed, idx) = (0, 1) and (1, 0) have equal sums but own generators
+    assert resample_point(0, 1, 1) != resample_point(1, 0, 1)
+    assert resample_point(0, 0, 1) != resample_point(-1, 0, 1)
+    assert resample_point(3, 2, 1) == resample_point(3, 2, 1)
 
 
 def test_eval_point_validation():
