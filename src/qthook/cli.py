@@ -34,47 +34,38 @@ def _usage(message: str) -> int:
 
 
 def _emit(payload, out_path: str | None):
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    if out_path:
+    """Print the payload (text as given, anything else as JSON) or write it
+    to ``out_path``; an unwritable path is a usage error."""
+    if not isinstance(payload, str):
+        payload = json.dumps(payload, sort_keys=True, indent=2)
+    if not out_path:
+        print(payload)
+        return
+    try:
         with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+            fh.write(payload + "\n")
+    except OSError as exc:
+        raise SystemExit(_usage(f"cannot write --out: {exc}"))
 
 
-def _validated_family(args) -> tuple:
-    family = args.family
-    alpha = _parse_partition(args.alpha or "", "alpha")
+def _build_poset(args):
+    """The family poset; the builders' ValueError is a usage error."""
+    alpha = _parse_partition(args.alpha, "alpha")
     beta = _parse_partition(args.beta, "beta") if args.beta else None
-    f = args.f
-    if family == "shifted":
-        if not alpha.is_strict() or alpha.length() == 0:
-            raise SystemExit(_usage("shifted needs a nonempty strict alpha"))
-    elif family == "bird":
-        if alpha.length() != 2 or not alpha.is_strict():
-            raise SystemExit(_usage("bird needs a strict alpha of length 2"))
-        if beta is None or beta.length() != 2 or not beta.is_strict():
-            raise SystemExit(_usage("bird needs a strict beta of length 2"))
-        if f is None or f < 1:
-            raise SystemExit(_usage("bird needs --f >= 1"))
-    elif family == "banner":
-        if alpha.length() != 4 or not alpha.is_strict():
-            raise SystemExit(_usage("banner needs a strict alpha of length 4"))
-        if f is None or f < 2:
-            raise SystemExit(_usage("banner needs --f >= 2"))
-    else:
-        raise SystemExit(_usage(f"unknown family {family!r}"))
-    return family, alpha, beta, f
+    try:
+        return build_family(args.family, alpha, beta, args.f)
+    except ValueError as exc:
+        raise SystemExit(_usage(str(exc)))
 
 
 def cmd_verify_hook(args) -> int:
-    family, alpha, beta, f = _validated_family(args)
+    poset = _build_poset(args)
     if args.degree < 0:
         raise SystemExit(_usage("--degree must be >= 0"))
     if args.mode == "eval" and args.points < 1:
         raise SystemExit(_usage("eval mode needs --points >= 1"))
-    report = suites.run_hook(family, alpha, beta, f, args.degree,
-                             args.mode, args.points, args.seed)
+    report = suites.verify_poset(poset, args.degree, args.mode, args.points,
+                                 args.seed)
     _emit(report.to_dict(), args.out)
     return 0 if report.passed else 1
 
@@ -84,9 +75,15 @@ def cmd_verify_identity(args) -> int:
         raise SystemExit(_usage(
             f"unknown identity {args.name!r}; choose from "
             + ", ".join(suites.IDENTITY_NAMES)))
-    if args.trials < 1:
+    if args.trials is None:
+        report = suites.run_identity(args.name, seed=args.seed)
+    elif args.name != "gasper":
+        raise SystemExit(_usage("--trials applies only to --name gasper"))
+    elif args.trials < 1:
         raise SystemExit(_usage("--trials must be >= 1"))
-    report = suites.run_identity(args.name, seed=args.seed, trials=args.trials)
+    else:
+        report = suites.run_identity(args.name, seed=args.seed,
+                                     trials=args.trials)
     _emit(report.to_dict(), args.out)
     return 0 if report.passed else 1
 
@@ -153,29 +150,21 @@ def _poset_dot(poset) -> str:
 
 
 def cmd_show(args) -> int:
-    family, alpha, beta, f = _validated_family(args)
-    poset = build_family(family, alpha, beta, f)
+    poset = _build_poset(args)
     if args.what == "hooks":
         rec = hook_monomials(poset, verify_choices=False)
         closed = hook_monomials_closed_form(poset)
         rec_ms = sorted(tuple(sorted(m.items())) for m in rec.values())
         closed_ms = sorted(tuple(sorted(m.items())) for m in closed.values())
         payload = {
-            "family": family,
+            "family": poset.family,
             "hooks": {str(e): dict(sorted(m.items())) for e, m in rec.items()},
             "agreement": rec_ms == closed_ms,
         }
         _emit(payload, args.out)
         return 0
-    if args.format == "dot":
-        text = _poset_dot(poset)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
-        return 0
-    _emit(_poset_json(poset), args.out)
+    _emit(_poset_dot(poset) if args.format == "dot" else _poset_json(poset),
+          args.out)
     return 0
 
 
@@ -203,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ident = vsub.add_parser("identity", help="a named identity sweep")
     ident.add_argument("--name", required=True)
-    ident.add_argument("--trials", type=int, default=50)
+    ident.add_argument("--trials", type=int,
+                       help="number of draws for gasper (default 50)")
     ident.add_argument("--seed", type=int, default=_env_seed())
     ident.add_argument("--out")
     ident.set_defaults(func=cmd_verify_identity)

@@ -389,10 +389,11 @@ def d_complete_check(poset: ColoredPoset):
 # Hook monomials: the diamond recursion and the closed-form tables.
 # ---------------------------------------------------------------------------
 
-def _mono_mul(a: dict, b: dict, sign: int = 1) -> dict:
+def _mono_mul(a: dict, b: dict, mult: int = 1) -> dict:
+    """a * b^mult for monomials as name -> exponent dicts (zeros dropped)."""
     out = dict(a)
     for k, e in b.items():
-        s = out.get(k, 0) + sign * e
+        s = out.get(k, 0) + mult * e
         if s:
             out[k] = s
         else:

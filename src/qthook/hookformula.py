@@ -11,9 +11,10 @@ factor exponents.
 
 from __future__ import annotations
 
-from .dposet import (ColoredPoset, _alias_tables, _complement,
+from .dposet import (ColoredPoset, _alias_tables, _complement, _mono_mul,
                      enumerate_p_partitions, hook_monomials)
-from .partitions import Partition, is_horizontal_strip, partitions_of
+from .partitions import (Partition, bounded_tuples, is_horizontal_strip,
+                         monotone_chains, partitions_of)
 from .qtcore import (QTFactored, b_el, b_lambda, f_fun, phi_skew, psi_skew,
                      resampled)
 from .report import VerificationReport, timed
@@ -21,10 +22,8 @@ from .series import (
     CoeffRing,
     MultiSeries,
     VarSet,
-    mono_mul,
+    product_of_f,
     series_equals,
-    series_f,
-    total_degree,
 )
 
 HAT = "__hat__"
@@ -215,7 +214,7 @@ def phi_tilde(rho: dict, theta: dict, m: int, n: int, xt: dict,
     mono = {}
     for i, e in phi_tilde_monomial(rho, theta, m, n).items():
         if e:
-            mono = _mono_add(mono, xt[i], e)
+            mono = _mono_mul(mono, xt[i], e)
     return phi_hat(rho, theta, m, n, convention), mono
 
 
@@ -340,7 +339,7 @@ def weight_via_traces(poset: ColoredPoset, pi: dict, horizon: int | None = None)
         for i in range(1, n + 1):
             exp = tr[i - 1].weight() - tr[i].weight()
             if exp:  # horizons beyond alpha_1 pad with empty traces
-                mono = _mono_add(mono, al["zt"][i], exp)
+                mono = _mono_mul(mono, al["zt"][i], exp)
         return weight, mono
     if fam == "bird":
         alpha, beta, f = (poset.params[k] for k in ("alpha", "beta", "f"))
@@ -356,13 +355,13 @@ def weight_via_traces(poset: ColoredPoset, pi: dict, horizon: int | None = None)
         for i in range(1, m + 1):
             exp = tr_s[i - 1].weight() - tr_s[i].weight()
             if exp:
-                mono = _mono_add(mono, al["zt"][i], exp)
+                mono = _mono_mul(mono, al["zt"][i], exp)
         for i in range(1, n + 1):
             exp = tr_t[i - 1].weight() - tr_t[i].weight()
             if exp:
-                mono = _mono_add(mono, al["yt"][i], exp)
+                mono = _mono_mul(mono, al["yt"][i], exp)
         for i in range(1, f + 1):
-            mono = _mono_add(mono, al["xt"][i],
+            mono = _mono_mul(mono, al["xt"][i],
                              rho[i] + theta[i] - rho[i - 1] - theta[i - 1])
         return weight, mono
     if fam == "banner":
@@ -372,32 +371,21 @@ def weight_via_traces(poset: ColoredPoset, pi: dict, horizon: int | None = None)
         tr = traces(alpha, sigma, n)
         weight = (phi_hat(rho, theta, 1, f) * b_el(tr[0])
                   * bracket_psi(tr, epsilon_seq(alpha, n)))
-        mono = _scaled(_mono_add(al["xt"][2] if f >= 2 else {}, al["w"], 1),
+        mono = _scaled(_mono_mul(al["xt"][2] if f >= 2 else {}, al["w"], 1),
                        sigma[(1, 1)] + sigma[(3, 3)])
         for i in range(2, f + 1):
-            mono = _mono_add(mono, al["xt"][i],
+            mono = _mono_mul(mono, al["xt"][i],
                              rho[i] + theta[i] - rho[i - 1] - theta[i - 1])
         for i in range(1, n + 1):
             exp = tr[i - 1].weight() - tr[i].weight()
             if exp:
-                mono = _mono_add(mono, al["zt"][i], exp)
+                mono = _mono_mul(mono, al["zt"][i], exp)
         return weight, mono
     raise ValueError(f"no trace form for family {poset.family!r}")
 
 
 def _scaled(mono: dict, k: int) -> dict:
     return {name: e * k for name, e in mono.items() if e * k}
-
-
-def _mono_add(base: dict, extra: dict, mult: int = 1) -> dict:
-    out = dict(base)
-    for name, e in extra.items():
-        s = out.get(name, 0) + e * mult
-        if s:
-            out[name] = s
-        else:
-            out.pop(name, None)
-    return out
 
 
 def z_monomial(poset: ColoredPoset, pi: dict) -> dict:
@@ -413,17 +401,13 @@ def z_monomial(poset: ColoredPoset, pi: dict) -> dict:
 # Both sides of the hook formula as truncated series.
 # ---------------------------------------------------------------------------
 
-def _mono_to_varset(mono: dict, varset: VarSet) -> tuple[int, ...]:
-    return varset.monomial(mono)
-
-
 def lhs_terms(poset: ColoredPoset, trunc: int,
               weight_fun=None) -> list[tuple[tuple[int, ...], QTFactored]]:
     """Symbolic (monomial, weight) pairs of the P-partition sum."""
     weight_fun = weight_fun or weight_generic
     out = []
     for pi in enumerate_p_partitions(poset, trunc):
-        out.append((_mono_to_varset(z_monomial(poset, pi), poset.varset),
+        out.append((poset.varset.monomial(z_monomial(poset, pi)),
                     weight_fun(poset, pi)))
     return out
 
@@ -442,11 +426,8 @@ def rhs_series(poset: ColoredPoset, trunc: int, ring: CoeffRing,
     """Product of F(hook monomial) over the vertices, truncated."""
     if hooks is None:
         hooks = hook_monomials(poset, verify_choices=False)
-    out = MultiSeries.constant(1, poset.varset, trunc, ring)
-    for v, mono in hooks.items():
-        out = out * series_f(_mono_to_varset(mono, poset.varset),
-                             poset.varset, trunc, ring)
-    return out
+    return product_of_f([poset.varset.monomial(m) for m in hooks.values()],
+                        poset.varset, trunc, ring)
 
 
 def verify_okada(poset: ColoredPoset, trunc: int, mode: str = "exact",
@@ -496,8 +477,20 @@ def _kernel_f_args(tilde: dict, parts: Partition, n: int) -> list[dict]:
     for c in comp:
         for a in parts:
             if c < a:
-                args.append(_mono_add(tilde[a], tilde[c], -1))
+                args.append(_mono_mul(tilde[a], tilde[c], -1))
     return args
+
+
+def _kernel(poset: ColoredPoset, al: dict, trunc: int,
+            ring: CoeffRing) -> MultiSeries:
+    """The kernel prefactor: F at every wing's complement-pair argument."""
+    if poset.family == "bird":
+        args = (_kernel_f_args(al["zt"], poset.params["alpha"], al["m"])
+                + _kernel_f_args(al["yt"], poset.params["beta"], al["n"]))
+    else:
+        args = _kernel_f_args(al["zt"], poset.params["alpha"], al["n"])
+    return product_of_f([poset.varset.monomial(a) for a in args],
+                        poset.varset, trunc, ring)
 
 
 def _series_from_poly(poly, images: list[dict], varset: VarSet, trunc: int,
@@ -508,8 +501,8 @@ def _series_from_poly(poly, images: list[dict], varset: VarSet, trunc: int,
         mono = {}
         for e, img in zip(exps, images):
             if e:
-                mono = _mono_add(mono, img, e)
-        out.add_term(_mono_to_varset(mono, varset), c)
+                mono = _mono_mul(mono, img, e)
+        out.add_term(varset.monomial(mono), c)
     return out
 
 
@@ -523,10 +516,8 @@ def lhs_macdonald_form(poset: ColoredPoset, trunc: int,
     fam = poset.family
     if fam == "shifted":
         alpha = poset.params["alpha"]
-        r, n = alpha.length(), al["n"]
-        out = MultiSeries.constant(1, varset, trunc, ring)
-        for arg in _kernel_f_args(al["zt"], alpha, n):
-            out = out * series_f(_mono_to_varset(arg, varset), varset, trunc, ring)
+        r = alpha.length()
+        out = _kernel(poset, al, trunc, ring)
         lam_sum = MultiSeries(varset, trunc, ring)
         for d in range(trunc + 1):
             for lam in partitions_of(d, None, r):
@@ -538,31 +529,33 @@ def lhs_macdonald_form(poset: ColoredPoset, trunc: int,
                 if md is not None:
                     assert md >= lam.weight()
                 wexp = (lam.weight() - lam.odd_columns()) // 2
-                shift = _mono_to_varset(_scaled(al["w"], wexp), varset)
+                shift = varset.monomial(_scaled(al["w"], wexp))
                 term = term.scale(b_el(lam)).shift_monomial(shift)
                 lam_sum = lam_sum + term.truncated(trunc)
         return out * lam_sum
     if fam == "bird":
         alpha, beta, f = (poset.params[k] for k in ("alpha", "beta", "f"))
-        m, n = al["m"], al["n"]
-        out = MultiSeries.constant(1, varset, trunc, ring)
-        for arg in (_kernel_f_args(al["zt"], alpha, m)
-                    + _kernel_f_args(al["yt"], beta, n)):
-            out = out * series_f(_mono_to_varset(arg, varset), varset, trunc, ring)
+        out = _kernel(poset, al, trunc, ring)
         the_sum = MultiSeries(varset, trunc, ring)
-        for rho, theta in _bird_rho_theta_chains(f, trunc):
+        # (rho, theta) chains with sum(rho_i + theta_i) <= trunc
+        chains = ((dict(enumerate((rho0,) + rs)), dict(enumerate((theta0,) + ts)))
+                  for theta0 in range(trunc + 1) for rho0 in range(theta0 + 1)
+                  for rs in monotone_chains(0, rho0, f)
+                  for ts in monotone_chains(theta0, trunc, f, increasing=True)
+                  if rho0 + theta0 + sum(rs) + sum(ts) <= trunc)
+        for rho, theta in chains:
             lam = Partition((theta[0], rho[0]))
             scal, shift = phi_tilde(rho, theta, 0, f, al["xt"])
             p_part = _series_from_poly(
                 macdonald_p(lam, 2),
-                [_mono_add(al["xt"][0], al["zt"][alpha[i]]) for i in (1, 2)],
+                [_mono_mul(al["xt"][0], al["zt"][alpha[i]]) for i in (1, 2)],
                 varset, NO_TRUNC, ring)
             q_part = _series_from_poly(
                 macdonald_q(lam, 2),
                 [al["yt"][beta[i]] for i in (1, 2)],
                 varset, NO_TRUNC, ring)
             term = (p_part * q_part).scale(scal)
-            term = term.shift_monomial(_mono_to_varset(shift, varset))
+            term = term.shift_monomial(varset.monomial(shift))
             md = term.min_total_degree()
             if md is not None:
                 floor = sum(rho.values()) + sum(theta.values())
@@ -571,20 +564,25 @@ def lhs_macdonald_form(poset: ColoredPoset, trunc: int,
         return out * the_sum
     if fam == "banner":
         alpha, f = poset.params["alpha"], poset.params["f"]
-        n = al["n"]
-        out = MultiSeries.constant(1, varset, trunc, ring)
-        for arg in _kernel_f_args(al["zt"], alpha, n):
-            out = out * series_f(_mono_to_varset(arg, varset), varset, trunc, ring)
+        out = _kernel(poset, al, trunc, ring)
         the_sum = MultiSeries(varset, trunc, ring)
-        for lam, rho, theta in _banner_lam_rho_theta(f, trunc):
+        # (lam, rho, theta) with l(lam) <= 4, rho_1 = lam_4, theta_1 = lam_2
+        # and |lam| + sum_{i >= 2} (rho_i + theta_i) <= trunc
+        triples = ((lam, dict(enumerate((lam[4],) + rs, start=1)),
+                    dict(enumerate((lam[2],) + ts, start=1)))
+                   for d in range(trunc + 1) for lam in partitions_of(d, None, 4)
+                   for rs in monotone_chains(0, lam[4], f - 1)
+                   for ts in monotone_chains(lam[2], trunc, f - 1, increasing=True)
+                   if lam.weight() + sum(rs) + sum(ts) <= trunc)
+        for lam, rho, theta in triples:
             hat, shift = phi_tilde(rho, theta, 1, f, al["xt"])
             term = _series_from_poly(
                 macdonald_p(lam, 4),
                 [al["zt"][alpha[i]] for i in range(1, 5)],
                 varset, NO_TRUNC, ring).scale(hat * b_el(lam))
-            shift = _mono_add(shift, _scaled(_mono_add(al["xt"][2], al["w"]),
+            shift = _mono_mul(shift, _scaled(_mono_mul(al["xt"][2], al["w"]),
                                              lam[2] + lam[4]))
-            term = term.shift_monomial(_mono_to_varset(shift, varset))
+            term = term.shift_monomial(varset.monomial(shift))
             md = term.min_total_degree()
             if md is not None:
                 floor = lam.weight() + sum(rho[i] + theta[i]
@@ -593,82 +591,6 @@ def lhs_macdonald_form(poset: ColoredPoset, trunc: int,
             the_sum = the_sum + term.truncated(trunc)
         return out * the_sum
     raise ValueError(f"no Macdonald form for family {fam!r}")
-
-
-def _bird_rho_theta_chains(f: int, budget: int):
-    """(rho, theta) chains with sum(rho_i + theta_i) <= budget."""
-    out = []
-
-    def rec_theta(i, theta, used):
-        if used > budget:
-            return
-        if i > f:
-            out.append((dict(rho), dict(theta)))
-            return
-        t = theta[i - 1]
-        while used + t <= budget:
-            theta[i] = t
-            rec_theta(i + 1, theta, used + t)
-            t += 1
-        theta.pop(i, None)
-
-    def rec_rho(i, rho, used):
-        if used > budget:
-            return
-        if i > f:
-            rec_theta(1, {0: theta0}, used + theta0)
-            return
-        for r in range(0, rho[i - 1] + 1):
-            rho[i] = r
-            rec_rho(i + 1, rho, used + r)
-        rho.pop(i, None)
-
-    rho: dict = {}
-    for theta0 in range(0, budget + 1):
-        for rho0 in range(0, theta0 + 1):
-            rho = {0: rho0}
-            rec_rho(1, rho, rho0)
-    return out
-
-
-def _banner_lam_rho_theta(f: int, budget: int):
-    """(lam, rho, theta) triples per the banner sum constraints."""
-    out = []
-    for d in range(budget + 1):
-        for lam in partitions_of(d, None, 4):
-            l4, l2 = lam[4], lam[2]
-            chains_r = _decreasing_chains(l4, f - 1)
-            chains_t = _increasing_chains(l2, f - 1, budget)
-            for rs in chains_r:
-                rho = {1: l4}
-                rho.update({i + 2: v for i, v in enumerate(rs)})
-                for ts in chains_t:
-                    theta = {1: l2}
-                    theta.update({i + 2: v for i, v in enumerate(ts)})
-                    if sum(rho[i] + theta[i] for i in range(2, f + 1)) \
-                            + lam.weight() <= budget:
-                        out.append((lam, rho, theta))
-    return out
-
-
-def _decreasing_chains(start: int, steps: int):
-    if steps == 0:
-        return [[]]
-    out = []
-    for v in range(start + 1):
-        for rest in _decreasing_chains(v, steps - 1):
-            out.append([v] + rest)
-    return out
-
-
-def _increasing_chains(start: int, steps: int, cap: int):
-    if steps == 0:
-        return [[]]
-    out = []
-    for v in range(start, cap + 1):
-        for rest in _increasing_chains(v, steps - 1, cap):
-            out.append([v] + rest)
-    return out
 
 
 def rhs_macdonald_form(poset: ColoredPoset, trunc: int,
@@ -681,11 +603,7 @@ def rhs_macdonald_form(poset: ColoredPoset, trunc: int,
     fam = poset.family
     if fam == "bird":
         alpha, beta, f = (poset.params[k] for k in ("alpha", "beta", "f"))
-        m, n = al["m"], al["n"]
-        out = MultiSeries.constant(1, varset, trunc, ring)
-        for arg in (_kernel_f_args(al["zt"], alpha, m)
-                    + _kernel_f_args(al["yt"], beta, n)):
-            out = out * series_f(_mono_to_varset(arg, varset), varset, trunc, ring)
+        out = _kernel(poset, al, trunc, ring)
         xdeg = {i: sum(al["xt"][i].values()) for i in range(1, f + 1)}
         the_sum = MultiSeries(varset, trunc, ring)
         for lam_w in range(0, 2 * trunc + 1):
@@ -694,7 +612,7 @@ def rhs_macdonald_form(poset: ColoredPoset, trunc: int,
                 # puts x~_0 inside the Cauchy arguments, not x~_1
                 p_part = _series_from_poly(
                     macdonald_p(lam, 2),
-                    [_mono_add(al["xt"][0], al["zt"][alpha[i]]) for i in (1, 2)],
+                    [_mono_mul(al["xt"][0], al["zt"][alpha[i]]) for i in (1, 2)],
                     varset, NO_TRUNC, ring)
                 q_part = _series_from_poly(
                     macdonald_q(lam, 2),
@@ -703,9 +621,9 @@ def rhs_macdonald_form(poset: ColoredPoset, trunc: int,
                 pq = p_part * q_part
                 for l in range(0, lam[2] + 1):
                     b_ratio = b_lambda(lam.sub_rectangle(l, 2)) / b_lambda(lam)
-                    for ls in _compositions(l, f):
+                    for ls in bounded_tuples([1] * f, l, exact=True):
                         neg = sum(xdeg[i] * ls[i - 1] for i in range(1, f + 1))
-                        for ks in _graded_boxes(
+                        for ks in bounded_tuples(
                                 [xdeg[i] for i in range(1, f + 1)],
                                 trunc + neg):
                             coeff = b_ratio
@@ -714,18 +632,15 @@ def rhs_macdonald_form(poset: ColoredPoset, trunc: int,
                                     * f_fun(ls[i - 1], 0)
                             shift = {}
                             for i in range(1, f + 1):
-                                shift = _mono_add(shift, al["xt"][i],
+                                shift = _mono_mul(shift, al["xt"][i],
                                                   ks[i - 1] - ls[i - 1])
                             term = pq.scale(coeff).shift_monomial(
-                                _mono_to_varset(shift, varset))
+                                varset.monomial(shift))
                             the_sum = the_sum + term.truncated(trunc)
         return out * the_sum
     if fam == "banner":
         alpha, f = poset.params["alpha"], poset.params["f"]
-        n = al["n"]
-        out = MultiSeries.constant(1, varset, trunc, ring)
-        for arg in _kernel_f_args(al["zt"], alpha, n):
-            out = out * series_f(_mono_to_varset(arg, varset), varset, trunc, ring)
+        out = _kernel(poset, al, trunc, ring)
         xdeg = {i: sum(al["xt"][i].values()) for i in range(2, f + 1)}
         the_sum = MultiSeries(varset, trunc, ring)
         for lam_w in range(0, trunc + 1):
@@ -736,41 +651,23 @@ def rhs_macdonald_form(poset: ColoredPoset, trunc: int,
                     varset, NO_TRUNC, ring)
                 for l in range(0, lam[4] + 1):
                     b_ratio = b_el(lam.sub_rectangle(l, 4))
-                    for ls in _compositions(l, f - 1):
+                    for ls in bounded_tuples([1] * (f - 1), l, exact=True):
                         neg = sum(xdeg[i] * ls[i - 2] for i in range(2, f + 1))
-                        for ks in _graded_boxes(
+                        for ks in bounded_tuples(
                                 [xdeg[i] for i in range(2, f + 1)],
                                 trunc + neg):
                             coeff = b_ratio
                             for i in range(2, f + 1):
                                 coeff = coeff * f_fun(ks[i - 2], 0) \
                                     * f_fun(ls[i - 2], 0)
-                            shift = _scaled(_mono_add(al["xt"][2], al["w"]),
+                            shift = _scaled(_mono_mul(al["xt"][2], al["w"]),
                                             lam[2] + lam[4])
                             for i in range(2, f + 1):
-                                shift = _mono_add(shift, al["xt"][i],
+                                shift = _mono_mul(shift, al["xt"][i],
                                                   ks[i - 2] - ls[i - 2])
                             term = p_series.scale(coeff).shift_monomial(
-                                _mono_to_varset(shift, varset))
+                                varset.monomial(shift))
                             the_sum = the_sum + term.truncated(trunc)
         return out * the_sum
     raise ValueError(f"no Macdonald RHS for family {fam!r}")
 
-
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        return [[]] if total == 0 else []
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            out.append([first] + rest)
-    return out
-
-
-def _graded_boxes(weights: list[int], budget: int):
-    """All tuples (k_i >= 0) with sum weights[i] * k_i <= budget."""
-    out = [([], 0)]
-    for w in weights:
-        out = [(xs + [v], used + w * v) for xs, used in out
-               for v in range((budget - used) // w + 1)]
-    return [xs for xs, _ in out]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .partitions import Partition
+from .partitions import Partition, bounded_tuples, monotone_chains
 from .qtcore import b_el, b_lambda, f_fun, qt_equals, resampled
 from .report import VerificationReport, timed
 from .series import QTCoeff
@@ -73,20 +73,7 @@ def phi_series(uppers, lowers, q, z, term_cap: int | None = None) -> Fraction:
         if term_cap is None:
             raise DegenerateDraw("no termination witness q^-n among uppers")
         bound = term_cap
-    total = Fraction(0)
-    term = Fraction(1)
-    for n in range(bound + 1):
-        total += term
-        ratio = z / (1 - q ** (n + 1))
-        for a in uppers:
-            ratio *= 1 - Fraction(a) * q ** n
-        for b in lowers:
-            den = 1 - Fraction(b) * q ** n
-            if den == 0:
-                raise DegenerateDraw(f"lower parameter pole at step {n}")
-            ratio /= den
-        term *= ratio
-    return total
+    return _phi_partial(uppers, lowers, q, z, bound)
 
 
 def w_series(a1, tail, q, z, term_cap: int | None = None) -> Fraction:
@@ -157,6 +144,7 @@ def w_series_phi_form(a1, tail, q, z) -> Fraction:
 
 
 def _phi_partial(uppers, lowers, q, z, bound: int) -> Fraction:
+    """The terms n = 0..bound of r+1_phi_r, summed by their term ratios."""
     total = Fraction(0)
     term = Fraction(1)
     for n in range(bound + 1):
@@ -328,23 +316,6 @@ def lemma_check(m, k0, rho0, theta0, gamma, mode: str = "exact",
     return _coeff_equal(lhs, rhs, mode, points)
 
 
-def _rho_chains(k0: int, rho0: int, n: int):
-    """All (rho_1 >= ... >= rho_n) with k0 <= rho_n and rho_1 <= rho0."""
-    if n == 0:
-        return [[]]
-    out = []
-
-    def rec(i, prev, acc):
-        if i > n:
-            out.append(list(acc))
-            return
-        for v in range(k0, prev + 1):
-            rec(i + 1, v, acc + [v])
-
-    rec(1, rho0, [])
-    return out
-
-
 def general_both_sides(m: int, n: int, k0: int, rho0: int, theta0: int,
                        gamma: list[int]):
     """Both sides of the multi-step summation identity.
@@ -357,7 +328,7 @@ def general_both_sides(m: int, n: int, k0: int, rho0: int, theta0: int,
     if len(gamma) != n:
         raise ValueError("gamma must have length n")
     lhs_terms = []
-    for chain in _rho_chains(k0, rho0, n):
+    for chain in monotone_chains(k0, rho0, n):
         rho = {0: rho0}
         theta = {0: theta0}
         for i in range(1, n + 1):
@@ -373,23 +344,13 @@ def general_both_sides(m: int, n: int, k0: int, rho0: int, theta0: int,
                         * f_fun(theta[i] - rho[i], i + m)))
         lhs_terms.append(t)
     rhs_terms = []
-    for ks in _bounded_tuples(n, rho0 - k0):
+    for ks in bounded_tuples([1] * n, rho0 - k0):
         s = k0 + sum(ks)
         t = f_fun(rho0 - s, 0) * f_fun(theta0 - s, m)
         for i in range(1, n + 1):
             t = t * f_fun(ks[i - 1], 0) * f_fun(ks[i - 1] + gamma[i - 1], 0)
         rhs_terms.append(t)
     return _qsum(lhs_terms), _qsum(rhs_terms)
-
-
-def _bounded_tuples(n: int, cap: int):
-    if n == 0:
-        return [[]]
-    out = []
-    for first in range(cap + 1):
-        for rest in _bounded_tuples(n - 1, cap - first):
-            out.append([first] + rest)
-    return out
 
 
 def general_check(m, n, k0, rho0, theta0, gamma, mode: str = "exact",
@@ -407,7 +368,7 @@ def birds_final_both_sides(rho0: int, theta0: int, f: int, r: list[int]):
     if len(r) != f:
         raise ValueError("r must have length f")
     lhs_terms = []
-    for chain in _rho_chains(0, rho0, f):
+    for chain in monotone_chains(0, rho0, f):
         rho = {0: rho0}
         theta = {0: theta0}
         for i in range(1, f + 1):
@@ -416,7 +377,7 @@ def birds_final_both_sides(rho0: int, theta0: int, f: int, r: list[int]):
         lhs_terms.append(phi_hat(rho, theta, 0, f))
     rhs_terms = []
     boundary = (f_fun(rho0, 0) * f_fun(theta0, 1)).inverse()
-    for ls in _bounded_tuples(f, rho0):
+    for ls in bounded_tuples([1] * f, rho0):
         l = sum(ls)
         t = f_fun(rho0 - l, 0) * f_fun(theta0 - l, 1) * boundary
         for i in range(1, f + 1):
@@ -441,7 +402,7 @@ def banners_final_both_sides(lam: Partition, f: int, r: list[int]):
         raise ValueError("r must have length f - 1")
     l4, l2 = lam[4], lam[2]
     lhs_terms = []
-    for chain in _rho_chains(0, l4, f - 1):
+    for chain in monotone_chains(0, l4, f - 1):
         rho = {1: l4}
         theta = {1: l2}
         for i in range(2, f + 1):
@@ -450,7 +411,7 @@ def banners_final_both_sides(lam: Partition, f: int, r: list[int]):
         lhs_terms.append(phi_hat(rho, theta, 1, f))
     rhs_terms = []
     boundary = (f_fun(l4, 0) * f_fun(l2, 2)).inverse()
-    for ls in _bounded_tuples(f - 1, l4):
+    for ls in bounded_tuples([1] * (f - 1), l4):
         l = sum(ls)
         t = f_fun(l4 - l, 0) * f_fun(l2 - l, 2) * boundary
         for i in range(2, f + 1):
@@ -479,7 +440,7 @@ def b_ratio_checks(max_size: int = 4) -> bool:
                           / (f_fun(rho0, 0) * f_fun(theta0, 1)))
                 if not qt_equals(ratio, expect):
                     return False
-    for lam_parts in _weak_quads(max_size):
+    for lam_parts in monotone_chains(0, max_size, 4):
         lam = Partition(lam_parts)
         l4, l2 = lam[4], lam[2]
         for l in range(l4 + 1):
@@ -489,13 +450,3 @@ def b_ratio_checks(max_size: int = 4) -> bool:
             if not qt_equals(ratio, expect):
                 return False
     return True
-
-
-def _weak_quads(cap: int):
-    out = []
-    for a in range(cap + 1):
-        for b in range(a + 1):
-            for c in range(b + 1):
-                for d in range(c + 1):
-                    out.append((a, b, c, d))
-    return out

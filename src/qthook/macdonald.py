@@ -35,17 +35,12 @@ from .series import (
     MultiSeries,
     QTCoeff,
     VarSet,
-    mono_mul,
+    product_of_f,
     series_equals,
     series_f,
-    total_degree,
 )
 
 EXACT = CoeffRing("exact")
-
-# Constructors verify that accumulated coefficients are symmetric under
-# permutations of the exponent slots.  Flip off to speed up long sweeps.
-CHECK_SYMMETRY = True
 
 
 class SymPoly:
@@ -194,9 +189,7 @@ def _skew_cached(lam_parts, mu_parts, n, kind):
             exps.append(nxt.weight() - prev.weight())
         if not w.is_zero():
             out.add_term(tuple(exps), w)
-    if CHECK_SYMMETRY:
-        out.check_symmetric()
-    return out
+    return out.check_symmetric()
 
 
 def skew_p(lam: Partition, mu: Partition, n: int) -> SymPoly:
@@ -555,14 +548,10 @@ def gram_p(lam: Partition, n: int) -> SymPoly:
     for mu, c in coords.items():
         if mu.length() > n:
             continue
-        qc = _ratfunc_to_qtcoeff(c)
+        qc = _RatQTCoeff(c)
         for e in _distinct_permutations(mu, n):
             out.add_term(e, qc)
     return out
-
-
-def _ratfunc_to_qtcoeff(r: RatFunc) -> "_RatQTCoeff":
-    return _RatQTCoeff(r)
 
 
 class _RatQTCoeff(QTCoeff):
@@ -668,14 +657,14 @@ def _product_series(factors, varset, trunc, ring) -> MultiSeries:
 
 def _kernel_series(xs: list[int], ys: list[int], varset, trunc, ring) -> MultiSeries:
     """Pi(x; y) = prod F(x_i y_j) truncated."""
-    out = MultiSeries.constant(1, varset, trunc, ring)
+    monos = []
     for i in xs:
         for j in ys:
             mono = [0] * len(varset)
             mono[i] += 1
             mono[j] += 1
-            out = out * series_f(tuple(mono), varset, trunc, ring)
-    return out
+            monos.append(tuple(mono))
+    return product_of_f(monos, varset, trunc, ring)
 
 
 def cauchy_check(n: int, m: int, trunc: int, ring: CoeffRing = EXACT):
@@ -975,8 +964,8 @@ def warnaar_check(variant: str, n: int, trunc: int, with_w: bool = True,
         return tuple(m)
 
     w_slot = slots["w"] if with_w else []
-    rhs = MultiSeries.constant(1, varset, trunc, ring)
     if variant == "oa":
+        rhs = MultiSeries.constant(1, varset, trunc, ring)
         for i in xs:
             # (1 + w x_i) * (qt x_i^2; q^2)_inf / (x_i^2; q^2)_inf
             diag = MultiSeries(varset, trunc, ring)
@@ -1000,10 +989,7 @@ def warnaar_check(variant: str, n: int, trunc: int, with_w: bool = True,
         else:  # even
             single = [mono([i]) for i in xs]
             pair_w = w_slot
-        for m in single:
-            rhs = rhs * series_f(m, varset, trunc, ring)
-        for a in range(len(xs)):
-            for b in range(a + 1, len(xs)):
-                rhs = rhs * series_f(mono(list(pair_w) + [xs[a], xs[b]]),
-                                     varset, trunc, ring)
+        pairs = [mono(list(pair_w) + [xs[a], xs[b]])
+                 for a in range(len(xs)) for b in range(a + 1, len(xs))]
+        rhs = product_of_f(single + pairs, varset, trunc, ring)
     return series_equals(lhs, rhs)

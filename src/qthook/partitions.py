@@ -195,3 +195,31 @@ def partitions_up_to(n: int, max_length: int | None = None):
     for d in range(n + 1):
         out.extend(partitions_of(d, None, max_length))
     return out
+
+
+def monotone_chains(lo: int, hi: int, n: int, increasing: bool = False):
+    """All weakly monotone n-tuples with entries in [lo, hi], lexicographic.
+
+    Decreasing (v_1 >= ... >= v_n) by default, increasing when asked; the
+    summation order of every chain sum in the package follows this order.
+    """
+    out = [()]
+    for _ in range(n):
+        if increasing:
+            out = [c + (v,) for c in out for v in range(c[-1] if c else lo, hi + 1)]
+        else:
+            out = [c + (v,) for c in out for v in range(lo, (c[-1] if c else hi) + 1)]
+    return out
+
+
+def bounded_tuples(weights, budget: int, exact: bool = False):
+    """All (k_i >= 0) with sum weights[i] * k_i <= budget, lexicographic.
+
+    The weights must be positive.  With ``exact`` only the tuples whose
+    weighted sum equals the budget are kept.
+    """
+    out = [((), 0)]
+    for w in weights:
+        out = [(ks + (v,), used + w * v) for ks, used in out
+               for v in range((budget - used) // w + 1)]
+    return [ks for ks, used in out if not exact or used == budget]

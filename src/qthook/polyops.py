@@ -1,9 +1,11 @@
 """Exact gcd and division for bivariate polynomials over the rationals.
 
 Only the Gram-Schmidt oracle needs true rational-function normalization;
-everything else in the package works with factored denominators.  The gcd
-runs a primitive PRS in t over Z[q] on integer-cleared inputs, so Fraction
-blowup never enters the Euclid loop.
+everything else in the package works with factored denominators.  Both the
+gcd and the exact division run on integer-cleared inputs (rows indexed by
+t-degree of integer q-polynomials): the gcd as a primitive PRS in t over
+Z[q], the division as long division in t with exact integer quotients, so
+Fraction blowup never enters either loop.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from fractions import Fraction
 from math import gcd as igcd
 
 from .qtcore import BiPoly
-
-ZERO = Fraction(0)
 
 
 # -- univariate integer polynomials as int lists (index = q-degree) ---------
@@ -153,9 +153,9 @@ def _zdivexact(a, b):
 # -- bivariate: list indexed by t-degree of integer q-polynomials -----------
 
 def _to_int_rec(p: BiPoly):
-    """Clear denominators; return (rows, ignored-scale) with integer rows."""
+    """Clear denominators; return (rows, lcm), the integer rows of lcm * p."""
     if p.is_zero():
-        return []
+        return [], 1
     lcm = 1
     for c in p.terms.values():
         lcm = lcm * c.denominator // igcd(lcm, c.denominator)
@@ -170,7 +170,7 @@ def _to_int_rec(p: BiPoly):
         rows[b][a] = int(c * lcm)
     for row in rows:
         _ztrim(row)
-    return rows
+    return rows, lcm
 
 
 def _from_int_rec(rows) -> BiPoly:
@@ -284,8 +284,8 @@ def gcd_bipoly(p: BiPoly, q: BiPoly) -> BiPoly:
         return q
     if q.is_zero():
         return p
-    a, ga = _bprimitive(_to_int_rec(p))
-    b, gb = _bprimitive(_to_int_rec(q))
+    a, ga = _bprimitive(_to_int_rec(p)[0])
+    b, gb = _bprimitive(_to_int_rec(q)[0])
     cont = _zgcd_poly(ga, gb)
     if len(a) - 1 < len(b) - 1:
         a, b = b, a
@@ -303,94 +303,26 @@ def gcd_bipoly(p: BiPoly, q: BiPoly) -> BiPoly:
 
 
 def divexact_bipoly(p: BiPoly, d: BiPoly) -> BiPoly:
-    """Exact division p / d in Q[q, t]; raises if not exact."""
+    """Exact division p / d in Q[q, t]; raises ArithmeticError if not exact.
+
+    With p = a / la and d = c b / lb for integer rows a, b, b primitive over
+    the integers, p / d = (a / b) lb / (la c), and a / b is integral when it
+    is a polynomial at all (Gauss's lemma).
+    """
     if d.is_zero():
         raise ZeroDivisionError
     if p.is_zero():
         return BiPoly()
-    # long division in t over the field Q(q): exactness keeps it polynomial
-    a = _to_frac_rec(p)
-    b = _to_frac_rec(d)
-    out = {}
-    db = len(b) - 1
-    while a:
-        da = len(a) - 1
-        if da < db:
-            raise ArithmeticError("inexact bivariate division")
-        qrow, rrow = _udivmod_frac(a[-1], b[-1])
-        if rrow:
-            raise ArithmeticError("inexact bivariate division")
-        shift = da - db
-        out[shift] = qrow
-        sub = [[] for _ in range(shift)] + [_umul_frac(row, qrow) for row in b]
-        a = _bsub_frac(a, sub)
-    rows = [[] for _ in range(max(out) + 1)] if out else []
-    for s, qrow in out.items():
-        rows[s] = qrow
+    a, la = _to_int_rec(p)
+    b, lb = _to_int_rec(d)
+    c = 0
+    for row in b:
+        c = igcd(c, _zcontent(row))
+    b = [[x // c for x in row] for row in b]
+    scale = Fraction(lb, la * c)
     terms = {}
-    for tb, row in enumerate(rows):
-        for qa, c in enumerate(row):
-            if c:
-                terms[(qa, tb)] = c
+    for tb, row in enumerate(_bdivexact_int(a, b)):
+        for qa, x in enumerate(row):
+            if x:
+                terms[(qa, tb)] = x * scale
     return BiPoly(terms)
-
-
-# Fraction-valued helpers used only by the (rare) exact divisions.
-
-def _to_frac_rec(p: BiPoly):
-    tmax = max(b for (_, b) in p.terms)
-    rows = [[] for _ in range(tmax + 1)]
-    qmax = {}
-    for (a, b) in p.terms:
-        qmax[b] = max(qmax.get(b, 0), a)
-    for b, m in qmax.items():
-        rows[b] = [ZERO] * (m + 1)
-    for (a, b), c in p.terms.items():
-        rows[b][a] = c
-    for row in rows:
-        while row and row[-1] == 0:
-            row.pop()
-    return _btrim(rows)
-
-
-def _umul_frac(a, b):
-    if not a or not b:
-        return []
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _udivmod_frac(a, b):
-    if not b:
-        raise ZeroDivisionError
-    a = list(a)
-    q = [ZERO] * max(len(a) - len(b) + 1, 0)
-    inv = 1 / b[-1]
-    while a and len(a) >= len(b):
-        c = a[-1] * inv
-        d = len(a) - len(b)
-        q[d] = c
-        for i, y in enumerate(b):
-            a[i + d] -= c * y
-        while a and a[-1] == 0:
-            a.pop()
-    return q, a
-
-
-def _bsub_frac(a, b):
-    out = [list(r) for r in a] + [[] for _ in range(max(len(b) - len(a), 0))]
-    for i, row in enumerate(b):
-        dst = out[i] + [ZERO] * (len(row) - len(out[i]))
-        for j, y in enumerate(row):
-            dst[j] -= y
-        while dst and dst[-1] == 0:
-            dst.pop()
-        out[i] = dst
-    return _btrim(out)

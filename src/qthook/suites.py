@@ -21,7 +21,13 @@ P = Partition
 def run_hook(family: str, alpha: Partition, beta: Partition | None,
              f: int | None, degree: int, mode: str, points: int,
              seed: int) -> VerificationReport:
-    poset = build_family(family, alpha, beta, f)
+    return verify_poset(build_family(family, alpha, beta, f), degree, mode,
+                        points, seed)
+
+
+def verify_poset(poset, degree: int, mode: str, points: int,
+                 seed: int) -> VerificationReport:
+    """The hook identity on a built poset, with ``points`` seeded points."""
     pts = sample_points(points, seed) if mode == "eval" else None
     return verify_okada(poset, degree, mode, pts, seed=seed)
 

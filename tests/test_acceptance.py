@@ -204,8 +204,8 @@ def test_criterion_9_structure_theorems():
                                      rhs_macdonald_form(poset, 3, EXACT))
             assert eq, (family, "rhs", info)
     # composition: kernel x Warnaar-even product side = hook product side
-    from qthook.dposet import _alias_tables
-    from qthook.hookformula import _kernel_f_args, _mono_add, _mono_to_varset
+    from qthook.dposet import _alias_tables, _mono_mul
+    from qthook.hookformula import _kernel_f_args
     from qthook.series import MultiSeries, series_f
 
     alpha = P([2, 1])
@@ -213,18 +213,18 @@ def test_criterion_9_structure_theorems():
     al = _alias_tables(poset)
     out = MultiSeries.constant(1, poset.varset, 3, EXACT)
     for arg in _kernel_f_args(al["zt"], alpha, al["n"]):
-        out = out * series_f(_mono_to_varset(arg, poset.varset),
+        out = out * series_f(poset.varset.monomial(arg),
                              poset.varset, 3, EXACT)
     r = alpha.length()
     for i in range(1, r + 1):
         out = out * series_f(
-            _mono_to_varset(al["zt"][alpha[i]], poset.varset),
+            poset.varset.monomial(al["zt"][alpha[i]]),
             poset.varset, 3, EXACT)
     for i in range(1, r + 1):
         for j in range(i + 1, r + 1):
-            arg = _mono_add(_mono_add(al["w"], al["zt"][alpha[i]]),
+            arg = _mono_mul(_mono_mul(al["w"], al["zt"][alpha[i]]),
                             al["zt"][alpha[j]])
-            out = out * series_f(_mono_to_varset(arg, poset.varset),
+            out = out * series_f(poset.varset.monomial(arg),
                                  poset.varset, 3, EXACT)
     eq, info = series_equals(out, rhs_series(poset, 3, EXACT))
     assert eq, info

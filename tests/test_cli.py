@@ -50,6 +50,13 @@ def test_verify_hook_usage_error(capsys):
      "--degree", "-1"],
     ["verify", "identity", "--name", "gasper", "--trials", "-3"],
     ["verify", "all", "--points", "0"],
+    ["verify", "hook", "--family", "shifted", "--alpha", "1", "--degree", "1",
+     "--out", "/nonexistent/dir/r.json"],
+    ["show", "poset", "--family", "shifted", "--alpha", "2,1",
+     "--format", "dot", "--out", "/nonexistent/dir/p.dot"],
+    ["verify", "identity", "--name", "lemma", "--trials", "5"],
+    ["verify", "hook", "--family", "banner", "--alpha", "4,3,2,1", "--f", "1"],
+    ["verify", "hook", "--family", "shifted", "--alpha", "2,2"],
 ])
 def test_usage_errors_exit_2(argv, capsys):
     code, out, err = run_cli(argv, capsys)

@@ -279,8 +279,8 @@ def test_macdonald_forms_banner():
 
 def test_composition_warnaar_even_gives_product_form():
     # LHS-ShiftedShapes + Cor-Warnaar-even reproduces the hook product
-    from qthook.dposet import _alias_tables
-    from qthook.hookformula import _kernel_f_args, _mono_to_varset, _mono_add
+    from qthook.dposet import _alias_tables, _mono_mul
+    from qthook.hookformula import _kernel_f_args
     from qthook.series import MultiSeries, series_f
 
     alpha = P([2, 1])
@@ -289,18 +289,18 @@ def test_composition_warnaar_even_gives_product_form():
     D = 3
     out = MultiSeries.constant(1, poset.varset, D, EXACT)
     for arg in _kernel_f_args(al["zt"], alpha, al["n"]):
-        out = out * series_f(_mono_to_varset(arg, poset.varset),
+        out = out * series_f(poset.varset.monomial(arg),
                              poset.varset, D, EXACT)
     # product side of Cor-Warnaar-even at x_i = z~_{alpha_i}, w = w-alias
     r = alpha.length()
     for i in range(1, r + 1):
-        out = out * series_f(_mono_to_varset(al["zt"][alpha[i]], poset.varset),
+        out = out * series_f(poset.varset.monomial(al["zt"][alpha[i]]),
                              poset.varset, D, EXACT)
     for i in range(1, r + 1):
         for j in range(i + 1, r + 1):
-            arg = _mono_add(_mono_add(al["w"], al["zt"][alpha[i]]),
+            arg = _mono_mul(_mono_mul(al["w"], al["zt"][alpha[i]]),
                             al["zt"][alpha[j]])
-            out = out * series_f(_mono_to_varset(arg, poset.varset),
+            out = out * series_f(poset.varset.monomial(arg),
                                  poset.varset, D, EXACT)
     eq, info = series_equals(out, rhs_series(poset, D, EXACT))
     assert eq, info
