@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     hook.add_argument("--degree", type=int, default=3)
     hook.add_argument("--mode", choices=["exact", "eval"], default="exact")
     hook.add_argument("--points", type=int, default=3)
-    hook.add_argument("--seed", type=int, default=_env_seed())
+    hook.add_argument("--seed", type=int)
     hook.add_argument("--out")
     hook.set_defaults(func=cmd_verify_hook)
 
@@ -194,14 +194,14 @@ def build_parser() -> argparse.ArgumentParser:
     ident.add_argument("--name", required=True)
     ident.add_argument("--trials", type=int,
                        help="number of draws for gasper (default 50)")
-    ident.add_argument("--seed", type=int, default=_env_seed())
+    ident.add_argument("--seed", type=int)
     ident.add_argument("--out")
     ident.set_defaults(func=cmd_verify_identity)
 
     allp = vsub.add_parser("all", help="the full desk profile")
     allp.add_argument("--profile", default="desk", choices=["desk"])
     allp.add_argument("--points", type=int, default=3)
-    allp.add_argument("--seed", type=int, default=_env_seed())
+    allp.add_argument("--seed", type=int)
     allp.add_argument("--out")
     allp.set_defaults(func=cmd_verify_all)
 
@@ -219,12 +219,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _env_seed() -> int:
-    return int(os.environ.get("QTHOOK_SEED", "0"))
+    """QTHOOK_SEED (default 0), the seed of a run without --seed."""
+    text = os.environ.get("QTHOOK_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise SystemExit(_usage(f"QTHOOK_SEED must be an integer, got {text!r}"))
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "seed" in args and args.seed is None:
+        args.seed = _env_seed()
     return args.func(args)
 
 

@@ -548,44 +548,52 @@ def gram_p(lam: Partition, n: int) -> SymPoly:
     for mu, c in coords.items():
         if mu.length() > n:
             continue
-        qc = _RatQTCoeff(c)
+        qc = _OracleCoeff(c)
         for e in _distinct_permutations(mu, n):
             out.add_term(e, qc)
     return out
 
 
-class _RatQTCoeff(QTCoeff):
-    """QTCoeff backed by a general rational function (oracle use only)."""
+class _OracleCoeff:
+    """Coefficient of the Gram-Schmidt oracle: a reduced ``RatFunc``.
+
+    Not a ``QTCoeff``, whose denominator is a product of binomials; it mixes
+    with ``QTCoeff`` on either side of ``+``, ``*`` and ``equals`` (``QTCoeff``
+    defers to it), and every result is again an ``_OracleCoeff``.
+    """
 
     __slots__ = ("rat",)
 
     def __init__(self, rat: RatFunc):
         self.rat = rat
-        super().__init__(rat.num)
 
-    def _den_poly(self):
-        return self.rat.den
+    @staticmethod
+    def _rat(c) -> RatFunc:
+        return c.rat if isinstance(c, _OracleCoeff) else RatFunc.from_qtcoeff(c)
 
     def is_zero(self):
         return self.rat.is_zero()
 
     def equals(self, other):
-        if isinstance(other, _RatQTCoeff):
+        if isinstance(other, _OracleCoeff):
             return self.rat.equals(other.rat)
         return self.rat.num * other._den_poly() == other.num * self.rat.den
 
     def __add__(self, other):
-        if isinstance(other, _RatQTCoeff):
-            return _RatQTCoeff(self.rat + other.rat)
-        return _RatQTCoeff(self.rat + RatFunc.from_qtcoeff(other))
+        return _OracleCoeff(self.rat + self._rat(other))
+
+    __radd__ = __add__
 
     def __neg__(self):
-        return _RatQTCoeff(RF_ZERO - self.rat)
+        return _OracleCoeff(RF_ZERO - self.rat)
+
+    def __sub__(self, other):
+        return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, _RatQTCoeff):
-            return _RatQTCoeff(self.rat * other.rat)
-        return _RatQTCoeff(self.rat * RatFunc.from_qtcoeff(other))
+        return _OracleCoeff(self.rat * self._rat(other))
+
+    __rmul__ = __mul__
 
     def evaluate(self, point):
         den = self.rat.den.evaluate(point.q0, point.t0)
@@ -593,6 +601,9 @@ class _RatQTCoeff(QTCoeff):
             from .qtcore import VanishingFactor
             raise VanishingFactor("oracle denominator vanishes at point")
         return self.rat.num.evaluate(point.q0, point.t0) / den
+
+    def num_den_strings(self) -> tuple[str, str]:
+        return str(self.rat.num), str(self.rat.den)
 
 
 def _distinct_permutations(mu: Partition, n: int):

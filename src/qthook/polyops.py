@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as igcd
 
-from .qtcore import BiPoly
+from .qtcore import BiPoly, cleared
 
 
 # -- univariate integer polynomials as int lists (index = q-degree) ---------
@@ -156,9 +156,7 @@ def _to_int_rec(p: BiPoly):
     """Clear denominators; return (rows, lcm), the integer rows of lcm * p."""
     if p.is_zero():
         return [], 1
-    lcm = 1
-    for c in p.terms.values():
-        lcm = lcm * c.denominator // igcd(lcm, c.denominator)
+    nums, lcm = cleared(p.terms)
     tmax = max(b for (_, b) in p.terms)
     rows = [[] for _ in range(tmax + 1)]
     qmax = {}
@@ -166,8 +164,8 @@ def _to_int_rec(p: BiPoly):
         qmax[b] = max(qmax.get(b, 0), a)
     for b, m in qmax.items():
         rows[b] = [0] * (m + 1)
-    for (a, b), c in p.terms.items():
-        rows[b][a] = int(c * lcm)
+    for (a, b), c in zip(p.terms, nums):
+        rows[b][a] = c
     for row in rows:
         _ztrim(row)
     return rows, lcm

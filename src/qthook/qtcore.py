@@ -3,9 +3,12 @@
 Every weight and coefficient formula in this package is a product of factors
 (1 - q^a t^b)^(+-1) times a rational scalar, so the primary value type
 ``QTFactored`` keeps that factored shape: multiplication and division are
-dictionary merges and never expand anything.  Equality testing expands to
-bivariate polynomials (``BiPoly``) and cross-multiplies, or evaluates both
-sides at rational sample points.
+dictionary merges and never expand anything.  Exact equality testing first
+cancels the monomial and the (1 - q^a t^b) powers both sides share
+(``cancelled_ratio``), then expands what is left to bivariate polynomials
+(``BiPoly``) and compares; eval mode compares values at rational sample
+points.  ``BiPoly`` products are one big-integer multiply (Kronecker
+substitution, ``_kronecker_mul``).
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .partitions import Partition
 
@@ -69,17 +73,9 @@ class BiPoly:
         return self + (-other)
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
-        out = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                k = (a1 + a2, b1 + b2)
-                s = out.get(k, ZERO) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
         res = BiPoly.__new__(BiPoly)
-        res.terms = out
+        res.terms = _kronecker_mul(self.terms, other.terms) if (
+            self.terms and other.terms) else {}
         return res
 
     def scale(self, c) -> "BiPoly":
@@ -127,6 +123,77 @@ class BiPoly:
         return out
 
     __repr__ = __str__
+
+
+def cleared(terms: dict) -> tuple[list[int], int]:
+    """Clear denominators: (the integers lcm * c, in the order of
+    ``terms``, and lcm), lcm being that of the coefficients' denominators."""
+    nums = [c.numerator for c in terms.values()]
+    dens = [c.denominator for c in terms.values()]
+    den = lcm(*dens)
+    if den != 1:
+        nums = [n * (den // d) for n, d in zip(nums, dens)]
+    return nums, den
+
+
+def _kronecker_mul(a: dict, b: dict) -> dict:
+    """Product of two nonempty term dicts by Kronecker substitution.
+
+    Each operand is scaled to integers by its denominators' lcm and packed
+    into one Python int: the term q^i t^j goes to slot
+    (j - tmin) * width + (i - qmin), where width is the q-span of the
+    product, so the packed product never wraps from one t-row into the
+    next.  A slot holds k = 8 * nbytes bits with
+    2^(k-1) > min(len) * max|c1| * max|c2|, a bound on every product
+    coefficient, so adding 2^(k-1) to each slot makes all slots
+    nonnegative without carries, and each slot's bytes in the biased
+    product are its coefficient plus 2^(k-1).
+    """
+    an, ad = cleared(a)
+    bn, bd = cleared(b)
+    aq = [i for i, _ in a]
+    at = [j for _, j in a]
+    bq = [i for i, _ in b]
+    bt = [j for _, j in b]
+    qa, ta, qb, tb = min(aq), min(at), min(bq), min(bt)
+    width = max(aq) - qa + max(bq) - qb + 1
+    rows = max(at) - ta + max(bt) - tb + 1
+    bound = min(len(an), len(bn)) * max(map(abs, an)) * max(map(abs, bn))
+    nb = (bound.bit_length() + 8) // 8
+    prod = (_kronecker_pack(a, an, qa, ta, width, nb)
+            * _kronecker_pack(b, bn, qb, tb, width, nb))
+    nslots = rows * width
+    zero = bytes(nb - 1) + b"\x80"
+    half = 1 << (8 * nb - 1)
+    raw = (prod + int.from_bytes(zero * nslots, "little")).to_bytes(
+        nslots * nb, "little")
+    den = ad * bd
+    q0, t0 = qa + qb, ta + tb
+    out = {}
+    for idx in range(nslots):
+        off = idx * nb
+        chunk = raw[off:off + nb]
+        if chunk != zero:
+            j, i = divmod(idx, width)
+            c = int.from_bytes(chunk, "little") - half
+            out[(i + q0, j + t0)] = Fraction(c) if den == 1 else Fraction(c, den)
+    return out
+
+
+def _kronecker_pack(terms: dict, nums: list[int], q0: int, t0: int,
+                    width: int, nb: int) -> int:
+    """The int holding nums (in the order of terms' keys (i, j)) in slots
+    (j - t0) * width + (i - q0) of nb bytes each."""
+    size = ((max(j for _, j in terms) - t0) * width + width) * nb
+    pos = bytearray(size)
+    neg = bytearray(size)
+    for (i, j), c in zip(terms, nums):
+        off = ((j - t0) * width + i - q0) * nb
+        if c > 0:
+            pos[off:off + nb] = c.to_bytes(nb, "little")
+        else:
+            neg[off:off + nb] = (-c).to_bytes(nb, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 BI_ONE = BiPoly.const(1)
@@ -364,23 +431,43 @@ class QTFactored:
         return "QTF(" + "*".join(bits) + ")"
 
 
+def cancelled_ratio(xq: int, xt: int, xf: dict,
+                    yq: int, yt: int, yf: dict) -> tuple[BiPoly, BiPoly]:
+    """Polynomials (u, v) with u / v = X / Y, where
+    X = q^xq t^xt prod (1 - q^a t^b)^xf[a, b] and Y likewise from yq, yt, yf.
+
+    The exponents are subtracted before anything is expanded, so whatever X
+    and Y share cancels: u and v carry only the positive and the negative
+    parts of X's exponents minus Y's.
+    """
+    diff = dict(xf)
+    for k, e in yf.items():
+        diff[k] = diff.get(k, 0) - e
+    u = BiPoly.monomial(1, max(xq - yq, 0), max(xt - yt, 0))
+    v = BiPoly.monomial(1, max(yq - xq, 0), max(yt - xt, 0))
+    for (a, b), e in diff.items():
+        if e > 0:
+            u = u * _binomial_power(a, b, e)
+        elif e < 0:
+            v = v * _binomial_power(a, b, -e)
+    return u, v
+
+
 def qt_equals(x: QTFactored, y: QTFactored, mode: str = "exact",
               points: list[EvalPoint] | None = None, seed: int = 0) -> bool:
     """Decide x == y.
 
-    Exact mode cross-multiplies expanded numerator/denominator pairs and is a
-    decision procedure.  Eval mode compares values at every sample point
-    (resampling a point when a factor vanishes there) and is one-sided:
-    agreement everywhere reports equality.
+    Exact mode cancels the factors both sides share, expands what is left
+    and compares; it is a decision procedure.  Eval mode compares values at
+    every sample point (resampling a point when a factor vanishes there) and
+    is one-sided: agreement everywhere reports equality.
     """
     if mode == "exact":
-        # quick win: identical factored forms
-        if (x.coeff == y.coeff and x.qexp == y.qexp and x.texp == y.texp
-                and x.factors == y.factors):
-            return True
-        xn, xd = x.num_den()
-        yn, yd = y.num_den()
-        return xn * yd == yn * xd
+        if x.coeff == 0 or y.coeff == 0:
+            return x.coeff == y.coeff
+        u, v = cancelled_ratio(x.qexp, x.texp, x.factors,
+                               y.qexp, y.texp, y.factors)
+        return u.scale(x.coeff) == v.scale(y.coeff)
     if mode == "eval":
         if not points:
             raise ValueError("eval mode requires at least one point")

@@ -17,6 +17,7 @@ from .qtcore import (
     EvalPoint,
     QTFactored,
     _binomial_power,
+    cancelled_ratio,
     f_series_coeff,
 )
 
@@ -67,6 +68,8 @@ class QTCoeff:
         return out
 
     def __add__(self, other: "QTCoeff") -> "QTCoeff":
+        if not isinstance(other, QTCoeff):
+            return NotImplemented
         if self.is_zero():
             return other
         if other.is_zero():
@@ -95,6 +98,8 @@ class QTCoeff:
         return self + (-other)
 
     def __mul__(self, other: "QTCoeff") -> "QTCoeff":
+        if not isinstance(other, QTCoeff):
+            return NotImplemented
         if self.is_zero() or other.is_zero():
             return QTCoeff.zero()
         den = dict(self.den)
@@ -106,12 +111,16 @@ class QTCoeff:
     def mul_qtf(self, f: QTFactored) -> "QTCoeff":
         return self * QTCoeff.from_qtf(f)
 
-    def equals(self, other: "QTCoeff") -> bool:
-        if self.is_zero():
-            return other.is_zero()
-        if other.is_zero():
-            return False
-        return self.num * other._den_poly() == other.num * self._den_poly()
+    def equals(self, other) -> bool:
+        if not isinstance(other, QTCoeff):
+            return other.equals(self)
+        if self.is_zero() or other.is_zero():
+            return self.is_zero() and other.is_zero()
+        # self.num / D == other.num / D' iff self.num * D' == other.num * D,
+        # and D' / D = u / v once their common factors are cancelled.
+        u, v = cancelled_ratio(other.dq, other.dt, other.den,
+                               self.dq, self.dt, self.den)
+        return self.num * u == other.num * v
 
     def evaluate(self, point: EvalPoint) -> Fraction:
         val = self.num.evaluate(point.q0, point.t0)

@@ -37,6 +37,19 @@ def test_verify_hook_eval_seeded(capsys):
     assert d1 == d2  # byte-identical modulo timing
 
 
+def test_env_seed_stands_in_for_seed(capsys, monkeypatch):
+    argv = ["verify", "hook", "--family", "bird", "--alpha", "2,1",
+            "--beta", "2,1", "--f", "1", "--degree", "3", "--mode", "eval",
+            "--points", "3"]
+    code, given, _ = run_cli(argv + ["--seed", "42"], capsys)
+    monkeypatch.setenv("QTHOOK_SEED", "42")
+    code_env, from_env, _ = run_cli(argv, capsys)
+    code_both, both, _ = run_cli(argv + ["--seed", "7"], capsys)
+    assert code == code_env == code_both == 0
+    points = [json.loads(out)["points"] for out in (given, from_env, both)]
+    assert points[0] == points[1] != points[2]
+
+
 def test_verify_hook_usage_error(capsys):
     code, _, err = run_cli(["verify", "hook", "--family", "bird",
                             "--alpha", "2", "--beta", "2,1", "--f", "1",
@@ -45,20 +58,29 @@ def test_verify_hook_usage_error(capsys):
     assert "length 2" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "hook", "--family", "shifted", "--alpha", "2,1",
-     "--degree", "-1"],
-    ["verify", "identity", "--name", "gasper", "--trials", "-3"],
-    ["verify", "all", "--points", "0"],
-    ["verify", "hook", "--family", "shifted", "--alpha", "1", "--degree", "1",
-     "--out", "/nonexistent/dir/r.json"],
-    ["show", "poset", "--family", "shifted", "--alpha", "2,1",
-     "--format", "dot", "--out", "/nonexistent/dir/p.dot"],
-    ["verify", "identity", "--name", "lemma", "--trials", "5"],
-    ["verify", "hook", "--family", "banner", "--alpha", "4,3,2,1", "--f", "1"],
-    ["verify", "hook", "--family", "shifted", "--alpha", "2,2"],
-])
-def test_usage_errors_exit_2(argv, capsys):
+USAGE_ERRORS = [  # (argv, environment)
+    (["verify", "hook", "--family", "shifted", "--alpha", "2,1",
+      "--degree", "-1"], {}),
+    (["verify", "identity", "--name", "gasper", "--trials", "-3"], {}),
+    (["verify", "all", "--points", "0"], {}),
+    (["verify", "hook", "--family", "shifted", "--alpha", "1", "--degree", "1",
+      "--out", "/nonexistent/dir/r.json"], {}),
+    (["show", "poset", "--family", "shifted", "--alpha", "2,1",
+      "--format", "dot", "--out", "/nonexistent/dir/p.dot"], {}),
+    (["verify", "identity", "--name", "lemma", "--trials", "5"], {}),
+    (["verify", "hook", "--family", "banner", "--alpha", "4,3,2,1", "--f", "1"],
+     {}),
+    (["verify", "hook", "--family", "shifted", "--alpha", "2,2"], {}),
+    (["verify", "hook", "--family", "shifted", "--alpha", "1", "--degree", "1"],
+     {"QTHOOK_SEED": "abc"}),
+]
+
+
+@pytest.mark.parametrize("argv, env", USAGE_ERRORS,
+                         ids=[f"argv{i}" for i in range(len(USAGE_ERRORS))])
+def test_usage_errors_exit_2(argv, env, capsys, monkeypatch):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qthook.partitions import Partition, partitions_up_to, is_horizontal_strip
 from qthook.qtcore import (
@@ -14,6 +16,7 @@ from qthook.qtcore import (
     b_lambda_f_form,
     b_oa,
     b_cell,
+    cancelled_ratio,
     f_fun,
     f_series_coeff,
     phi_skew,
@@ -22,6 +25,7 @@ from qthook.qtcore import (
     resample_point,
     sample_points,
 )
+from qthook.series import QTCoeff
 
 P = Partition
 
@@ -205,3 +209,158 @@ def test_partition_basics():
     assert Partition.parse("") == P()
     assert str(lam) == "4,3,1"
     assert lam[1] == 4 and lam[5] == 0
+
+
+# -- the Kronecker product against a schoolbook reference -------------------
+
+def schoolbook_mul(x: BiPoly, y: BiPoly) -> BiPoly:
+    out = {}
+    for (a1, b1), c1 in x.terms.items():
+        for (a2, b2), c2 in y.terms.items():
+            k = (a1 + a2, b1 + b2)
+            out[k] = out.get(k, 0) + c1 * c2
+    return BiPoly(out)
+
+
+def assert_product_ok(x: BiPoly, y: BiPoly):
+    prod = x * y
+    assert prod == schoolbook_mul(x, y)
+    assert all(type(c) is Fraction and c for c in prod.terms.values())
+
+
+kernel_coeffs = st.one_of(
+    st.integers(-9, 9).map(Fraction),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.integers(-2 ** 130, 2 ** 130).map(Fraction),
+    st.builds(lambda e, s: Fraction(s * (2 ** e - 1)),
+              st.integers(1, 90), st.sampled_from((-1, 1))),
+)
+kernel_polys = st.builds(
+    lambda qoff, toff, terms: BiPoly(
+        {(a + qoff, b + toff): c for (a, b), c in terms.items()}),
+    st.integers(0, 7), st.integers(0, 7),
+    st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                    kernel_coeffs, max_size=10),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_polys, kernel_polys)
+def test_kronecker_product_matches_schoolbook(x, y):
+    assert_product_ok(x, y)
+    assert_product_ok(y, x)
+
+
+def test_kronecker_product_edge_operands():
+    x = BiPoly({(0, 0): Fraction(-3, 4), (2, 1): Fraction(5), (1, 3): Fraction(-1, 6)})
+    assert (x * BiPoly()).is_zero() and (BiPoly() * x).is_zero()
+    assert (BiPoly() * BiPoly()).is_zero()
+    mono = BiPoly.monomial(Fraction(-2, 3), 4, 7)
+    assert_product_ok(x, mono)
+    assert_product_ok(mono, mono)
+    assert (mono * mono).terms == {(8, 14): Fraction(4, 9)}
+    # both operands start away from q^0 t^0
+    shifted = BiPoly({(5, 3): Fraction(1), (6, 9): Fraction(-7, 2), (9, 4): Fraction(2)})
+    assert_product_ok(shifted, x.shift(3, 2))
+    # cancellation down to a sparse product: (1 - q t^2)(1 + q t^2) = 1 - q^2 t^4
+    assert (BiPoly({(0, 0): Fraction(1), (1, 2): Fraction(-1)})
+            * BiPoly({(0, 0): Fraction(1), (1, 2): Fraction(1)})).terms == {
+                (0, 0): Fraction(1), (2, 4): Fraction(-1)}
+
+
+@pytest.mark.parametrize("nbytes", [1, 2, 3, 8, 9, 16, 17])
+def test_kronecker_product_on_slot_width_boundaries(nbytes):
+    # a product of single monomials is bounded by |c1 c2| itself: 2^(8n-1) - 1
+    # is the largest magnitude an n-byte slot holds, 2^(8n-1) needs one more
+    top = 2 ** (8 * nbytes - 1)
+    for c in (top - 1, top, top + 1):
+        for s1 in (1, -1):
+            for s2 in (1, -1):
+                x = BiPoly.monomial(s1 * c, 1, 2)
+                y = BiPoly.monomial(s2, 3, 0)
+                assert (x * y).terms == {(4, 2): Fraction(s1 * s2 * c)}
+    # many terms whose sums reach the bound from neighbouring slots
+    c = (top - 1) // 4
+    for signs in ((1, 1, 1, 1), (1, -1, 1, -1), (-1, -1, -1, -1)):
+        x = BiPoly({(i, 0): Fraction(s * c) for i, s in enumerate(signs)})
+        y = BiPoly({(i, 0): Fraction(s) for i, s in enumerate(signs)})
+        assert_product_ok(x, y)
+        assert_product_ok(x, x)
+        assert_product_ok(x.shift(0, 1) + x, y.shift(2, 0) + y.shift(0, 1))
+
+
+# -- cancelling shared factors before an exact comparison -------------------
+
+def test_cancelled_ratio_keeps_only_the_exponent_differences():
+    # q^3 t (1-qt)^2 / (1-q)  over  q t^2 (1-qt)^3  is  q^2 / (t (1-qt) (1-q))
+    u, v = cancelled_ratio(3, 1, {(1, 1): 2, (1, 0): -1},
+                           1, 2, {(1, 1): 3})
+    assert u == BiPoly.monomial(1, 2, 0)
+    assert v == (BiPoly.monomial(1, 0, 1) * BiPoly({(0, 0): Fraction(1), (1, 1): Fraction(-1)})
+                 * BiPoly({(0, 0): Fraction(1), (1, 0): Fraction(-1)}))
+    one, also_one = cancelled_ratio(2, 2, {(2, 3): 4}, 2, 2, {(2, 3): 4})
+    assert one == also_one == BiPoly.const(1)
+
+
+def test_qt_equals_cancels_common_factors():
+    c = QTFactored(Fraction(3, 2), 3, -2, {(1, 2): 4, (3, 0): -2, (2, 0): 1})
+    x = QTFactored(Fraction(-2, 7), 1, 0, {(1, 1): 2, (3, 0): 1, (0, 2): -3})
+    # x * c assembled in another order, through a factor that cancels again
+    junk = QTFactored(5, -1, 2, {(1, 2): -1, (4, 4): 3})
+    y = (c * junk) * (x / junk)
+    assert qt_equals(x * c, y) and qt_equals(y, x * c)
+    assert qt_equals(x * c * QTFactored(1, 2, 1), QTFactored(1, 2, 1) * y)
+    # one exponent off, on either side, is a different function
+    off = QTFactored.binomial(1, 2)
+    assert not qt_equals(x * c * off, y)
+    assert not qt_equals(x * c, y * off.inverse())
+    assert not qt_equals(x * c, y * QTFactored.binomial(3, 0, -1))
+    assert not qt_equals(x * c, y.scale(-1))
+    assert not qt_equals(x * c, y * QTFactored(1, 1, 0))
+    # (1 - q^2) / (1 - q) is 1 + q, next to shared factors
+    plus = QTFactored.binomial(2, 0) * QTFactored.binomial(1, 0, -1)
+    u, v = cancelled_ratio(0, 0, (plus * c).factors, 0, 0, c.factors)
+    assert u == BiPoly({(0, 0): Fraction(1), (1, 0): Fraction(1)}) * v
+    # zero on one side or both
+    assert qt_equals(QTFactored.zero(), QTFactored.zero())
+    assert not qt_equals(x * c, QTFactored.zero())
+    assert not qt_equals(QTFactored.zero(), c)
+
+
+def _binom(a, b, e=1):
+    out = BiPoly.const(1)
+    for _ in range(e):
+        out = out * BiPoly({(0, 0): Fraction(1), (a, b): Fraction(-1)})
+    return out
+
+
+def test_qtcoeff_equals_cancels_shared_denominators():
+    num = BiPoly({(0, 0): Fraction(2), (1, 3): Fraction(-5, 3), (4, 1): Fraction(1)})
+    den = {(1, 1): 3, (2, 0): 1, (0, 3): 2}
+    x = QTCoeff(num, 2, 1, den)
+    # the same value with a q t^2 (1 - q^2)(1 - t^5)^2 more on top and below
+    y = QTCoeff(num * BiPoly.monomial(1, 1, 2) * _binom(2, 0) * _binom(0, 5, 2),
+                3, 3, {(1, 1): 3, (2, 0): 2, (0, 3): 2, (0, 5): 2})
+    assert x.equals(y) and y.equals(x)
+    # one denominator exponent off by one
+    for key in den:
+        bumped = dict(den)
+        bumped[key] += 1
+        z = QTCoeff(num, 2, 1, bumped)
+        assert not x.equals(z) and not z.equals(x)
+    assert not x.equals(QTCoeff(num, 3, 1, den))
+    assert not x.equals(QTCoeff(num, 2, 0, den))
+    # zero sides, including a zero numerator over a nontrivial denominator
+    zero = QTCoeff(BiPoly(), 1, 2, {(1, 1): 2})
+    assert zero.equals(QTCoeff.zero()) and QTCoeff.zero().equals(zero)
+    assert not x.equals(zero) and not zero.equals(x)
+
+
+def test_qtcoeff_equals_matches_qt_equals():
+    rng = random.Random(5)
+    for _ in range(60):
+        f1, f2 = _random_qtf(rng), _random_qtf(rng)
+        c = _random_qtf(rng)
+        assert QTCoeff.from_qtf(f1 * c).equals(QTCoeff.from_qtf(f2 * c)) == \
+            qt_equals(f1 * c, f2 * c)
+        assert QTCoeff.from_qtf(f1 * c).equals(QTCoeff.from_qtf(c * f1))
