@@ -29,12 +29,6 @@ from .series import (
 HAT = "__hat__"
 NO_TRUNC = 10 ** 9
 
-# Middle f-argument convention of the head/tail chain product Phi: the
-# "shifted" reading uses argument i at step i (forced by the generic weight);
-# "verbatim" uses the displayed 0 and survives only as a negative control.
-PHI_CONVENTION = "shifted"
-
-
 # ---------------------------------------------------------------------------
 # Generic weight.
 # ---------------------------------------------------------------------------
@@ -178,28 +172,24 @@ def _check_rho_theta(rho: dict, theta: dict, m: int, n: int):
         raise ValueError("need 0 <= rho_n <= ... <= rho_m <= theta_m <= ...")
 
 
-def phi_chain(rho: dict, theta: dict, m: int, n: int,
-              convention: str | None = None) -> QTFactored:
-    """Phi_m^n(rho, theta)."""
-    convention = convention or PHI_CONVENTION
+def phi_chain(rho: dict, theta: dict, m: int, n: int) -> QTFactored:
+    """Phi_m^n(rho, theta), with middle f-arguments i (not 0) at step i."""
     _check_rho_theta(rho, theta, m, n)
     out = QTFactored.one()
     for i in range(m + 1, n + 1):
-        mid = i if convention == "shifted" else 0
         out = out * f_fun(rho[i - 1] - rho[i], 0)
-        out = out * f_fun(theta[i - 1] - rho[i], mid)
-        out = out * f_fun(theta[i] - rho[i - 1], mid)
+        out = out * f_fun(theta[i - 1] - rho[i], i)
+        out = out * f_fun(theta[i] - rho[i - 1], i)
         out = out * f_fun(theta[i] - theta[i - 1], 0)
         out = out / (f_fun(theta[i] - rho[i], i) * f_fun(theta[i] - rho[i], i + 1))
     return out
 
 
-def phi_hat(rho: dict, theta: dict, m: int, n: int,
-            convention: str | None = None) -> QTFactored:
+def phi_hat(rho: dict, theta: dict, m: int, n: int) -> QTFactored:
     """Phi-hat: Phi with its boundary f-ratio."""
     boundary = (f_fun(rho[n], 0) * f_fun(theta[n], n + 1)
                 / (f_fun(rho[m], 0) * f_fun(theta[m], m + 1)))
-    return boundary * phi_chain(rho, theta, m, n, convention)
+    return boundary * phi_chain(rho, theta, m, n)
 
 
 def phi_tilde_monomial(rho: dict, theta: dict, m: int, n: int) -> dict:
@@ -208,14 +198,13 @@ def phi_tilde_monomial(rho: dict, theta: dict, m: int, n: int) -> dict:
             for i in range(m + 1, n + 1)}
 
 
-def phi_tilde(rho: dict, theta: dict, m: int, n: int, xt: dict,
-              convention: str | None = None):
+def phi_tilde(rho: dict, theta: dict, m: int, n: int, xt: dict):
     """Phi-tilde: (Phi-hat value, monomial) with x-tilde aliases expanded."""
     mono = {}
     for i, e in phi_tilde_monomial(rho, theta, m, n).items():
         if e:
             mono = _mono_mul(mono, xt[i], e)
-    return phi_hat(rho, theta, m, n, convention), mono
+    return phi_hat(rho, theta, m, n), mono
 
 
 # ---------------------------------------------------------------------------

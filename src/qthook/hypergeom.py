@@ -40,18 +40,26 @@ def q_poch(a: Fraction, q: Fraction, n: int) -> Fraction:
     return out
 
 
+def _neg_q_power(x, q, cap: int = TERM_CAP) -> int | None:
+    """Smallest n <= cap with x * q^n == 1 (so x = q^-n), or None; as
+    |x q^n| is monotone in n when |q| != 1, stop once it has crossed 1."""
+    val = Fraction(x)
+    if val == 0:
+        return None
+    grows, shrinks = abs(q) > 1, abs(q) < 1
+    for n in range(cap + 1):
+        if val == 1:
+            return n
+        if (grows and abs(val) > 1) or (shrinks and abs(val) < 1):
+            return None
+        val *= q
+    return None
+
+
 def _termination_bound(uppers, q, cap=TERM_CAP):
     """Smallest n with some upper equal to q^-n, or None."""
-    best = None
-    for a in uppers:
-        if a == 0:
-            continue
-        val = Fraction(a)
-        for n in range(cap + 1):
-            if val * q ** n == 1:
-                best = n if best is None else min(best, n)
-                break
-    return best
+    return min((n for n in (_neg_q_power(a, q, cap) for a in uppers)
+                if n is not None), default=None)
 
 
 def is_balanced(uppers, lowers, q, z) -> bool:
@@ -177,16 +185,6 @@ def _exact_sqrt(v) -> Fraction:
 # Gasper's transformation.
 # ---------------------------------------------------------------------------
 
-def _is_neg_q_power(x, q, cap: int) -> bool:
-    x = Fraction(x)
-    if x == 0:
-        return False
-    for j in range(cap + 1):
-        if x * q ** j == 1:
-            return True
-    return False
-
-
 def gasper_both_sides(a, b, d, q, n: int, perturb: Fraction = Fraction(1)):
     """(lhs, rhs) of Gasper's identity with c = q^-n; raises DegenerateDraw.
 
@@ -204,12 +202,11 @@ def gasper_both_sides(a, b, d, q, n: int, perturb: Fraction = Fraction(1)):
                    a, b, d,                               # 4phi3 uppers
                    a * b / d, a * c / d, a1_pre,          # W uppers
                    q * a1_pre / a, q * b / d, q * c / d, q * b / a]  # W lowers
-    if any(_is_neg_q_power(x, q, cap) for x in side_params):
+    if any(_neg_q_power(x, q, cap) is not None for x in side_params):
         raise DegenerateDraw("parameter collides with a q power")
-    if _is_neg_q_power(b * c * q / (a * d), q * q, cap) or \
-            _is_neg_q_power(q * q * a1_pre / a, q * q, cap) or \
-            _is_neg_q_power(a * a1_pre, q * q, cap) or \
-            _is_neg_q_power(q * a * a1_pre, q * q, cap):
+    if any(_neg_q_power(x, q * q, cap) is not None
+           for x in (b * c * q / (a * d), q * q * a1_pre / a, a * a1_pre,
+                     q * a * a1_pre)):
         raise DegenerateDraw("pair parameter collides with a q^2 power")
     lhs = phi_series([a, b, c, d], [b * q / a, c * q / a, d * q / a],
                      q, q * q / (a * a))

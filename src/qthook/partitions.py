@@ -96,13 +96,6 @@ class Partition:
     def leg(self, i: int, j: int) -> int:
         return self.conjugate()[j] - i
 
-    def add_rectangle(self, l: int, k: int) -> "Partition":
-        """lambda + l*1^k: add l to each of the first k parts."""
-        if l == 0:
-            return self
-        parts = [self[i] + l for i in range(1, k + 1)] + list(self.parts[k:])
-        return Partition(parts)
-
     def sub_rectangle(self, l: int, k: int) -> "Partition":
         """lambda - l*1^k: subtract l from each of the first k parts."""
         if l == 0:
@@ -147,25 +140,6 @@ def horizontal_strips_above(mu: Partition, r: int, max_length: int | None = None
         hi = min(hi, mu[i] + remaining)
         for v in range(mu[i], hi + 1):
             rec(i + 1, remaining - (v - mu[i]), acc + [v])
-
-    rec(1, r, [])
-    return results
-
-
-def horizontal_strips_below(lam: Partition, r: int):
-    """All mu with lam/mu a horizontal r-strip."""
-    results = []
-    n = lam.length()
-
-    def rec(i, remaining, acc):
-        if i > n:
-            if remaining == 0:
-                results.append(Partition(acc))
-            return
-        lo = max(lam[i + 1], lam[i] - remaining)
-        hi = lam[i]
-        for v in range(hi, lo - 1, -1):
-            rec(i + 1, remaining - (lam[i] - v), acc + [v])
 
     rec(1, r, [])
     return results

@@ -159,12 +159,6 @@ class CoeffRing:
     def one(self):
         return QTCoeff.one() if self.mode == "exact" else Fraction(1)
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
     def eq(self, a, b) -> bool:
         if self.mode == "exact":
             return a.equals(b)
@@ -289,7 +283,7 @@ class MultiSeries:
         ring = self.ring
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            s = ring.add(out.get(mono, ring.zero()), c)
+            s = out.get(mono, ring.zero()) + c
             if ring.is_zero(s):
                 out.pop(mono, None)
             else:
@@ -311,9 +305,9 @@ class MultiSeries:
                 if d1 + total_degree(m2) > self.trunc:
                     continue
                 k = mono_mul(m1, m2)
-                prod = ring.mul(c1, c2)
+                prod = c1 * c2
                 if k in out:
-                    s = ring.add(out[k], prod)
+                    s = out[k] + prod
                     if ring.is_zero(s):
                         del out[k]
                     else:
@@ -330,7 +324,7 @@ class MultiSeries:
         res = MultiSeries(self.varset, self.trunc, ring)
         if ring.is_zero(c):
             return res
-        res.terms = {m: ring.mul(v, c) for m, v in self.terms.items()}
+        res.terms = {m: v * c for m, v in self.terms.items()}
         return res
 
     def add_term(self, mono, c):
@@ -339,7 +333,7 @@ class MultiSeries:
         if total_degree(mono) > self.trunc:
             return
         c = ring.coerce(c)
-        s = ring.add(self.terms.get(mono, ring.zero()), c)
+        s = self.terms.get(mono, ring.zero()) + c
         if ring.is_zero(s):
             self.terms.pop(mono, None)
         else:

@@ -1,14 +1,16 @@
 """Named check suites behind the command line: one report per invocation.
 
 Each identity runs a fixed desk-scale sweep; the ranges mirror the package's
-test suite so a CLI run reproduces the same evidence.
+test suite so a CLI run reproduces the same evidence.  Every sweep but
+gasper's is a generator in ``IDENTITIES``, run by one report loop.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
-from .partitions import EMPTY, Partition, partitions_up_to
+from .partitions import EMPTY, Partition, monotone_chains, partitions_up_to
 from .qtcore import sample_points
 from .report import VerificationReport, timed
 from . import hypergeom, macdonald
@@ -32,165 +34,131 @@ def verify_poset(poset, degree: int, mode: str, points: int,
     return verify_okada(poset, degree, mode, pts, seed=seed)
 
 
+def _failures(results):
+    """The mismatch of each failing ``(label, (ok, info))`` result, lazily:
+    the case label merged with the check's own info."""
+    for label, (ok, info) in results:
+        if not ok:
+            yield {**label, **info}
+
+
+def _b_ratio_display():
+    if not hypergeom.b_ratio_checks(4):
+        yield {"params": "b-ratio display"}
+
+
+def _lemma(rng):
+    for m in range(3):
+        for theta0, rho0, k0 in monotone_chains(0, 3, 3):
+            for gamma in range(3):
+                if not hypergeom.lemma_check(m, k0, rho0, theta0, gamma):
+                    yield {"params": [m, k0, rho0, theta0, gamma]}
+
+
+def _general(rng):
+    for n in range(4):
+        for m in range(3):
+            for theta0, rho0, k0 in monotone_chains(0, 3, 3):
+                gamma = [rng.randint(0, 3) for _ in range(n)]
+                if not hypergeom.general_check(m, n, k0, rho0, theta0, gamma):
+                    yield {"params": [m, n, k0, rho0, theta0, gamma]}
+
+
+def _birds_final(rng):
+    for f in (1, 2):
+        for theta0, rho0 in monotone_chains(0, 3, 2):
+            r = [rng.randint(0, 3) for _ in range(f)]
+            if not hypergeom.birds_final_check(rho0, theta0, f, r):
+                yield {"params": [rho0, theta0, f, r]}
+    yield from _b_ratio_display()
+
+
+def _banners_final(rng):
+    for quad in [(0, 0, 0, 0), (1, 1, 0, 0), (2, 1, 1, 0),
+                 (3, 2, 2, 1), (2, 2, 2, 2), (3, 3, 1, 1)]:
+        r = [rng.randint(0, 3)]
+        if not hypergeom.banners_final_check(P([p for p in quad if p]), 2, r):
+            yield {"params": [quad, r]}
+    yield from _b_ratio_display()
+
+
+def _pieri(rng):
+    return _failures(({}, macdonald.pieri_check(mu, r, 4, kind))
+                     for kind in ("phi", "psi")
+                     for mu in partitions_up_to(3, max_length=4)
+                     for r in range(3))
+
+
+def _branching(rng):
+    return _failures(({}, macdonald.branching_check(lam, 2, 1))
+                     for lam in partitions_up_to(4))
+
+
+SMALL_SHAPES = (EMPTY, P([1]))
+
+
+def _qp_lemma(rng):
+    shapes = [*SMALL_SHAPES, P([2])]
+    return _failures(({"mu": str(mu), "nu": str(nu)},
+                      macdonald.qp_lemma_check(mu, nu, 2, 2, 3))
+                     for mu in shapes for nu in shapes)
+
+
+def _gmacmahon(rng):
+    return _failures(({"mu0": str(mu0), "muT": str(muT)},
+                      macdonald.gmacmahon_check(2, mu0, muT,
+                                                ([1, 1], [1, 1]), 3))
+                     for mu0 in SMALL_SHAPES for muT in SMALL_SHAPES)
+
+
+def _partition_sum(rng):
+    return _failures(({"eps": list(eps)},
+                      macdonald.partition_sum_check(eps, lam0, lamN,
+                                                    [1] * n, 3))
+                     for n in (1, 2, 3)
+                     for eps in itertools.product((1, -1), repeat=n)
+                     for lam0 in SMALL_SHAPES for lamN in SMALL_SHAPES)
+
+
+def _warnaar(variant):
+    """Warnaar's sum for ``variant`` at n = 1, then (if that passes) n = 2."""
+    return lambda rng: _failures(({}, macdonald.warnaar_check(variant, n, 4))
+                                 for n in (1, 2))
+
+
+# Every identity but gasper: name -> (report degree, mismatch generator).  A
+# generator walks its fixed desk-scale grid, drawing from the seeded rng, and
+# yields the mismatch of each failing case; the sweep stops at the first.
+IDENTITIES = {
+    "lemma": (None, _lemma),
+    "general": (None, _general),
+    "birds-final": (None, _birds_final),
+    "banners-final": (None, _banners_final),
+    "pieri": (None, _pieri),
+    "cauchy": (4, lambda rng: _failures(
+        [({}, macdonald.cauchy_check(2, 2, 4))])),
+    "branching": (None, _branching),
+    "qp-lemma": (3, _qp_lemma),
+    "gmacmahon": (3, _gmacmahon),
+    "partition-sum": (3, _partition_sum),
+    **{f"warnaar-{v}": (4, _warnaar(v)) for v in ("oa", "el", "odd", "even")},
+}
+
+IDENTITY_NAMES = ["gasper", *IDENTITIES]
+
+
 def run_identity(name: str, seed: int = 0, trials: int = 50) -> VerificationReport:
     if name == "gasper":
-        report = hypergeom.gasper_sweep(trials, seed)
-        report.check = "gasper"
-        return report
-    if name == "lemma":
-        report = VerificationReport(check="lemma", mode="exact")
-        with timed(report):
-            for m in range(3):
-                for theta0 in range(4):
-                    for rho0 in range(theta0 + 1):
-                        for k0 in range(rho0 + 1):
-                            for gamma in range(3):
-                                if not hypergeom.lemma_check(m, k0, rho0,
-                                                             theta0, gamma):
-                                    report.result = "fail"
-                                    report.mismatch = {
-                                        "params": [m, k0, rho0, theta0, gamma]}
-                                    return report
-        return report
-    if name == "general":
-        report = VerificationReport(check="general", mode="exact")
-        rng = random.Random(seed)
-        with timed(report):
-            for n in range(4):
-                for m in range(3):
-                    for theta0 in range(4):
-                        for rho0 in range(theta0 + 1):
-                            for k0 in range(rho0 + 1):
-                                gamma = [rng.randint(0, 3) for _ in range(n)]
-                                if not hypergeom.general_check(
-                                        m, n, k0, rho0, theta0, gamma):
-                                    report.result = "fail"
-                                    report.mismatch = {
-                                        "params": [m, n, k0, rho0, theta0, gamma]}
-                                    return report
-        return report
-    if name == "birds-final":
-        report = VerificationReport(check="birds-final", mode="exact")
-        rng = random.Random(seed)
-        with timed(report):
-            for f in (1, 2):
-                for theta0 in range(4):
-                    for rho0 in range(theta0 + 1):
-                        r = [rng.randint(0, 3) for _ in range(f)]
-                        if not hypergeom.birds_final_check(rho0, theta0, f, r):
-                            report.result = "fail"
-                            report.mismatch = {"params": [rho0, theta0, f, r]}
-                            return report
-            if not hypergeom.b_ratio_checks(4):
-                report.result = "fail"
-                report.mismatch = {"params": "b-ratio display"}
-        return report
-    if name == "banners-final":
-        report = VerificationReport(check="banners-final", mode="exact")
-        rng = random.Random(seed)
-        with timed(report):
-            for quad in [(0, 0, 0, 0), (1, 1, 0, 0), (2, 1, 1, 0),
-                         (3, 2, 2, 1), (2, 2, 2, 2), (3, 3, 1, 1)]:
-                lam = P([p for p in quad if p])
-                r = [rng.randint(0, 3)]
-                if not hypergeom.banners_final_check(lam, 2, r):
-                    report.result = "fail"
-                    report.mismatch = {"params": [quad, r]}
-                    return report
-            if not hypergeom.b_ratio_checks(4):
-                report.result = "fail"
-                report.mismatch = {"params": "b-ratio display"}
-        return report
-    if name == "pieri":
-        report = VerificationReport(check="pieri", mode="exact")
-        with timed(report):
-            for kind in ("phi", "psi"):
-                for mu in partitions_up_to(3, max_length=4):
-                    for r in range(3):
-                        ok, info = macdonald.pieri_check(mu, r, 4, kind)
-                        if not ok:
-                            report.result = "fail"
-                            report.mismatch = info
-                            return report
-        return report
-    if name == "cauchy":
-        report = VerificationReport(check="cauchy", mode="exact", degree=4)
-        with timed(report):
-            ok, info = macdonald.cauchy_check(2, 2, 4)
-            if not ok:
-                report.result = "fail"
-                report.mismatch = info
-        return report
-    if name == "branching":
-        report = VerificationReport(check="branching", mode="exact")
-        with timed(report):
-            for lam in partitions_up_to(4):
-                ok, info = macdonald.branching_check(lam, 2, 1)
-                if not ok:
-                    report.result = "fail"
-                    report.mismatch = info
-                    return report
-        return report
-    if name == "qp-lemma":
-        report = VerificationReport(check="qp-lemma", mode="exact", degree=3)
-        with timed(report):
-            shapes = [EMPTY, P([1]), P([2])]
-            for mu in shapes:
-                for nu in shapes:
-                    ok, info = macdonald.qp_lemma_check(mu, nu, 2, 2, 3)
-                    if not ok:
-                        report.result = "fail"
-                        report.mismatch = {"mu": str(mu), "nu": str(nu), **info}
-                        return report
-        return report
-    if name == "gmacmahon":
-        report = VerificationReport(check="gmacmahon", mode="exact", degree=3)
-        with timed(report):
-            for mu0 in (EMPTY, P([1])):
-                for muT in (EMPTY, P([1])):
-                    ok, info = macdonald.gmacmahon_check(
-                        2, mu0, muT, ([1, 1], [1, 1]), 3)
-                    if not ok:
-                        report.result = "fail"
-                        report.mismatch = {"mu0": str(mu0), "muT": str(muT),
-                                           **info}
-                        return report
-        return report
-    if name == "partition-sum":
-        report = VerificationReport(check="partition-sum", mode="exact",
-                                    degree=3)
-        with timed(report):
-            import itertools
+        return hypergeom.gasper_sweep(trials, seed)
+    if name not in IDENTITIES:
+        raise ValueError(f"unknown identity {name!r}")
+    degree, mismatches = IDENTITIES[name]
+    report = VerificationReport(check=name, mode="exact", degree=degree)
+    with timed(report):
+        report.mismatch = next(mismatches(random.Random(seed)), None)
+    report.result = "pass" if report.mismatch is None else "fail"
+    return report
 
-            for n in (1, 2, 3):
-                for eps in itertools.product((1, -1), repeat=n):
-                    for lam0 in (EMPTY, P([1])):
-                        for lamN in (EMPTY, P([1])):
-                            ok, info = macdonald.partition_sum_check(
-                                eps, lam0, lamN, [1] * n, 3)
-                            if not ok:
-                                report.result = "fail"
-                                report.mismatch = {"eps": list(eps), **info}
-                                return report
-        return report
-    if name.startswith("warnaar-"):
-        variant = name.split("-", 1)[1]
-        report = VerificationReport(check=name, mode="exact", degree=4)
-        with timed(report):
-            ok, info = macdonald.warnaar_check(variant, 1, 4)
-            if ok:
-                ok, info = macdonald.warnaar_check(variant, 2, 4)
-            if not ok:
-                report.result = "fail"
-                report.mismatch = info
-        return report
-    raise ValueError(f"unknown identity {name!r}")
-
-
-IDENTITY_NAMES = ["gasper", "lemma", "general", "birds-final", "banners-final",
-                  "pieri", "cauchy", "branching", "qp-lemma", "gmacmahon",
-                  "partition-sum", "warnaar-oa", "warnaar-el", "warnaar-odd",
-                  "warnaar-even"]
 
 DESK_HOOKS = [
     ("shifted", "1", None, None, 3, "exact"),

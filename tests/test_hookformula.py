@@ -107,20 +107,34 @@ def test_banner_weight_formula_random():
         assert qt_equals(w1, w2), pi
 
 
-def test_phi_verbatim_convention_fails_cross_check():
-    # the displayed middle argument 0 contradicts the generic weight
-    import qthook.hookformula as hf
+def _phi_chain_with_middle(middle):
+    """A copy of Phi whose middle f-argument at step i is ``middle(i)``."""
+    def phi(rho, theta, m, n):
+        out = QTFactored.one()
+        for i in range(m + 1, n + 1):
+            out = out * f_fun(rho[i - 1] - rho[i], 0)
+            out = out * f_fun(theta[i - 1] - rho[i], middle(i))
+            out = out * f_fun(theta[i] - rho[i - 1], middle(i))
+            out = out * f_fun(theta[i] - theta[i - 1], 0)
+            out = out / (f_fun(theta[i] - rho[i], i)
+                         * f_fun(theta[i] - rho[i], i + 1))
+        return out
+    return phi
 
+
+def test_phi_verbatim_convention_fails_cross_check(monkeypatch):
+    # the displayed middle argument 0 contradicts the generic weight
     poset = build_bird(P([2, 1]), P([2, 1]), 1)
-    bad = 0
-    old = hf.PHI_CONVENTION
-    hf.PHI_CONVENTION = "verbatim"
-    try:
-        for pi in enumerate_p_partitions(poset, 3):
-            if not qt_equals(weight_generic(poset, pi), weight_bird(poset, pi)):
-                bad += 1
-    finally:
-        hf.PHI_CONVENTION = old
+
+    def mismatches(middle):
+        monkeypatch.setattr(hookformula, "phi_chain",
+                            _phi_chain_with_middle(middle))
+        return sum(not qt_equals(weight_generic(poset, pi),
+                                 weight_bird(poset, pi))
+                   for pi in enumerate_p_partitions(poset, 3))
+
+    assert mismatches(lambda i: i) == 0  # the copy is faithful
+    bad = mismatches(lambda i: 0)
     assert bad > 0
 
 

@@ -6,6 +6,7 @@ import pytest
 from qthook.partitions import Partition
 from qthook.hypergeom import (
     DegenerateDraw,
+    _neg_q_power,
     b_ratio_checks,
     banners_final_check,
     birds_final_check,
@@ -35,6 +36,40 @@ def test_q_poch_basics():
     assert q_poch(F(3), q, -2) == 1 / ((1 - F(3) / q) * (1 - F(3) / q ** 2))
     with pytest.raises(ZeroDivisionError):
         q_poch(F(1, 2), F(1, 2), -1)
+
+
+def _neg_q_power_scan(x, q, cap):
+    """The plain full scan: smallest n <= cap with x * q^n == 1, else None."""
+    x = F(x)
+    if x == 0:
+        return None
+    return next((n for n in range(cap + 1) if x * q ** n == 1), None)
+
+
+def test_neg_q_power_matches_full_scan():
+    rng = random.Random(11)
+
+    def rational():
+        return F(rng.randint(-9, 9), rng.randint(1, 9))
+
+    qs = [F(3, 2), F(2), F(1, 3), F(2, 3), F(-2), F(-1, 2), F(-3, 2), F(1),
+          F(-1), F(0)]
+    qs += [r for r in (rational() for _ in range(40)) if r != 0]
+    cases = []
+    for q in qs:
+        cap = rng.randint(0, 12)
+        cases += [(F(0), q, cap), (F(1), q, cap), (F(-1), q, cap)]
+        cases += [(rational(), q, cap) for _ in range(20)]
+        if q != 0:
+            # hits before, exactly at and just past the cap, of either sign
+            for n in (0, 1, cap // 2, cap, cap + 1):
+                cases += [(q ** -n, q, cap), (-(q ** -n), q, cap)]
+    hits = 0
+    for x, q, cap in cases:
+        want = _neg_q_power_scan(x, q, cap)
+        assert _neg_q_power(x, q, cap) == want, (x, q, cap)
+        hits += want is not None
+    assert hits > len(qs)  # the comparison covers many hits, not only misses
 
 
 def test_phi_series_trivial_and_binomial():
