@@ -1,6 +1,7 @@
 """Batch verification front end.
 
-Exit codes: 0 all checks pass, 1 a check fails, 2 usage errors.  Reports are
+Exit codes: 0 all checks pass, 1 a check fails, 2 usage errors, 3 an
+internal error (an exception inside qthook, printed as one line).  Reports are
 JSON (one object per check); the seed fully determines evaluation points and
 random sweeps, so identical configurations reproduce identical reports up to
 the elapsed-time field.
@@ -19,6 +20,7 @@ from .partitions import Partition
 from . import suites
 
 USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 def _parse_partition(text: str, name: str) -> Partition:
@@ -232,7 +234,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if "seed" in args and args.seed is None:
         args.seed = _env_seed()
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # SystemExit (usage errors) passes through
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -390,14 +390,13 @@ def z_monomial(poset: ColoredPoset, pi: dict) -> dict:
 # Both sides of the hook formula as truncated series.
 # ---------------------------------------------------------------------------
 
-def lhs_terms(poset: ColoredPoset, trunc: int,
-              weight_fun=None) -> list[tuple[tuple[int, ...], QTFactored]]:
+def lhs_terms(poset: ColoredPoset,
+              trunc: int) -> list[tuple[tuple[int, ...], QTFactored]]:
     """Symbolic (monomial, weight) pairs of the P-partition sum."""
-    weight_fun = weight_fun or weight_generic
     out = []
     for pi in enumerate_p_partitions(poset, trunc):
         out.append((poset.varset.monomial(z_monomial(poset, pi)),
-                    weight_fun(poset, pi)))
+                    weight_generic(poset, pi)))
     return out
 
 

@@ -73,18 +73,30 @@ def is_balanced(uppers, lowers, q, z) -> bool:
     return Fraction(q) * prod_u == prod_l and Fraction(z) == Fraction(q)
 
 
-def phi_series(uppers, lowers, q, z, term_cap: int | None = None) -> Fraction:
+def phi_series(uppers, lowers, q, z) -> Fraction:
     """Terminating r+1_phi_r as an exact rational number."""
     q, z = Fraction(q), Fraction(z)
     bound = _termination_bound(uppers, q)
     if bound is None:
-        if term_cap is None:
-            raise DegenerateDraw("no termination witness q^-n among uppers")
-        bound = term_cap
+        raise DegenerateDraw("no termination witness q^-n among uppers")
     return _phi_partial(uppers, lowers, q, z, bound)
 
 
-def w_series(a1, tail, q, z, term_cap: int | None = None) -> Fraction:
+def _w_tail(tail, q):
+    """(plain parameters, pair parameters, termination bound) of a W tail:
+    the bound is the first q^-n among the plains, else the first q^-2n among
+    the pairs."""
+    plains = [Fraction(v) for kind, v in tail if kind == "plain"]
+    pairs = [Fraction(v) for kind, v in tail if kind == "sqrtpair"]
+    bound = _termination_bound(plains, q)
+    if bound is None:
+        bound = _termination_bound(pairs, q * q)
+    if bound is None:
+        raise DegenerateDraw("no termination witness in W tail")
+    return plains, pairs, bound
+
+
+def w_series(a1, tail, q, z) -> Fraction:
     """Very-well-poised series by its square-root-free per-term form.
 
     tail entries are ("plain", a) for an ordinary parameter a, or
@@ -94,15 +106,7 @@ def w_series(a1, tail, q, z, term_cap: int | None = None) -> Fraction:
     a1, q, z = Fraction(a1), Fraction(q), Fraction(z)
     if a1 == 1:
         raise DegenerateDraw("a1 = 1 degenerates the W prefactor")
-    plains = [Fraction(v) for kind, v in tail if kind == "plain"]
-    pairs = [Fraction(v) for kind, v in tail if kind == "sqrtpair"]
-    bound = _termination_bound(plains, q)
-    if bound is None:
-        bound = _termination_bound(pairs, q * q)
-        if bound is None:
-            if term_cap is None:
-                raise DegenerateDraw("no termination witness in W tail")
-            bound = term_cap
+    plains, pairs, bound = _w_tail(tail, q)
     q2 = q * q
     total = Fraction(0)
     for n in range(bound + 1):
@@ -130,13 +134,7 @@ def w_series_phi_form(a1, tail, q, z) -> Fraction:
     DegenerateDraw through the lower-pole check.
     """
     q = Fraction(q)
-    plains = [Fraction(v) for kind, v in tail if kind == "plain"]
-    pairs = [Fraction(v) for kind, v in tail if kind == "sqrtpair"]
-    bound = _termination_bound(plains, q)
-    if bound is None:
-        bound = _termination_bound(pairs, q * q)
-    if bound is None:
-        raise DegenerateDraw("no termination witness in W tail")
+    bound = _w_tail(tail, q)[2]
     s = _exact_sqrt(a1)
     uppers = [Fraction(a1), q * s, -q * s]
     lowers = [s, -s]
@@ -289,22 +287,9 @@ def _coeff_equal(lhs: QTCoeff, rhs: QTCoeff, mode: str = "exact",
 
 
 def lemma_both_sides(m: int, k0: int, rho0: int, theta0: int, gamma: int):
-    """Both sides of the single-step summation lemma as exact coefficients."""
-    if not 0 <= k0 <= rho0 <= theta0:
-        raise ValueError("need 0 <= k0 <= rho0 <= theta0")
-    lhs_terms = []
-    for rho in range(k0, rho0 + 1):
-        theta = gamma + rho0 + theta0 - rho
-        t = (f_fun(rho - k0, 0) * f_fun(theta - k0, m + 1)
-             * f_fun(rho0 - rho, 0) * f_fun(theta0 - rho, m)
-             * f_fun(theta - rho0, m) * f_fun(theta - theta0, 0)
-             / (f_fun(theta - rho, m) * f_fun(theta - rho, m + 1)))
-        lhs_terms.append(t)
-    rhs_terms = []
-    for k in range(0, rho0 - k0 + 1):
-        rhs_terms.append(f_fun(rho0 - k0 - k, 0) * f_fun(theta0 - k0 - k, m)
-                         * f_fun(k, 0) * f_fun(k + gamma, 0))
-    return _qsum(lhs_terms), _qsum(rhs_terms)
+    """Both sides of the single-step summation lemma: the n = 1 case of
+    :func:`general_both_sides`."""
+    return general_both_sides(m, 1, k0, rho0, theta0, [gamma])
 
 
 def lemma_check(m, k0, rho0, theta0, gamma, mode: str = "exact",
@@ -356,31 +341,39 @@ def general_check(m, n, k0, rho0, theta0, gamma, mode: str = "exact",
     return _coeff_equal(lhs, rhs, mode, points)
 
 
-def birds_final_both_sides(rho0: int, theta0: int, f: int, r: list[int]):
-    """Both sides of the birds-closing identity."""
+def _final_both_sides(rho_m: int, theta_m: int, m: int, n: int, r: list[int]):
+    """Both sides of the closing identity started at step m: the sum of
+    Phi-hat over chains rho_m >= rho_(m+1) >= ... >= rho_n >= 0, with
+    theta_i = rho_(i-1) + theta_(i-1) + r_i - rho_i, against its
+    f-product form; r lists r_(m+1), ..., r_n."""
     from .hookformula import phi_hat
 
+    lhs_terms = []
+    for chain in monotone_chains(0, rho_m, n - m):
+        rho = {m: rho_m}
+        theta = {m: theta_m}
+        for i in range(m + 1, n + 1):
+            rho[i] = chain[i - m - 1]
+            theta[i] = rho[i - 1] + theta[i - 1] + r[i - m - 1] - rho[i]
+        lhs_terms.append(phi_hat(rho, theta, m, n))
+    rhs_terms = []
+    boundary = (f_fun(rho_m, 0) * f_fun(theta_m, m + 1)).inverse()
+    for ls in bounded_tuples([1] * (n - m), rho_m):
+        l = sum(ls)
+        t = f_fun(rho_m - l, 0) * f_fun(theta_m - l, m + 1) * boundary
+        for k, r_k in zip(ls, r):
+            t = t * f_fun(k, 0) * f_fun(k + r_k, 0)
+        rhs_terms.append(t)
+    return _qsum(lhs_terms), _qsum(rhs_terms)
+
+
+def birds_final_both_sides(rho0: int, theta0: int, f: int, r: list[int]):
+    """Both sides of the birds-closing identity: the closing sum from m = 0."""
     if not 0 <= rho0 <= theta0:
         raise ValueError("need 0 <= rho0 <= theta0")
     if len(r) != f:
         raise ValueError("r must have length f")
-    lhs_terms = []
-    for chain in monotone_chains(0, rho0, f):
-        rho = {0: rho0}
-        theta = {0: theta0}
-        for i in range(1, f + 1):
-            rho[i] = chain[i - 1]
-            theta[i] = rho[i - 1] + theta[i - 1] + r[i - 1] - rho[i]
-        lhs_terms.append(phi_hat(rho, theta, 0, f))
-    rhs_terms = []
-    boundary = (f_fun(rho0, 0) * f_fun(theta0, 1)).inverse()
-    for ls in bounded_tuples([1] * f, rho0):
-        l = sum(ls)
-        t = f_fun(rho0 - l, 0) * f_fun(theta0 - l, 1) * boundary
-        for i in range(1, f + 1):
-            t = t * f_fun(ls[i - 1], 0) * f_fun(ls[i - 1] + r[i - 1], 0)
-        rhs_terms.append(t)
-    return _qsum(lhs_terms), _qsum(rhs_terms)
+    return _final_both_sides(rho0, theta0, 0, f, r)
 
 
 def birds_final_check(rho0, theta0, f, r, mode: str = "exact",
@@ -390,31 +383,13 @@ def birds_final_check(rho0, theta0, f, r, mode: str = "exact",
 
 
 def banners_final_both_sides(lam: Partition, f: int, r: list[int]):
-    """Both sides of the banners-closing identity; r is indexed 2..f."""
-    from .hookformula import phi_hat
-
+    """Both sides of the banners-closing identity, the closing sum from m = 1
+    with rho_1 = lam_4 and theta_1 = lam_2; r is indexed 2..f."""
     if lam.length() > 4:
         raise ValueError("lam must have at most 4 parts")
     if len(r) != f - 1:
         raise ValueError("r must have length f - 1")
-    l4, l2 = lam[4], lam[2]
-    lhs_terms = []
-    for chain in monotone_chains(0, l4, f - 1):
-        rho = {1: l4}
-        theta = {1: l2}
-        for i in range(2, f + 1):
-            rho[i] = chain[i - 2]
-            theta[i] = rho[i - 1] + theta[i - 1] + r[i - 2] - rho[i]
-        lhs_terms.append(phi_hat(rho, theta, 1, f))
-    rhs_terms = []
-    boundary = (f_fun(l4, 0) * f_fun(l2, 2)).inverse()
-    for ls in bounded_tuples([1] * (f - 1), l4):
-        l = sum(ls)
-        t = f_fun(l4 - l, 0) * f_fun(l2 - l, 2) * boundary
-        for i in range(2, f + 1):
-            t = t * f_fun(ls[i - 2], 0) * f_fun(ls[i - 2] + r[i - 2], 0)
-        rhs_terms.append(t)
-    return _qsum(lhs_terms), _qsum(rhs_terms)
+    return _final_both_sides(lam[4], lam[2], 1, f, r)
 
 
 def banners_final_check(lam, f, r, mode: str = "exact", points=None) -> bool:

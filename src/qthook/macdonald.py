@@ -4,6 +4,13 @@ P and Q are constructed through horizontal-strip chains (the tableau form of
 the Pieri rule), so every coefficient is an explicit product of the phi/psi
 coefficients from :mod:`qthook.qtcore`.  A Gram-Schmidt construction against
 the (q, t) power-sum scalar product is kept as an independent oracle.
+
+The series-level checks share one engine, the bracket partition sum
+(``partition_sum_check``): the Cauchy kernel is its bracket-Q instance with
+eps (-1, +1) between empty shapes, the skew interchange lemma
+(``qp_lemma_check``) its bracket-P instance with eps (-1, +1), and the
+generalized MacMahon formula its bracket-P instance with eps (-1, +1)
+repeated T times.  Pieri, branching and Warnaar's sums are checked directly.
 """
 
 from __future__ import annotations
@@ -192,18 +199,21 @@ def _skew_cached(lam_parts, mu_parts, n, kind):
     return out.check_symmetric()
 
 
-def skew_p(lam: Partition, mu: Partition, n: int) -> SymPoly:
-    """P_{lam/mu}(x_1..x_n; q, t); zero when no strip chain exists."""
+def _skew(lam: Partition, mu: Partition, n: int, kind: str) -> SymPoly:
+    """A copy of the cached skew polynomial: callers may change it freely."""
     if not lam.contains(mu):
         raise ValueError(f"{mu} is not contained in {lam}")
-    return _skew_cached(lam.parts, mu.parts, n, "P")
+    return SymPoly(n, _skew_cached(lam.parts, mu.parts, n, kind).coeffs)
+
+
+def skew_p(lam: Partition, mu: Partition, n: int) -> SymPoly:
+    """P_{lam/mu}(x_1..x_n; q, t); zero when no strip chain exists."""
+    return _skew(lam, mu, n, "P")
 
 
 def skew_q(lam: Partition, mu: Partition, n: int) -> SymPoly:
     """Q_{lam/mu}(x_1..x_n; q, t) = (b_lam / b_mu) P_{lam/mu}."""
-    if not lam.contains(mu):
-        raise ValueError(f"{mu} is not contained in {lam}")
-    return _skew_cached(lam.parts, mu.parts, n, "Q")
+    return _skew(lam, mu, n, "Q")
 
 
 def macdonald_p(lam: Partition, n: int) -> SymPoly:
@@ -629,8 +639,10 @@ def orthonormality_check(lam: Partition, mu: Partition, n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Series-level identity checks (Cauchy kernel, Pieri, branching, the skew
-# interchange lemma, the generalized MacMahon formula and Warnaar's sums).
+# Series-level identity checks.  One walker, ``_bracket_sum_check``, runs the
+# bracket partition sum (Macdonald VI); the Cauchy kernel, the skew
+# interchange lemma and the generalized MacMahon formula are its instances.
+# Pieri, branching and Warnaar's sums are checked on their own.
 # ---------------------------------------------------------------------------
 
 def _group_varset(groups: list[tuple[str, int]]) -> tuple[VarSet, dict[str, list[int]]]:
@@ -642,11 +654,19 @@ def _group_varset(groups: list[tuple[str, int]]) -> tuple[VarSet, dict[str, list
     return VarSet(names), slots
 
 
+def _mono(varset: VarSet, positions) -> tuple[int, ...]:
+    """The monomial with one factor of each listed variable position."""
+    mono = [0] * len(varset)
+    for p in positions:
+        mono[p] += 1
+    return tuple(mono)
+
+
 def inject_sympoly(poly: SymPoly, slot: list[int], varset: VarSet,
-                   trunc: int, ring: CoeffRing) -> MultiSeries:
+                   trunc: int) -> MultiSeries:
     """Place a SymPoly on the chosen variable positions of a larger VarSet."""
     assert poly.n == len(slot)
-    out = MultiSeries(varset, trunc, ring)
+    out = MultiSeries(varset, trunc, EXACT)
     nvars = len(varset)
     for exps, c in poly.coeffs.items():
         mono = [0] * nvars
@@ -656,42 +676,81 @@ def inject_sympoly(poly: SymPoly, slot: list[int], varset: VarSet,
     return out
 
 
-def _product_series(factors, varset, trunc, ring) -> MultiSeries:
+def _product_series(factors, varset, trunc) -> MultiSeries:
     """Product of (SymPoly, slot) pairs as a truncated series."""
-    out = MultiSeries.constant(1, varset, trunc, ring)
+    out = MultiSeries.constant(1, varset, trunc, EXACT)
     for poly, slot in factors:
-        out = out * inject_sympoly(poly, slot, varset, trunc, ring)
+        out = out * inject_sympoly(poly, slot, varset, trunc)
         if out.is_zero():
             break
     return out
 
 
-def _kernel_series(xs: list[int], ys: list[int], varset, trunc, ring) -> MultiSeries:
-    """Pi(x; y) = prod F(x_i y_j) truncated."""
-    monos = []
-    for i in xs:
-        for j in ys:
-            mono = [0] * len(varset)
-            mono[i] += 1
-            mono[j] += 1
-            monos.append(tuple(mono))
-    return product_of_f(monos, varset, trunc, ring)
+def _bracket_sum_check(eps: tuple[int, ...], lam0: Partition, lamN: Partition,
+                       groups: list[tuple[str, int]], trunc: int, kind: str):
+    """The bracket partition sum against its kernel form, truncated.
+
+    The sum runs over chains lam0 = lam^0, lam^1, ..., lam^n = lamN, step i
+    on the variable group ``groups[i]`` ((name prefix, size), in chain
+    order): it goes down (lam^i inside lam^(i-1)) when eps_i = +1 and up
+    when eps_i = -1.  Bracket P takes P_{outer/inner} on a down step and
+    Q_{outer/inner} on an up step; bracket Q swaps the two.  The sum equals
+    prod Pi(x^i; x^j) over i < j with eps_i = -1, eps_j = +1, times
+    sum_nu U_{lamN/nu}(x^-) D_{lam0/nu}(x^+), where U (D) is the up (down)
+    skew and x^- (x^+) joins the groups of the up (down) steps.
+    """
+    n = len(eps)
+    assert len(groups) == n >= 1
+    varset, slots = _group_varset(groups)
+    slot = [slots[prefix] for prefix, _ in groups]
+    up, down = (skew_q, skew_p) if kind == "P" else (skew_p, skew_q)
+    lhs = MultiSeries(varset, trunc, EXACT)
+
+    def walk(i, prev, used, factors):
+        nonlocal lhs
+        if i == n:
+            term = _product_series(factors, varset, trunc)
+            md = term.min_total_degree()
+            assert md is None or md >= used  # so chains costing > trunc vanish
+            lhs = lhs + term
+            return
+        step_up = eps[i] < 0
+        if i == n - 1:
+            candidates = [lamN]
+        else:
+            candidates = partitions_up_to(prev.weight()
+                                          + (trunc - used if step_up else 0))
+        for cur in candidates:
+            outer, inner = (cur, prev) if step_up else (prev, cur)
+            if not outer.contains(inner):
+                continue
+            cost = outer.weight() - inner.weight()
+            if used + cost + abs(cur.weight() - lamN.weight()) > trunc:
+                continue
+            skew = up if step_up else down
+            walk(i + 1, cur, used + cost,
+                 factors + [(skew(outer, inner, len(slot[i])), slot[i])])
+
+    walk(0, lam0, 0, [])
+    kernel = [_mono(varset, (a, b))
+              for i, j in itertools.combinations(range(n), 2) if eps[i] < eps[j]
+              for a in slot[i] for b in slot[j]]
+    minus = [p for i in range(n) if eps[i] < 0 for p in slot[i]]
+    plus = [p for i in range(n) if eps[i] > 0 for p in slot[i]]
+    nu_sum = MultiSeries(varset, trunc, EXACT)
+    for nu in partitions_up_to(min(lam0.weight(), lamN.weight())):
+        if lam0.contains(nu) and lamN.contains(nu):
+            nu_sum = nu_sum + _product_series(
+                [(up(lamN, nu, len(minus)), minus),
+                 (down(lam0, nu, len(plus)), plus)], varset, trunc)
+    return series_equals(lhs, product_of_f(kernel, varset, trunc, EXACT) * nu_sum)
 
 
-def cauchy_check(n: int, m: int, trunc: int, ring: CoeffRing = EXACT):
-    """sum_lam P_lam(x) Q_lam(y) = prod F(x_i y_j), truncated."""
-    varset, slots = _group_varset([("x", n), ("y", m)])
-    lhs = MultiSeries(varset, trunc, ring)
-    for lam in partitions_up_to(trunc, max_length=min(n, m)):
-        contrib = _product_series(
-            [(macdonald_p(lam, n), slots["x"]), (macdonald_q(lam, m), slots["y"])],
-            varset, trunc, ring)
-        md = contrib.min_total_degree()
-        if md is not None:
-            assert md >= lam.weight()  # so summing |lam| <= trunc is enough
-        lhs = lhs + contrib
-    rhs = _kernel_series(slots["x"], slots["y"], varset, trunc, ring)
-    return series_equals(lhs, rhs)
+def cauchy_check(n: int, m: int, trunc: int):
+    """sum_lam P_lam(x) Q_lam(y) = prod F(x_i y_j), truncated: bracket Q with
+    eps (-1, +1) between empty shapes."""
+    return _bracket_sum_check((-1, 1), EMPTY, EMPTY, [("x", n), ("y", m)],
+                              trunc, "Q")
 
 
 def pieri_check(mu: Partition, r: int, n: int, kind: str):
@@ -742,182 +801,35 @@ def branching_check(lam: Partition, nx: int, nz: int):
     return True, None
 
 
-def qp_lemma_check(mu: Partition, nu: Partition, nx: int, ny: int, trunc: int,
-                   ring: CoeffRing = EXACT):
-    """sum_lam Q_{lam/mu}(x) P_{lam/nu}(y) = Pi(x;y) sum_tau Q_{nu/tau}(x) P_{mu/tau}(y)."""
-    varset, slots = _group_varset([("x", nx), ("y", ny)])
-    lhs = MultiSeries(varset, trunc, ring)
-    max_weight = (trunc + mu.weight() + nu.weight()) // 2
-    for w in range(max_weight + 1):
-        for lam in partitions_of(w):
-            if not (lam.contains(mu) and lam.contains(nu)):
-                continue
-            if (lam.weight() - mu.weight()) + (lam.weight() - nu.weight()) > trunc:
-                continue
-            contrib = _product_series(
-                [(skew_q(lam, mu, nx), slots["x"]), (skew_p(lam, nu, ny), slots["y"])],
-                varset, trunc, ring)
-            md = contrib.min_total_degree()
-            if md is not None:
-                assert md >= (lam.weight() - mu.weight()) + (lam.weight() - nu.weight())
-            lhs = lhs + contrib
-    tau_sum = MultiSeries(varset, trunc, ring)
-    for w in range(min(mu.weight(), nu.weight()) + 1):
-        for tau in partitions_of(w):
-            if not (mu.contains(tau) and nu.contains(tau)):
-                continue
-            tau_sum = tau_sum + _product_series(
-                [(skew_q(nu, tau, nx), slots["x"]), (skew_p(mu, tau, ny), slots["y"])],
-                varset, trunc, ring)
-    rhs = _kernel_series(slots["x"], slots["y"], varset, trunc, ring) * tau_sum
-    return series_equals(lhs, rhs)
+def qp_lemma_check(mu: Partition, nu: Partition, nx: int, ny: int, trunc: int):
+    """The skew interchange lemma, bracket P with eps (-1, +1) from mu to nu:
+    sum_lam Q_{lam/mu}(x) P_{lam/nu}(y) = Pi(x;y) sum_tau Q_{nu/tau}(x) P_{mu/tau}(y).
+    """
+    return _bracket_sum_check((-1, 1), mu, nu, [("x", nx), ("y", ny)],
+                              trunc, "P")
 
 
 def gmacmahon_check(t_steps: int, mu0: Partition, muT: Partition,
-                    var_sizes: tuple[list[int], list[int]], trunc: int,
-                    ring: CoeffRing = EXACT):
-    """The generalized MacMahon formula over up-down chains of partitions.
+                    var_sizes: tuple[list[int], list[int]], trunc: int):
+    """The generalized MacMahon formula over up-down chains of partitions:
+    bracket P with eps (-1, +1) repeated T times on groups x^0, y^1, x^1, ...
 
     var_sizes is ([|x^0|, ..., |x^(T-1)|], [|y^1|, ..., |y^T|]).
     """
     x_sizes, y_sizes = var_sizes
     assert len(x_sizes) == t_steps and len(y_sizes) == t_steps
-    groups = [(f"x{i}_", x_sizes[i]) for i in range(t_steps)]
-    groups += [(f"y{j}_", y_sizes[j - 1]) for j in range(1, t_steps + 1)]
-    varset, slots = _group_varset(groups)
-    xslot = lambda i: slots[f"x{i}_"]
-    yslot = lambda j: slots[f"y{j}_"]
-
-    lhs = MultiSeries(varset, trunc, ring)
-
-    def walk(i, prev_mu, used, factors):
-        nonlocal lhs
-        if i > t_steps:
-            lhs = lhs + _product_series(factors, varset, trunc, ring)
-            return
-        top = muT if i == t_steps else None
-        for w in range(prev_mu.weight(), prev_mu.weight() + (trunc - used) + 1):
-            for lam in partitions_of(w):
-                if not lam.contains(prev_mu):
-                    continue
-                if top is not None and not lam.contains(top):
-                    continue
-                cost_up = lam.weight() - prev_mu.weight()
-                fac_up = (skew_q(lam, prev_mu, len(xslot(i - 1))), xslot(i - 1))
-                if i == t_steps:
-                    cost_down = lam.weight() - muT.weight()
-                    if used + cost_up + cost_down > trunc:
-                        continue
-                    fac_down = (skew_p(lam, muT, len(yslot(i))), yslot(i))
-                    walk(i + 1, muT, used + cost_up + cost_down,
-                         factors + [fac_up, fac_down])
-                else:
-                    for wd in range(lam.weight() + 1):
-                        for mu in partitions_of(wd):
-                            if not lam.contains(mu):
-                                continue
-                            cost_down = lam.weight() - mu.weight()
-                            if used + cost_up + cost_down > trunc:
-                                continue
-                            fac_down = (skew_p(lam, mu, len(yslot(i))), yslot(i))
-                            walk(i + 1, mu, used + cost_up + cost_down,
-                                 factors + [fac_up, fac_down])
-
-    walk(1, mu0, 0, [])
-
-    rhs_kernel = MultiSeries.constant(1, varset, trunc, ring)
-    for i in range(t_steps):
-        for j in range(i + 1, t_steps + 1):
-            rhs_kernel = rhs_kernel * _kernel_series(xslot(i), yslot(j),
-                                                     varset, trunc, ring)
-    all_x = [p for i in range(t_steps) for p in xslot(i)]
-    all_y = [p for j in range(1, t_steps + 1) for p in yslot(j)]
-    nu_sum = MultiSeries(varset, trunc, ring)
-    for w in range(min(mu0.weight(), muT.weight()) + 1):
-        for nu in partitions_of(w):
-            if not (mu0.contains(nu) and muT.contains(nu)):
-                continue
-            nu_sum = nu_sum + _product_series(
-                [(skew_q(muT, nu, len(all_x)), all_x),
-                 (skew_p(mu0, nu, len(all_y)), all_y)],
-                varset, trunc, ring)
-    rhs = rhs_kernel * nu_sum
-    return series_equals(lhs, rhs)
+    groups = [g for i in range(t_steps)
+              for g in ((f"x{i}_", x_sizes[i]), (f"y{i + 1}_", y_sizes[i]))]
+    return _bracket_sum_check((-1, 1) * t_steps, mu0, muT, groups, trunc, "P")
 
 
 def partition_sum_check(eps: tuple[int, ...], lam0: Partition, lamN: Partition,
-                        var_sizes: list[int], trunc: int,
-                        ring: CoeffRing = EXACT):
+                        var_sizes: list[int], trunc: int):
     """Both bracket-product partition sums against their kernel forms."""
-    n = len(eps)
-    assert len(var_sizes) == n and n >= 1
-    groups = [(f"x{i}_", var_sizes[i - 1]) for i in range(1, n + 1)]
-    varset, slots = _group_varset(groups)
-    slot = lambda i: slots[f"x{i}_"]
-
-    def bracket_factor(kind, prev, cur, i):
-        """P^eps or Q^eps bracket on the i-th variable group."""
-        if eps[i - 1] == +1:
-            outer, inner = prev, cur
-            use_p = (kind == "P")
-        else:
-            outer, inner = cur, prev
-            use_p = (kind != "P")
-        skew = skew_p if use_p else skew_q
-        return (skew(outer, inner, len(slot(i))), slot(i))
-
-    results = []
+    assert len(var_sizes) == len(eps)
+    groups = [(f"x{i}_", size) for i, size in enumerate(var_sizes, 1)]
     for kind in ("P", "Q"):
-        lhs = MultiSeries(varset, trunc, ring)
-
-        def walk(i, prev, used, factors):
-            nonlocal lhs
-            if i > n:
-                lhs = lhs + _product_series(factors, varset, trunc, ring)
-                return
-            target = lamN if i == n else None
-            if eps[i - 1] == +1:
-                candidates = [p for w in range(prev.weight() + 1)
-                              for p in partitions_of(w) if prev.contains(p)]
-            else:
-                candidates = [p for w in range(prev.weight(),
-                                               prev.weight() + trunc - used + 1)
-                              for p in partitions_of(w) if p.contains(prev)]
-            for cur in candidates:
-                if target is not None and cur != target:
-                    continue
-                cost = abs(cur.weight() - prev.weight())
-                if used + cost > trunc:
-                    continue
-                walk(i + 1, cur, used + cost,
-                     factors + [bracket_factor(kind, prev, cur, i)])
-
-        walk(1, lam0, 0, [])
-
-        kernel = MultiSeries.constant(1, varset, trunc, ring)
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                if eps[i - 1] == -1 and eps[j - 1] == +1:
-                    kernel = kernel * _kernel_series(slot(i), slot(j),
-                                                     varset, trunc, ring)
-        minus = [p for i in range(1, n + 1) if eps[i - 1] == -1 for p in slot(i)]
-        plus = [p for i in range(1, n + 1) if eps[i - 1] == +1 for p in slot(i)]
-        nu_sum = MultiSeries(varset, trunc, ring)
-        for w in range(min(lam0.weight(), lamN.weight()) + 1):
-            for nu in partitions_of(w):
-                if not (lam0.contains(nu) and lamN.contains(nu)):
-                    continue
-                if kind == "P":
-                    fs = [(skew_q(lamN, nu, len(minus)), minus),
-                          (skew_p(lam0, nu, len(plus)), plus)]
-                else:
-                    fs = [(skew_p(lamN, nu, len(minus)), minus),
-                          (skew_q(lam0, nu, len(plus)), plus)]
-                nu_sum = nu_sum + _product_series(fs, varset, trunc, ring)
-        rhs = kernel * nu_sum
-        ok, mismatch = series_equals(lhs, rhs)
-        results.append((ok, mismatch, kind))
-    for ok, mismatch, kind in results:
+        ok, mismatch = _bracket_sum_check(eps, lam0, lamN, groups, trunc, kind)
         if not ok:
             return False, {"bracket": kind, **mismatch}
     return True, None
@@ -932,8 +844,7 @@ def _oa_diagonal_coeff(k: int) -> QTFactored:
     return out
 
 
-def warnaar_check(variant: str, n: int, trunc: int, with_w: bool = True,
-                  ring: CoeffRing = EXACT):
+def warnaar_check(variant: str, n: int, trunc: int):
     """Warnaar-type lambda sums against their product sides.
 
     variant: "oa" (odd arms, w^{r(lam)}), "el" (even legs, w^{r(lam')}),
@@ -941,9 +852,8 @@ def warnaar_check(variant: str, n: int, trunc: int, with_w: bool = True,
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    groups = ([("w", 1)] if with_w else []) + [("x", n)]
-    varset, slots = _group_varset(groups)
-    xs = slots["x"]
+    varset, slots = _group_varset([("w", 1), ("x", n)])
+    w, xs = slots["w"], slots["x"]
 
     def w_exponent(lam: Partition) -> int:
         if variant == "oa":
@@ -958,49 +868,34 @@ def warnaar_check(variant: str, n: int, trunc: int, with_w: bool = True,
 
     b_fun = b_oa if variant == "oa" else b_el
 
-    lhs = MultiSeries(varset, trunc, ring)
+    lhs = MultiSeries(varset, trunc, EXACT)
     for lam in partitions_up_to(trunc, max_length=n):
-        term = inject_sympoly(macdonald_p(lam, n), xs, varset, trunc, ring)
-        term = term.scale(b_fun(lam))
-        if with_w:
-            shift = [0] * len(varset)
-            shift[slots["w"][0]] = w_exponent(lam)
-            term = term.shift_monomial(tuple(shift))
-        lhs = lhs + term
+        term = inject_sympoly(macdonald_p(lam, n), xs, varset, trunc)
+        lhs = lhs + term.scale(b_fun(lam)).shift_monomial(
+            _mono(varset, w * w_exponent(lam)))
 
-    def mono(parts_list):
-        m = [0] * len(varset)
-        for p in parts_list:
-            m[p] += 1
-        return tuple(m)
-
-    w_slot = slots["w"] if with_w else []
     if variant == "oa":
-        rhs = MultiSeries.constant(1, varset, trunc, ring)
+        rhs = MultiSeries.constant(1, varset, trunc, EXACT)
         for i in xs:
             # (1 + w x_i) * (qt x_i^2; q^2)_inf / (x_i^2; q^2)_inf
-            diag = MultiSeries(varset, trunc, ring)
+            diag = MultiSeries(varset, trunc, EXACT)
             k = 0
             while 2 * k <= trunc:
-                diag.add_term(mono([i] * (2 * k)), _oa_diagonal_coeff(k))
+                diag.add_term(_mono(varset, [i] * (2 * k)),
+                              _oa_diagonal_coeff(k))
                 k += 1
-            lin = MultiSeries.constant(1, varset, trunc, ring)
-            lin.add_term(mono(w_slot + [i]), QTFactored.one())
+            lin = MultiSeries.constant(1, varset, trunc, EXACT)
+            lin.add_term(_mono(varset, w + [i]), QTFactored.one())
             rhs = rhs * diag * lin
         for a in range(len(xs)):
             for b in range(a + 1, len(xs)):
-                rhs = rhs * series_f(mono([xs[a], xs[b]]), varset, trunc, ring)
+                rhs = rhs * series_f(_mono(varset, [xs[a], xs[b]]),
+                                     varset, trunc, EXACT)
     else:
-        if variant == "el":
-            single = [mono(w_slot + [i]) for i in xs]
-            pair_w = []
-        elif variant == "odd":
-            single = [mono(w_slot + [i]) for i in xs]
-            pair_w = w_slot
-        else:  # even
-            single = [mono([i]) for i in xs]
-            pair_w = w_slot
-        pairs = [mono(list(pair_w) + [xs[a], xs[b]])
+        single_w = [] if variant == "even" else w
+        single = [_mono(varset, single_w + [i]) for i in xs]
+        pair_w = [] if variant == "el" else w
+        pairs = [_mono(varset, pair_w + [xs[a], xs[b]])
                  for a in range(len(xs)) for b in range(a + 1, len(xs))]
-        rhs = product_of_f(single + pairs, varset, trunc, ring)
+        rhs = product_of_f(single + pairs, varset, trunc, EXACT)
     return series_equals(lhs, rhs)

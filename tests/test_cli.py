@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qthook import suites
 from qthook.cli import main
 
 
@@ -130,6 +131,18 @@ def test_show_hooks(capsys):
     assert code == 0
     d = json.loads(out)
     assert len(d["hooks"]) == 3 and d["agreement"] is True
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(*args):
+        raise AssertionError("weight plan out of order")
+
+    monkeypatch.setattr(suites, "verify_poset", broken)
+    code, out, err = run_cli(["verify", "hook", "--family", "shifted",
+                              "--alpha", "2,1"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: AssertionError: weight plan out of order\n"
 
 
 def test_show_missing_family(capsys):

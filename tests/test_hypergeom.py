@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from qthook import hookformula
 from qthook.partitions import Partition
+from qthook.qtcore import QTFactored
 from qthook.hypergeom import (
     DegenerateDraw,
     _neg_q_power,
@@ -266,3 +268,15 @@ def test_checks_in_eval_mode():
     assert general_check(1, 2, 0, 2, 3, [1, 0], mode="eval", points=pts)
     assert birds_final_check(2, 3, 2, [1, 0], mode="eval", points=pts)
     assert banners_final_check(P([3, 2, 2, 1]), 2, [2], mode="eval", points=pts)
+
+
+@pytest.mark.parametrize("check", [
+    lambda: birds_final_check(2, 3, 2, [1, 0]),
+    lambda: banners_final_check(P([3, 2, 2, 1]), 2, [2]),
+], ids=["birds-final", "banners-final"])
+def test_closing_identities_fail_when_phi_hat_is_scaled(check, monkeypatch):
+    assert check()
+    real = hookformula.phi_hat
+    monkeypatch.setattr(hookformula, "phi_hat",
+                        lambda *args: real(*args) * QTFactored(2))
+    assert not check()

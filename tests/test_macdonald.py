@@ -5,6 +5,7 @@ import pytest
 from qthook.partitions import EMPTY, Partition, partitions_of, partitions_up_to
 from qthook.qtcore import EvalPoint, QTFactored, b_lambda, f_fun
 from qthook.series import QTCoeff
+from qthook import macdonald
 from qthook.macdonald import (
     branching_check,
     cauchy_check,
@@ -35,6 +36,15 @@ def test_skew_p_base_cases():
     assert s.coefficient((0, 1)).equals(QTCoeff.one())
     # too many rows for the variable count
     assert skew_p(P([1, 1, 1]), EMPTY, 2).is_zero()
+
+
+@pytest.mark.parametrize("build", [macdonald_p, macdonald_q])
+def test_callers_cannot_corrupt_the_skew_cache(build):
+    expected = build(P([1]), 2).coefficient((1, 0))
+    build(P([1]), 2).add_term((1, 0), QTCoeff.one())
+    again = build(P([1]), 2)
+    assert again.coefficient((1, 0)).equals(expected)
+    assert again.coefficient((0, 1)).equals(expected)
 
 
 def test_p_2_coefficient_matches_gram_oracle():
@@ -242,3 +252,49 @@ def test_checks_with_asymmetric_variable_groups():
     assert ok, info
     ok, info = qp_lemma_check(P([2, 1]), P([1, 1]), 2, 2, 3)
     assert ok, info
+
+
+# Negative controls: each bracket-sum check must notice a wrong kernel and a
+# wrong skew polynomial, not only pass on the right ones.
+
+def _drop_last_kernel_factor(monkeypatch):
+    real = macdonald.product_of_f
+    monkeypatch.setattr(macdonald, "product_of_f",
+                        lambda monos, *rest: real(monos[:-1], *rest))
+
+
+def _double_q_of_one_box(monkeypatch):
+    real = macdonald.skew_q
+
+    def doubled(lam, mu, n):
+        out = real(lam, mu, n)
+        return out.scale(QTFactored(2)) if (lam, mu) == (P([1]), EMPTY) else out
+
+    monkeypatch.setattr(macdonald, "skew_q", doubled)
+
+
+PS_GROUPS = [("x1_", 1), ("x2_", 1)]
+BRACKET_CHECKS = {
+    "cauchy": lambda: cauchy_check(2, 2, 4),
+    "qp-lemma": lambda: qp_lemma_check(EMPTY, EMPTY, 1, 1, 3),
+    "gmacmahon": lambda: gmacmahon_check(2, EMPTY, EMPTY, ([1, 1], [1, 1]), 3),
+    "partition-sum": lambda: partition_sum_check((-1, 1), EMPTY, EMPTY,
+                                                 [1, 1], 3),
+    "bracket-P": lambda: macdonald._bracket_sum_check(
+        (-1, 1), EMPTY, EMPTY, PS_GROUPS, 3, "P"),
+    "bracket-Q": lambda: macdonald._bracket_sum_check(
+        (-1, 1), EMPTY, EMPTY, PS_GROUPS, 3, "Q"),
+}
+
+
+@pytest.mark.parametrize("fault", [_drop_last_kernel_factor,
+                                   _double_q_of_one_box])
+@pytest.mark.parametrize("name", BRACKET_CHECKS)
+def test_bracket_checks_fail_on_a_wrong_side(name, fault, monkeypatch):
+    check = BRACKET_CHECKS[name]
+    ok, info = check()
+    assert ok, info
+    fault(monkeypatch)
+    ok, info = check()
+    assert not ok
+    assert "monomial" in info
