@@ -30,6 +30,7 @@ from .qtcore import (
     BI_ONE,
     BiPoly,
     QTFactored,
+    _binomial_poly,
     b_el,
     b_lambda,
     b_oa,
@@ -288,6 +289,15 @@ def _is_const(p: BiPoly) -> bool:
     return not p.terms or set(p.terms) == {(0, 0)}
 
 
+def _monic(num: BiPoly, den: BiPoly) -> tuple[BiPoly, BiPoly]:
+    """num/den rescaled so that den's lowest term has coefficient 1."""
+    lead = den.terms[min(den.terms)]
+    if lead == 1:
+        return num, den
+    inv = Fraction(1, lead)
+    return num.scale(inv), den.scale(inv)
+
+
 class RatFunc:
     """Rational function num/den over Q[q, t], kept fully reduced.
 
@@ -311,9 +321,7 @@ class RatFunc:
                 if not _is_const(g):
                     num = divexact_bipoly(num, g)
                     den = divexact_bipoly(den, g)
-            lead = den.terms[min(den.terms)]
-            if lead != 1:
-                num, den = num.scale(1 / lead), den.scale(1 / lead)
+            num, den = _monic(num, den)
         self.num = num
         self.den = den
 
@@ -324,9 +332,7 @@ class RatFunc:
         if num.is_zero():
             num, den = BiPoly(), BI_ONE
         else:
-            lead = den.terms[min(den.terms)]
-            if lead != 1:
-                num, den = num.scale(1 / lead), den.scale(1 / lead)
+            num, den = _monic(num, den)
         out.num, out.den = num, den
         return out
 
@@ -442,7 +448,7 @@ def _qtcoeff_to_fraction(c: QTCoeff) -> Fraction:
         return Fraction(0)
     if set(c.num.terms) != {(0, 0)} or c.den or c.dq or c.dt:
         raise AssertionError("expected a constant coefficient")
-    return c.num.terms[(0, 0)]
+    return Fraction(c.num.terms[(0, 0)])
 
 
 @lru_cache(maxsize=None)
@@ -488,8 +494,8 @@ def _z_weight(lam: Partition) -> RatFunc:
     num = BiPoly.const(z)
     den = BI_ONE
     for p in lam:
-        num = num * BiPoly({(0, 0): Fraction(1), (p, 0): Fraction(-1)})
-        den = den * BiPoly({(0, 0): Fraction(1), (0, p): Fraction(-1)})
+        num = num * _binomial_poly(p, 0)
+        den = den * _binomial_poly(0, p)
     return RatFunc(num, den)
 
 

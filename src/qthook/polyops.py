@@ -11,9 +11,9 @@ Fraction blowup never enters either loop.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as igcd
+from math import gcd as igcd, lcm
 
-from .qtcore import BiPoly, cleared
+from .qtcore import BiPoly
 
 
 # -- univariate integer polynomials as int lists (index = q-degree) ---------
@@ -156,28 +156,19 @@ def _to_int_rec(p: BiPoly):
     """Clear denominators; return (rows, lcm), the integer rows of lcm * p."""
     if p.is_zero():
         return [], 1
-    nums, lcm = cleared(p.terms)
-    tmax = max(b for (_, b) in p.terms)
-    rows = [[] for _ in range(tmax + 1)]
-    qmax = {}
-    for (a, b) in p.terms:
-        qmax[b] = max(qmax.get(b, 0), a)
-    for b, m in qmax.items():
-        rows[b] = [0] * (m + 1)
-    for (a, b), c in zip(p.terms, nums):
-        rows[b][a] = c
-    for row in rows:
-        _ztrim(row)
-    return rows, lcm
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    rows = [[] for _ in range(max(b for (_, b) in p.terms) + 1)]
+    for (a, b), c in p.terms.items():
+        row = rows[b]
+        if len(row) <= a:
+            row.extend([0] * (a + 1 - len(row)))
+        row[a] = c.numerator * (den // c.denominator)
+    return rows, den
 
 
 def _from_int_rec(rows) -> BiPoly:
-    terms = {}
-    for b, row in enumerate(rows):
-        for a, c in enumerate(row):
-            if c:
-                terms[(a, b)] = Fraction(c)
-    return BiPoly(terms)
+    return BiPoly({(a, b): c for b, row in enumerate(rows)
+                   for a, c in enumerate(row)})
 
 
 def _btrim(rows):

@@ -7,8 +7,8 @@ dictionary merges and never expand anything.  Exact equality testing first
 cancels the monomial and the (1 - q^a t^b) powers both sides share
 (``cancelled_ratio``), then expands what is left to bivariate polynomials
 (``BiPoly``) and compares; eval mode compares values at rational sample
-points.  ``BiPoly`` products are one big-integer multiply (Kronecker
-substitution, ``_kronecker_mul``).
+points.  ``BiPoly`` keeps integral coefficients as Python ints and only the
+others as Fractions, and multiplies by the plain sparse term loop.
 """
 
 from __future__ import annotations
@@ -16,32 +16,32 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .partitions import Partition
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class BiPoly:
-    """Sparse polynomial in q, t with exact rational coefficients."""
+    """Sparse polynomial in q, t with exact rational coefficients.
+
+    ``terms`` maps (qdeg, tdeg) to a nonzero coefficient, stored as an
+    ``int`` when it is integral and as a ``Fraction`` otherwise.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        # terms: dict (qdeg, tdeg) -> Fraction, zero coefficients dropped
-        self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
+        terms = {k: _coeff(v) for k, v in (terms or {}).items()}
+        self.terms = {k: v for k, v in terms.items() if v}
 
     @staticmethod
     def const(c) -> "BiPoly":
-        c = Fraction(c)
-        return BiPoly({(0, 0): c} if c else {})
+        return BiPoly.monomial(c, 0, 0)
 
     @staticmethod
     def monomial(c, a: int, b: int) -> "BiPoly":
-        c = Fraction(c)
-        return BiPoly({(a, b): c} if c else {})
+        return BiPoly({(a, b): c})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -55,11 +55,11 @@ class BiPoly:
     def __add__(self, other: "BiPoly") -> "BiPoly":
         out = dict(self.terms)
         for k, v in other.terms.items():
-            s = out.get(k, ZERO) + v
+            s = out.get(k, 0) + v
             if s:
-                out[k] = s
+                out[k] = s if type(s) is int or s.denominator != 1 else s.numerator
             else:
-                out.pop(k, None)
+                del out[k]
         res = BiPoly.__new__(BiPoly)
         res.terms = out
         return res
@@ -73,17 +73,24 @@ class BiPoly:
         return self + (-other)
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
+        lhs, rhs = self.terms, other.terms
+        if len(lhs) > len(rhs):  # fewer, longer inner loops run faster
+            lhs, rhs = rhs, lhs
+        out = {}
+        get = out.get
+        rhs = rhs.items()
+        for (i, j), c in lhs.items():
+            for (k, l), d in rhs:
+                key = (i + k, j + l)
+                out[key] = get(key, 0) + c * d
         res = BiPoly.__new__(BiPoly)
-        res.terms = _kronecker_mul(self.terms, other.terms) if (
-            self.terms and other.terms) else {}
+        res.terms = _canonical(out)
         return res
 
     def scale(self, c) -> "BiPoly":
-        c = Fraction(c)
-        if not c:
-            return BiPoly()
+        c = _coeff(c)
         res = BiPoly.__new__(BiPoly)
-        res.terms = {k: v * c for k, v in self.terms.items()}
+        res.terms = _canonical({k: v * c for k, v in self.terms.items()}) if c else {}
         return res
 
     def shift(self, a: int, b: int) -> "BiPoly":
@@ -125,75 +132,20 @@ class BiPoly:
     __repr__ = __str__
 
 
-def cleared(terms: dict) -> tuple[list[int], int]:
-    """Clear denominators: (the integers lcm * c, in the order of
-    ``terms``, and lcm), lcm being that of the coefficients' denominators."""
-    nums = [c.numerator for c in terms.values()]
-    dens = [c.denominator for c in terms.values()]
-    den = lcm(*dens)
-    if den != 1:
-        nums = [n * (den // d) for n, d in zip(nums, dens)]
-    return nums, den
+def _coeff(c):
+    """``c`` as ``BiPoly.terms`` stores it: an int when integral, else a
+    Fraction; anything but an int or a Fraction is a TypeError."""
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"BiPoly coefficients are int or Fraction, not {type(c).__name__}")
 
 
-def _kronecker_mul(a: dict, b: dict) -> dict:
-    """Product of two nonempty term dicts by Kronecker substitution.
-
-    Each operand is scaled to integers by its denominators' lcm and packed
-    into one Python int: the term q^i t^j goes to slot
-    (j - tmin) * width + (i - qmin), where width is the q-span of the
-    product, so the packed product never wraps from one t-row into the
-    next.  A slot holds k = 8 * nbytes bits with
-    2^(k-1) > min(len) * max|c1| * max|c2|, a bound on every product
-    coefficient, so adding 2^(k-1) to each slot makes all slots
-    nonnegative without carries, and each slot's bytes in the biased
-    product are its coefficient plus 2^(k-1).
-    """
-    an, ad = cleared(a)
-    bn, bd = cleared(b)
-    aq = [i for i, _ in a]
-    at = [j for _, j in a]
-    bq = [i for i, _ in b]
-    bt = [j for _, j in b]
-    qa, ta, qb, tb = min(aq), min(at), min(bq), min(bt)
-    width = max(aq) - qa + max(bq) - qb + 1
-    rows = max(at) - ta + max(bt) - tb + 1
-    bound = min(len(an), len(bn)) * max(map(abs, an)) * max(map(abs, bn))
-    nb = (bound.bit_length() + 8) // 8
-    prod = (_kronecker_pack(a, an, qa, ta, width, nb)
-            * _kronecker_pack(b, bn, qb, tb, width, nb))
-    nslots = rows * width
-    zero = bytes(nb - 1) + b"\x80"
-    half = 1 << (8 * nb - 1)
-    raw = (prod + int.from_bytes(zero * nslots, "little")).to_bytes(
-        nslots * nb, "little")
-    den = ad * bd
-    q0, t0 = qa + qb, ta + tb
-    out = {}
-    for idx in range(nslots):
-        off = idx * nb
-        chunk = raw[off:off + nb]
-        if chunk != zero:
-            j, i = divmod(idx, width)
-            c = int.from_bytes(chunk, "little") - half
-            out[(i + q0, j + t0)] = Fraction(c) if den == 1 else Fraction(c, den)
-    return out
-
-
-def _kronecker_pack(terms: dict, nums: list[int], q0: int, t0: int,
-                    width: int, nb: int) -> int:
-    """The int holding nums (in the order of terms' keys (i, j)) in slots
-    (j - t0) * width + (i - q0) of nb bytes each."""
-    size = ((max(j for _, j in terms) - t0) * width + width) * nb
-    pos = bytearray(size)
-    neg = bytearray(size)
-    for (i, j), c in zip(terms, nums):
-        off = ((j - t0) * width + i - q0) * nb
-        if c > 0:
-            pos[off:off + nb] = c.to_bytes(nb, "little")
-        else:
-            neg[off:off + nb] = (-c).to_bytes(nb, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+def _canonical(terms: dict) -> dict:
+    """``terms`` without its zeros, integral Fractions turned into ints."""
+    return {k: v if type(v) is int or v.denominator != 1 else v.numerator
+            for k, v in terms.items() if v}
 
 
 BI_ONE = BiPoly.const(1)
@@ -202,7 +154,7 @@ BI_ONE = BiPoly.const(1)
 @lru_cache(maxsize=None)
 def _binomial_poly(a: int, b: int) -> BiPoly:
     """The polynomial 1 - q^a t^b."""
-    return BiPoly({(0, 0): ONE, (a, b): -ONE})
+    return BiPoly({(0, 0): 1, (a, b): -1})
 
 
 @lru_cache(maxsize=None)

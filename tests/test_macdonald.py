@@ -92,6 +92,20 @@ def test_gram_oracle_mixes_with_qtcoeff_in_either_order():
     assert oracle.evaluate(pt) == c.evaluate(pt)
 
 
+def test_oracle_normalizes_with_exact_reciprocals():
+    # the denominator 3 + q leads with 3, so both sides are divided by 3
+    num = macdonald.BiPoly({(0, 0): 1, (0, 1): 2})
+    den = macdonald.BiPoly({(0, 0): 3, (1, 0): 1})
+    for r in (macdonald.RatFunc(num, den), macdonald.RatFunc._raw(num, den)):
+        assert r.num.terms == {(0, 0): Fraction(1, 3), (0, 1): Fraction(2, 3)}
+        assert r.den.terms == {(0, 0): 1, (1, 0): Fraction(1, 3)}
+        for c in (*r.num.terms.values(), *r.den.terms.values()):
+            assert type(c) in (int, Fraction)
+    _, inverse = macdonald._m_to_p_matrix(4)
+    assert inverse and all(type(v) is Fraction
+                           for row in inverse.values() for v in row.values())
+
+
 def test_g_r():
     assert g_r(0, 3).coefficient((0, 0, 0)).equals(QTCoeff.one())
     g1 = g_r(1, 2)

@@ -211,7 +211,7 @@ def test_partition_basics():
     assert lam[1] == 4 and lam[5] == 0
 
 
-# -- the Kronecker product against a schoolbook reference -------------------
+# -- the sparse product against a schoolbook reference ----------------------
 
 def schoolbook_mul(x: BiPoly, y: BiPoly) -> BiPoly:
     out = {}
@@ -222,17 +222,30 @@ def schoolbook_mul(x: BiPoly, y: BiPoly) -> BiPoly:
     return BiPoly(out)
 
 
+def assert_canonical(p: BiPoly):
+    # an int when integral, otherwise a Fraction that is not; never 0 or a float
+    for c in p.terms.values():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+PRODUCT_POINT = (Fraction(2, 3), Fraction(-5, 7))
+
+
 def assert_product_ok(x: BiPoly, y: BiPoly):
     prod = x * y
     assert prod == schoolbook_mul(x, y)
-    assert all(type(c) is Fraction and c for c in prod.terms.values())
+    assert_canonical(prod)
+    assert prod.evaluate(*PRODUCT_POINT) == \
+        x.evaluate(*PRODUCT_POINT) * y.evaluate(*PRODUCT_POINT)
 
 
 kernel_coeffs = st.one_of(
+    st.integers(-9, 9),
     st.integers(-9, 9).map(Fraction),
     st.fractions(min_value=-5, max_value=5, max_denominator=12),
     st.integers(-2 ** 130, 2 ** 130).map(Fraction),
-    st.builds(lambda e, s: Fraction(s * (2 ** e - 1)),
+    st.builds(lambda e, s: s * (2 ** e - 1),
               st.integers(1, 90), st.sampled_from((-1, 1))),
 )
 kernel_polys = st.builds(
@@ -246,12 +259,15 @@ kernel_polys = st.builds(
 
 @settings(max_examples=300, deadline=None)
 @given(kernel_polys, kernel_polys)
-def test_kronecker_product_matches_schoolbook(x, y):
+def test_product_matches_schoolbook(x, y):
+    assert_canonical(x)
     assert_product_ok(x, y)
     assert_product_ok(y, x)
+    assert_canonical(x + y)
+    assert_canonical(x.scale(Fraction(-3, 2)))
 
 
-def test_kronecker_product_edge_operands():
+def test_product_edge_operands():
     x = BiPoly({(0, 0): Fraction(-3, 4), (2, 1): Fraction(5), (1, 3): Fraction(-1, 6)})
     assert (x * BiPoly()).is_zero() and (BiPoly() * x).is_zero()
     assert (BiPoly() * BiPoly()).is_zero()
@@ -266,20 +282,36 @@ def test_kronecker_product_edge_operands():
     assert (BiPoly({(0, 0): Fraction(1), (1, 2): Fraction(-1)})
             * BiPoly({(0, 0): Fraction(1), (1, 2): Fraction(1)})).terms == {
                 (0, 0): Fraction(1), (2, 4): Fraction(-1)}
+    # fractions whose product or sum is integral come out as ints
+    half = BiPoly.monomial(Fraction(1, 2), 1, 0)
+    assert (half * BiPoly.const(Fraction(4))).terms == {(1, 0): 2}
+    assert type((half * half.scale(2)).terms[(2, 0)]) is Fraction
+    assert type((half + half).terms[(1, 0)]) is int
+    assert type(half.scale(Fraction(6)).terms[(1, 0)]) is int
+
+
+def test_bipoly_rejects_float_coefficients():
+    for make in (lambda: BiPoly.const(0.5), lambda: BiPoly.const(0.0),
+                 lambda: BiPoly.monomial(1.0, 1, 2),
+                 lambda: BiPoly({(0, 0): 2.5}),
+                 lambda: BiPoly.const(1).scale(0.5)):
+        with pytest.raises(TypeError):
+            make()
 
 
 @pytest.mark.parametrize("nbytes", [1, 2, 3, 8, 9, 16, 17])
 def test_kronecker_product_on_slot_width_boundaries(nbytes):
-    # a product of single monomials is bounded by |c1 c2| itself: 2^(8n-1) - 1
-    # is the largest magnitude an n-byte slot holds, 2^(8n-1) needs one more
+    # big-integer magnitudes around 2^(8n-1), where a product held in
+    # n-byte slots would need one more byte; the term loop must be exact
+    # on both sides of each
     top = 2 ** (8 * nbytes - 1)
     for c in (top - 1, top, top + 1):
         for s1 in (1, -1):
             for s2 in (1, -1):
                 x = BiPoly.monomial(s1 * c, 1, 2)
                 y = BiPoly.monomial(s2, 3, 0)
-                assert (x * y).terms == {(4, 2): Fraction(s1 * s2 * c)}
-    # many terms whose sums reach the bound from neighbouring slots
+                assert (x * y).terms == {(4, 2): s1 * s2 * c}
+    # many terms whose sums reach the bound from neighbouring degrees
     c = (top - 1) // 4
     for signs in ((1, 1, 1, 1), (1, -1, 1, -1), (-1, -1, -1, -1)):
         x = BiPoly({(i, 0): Fraction(s * c) for i, s in enumerate(signs)})
