@@ -236,13 +236,19 @@ def build_banner(alpha: Partition, f: int) -> ColoredPoset:
 
 def build_family(family: str, alpha: Partition, beta: Partition | None = None,
                  f: int | None = None) -> ColoredPoset:
+    """The poset of ``family``; a parameter the family does not take is a
+    ValueError, not silently dropped."""
     if family == "shifted":
+        if beta is not None or f is not None:
+            raise ValueError("shifted takes alpha only, not beta or f")
         return build_shifted(alpha)
     if family == "bird":
         if beta is None or f is None:
             raise ValueError("bird needs alpha, beta and f")
         return build_bird(alpha, beta, f)
     if family == "banner":
+        if beta is not None:
+            raise ValueError("banner takes alpha and f, not beta")
         if f is None:
             raise ValueError("banner needs alpha and f")
         return build_banner(alpha, f)

@@ -5,8 +5,9 @@ equal-color pairs) is the ground truth; the per-family closed forms, the
 trace decompositions and the Macdonald-form rewrites of both sides are all
 validated against it.  It runs from a per-poset plan: the pairs, their kinds
 and their f-arguments are found once per poset (where the rank parities are
-also checked), so weighing a P-partition is one pass of f-lookups summing
-factor exponents.
+also checked).  Weighing a P-partition is one pass over the plan that counts
+each distinct f-argument (n, m) with its sign, then one f-lookup per
+distinct argument whose factor exponents are added, scaled by its count.
 """
 
 from __future__ import annotations
@@ -81,31 +82,38 @@ def _weight_plan(poset: ColoredPoset) -> tuple[tuple, tuple, tuple]:
 def weight_generic(poset: ColoredPoset, pi: dict) -> QTFactored:
     """W_P(pi; q, t) straight from the pair-product definition.
 
+    The plan's pairs are counted first, the equal-color pairs before the
+    adjacent and hat pairs; then each distinct f(n; m) is looked up once and
+    its factor exponents are added, scaled by its signed count.
+
     Off P-partitions: a negative difference on an equal-color pair raises
     ZeroDivisionError (it divides by f = 0); otherwise a negative difference
     on an adjacent-color or hat pair makes the weight zero.
     """
     adjacent, equal, hat = _weight_plan(poset)
-    exps = {}
+    counts = {}  # (n, m) -> signed multiplicity of f(n; m) in the weight
+    get = counts.get
     for x, y, e in equal:
         n = pi[x] - pi[y]
         if n < 0:
             raise ZeroDivisionError(f"f({n}; {e}) = 0 divides at {x} < {y}")
-        for m in (e, e - 1):
-            for k, v in f_fun(n, m).factors.items():
-                exps[k] = exps.get(k, 0) - v
+        counts[n, e] = get((n, e), 0) - 1
+        counts[n, e - 1] = get((n, e - 1), 0) - 1
     for x, y, m in adjacent:
         n = pi[x] - pi[y]
         if n < 0:
             return QTFactored.zero()
-        for k, v in f_fun(n, m).factors.items():
-            exps[k] = exps.get(k, 0) + v
+        counts[n, m] = get((n, m), 0) + 1
     for x, m in hat:
         n = pi[x]
         if n < 0:
             return QTFactored.zero()
-        for k, v in f_fun(n, m).factors.items():
-            exps[k] = exps.get(k, 0) + v
+        counts[n, m] = get((n, m), 0) + 1
+    exps = {}
+    for (n, m), c in counts.items():
+        if c:
+            for k, v in f_fun(n, m).factors.items():
+                exps[k] = exps.get(k, 0) + c * v
     return QTFactored(1, 0, 0, exps)
 
 

@@ -169,9 +169,15 @@ class VanishingFactor(Exception):
 
 
 class EvalPoint:
-    """Exact rational sample point (q0, t0) for one-sided identity testing."""
+    """Exact rational sample point (q0, t0) for one-sided identity testing.
 
-    __slots__ = ("q0", "t0", "_cache")
+    With q0 = qn / qd and t0 = tn / td in lowest terms, each binomial is
+    1 - q0^a t0^b = B / (qd^a td^b); the point caches the numerator B of
+    every binomial it has met, so ``value`` can multiply integers and divide
+    once.
+    """
+
+    __slots__ = ("q0", "t0", "_binomials")
 
     def __init__(self, q0, t0):
         q0, t0 = Fraction(q0), Fraction(t0)
@@ -180,7 +186,7 @@ class EvalPoint:
                 raise ValueError(f"degenerate evaluation coordinate {v}")
         self.q0 = q0
         self.t0 = t0
-        self._cache = {}
+        self._binomials = {}
 
     def __repr__(self):
         return f"EvalPoint({self.q0}, {self.t0})"
@@ -191,14 +197,46 @@ class EvalPoint:
     def __hash__(self):
         return hash((self.q0, self.t0))
 
-    def factor_value(self, a: int, b: int) -> Fraction:
-        v = self._cache.get((a, b))
-        if v is None:
-            v = 1 - self.q0 ** a * self.t0 ** b
-            self._cache[(a, b)] = v
-        if v == 0:
-            raise VanishingFactor(f"(1 - q^{a} t^{b}) vanishes at {self}")
-        return v
+    def binomial(self, a: int, b: int):
+        """B = qd^a td^b (1 - q0^a t0^b), nonzero: an int when a, b >= 0 (the
+        only binomials the package builds), else a Fraction.  Raises
+        VanishingFactor where the binomial is 0 at this point."""
+        B = self._binomials.get((a, b))
+        if B is None:
+            B = (1 - self.q0 ** a * self.t0 ** b) \
+                * Fraction(self.q0.denominator) ** a * Fraction(self.t0.denominator) ** b
+            if B == 0:
+                raise VanishingFactor(f"(1 - q^{a} t^{b}) vanishes at {self}")
+            B = self._binomials[(a, b)] = B.numerator if B.denominator == 1 else B
+        return B
+
+    def value(self, coeff: Fraction, qexp: int, texp: int, factors: dict) -> Fraction:
+        """coeff * q0^qexp * t0^texp * prod (1 - q0^a t0^b)^e over factors.
+
+        The binomial numerators multiply into one integer numerator and
+        denominator, every qd and td power into one exponent each, and the
+        quotient is reduced once at the end.
+        """
+        binomials = self._binomials
+        num, den = coeff.numerator, coeff.denominator
+        qs, ts = qexp, texp  # the value carries qd^-qs td^-ts
+        for k, e in factors.items():
+            B = binomials.get(k)
+            if B is None:
+                B = self.binomial(*k)
+            if e > 0:
+                num *= B ** e
+            else:
+                den *= B ** -e
+            qs += k[0] * e
+            ts += k[1] * e
+        for base, exp in ((self.q0.numerator, qexp), (self.t0.numerator, texp),
+                          (self.q0.denominator, -qs), (self.t0.denominator, -ts)):
+            if exp > 0:
+                num *= base ** exp
+            elif exp < 0:
+                den *= base ** -exp
+        return Fraction(num, den)
 
 
 def sample_points(count: int, seed: int) -> list[EvalPoint]:
@@ -351,12 +389,10 @@ class QTFactored:
         return num, den
 
     def evaluate(self, point: EvalPoint) -> Fraction:
+        """The value at ``point``, through one division (``EvalPoint.value``)."""
         if self.coeff == 0:
             return ZERO
-        val = self.coeff * point.q0 ** self.qexp * point.t0 ** self.texp
-        for (a, b), e in self.factors.items():
-            val *= point.factor_value(a, b) ** e
-        return val
+        return point.value(self.coeff, self.qexp, self.texp, self.factors)
 
     def __eq__(self, other):
         if not isinstance(other, QTFactored):

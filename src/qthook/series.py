@@ -123,11 +123,8 @@ class QTCoeff:
         return self.num * u == other.num * v
 
     def evaluate(self, point: EvalPoint) -> Fraction:
-        val = self.num.evaluate(point.q0, point.t0)
-        val /= point.q0 ** self.dq * point.t0 ** self.dt
-        for (a, b), e in self.den.items():
-            val /= point.factor_value(a, b) ** e
-        return val
+        return point.value(self.num.evaluate(point.q0, point.t0), -self.dq,
+                           -self.dt, {k: -e for k, e in self.den.items()})
 
     def num_den_strings(self) -> tuple[str, str]:
         return str(self.num), str(self._den_poly())
@@ -425,9 +422,15 @@ def series_f(mono: tuple[int, ...], varset: VarSet, trunc: int,
 
 
 def product_of_f(monos, varset: VarSet, trunc: int, ring: CoeffRing) -> MultiSeries:
-    """prod_m F(x^m) truncated; the right-hand side shape of every hook formula."""
+    """prod_m F(x^m) truncated; the right-hand side shape of every hook formula.
+
+    The factors go in by descending total degree of their monomial (a stable
+    sort).  A factor of large degree has only one or two terms below the
+    truncation, so it is cheapest to multiply in while the running product is
+    still small; the product, being exact, does not depend on the order.
+    """
     out = MultiSeries.constant(1, varset, trunc, ring)
-    for m in monos:
+    for m in sorted(monos, key=total_degree, reverse=True):
         out = out * series_f(m, varset, trunc, ring)
     return out
 

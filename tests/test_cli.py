@@ -74,6 +74,14 @@ USAGE_ERRORS = [  # (argv, environment)
     (["verify", "hook", "--family", "shifted", "--alpha", "2,2"], {}),
     (["verify", "hook", "--family", "shifted", "--alpha", "1", "--degree", "1"],
      {"QTHOOK_SEED": "abc"}),
+    (["verify", "hook", "--family", "shifted", "--alpha", "2,1", "--beta", "1",
+      "--degree", "2"], {}),
+    (["verify", "hook", "--family", "shifted", "--alpha", "2,1", "--f", "3"], {}),
+    (["verify", "hook", "--family", "banner", "--alpha", "4,3,2,1",
+      "--beta", "3", "--f", "2"], {}),
+    (["show", "poset", "--family", "shifted", "--alpha", "2,1", "--f", "3"], {}),
+    (["show", "hooks", "--family", "banner", "--alpha", "4,3,2,1",
+      "--beta", "3", "--f", "2"], {}),
 ]
 
 

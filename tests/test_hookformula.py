@@ -393,3 +393,69 @@ def test_phi_tilde_pair():
     assert qt_equals(value, phi_hat(rho, theta, 0, 1))
     # x~_1 carries exponent rho1+theta1-rho0-theta0 = 1
     assert mono == {"zm1": 1}
+
+
+# -- weight_generic against the pair walk it replaced --------------------------
+
+def pair_walk_weight(poset, pi):
+    """The generic weight one plan pair at a time, each pair's f-factors
+    added as it comes: the reference weight_generic must reproduce."""
+    adjacent, equal, hat = hookformula._weight_plan(poset)
+    exps = {}
+    for x, y, e in equal:
+        n = pi[x] - pi[y]
+        if n < 0:
+            raise ZeroDivisionError(f"f({n}; {e}) = 0 divides")
+        for m in (e, e - 1):
+            for k, v in f_fun(n, m).factors.items():
+                exps[k] = exps.get(k, 0) - v
+    for x, y, m in adjacent:
+        n = pi[x] - pi[y]
+        if n < 0:
+            return QTFactored.zero()
+        for k, v in f_fun(n, m).factors.items():
+            exps[k] = exps.get(k, 0) + v
+    for x, m in hat:
+        n = pi[x]
+        if n < 0:
+            return QTFactored.zero()
+        for k, v in f_fun(n, m).factors.items():
+            exps[k] = exps.get(k, 0) + v
+    return QTFactored(1, 0, 0, exps)
+
+
+def weight_outcome(weigh, poset, pi):
+    try:
+        w = weigh(poset, pi)
+    except ZeroDivisionError:
+        return "raises"
+    return (w.coeff, w.qexp, w.texp, tuple(sorted(w.factors.items())))
+
+
+WEIGHT_POSETS = [
+    (build_shifted(P([3, 2])), 8),
+    (build_shifted(P([4, 2, 1])), 7),
+    (build_bird(P([3, 2]), P([2, 1]), 2), 6),
+    (build_banner(P([4, 3, 2, 1]), 2), 7),
+]
+
+
+@pytest.mark.parametrize("poset, D", WEIGHT_POSETS,
+                         ids=[p.family for p, _ in WEIGHT_POSETS])
+def test_weight_generic_matches_the_pair_walk(poset, D):
+    pis = list(enumerate_p_partitions(poset, D))
+    assert len(pis) > 50
+    for pi in pis:
+        assert weight_generic(poset, pi).factors == \
+            pair_walk_weight(poset, pi).factors
+        assert weight_outcome(weight_generic, poset, pi) == \
+            weight_outcome(pair_walk_weight, poset, pi)
+    # off P-partitions both give zero, or both raise ZeroDivisionError
+    rng = random.Random(D)
+    outcomes = set()
+    for _ in range(300):
+        pi = {e: rng.randint(0, 3) for e in poset.elements}
+        got = weight_outcome(weight_generic, poset, pi)
+        assert got == weight_outcome(pair_walk_weight, poset, pi)
+        outcomes.add(got if got == "raises" or got[0] == 0 else "weight")
+    assert {"raises", (0, 0, 0, ())} <= outcomes

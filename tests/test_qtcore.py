@@ -10,6 +10,7 @@ from qthook.qtcore import (
     BiPoly,
     EvalPoint,
     QTFactored,
+    VanishingFactor,
     b_el,
     b_el_f_form,
     b_lambda,
@@ -396,3 +397,61 @@ def test_qtcoeff_equals_matches_qt_equals():
         assert QTCoeff.from_qtf(f1 * c).equals(QTCoeff.from_qtf(f2 * c)) == \
             qt_equals(f1 * c, f2 * c)
         assert QTCoeff.from_qtf(f1 * c).equals(QTCoeff.from_qtf(c * f1))
+
+
+# -- one-division point evaluation against the plain Fraction product --------
+
+def plain_value(x: QTFactored, pt: EvalPoint) -> Fraction:
+    """The reference: a Fraction product, one factor at a time."""
+    if x.coeff == 0:
+        return Fraction(0)
+    val = x.coeff * pt.q0 ** x.qexp * pt.t0 ** x.texp
+    for (a, b), e in x.factors.items():
+        val *= (1 - pt.q0 ** a * pt.t0 ** b) ** e
+    return val
+
+
+EVAL_POINTS = sample_points(4, seed=9) + [
+    EvalPoint(Fraction(-2, 3), Fraction(5, 2)),
+    EvalPoint(Fraction(7, 5), Fraction(-3, 4)),
+    EvalPoint(-3, Fraction(-1, 2)),
+]
+
+
+def random_qtf(rng, keys):
+    factors = {k: rng.randint(-3, 3) for k in rng.sample(keys, rng.randint(0, 6))}
+    return QTFactored(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                      rng.randint(-4, 4), rng.randint(-4, 4), factors)
+
+
+@pytest.mark.parametrize("pt", EVAL_POINTS, ids=repr)
+def test_evaluate_matches_the_plain_product(pt):
+    rng = random.Random(str(pt))
+    # nonnegative keys are all the package builds; the others take the
+    # Fraction branch of EvalPoint.binomial
+    keys = [(a, b) for a in range(-2, 6) for b in range(-2, 6) if (a, b) != (0, 0)]
+    vanished = 0
+    for _ in range(400):
+        x = random_qtf(rng, keys)
+        if any(1 == pt.q0 ** a * pt.t0 ** b for a, b in x.factors):
+            vanished += 1
+            with pytest.raises(VanishingFactor):
+                x.evaluate(pt)
+            continue
+        assert x.evaluate(pt) == plain_value(x, pt)
+        assert QTCoeff.from_qtf(x).evaluate(pt) == plain_value(x, pt)
+    assert vanished < 400
+
+
+def test_evaluate_raises_on_a_vanishing_factor():
+    pt = EvalPoint(2, Fraction(1, 2))  # 1 - q t = 0
+    for e in (1, -2):
+        x = QTFactored(3, -1, 2, {(1, 0): 1, (1, 1): e})
+        with pytest.raises(VanishingFactor):
+            x.evaluate(pt)
+    # a QTCoeff expands a positive power into its numerator, which is then 0
+    assert QTCoeff.from_qtf(QTFactored.binomial(1, 1)).evaluate(pt) == 0
+    with pytest.raises(VanishingFactor):
+        QTCoeff.from_qtf(QTFactored.binomial(1, 1, -2)).evaluate(pt)
+    # a zero weight is 0 whatever its factors
+    assert QTFactored.zero().evaluate(pt) == 0

@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from qthook.dposet import build_banner, build_bird, hook_monomials
+from qthook.partitions import Partition as P
 from qthook.qtcore import EvalPoint, QTFactored, f_fun
 from qthook.series import (
     CoeffRing,
     MultiSeries,
     QTCoeff,
     VarSet,
+    product_of_f,
     series_equals,
     series_f,
     substitute_monomials,
@@ -170,3 +173,36 @@ def test_json_dump_shape():
     assert d["vars"] == ["z0", "z1", "z2"]
     assert d["truncation"] == 2 and d["mode"] == "exact"
     assert all(set(t) == {"exps", "num", "den"} for t in d["terms"])
+
+
+# -- product_of_f against the same factors in other orders -------------------
+
+def product_in_order(monos, varset, trunc, ring):
+    """prod F(x^m) multiplied in the order given: the reference."""
+    out = MultiSeries.constant(1, varset, trunc, ring)
+    for m in monos:
+        out = out * series_f(m, varset, trunc, ring)
+    return out
+
+
+@pytest.mark.parametrize("family, D", [("banner", 6), ("bird", 5)])
+def test_product_of_f_does_not_depend_on_the_order(family, D):
+    poset = (build_banner(P([4, 3, 2, 1]), 2) if family == "banner"
+             else build_bird(P([3, 2]), P([2, 1]), 2))
+    varset = poset.varset
+    monos = [varset.monomial(m)
+             for m in hook_monomials(poset, verify_choices=False).values()]
+    rng = random.Random(D)
+    orders = [monos, monos[::-1]] + [rng.sample(monos, len(monos)) for _ in range(2)]
+    ring = CoeffRing("eval", EvalPoint(Fraction(-2, 3), Fraction(5, 7)))
+    got = product_of_f(monos, varset, D, ring)
+    assert len(got.terms) > 50
+    for order in orders:
+        assert product_of_f(order, varset, D, ring).terms == got.terms
+        assert product_in_order(order, varset, D, ring).terms == got.terms
+    got = product_of_f(monos, varset, D, EXACT)
+    for order in orders[:2]:
+        ref = product_in_order(order, varset, D, EXACT)
+        assert got.terms.keys() == ref.terms.keys()
+        assert all(got.terms[m].num_den_strings() == ref.terms[m].num_den_strings()
+                   for m in got.terms)
