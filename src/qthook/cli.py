@@ -93,7 +93,13 @@ def cmd_verify_identity(args) -> int:
 def cmd_verify_all(args) -> int:
     if args.points < 1:
         raise SystemExit(_usage("--points must be >= 1"))
-    reports = suites.run_all(seed=args.seed, points=args.points)
+    reports = []
+    for r in suites.run_all(seed=args.seed, points=args.points):
+        status = "PASS" if r.passed else "FAIL"
+        label = r.check if not r.params else f"{r.check} {r.params}"
+        print(f"{status} {label}", file=sys.stderr)
+        reports.append(r)
+    reports.sort(key=lambda r: (r.check, str(r.params)))
     payload = {
         "schemaVersion": 1,
         "profile": args.profile,
@@ -101,20 +107,22 @@ def cmd_verify_all(args) -> int:
         "result": "pass" if all(r.passed for r in reports) else "fail",
     }
     _emit(payload, args.out)
-    for r in reports:
-        status = "PASS" if r.passed else "FAIL"
-        label = r.check if not r.params else f"{r.check} {r.params}"
-        print(f"{status} {label}", file=sys.stderr)
     return 0 if all(r.passed for r in reports) else 1
+
+
+def _hook_agreement(rec: dict, closed: dict) -> bool:
+    """Whether the recursion and the closed form give the same multiset of
+    hook monomials."""
+    rec_ms, closed_ms = (sorted(tuple(sorted(m.items())) for m in h.values())
+                         for h in (rec, closed))
+    return rec_ms == closed_ms
 
 
 def _poset_json(poset) -> dict:
     rec = hook_monomials(poset, verify_choices=False)
     try:
         closed = hook_monomials_closed_form(poset)
-        rec_ms = sorted(tuple(sorted(m.items())) for m in rec.values())
-        closed_ms = sorted(tuple(sorted(m.items())) for m in closed.values())
-        agreement = rec_ms == closed_ms
+        agreement = _hook_agreement(rec, closed)
     except ValueError:
         closed, agreement = None, None
     ok, reason = d_complete_check(poset)
@@ -156,12 +164,10 @@ def cmd_show(args) -> int:
     if args.what == "hooks":
         rec = hook_monomials(poset, verify_choices=False)
         closed = hook_monomials_closed_form(poset)
-        rec_ms = sorted(tuple(sorted(m.items())) for m in rec.values())
-        closed_ms = sorted(tuple(sorted(m.items())) for m in closed.values())
         payload = {
             "family": poset.family,
             "hooks": {str(e): dict(sorted(m.items())) for e, m in rec.items()},
-            "agreement": rec_ms == closed_ms,
+            "agreement": _hook_agreement(rec, closed),
         }
         _emit(payload, args.out)
         return 0

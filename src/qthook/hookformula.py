@@ -15,17 +15,11 @@ from __future__ import annotations
 from .dposet import (ColoredPoset, _alias_tables, _complement, _mono_mul,
                      enumerate_p_partitions, hook_monomials)
 from .partitions import (Partition, bounded_tuples, is_horizontal_strip,
-                         monotone_chains, partitions_of)
-from .qtcore import (QTFactored, b_el, b_lambda, f_fun, phi_skew, psi_skew,
-                     resampled)
+                         monotone_chains, partitions_up_to)
+from .qtcore import (EvalPoint, QTFactored, b_el, b_lambda, f_fun, phi_skew,
+                     psi_skew, resampled)
 from .report import VerificationReport, timed
-from .series import (
-    CoeffRing,
-    MultiSeries,
-    VarSet,
-    product_of_f,
-    series_equals,
-)
+from .series import MultiSeries, VarSet, product_of_f, series_equals
 
 HAT = "__hat__"
 NO_TRUNC = 10 ** 9
@@ -408,22 +402,22 @@ def lhs_terms(poset: ColoredPoset,
     return out
 
 
-def lhs_series(poset: ColoredPoset, trunc: int, ring: CoeffRing,
-               terms=None) -> MultiSeries:
+def lhs_series(poset: ColoredPoset, trunc: int,
+               point: EvalPoint | None = None, terms=None) -> MultiSeries:
     """Sum over P-partitions of weight <= trunc of W(pi) z^pi."""
-    out = MultiSeries(poset.varset, trunc, ring)
+    out = MultiSeries(poset.varset, trunc, point)
     for mono, w in (terms if terms is not None else lhs_terms(poset, trunc)):
         out.add_term(mono, w)
     return out
 
 
-def rhs_series(poset: ColoredPoset, trunc: int, ring: CoeffRing,
-               hooks=None) -> MultiSeries:
+def rhs_series(poset: ColoredPoset, trunc: int,
+               point: EvalPoint | None = None, hooks=None) -> MultiSeries:
     """Product of F(hook monomial) over the vertices, truncated."""
     if hooks is None:
         hooks = hook_monomials(poset, verify_choices=False)
     return product_of_f([poset.varset.monomial(m) for m in hooks.values()],
-                        poset.varset, trunc, ring)
+                        poset.varset, trunc, point)
 
 
 def verify_okada(poset: ColoredPoset, trunc: int, mode: str = "exact",
@@ -447,9 +441,8 @@ def verify_okada(poset: ColoredPoset, trunc: int, mode: str = "exact",
             raise ValueError("eval mode requires points")
 
         def sides(pt):
-            ring = CoeffRing("exact") if pt is None else CoeffRing("eval", pt)
-            return (lhs_series(poset, trunc, ring, terms),
-                    rhs_series(poset, trunc, ring, hooks))
+            return (lhs_series(poset, trunc, pt, terms),
+                    rhs_series(poset, trunc, pt, hooks))
 
         for pt, (lhs, rhs) in resampled(point_list, seed, sides):
             if pt is not None:
@@ -478,7 +471,7 @@ def _kernel_f_args(tilde: dict, parts: Partition, n: int) -> list[dict]:
 
 
 def _kernel(poset: ColoredPoset, al: dict, trunc: int,
-            ring: CoeffRing) -> MultiSeries:
+            point: EvalPoint | None) -> MultiSeries:
     """The kernel prefactor: F at every wing's complement-pair argument."""
     if poset.family == "bird":
         args = (_kernel_f_args(al["zt"], poset.params["alpha"], al["m"])
@@ -486,13 +479,13 @@ def _kernel(poset: ColoredPoset, al: dict, trunc: int,
     else:
         args = _kernel_f_args(al["zt"], poset.params["alpha"], al["n"])
     return product_of_f([poset.varset.monomial(a) for a in args],
-                        poset.varset, trunc, ring)
+                        poset.varset, trunc, point)
 
 
-def _series_from_poly(poly, images: list[dict], varset: VarSet, trunc: int,
-                      ring: CoeffRing) -> MultiSeries:
+def _series_from_poly(poly, images: list[dict], varset: VarSet,
+                      point: EvalPoint | None) -> MultiSeries:
     """Substitute a SymPoly at alias monomials (kept exact, no truncation)."""
-    out = MultiSeries(varset, trunc, ring)
+    out = MultiSeries(varset, NO_TRUNC, point)
     for exps, c in poly.coeffs.items():
         mono = {}
         for e, img in zip(exps, images):
@@ -502,37 +495,54 @@ def _series_from_poly(poly, images: list[dict], varset: VarSet, trunc: int,
     return out
 
 
-def lhs_macdonald_form(poset: ColoredPoset, trunc: int,
-                       ring: CoeffRing) -> MultiSeries:
-    """The trace-resummed left-hand side (kernel times Macdonald sums)."""
+def _wing_series(poset: ColoredPoset, al: dict, lam: Partition,
+                 point: EvalPoint | None) -> MultiSeries:
+    """P_lam at the z~ aliases of the alpha wing (x~_0 times each on a bird:
+    the hook table, checked against the diamond recursion, puts x~_0 inside
+    the Cauchy arguments, not x~_1), and on birds times Q_lam at the y~
+    aliases of the beta wing; untruncated."""
     from .macdonald import macdonald_p, macdonald_q
 
-    al = _alias_tables(poset)
-    varset = poset.varset
-    fam = poset.family
-    if fam == "shifted":
-        alpha = poset.params["alpha"]
-        r = alpha.length()
-        out = _kernel(poset, al, trunc, ring)
-        lam_sum = MultiSeries(varset, trunc, ring)
-        for d in range(trunc + 1):
-            for lam in partitions_of(d, None, r):
-                term = _series_from_poly(
-                    macdonald_p(lam, r),
-                    [al["zt"][alpha[i]] for i in range(1, r + 1)],
-                    varset, NO_TRUNC, ring)
-                md = term.min_total_degree()
-                if md is not None:
-                    assert md >= lam.weight()
-                wexp = (lam.weight() - lam.odd_columns()) // 2
-                shift = varset.monomial(_scaled(al["w"], wexp))
-                term = term.scale(b_el(lam)).shift_monomial(shift)
-                lam_sum = lam_sum + term.truncated(trunc)
-        return out * lam_sum
+    fam, alpha = poset.family, poset.params["alpha"]
+    width = {"shifted": alpha.length(), "bird": 2, "banner": 4}[fam]
+    images = [al["zt"][alpha[i]] for i in range(1, width + 1)]
     if fam == "bird":
-        alpha, beta, f = (poset.params[k] for k in ("alpha", "beta", "f"))
-        out = _kernel(poset, al, trunc, ring)
-        the_sum = MultiSeries(varset, trunc, ring)
+        images = [_mono_mul(al["xt"][0], m) for m in images]
+    out = _series_from_poly(macdonald_p(lam, width), images, poset.varset,
+                            point)
+    if fam == "bird":
+        beta = poset.params["beta"]
+        out = out * _series_from_poly(
+            macdonald_q(lam, 2), [al["yt"][beta[i]] for i in (1, 2)],
+            poset.varset, point)
+    return out
+
+
+def _add_shifted(total: MultiSeries, term: MultiSeries, shift: dict,
+                 floor: int, trunc: int) -> MultiSeries:
+    """total + (term times the alias monomial ``shift``) truncated at
+    ``trunc``, after asserting that no shifted term has total degree below
+    ``floor`` (so that the terms the sum leaves out all vanish)."""
+    term = term.shift_monomial(total.varset.monomial(shift))
+    md = term.min_total_degree()
+    assert md is None or md >= floor
+    return total + term.truncated(trunc)
+
+
+def lhs_macdonald_form(poset: ColoredPoset, trunc: int,
+                       point: EvalPoint | None = None) -> MultiSeries:
+    """The trace-resummed left-hand side (kernel times Macdonald sums)."""
+    al = _alias_tables(poset)  # raises for any family but the three
+    fam = poset.family
+    the_sum = MultiSeries(poset.varset, trunc, point)
+    if fam == "shifted":
+        for lam in partitions_up_to(trunc, poset.params["alpha"].length()):
+            wexp = (lam.weight() - lam.odd_columns()) // 2  # w has degree 0
+            the_sum = _add_shifted(
+                the_sum, _wing_series(poset, al, lam, point).scale(b_el(lam)),
+                _scaled(al["w"], wexp), lam.weight(), trunc)
+    elif fam == "bird":
+        f = poset.params["f"]
         # (rho, theta) chains with sum(rho_i + theta_i) <= trunc
         chains = ((dict(enumerate((rho0,) + rs)), dict(enumerate((theta0,) + ts)))
                   for theta0 in range(trunc + 1) for rho0 in range(theta0 + 1)
@@ -542,128 +552,62 @@ def lhs_macdonald_form(poset: ColoredPoset, trunc: int,
         for rho, theta in chains:
             lam = Partition((theta[0], rho[0]))
             scal, shift = phi_tilde(rho, theta, 0, f, al["xt"])
-            p_part = _series_from_poly(
-                macdonald_p(lam, 2),
-                [_mono_mul(al["xt"][0], al["zt"][alpha[i]]) for i in (1, 2)],
-                varset, NO_TRUNC, ring)
-            q_part = _series_from_poly(
-                macdonald_q(lam, 2),
-                [al["yt"][beta[i]] for i in (1, 2)],
-                varset, NO_TRUNC, ring)
-            term = (p_part * q_part).scale(scal)
-            term = term.shift_monomial(varset.monomial(shift))
-            md = term.min_total_degree()
-            if md is not None:
-                floor = sum(rho.values()) + sum(theta.values())
-                assert md >= floor
-            the_sum = the_sum + term.truncated(trunc)
-        return out * the_sum
-    if fam == "banner":
-        alpha, f = poset.params["alpha"], poset.params["f"]
-        out = _kernel(poset, al, trunc, ring)
-        the_sum = MultiSeries(varset, trunc, ring)
+            the_sum = _add_shifted(
+                the_sum, _wing_series(poset, al, lam, point).scale(scal), shift,
+                sum(rho.values()) + sum(theta.values()), trunc)
+    else:
+        f = poset.params["f"]
         # (lam, rho, theta) with l(lam) <= 4, rho_1 = lam_4, theta_1 = lam_2
         # and |lam| + sum_{i >= 2} (rho_i + theta_i) <= trunc
         triples = ((lam, dict(enumerate((lam[4],) + rs, start=1)),
                     dict(enumerate((lam[2],) + ts, start=1)))
-                   for d in range(trunc + 1) for lam in partitions_of(d, None, 4)
+                   for lam in partitions_up_to(trunc, 4)
                    for rs in monotone_chains(0, lam[4], f - 1)
                    for ts in monotone_chains(lam[2], trunc, f - 1, increasing=True)
                    if lam.weight() + sum(rs) + sum(ts) <= trunc)
         for lam, rho, theta in triples:
             hat, shift = phi_tilde(rho, theta, 1, f, al["xt"])
-            term = _series_from_poly(
-                macdonald_p(lam, 4),
-                [al["zt"][alpha[i]] for i in range(1, 5)],
-                varset, NO_TRUNC, ring).scale(hat * b_el(lam))
             shift = _mono_mul(shift, _scaled(_mono_mul(al["xt"][2], al["w"]),
                                              lam[2] + lam[4]))
-            term = term.shift_monomial(varset.monomial(shift))
-            md = term.min_total_degree()
-            if md is not None:
-                floor = lam.weight() + sum(rho[i] + theta[i]
-                                           for i in range(2, f + 1))
-                assert md >= floor
-            the_sum = the_sum + term.truncated(trunc)
-        return out * the_sum
-    raise ValueError(f"no Macdonald form for family {fam!r}")
+            floor = lam.weight() + sum(rho[i] + theta[i] for i in range(2, f + 1))
+            the_sum = _add_shifted(
+                the_sum,
+                _wing_series(poset, al, lam, point).scale(hat * b_el(lam)),
+                shift, floor, trunc)
+    return _kernel(poset, al, trunc, point) * the_sum
 
 
 def rhs_macdonald_form(poset: ColoredPoset, trunc: int,
-                       ring: CoeffRing) -> MultiSeries:
-    """The hook-product right-hand side rewritten through Macdonald sums."""
-    from .macdonald import macdonald_p, macdonald_q
+                       point: EvalPoint | None = None) -> MultiSeries:
+    """The hook-product right-hand side rewritten through Macdonald sums.
 
+    Birds and banners run one sum; they differ in the wing width, the first
+    x~ index of the tail, the b-ratio and the base shift.  Every term of
+    shape lam has total degree >= |lam| (asserted), so |lam| <= trunc.
+    """
     al = _alias_tables(poset)
-    varset = poset.varset
     fam = poset.family
-    if fam == "bird":
-        alpha, beta, f = (poset.params[k] for k in ("alpha", "beta", "f"))
-        out = _kernel(poset, al, trunc, ring)
-        xdeg = {i: sum(al["xt"][i].values()) for i in range(1, f + 1)}
-        the_sum = MultiSeries(varset, trunc, ring)
-        for lam_w in range(0, 2 * trunc + 1):
-            for lam in partitions_of(lam_w, None, 2):
-                # the hook table (checked against the diamond recursion)
-                # puts x~_0 inside the Cauchy arguments, not x~_1
-                p_part = _series_from_poly(
-                    macdonald_p(lam, 2),
-                    [_mono_mul(al["xt"][0], al["zt"][alpha[i]]) for i in (1, 2)],
-                    varset, NO_TRUNC, ring)
-                q_part = _series_from_poly(
-                    macdonald_q(lam, 2),
-                    [al["yt"][beta[i]] for i in (1, 2)],
-                    varset, NO_TRUNC, ring)
-                pq = p_part * q_part
-                for l in range(0, lam[2] + 1):
-                    b_ratio = b_lambda(lam.sub_rectangle(l, 2)) / b_lambda(lam)
-                    for ls in bounded_tuples([1] * f, l, exact=True):
-                        neg = sum(xdeg[i] * ls[i - 1] for i in range(1, f + 1))
-                        for ks in bounded_tuples(
-                                [xdeg[i] for i in range(1, f + 1)],
-                                trunc + neg):
-                            coeff = b_ratio
-                            for i in range(1, f + 1):
-                                coeff = coeff * f_fun(ks[i - 1], 0) \
-                                    * f_fun(ls[i - 1], 0)
-                            shift = {}
-                            for i in range(1, f + 1):
-                                shift = _mono_mul(shift, al["xt"][i],
-                                                  ks[i - 1] - ls[i - 1])
-                            term = pq.scale(coeff).shift_monomial(
-                                varset.monomial(shift))
-                            the_sum = the_sum + term.truncated(trunc)
-        return out * the_sum
-    if fam == "banner":
-        alpha, f = poset.params["alpha"], poset.params["f"]
-        out = _kernel(poset, al, trunc, ring)
-        xdeg = {i: sum(al["xt"][i].values()) for i in range(2, f + 1)}
-        the_sum = MultiSeries(varset, trunc, ring)
-        for lam_w in range(0, trunc + 1):
-            for lam in partitions_of(lam_w, None, 4):
-                p_series = _series_from_poly(
-                    macdonald_p(lam, 4),
-                    [al["zt"][alpha[i]] for i in range(1, 5)],
-                    varset, NO_TRUNC, ring)
-                for l in range(0, lam[4] + 1):
-                    b_ratio = b_el(lam.sub_rectangle(l, 4))
-                    for ls in bounded_tuples([1] * (f - 1), l, exact=True):
-                        neg = sum(xdeg[i] * ls[i - 2] for i in range(2, f + 1))
-                        for ks in bounded_tuples(
-                                [xdeg[i] for i in range(2, f + 1)],
-                                trunc + neg):
-                            coeff = b_ratio
-                            for i in range(2, f + 1):
-                                coeff = coeff * f_fun(ks[i - 2], 0) \
-                                    * f_fun(ls[i - 2], 0)
-                            shift = _scaled(_mono_mul(al["xt"][2], al["w"]),
-                                            lam[2] + lam[4])
-                            for i in range(2, f + 1):
-                                shift = _mono_mul(shift, al["xt"][i],
-                                                  ks[i - 2] - ls[i - 2])
-                            term = p_series.scale(coeff).shift_monomial(
-                                varset.monomial(shift))
-                            the_sum = the_sum + term.truncated(trunc)
-        return out * the_sum
-    raise ValueError(f"no Macdonald RHS for family {fam!r}")
-
+    if fam not in ("bird", "banner"):
+        raise ValueError(f"no Macdonald RHS for family {fam!r}")
+    bird = fam == "bird"
+    width, first = (2, 1) if bird else (4, 2)
+    tail = range(first, poset.params["f"] + 1)
+    xdeg = [sum(al["xt"][i].values()) for i in tail]
+    the_sum = MultiSeries(poset.varset, trunc, point)
+    for lam in partitions_up_to(trunc, width):
+        wing = _wing_series(poset, al, lam, point)
+        base = {} if bird else _scaled(_mono_mul(al["xt"][2], al["w"]),
+                                       lam[2] + lam[4])
+        for l in range(lam[width] + 1):
+            inner = lam.sub_rectangle(l, width)
+            ratio = b_lambda(inner) / b_lambda(lam) if bird else b_el(inner)
+            for ls in bounded_tuples([1] * len(xdeg), l, exact=True):
+                neg = sum(d * e for d, e in zip(xdeg, ls))
+                for ks in bounded_tuples(xdeg, trunc + neg):
+                    coeff, shift = ratio, base
+                    for i, k, e in zip(tail, ks, ls):
+                        coeff = coeff * f_fun(k, 0) * f_fun(e, 0)
+                        shift = _mono_mul(shift, al["xt"][i], k - e)
+                    the_sum = _add_shifted(the_sum, wing.scale(coeff), shift,
+                                           lam.weight(), trunc)
+    return _kernel(poset, al, trunc, point) * the_sum

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from .partitions import Partition, bounded_tuples, monotone_chains
-from .qtcore import b_el, b_lambda, f_fun, qt_equals, resampled
+from .qtcore import b_el, b_lambda, f_fun, qt_equals
 from .report import VerificationReport, timed
 from .series import QTCoeff
 
@@ -273,19 +273,6 @@ def _qsum(values) -> QTCoeff:
     return total
 
 
-def _coeff_equal(lhs: QTCoeff, rhs: QTCoeff, mode: str = "exact",
-                 points=None, seed: int = 0) -> bool:
-    """Compare two summed coefficients, exactly or at sample points."""
-    if mode == "exact":
-        return lhs.equals(rhs)
-    if mode != "eval":
-        raise ValueError(f"unknown mode {mode!r}")
-    if not points:
-        raise ValueError("eval mode requires at least one point")
-    return all(same for _, same in resampled(
-        points, seed, lambda pt: lhs.evaluate(pt) == rhs.evaluate(pt)))
-
-
 def lemma_both_sides(m: int, k0: int, rho0: int, theta0: int, gamma: int):
     """Both sides of the single-step summation lemma: the n = 1 case of
     :func:`general_both_sides`."""
@@ -294,8 +281,7 @@ def lemma_both_sides(m: int, k0: int, rho0: int, theta0: int, gamma: int):
 
 def lemma_check(m, k0, rho0, theta0, gamma, mode: str = "exact",
                 points=None) -> bool:
-    lhs, rhs = lemma_both_sides(m, k0, rho0, theta0, gamma)
-    return _coeff_equal(lhs, rhs, mode, points)
+    return qt_equals(*lemma_both_sides(m, k0, rho0, theta0, gamma), mode, points)
 
 
 def general_both_sides(m: int, n: int, k0: int, rho0: int, theta0: int,
@@ -337,8 +323,7 @@ def general_both_sides(m: int, n: int, k0: int, rho0: int, theta0: int,
 
 def general_check(m, n, k0, rho0, theta0, gamma, mode: str = "exact",
                   points=None) -> bool:
-    lhs, rhs = general_both_sides(m, n, k0, rho0, theta0, gamma)
-    return _coeff_equal(lhs, rhs, mode, points)
+    return qt_equals(*general_both_sides(m, n, k0, rho0, theta0, gamma), mode, points)
 
 
 def _final_both_sides(rho_m: int, theta_m: int, m: int, n: int, r: list[int]):
@@ -378,8 +363,7 @@ def birds_final_both_sides(rho0: int, theta0: int, f: int, r: list[int]):
 
 def birds_final_check(rho0, theta0, f, r, mode: str = "exact",
                       points=None) -> bool:
-    lhs, rhs = birds_final_both_sides(rho0, theta0, f, r)
-    return _coeff_equal(lhs, rhs, mode, points)
+    return qt_equals(*birds_final_both_sides(rho0, theta0, f, r), mode, points)
 
 
 def banners_final_both_sides(lam: Partition, f: int, r: list[int]):
@@ -393,8 +377,7 @@ def banners_final_both_sides(lam: Partition, f: int, r: list[int]):
 
 
 def banners_final_check(lam, f, r, mode: str = "exact", points=None) -> bool:
-    lhs, rhs = banners_final_both_sides(lam, f, r)
-    return _coeff_equal(lhs, rhs, mode, points)
+    return qt_equals(*banners_final_both_sides(lam, f, r), mode, points)
 
 
 def b_ratio_checks(max_size: int = 4) -> bool:

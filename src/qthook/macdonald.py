@@ -39,7 +39,6 @@ from .qtcore import (
     psi_skew,
 )
 from .series import (
-    CoeffRing,
     MultiSeries,
     QTCoeff,
     VarSet,
@@ -47,8 +46,6 @@ from .series import (
     series_equals,
     series_f,
 )
-
-EXACT = CoeffRing("exact")
 
 
 class SymPoly:
@@ -672,7 +669,7 @@ def inject_sympoly(poly: SymPoly, slot: list[int], varset: VarSet,
                    trunc: int) -> MultiSeries:
     """Place a SymPoly on the chosen variable positions of a larger VarSet."""
     assert poly.n == len(slot)
-    out = MultiSeries(varset, trunc, EXACT)
+    out = MultiSeries(varset, trunc)
     nvars = len(varset)
     for exps, c in poly.coeffs.items():
         mono = [0] * nvars
@@ -684,7 +681,7 @@ def inject_sympoly(poly: SymPoly, slot: list[int], varset: VarSet,
 
 def _product_series(factors, varset, trunc) -> MultiSeries:
     """Product of (SymPoly, slot) pairs as a truncated series."""
-    out = MultiSeries.constant(1, varset, trunc, EXACT)
+    out = MultiSeries.constant(1, varset, trunc)
     for poly, slot in factors:
         out = out * inject_sympoly(poly, slot, varset, trunc)
         if out.is_zero():
@@ -710,7 +707,7 @@ def _bracket_sum_check(eps: tuple[int, ...], lam0: Partition, lamN: Partition,
     varset, slots = _group_varset(groups)
     slot = [slots[prefix] for prefix, _ in groups]
     up, down = (skew_q, skew_p) if kind == "P" else (skew_p, skew_q)
-    lhs = MultiSeries(varset, trunc, EXACT)
+    lhs = MultiSeries(varset, trunc)
 
     def walk(i, prev, used, factors):
         nonlocal lhs
@@ -743,13 +740,13 @@ def _bracket_sum_check(eps: tuple[int, ...], lam0: Partition, lamN: Partition,
               for a in slot[i] for b in slot[j]]
     minus = [p for i in range(n) if eps[i] < 0 for p in slot[i]]
     plus = [p for i in range(n) if eps[i] > 0 for p in slot[i]]
-    nu_sum = MultiSeries(varset, trunc, EXACT)
+    nu_sum = MultiSeries(varset, trunc)
     for nu in partitions_up_to(min(lam0.weight(), lamN.weight())):
         if lam0.contains(nu) and lamN.contains(nu):
             nu_sum = nu_sum + _product_series(
                 [(up(lamN, nu, len(minus)), minus),
                  (down(lam0, nu, len(plus)), plus)], varset, trunc)
-    return series_equals(lhs, product_of_f(kernel, varset, trunc, EXACT) * nu_sum)
+    return series_equals(lhs, product_of_f(kernel, varset, trunc) * nu_sum)
 
 
 def cauchy_check(n: int, m: int, trunc: int):
@@ -874,34 +871,34 @@ def warnaar_check(variant: str, n: int, trunc: int):
 
     b_fun = b_oa if variant == "oa" else b_el
 
-    lhs = MultiSeries(varset, trunc, EXACT)
+    lhs = MultiSeries(varset, trunc)
     for lam in partitions_up_to(trunc, max_length=n):
         term = inject_sympoly(macdonald_p(lam, n), xs, varset, trunc)
         lhs = lhs + term.scale(b_fun(lam)).shift_monomial(
             _mono(varset, w * w_exponent(lam)))
 
     if variant == "oa":
-        rhs = MultiSeries.constant(1, varset, trunc, EXACT)
+        rhs = MultiSeries.constant(1, varset, trunc)
         for i in xs:
             # (1 + w x_i) * (qt x_i^2; q^2)_inf / (x_i^2; q^2)_inf
-            diag = MultiSeries(varset, trunc, EXACT)
+            diag = MultiSeries(varset, trunc)
             k = 0
             while 2 * k <= trunc:
                 diag.add_term(_mono(varset, [i] * (2 * k)),
                               _oa_diagonal_coeff(k))
                 k += 1
-            lin = MultiSeries.constant(1, varset, trunc, EXACT)
+            lin = MultiSeries.constant(1, varset, trunc)
             lin.add_term(_mono(varset, w + [i]), QTFactored.one())
             rhs = rhs * diag * lin
         for a in range(len(xs)):
             for b in range(a + 1, len(xs)):
                 rhs = rhs * series_f(_mono(varset, [xs[a], xs[b]]),
-                                     varset, trunc, EXACT)
+                                     varset, trunc)
     else:
         single_w = [] if variant == "even" else w
         single = [_mono(varset, single_w + [i]) for i in xs]
         pair_w = [] if variant == "el" else w
         pairs = [_mono(varset, pair_w + [xs[a], xs[b]])
                  for a in range(len(xs)) for b in range(a + 1, len(xs))]
-        rhs = product_of_f(single + pairs, varset, trunc, EXACT)
+        rhs = product_of_f(single + pairs, varset, trunc)
     return series_equals(lhs, rhs)

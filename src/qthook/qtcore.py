@@ -294,7 +294,7 @@ class QTFactored:
 
     The canonical zero has coeff == 0, empty factors and zero exponents.
     Factors are not irreducible, so multiset equality of factors is only a
-    sufficient test; real equality goes through :func:`qt_equals`.
+    sufficient test; real equality goes through :meth:`equals`.
     """
 
     __slots__ = ("coeff", "qexp", "texp", "factors")
@@ -394,13 +394,22 @@ class QTFactored:
             return ZERO
         return point.value(self.coeff, self.qexp, self.texp, self.factors)
 
+    def equals(self, other: "QTFactored") -> bool:
+        """Exact equality: cancel the factors both sides share, expand what
+        is left and compare."""
+        if self.coeff == 0 or other.coeff == 0:
+            return self.coeff == other.coeff
+        u, v = cancelled_ratio(self.qexp, self.texp, self.factors,
+                               other.qexp, other.texp, other.factors)
+        return u.scale(self.coeff) == v.scale(other.coeff)
+
     def __eq__(self, other):
         if not isinstance(other, QTFactored):
             if other in (0, 1):
                 other = QTFactored(other)
             else:
                 return NotImplemented
-        return qt_equals(self, other)
+        return self.equals(other)
 
     def __hash__(self):
         raise TypeError("QTFactored is unhashable; compare via qt_equals")
@@ -441,21 +450,16 @@ def cancelled_ratio(xq: int, xt: int, xf: dict,
     return u, v
 
 
-def qt_equals(x: QTFactored, y: QTFactored, mode: str = "exact",
+def qt_equals(x, y, mode: str = "exact",
               points: list[EvalPoint] | None = None, seed: int = 0) -> bool:
-    """Decide x == y.
+    """Decide x == y for two QTFactored or two QTCoeff values.
 
-    Exact mode cancels the factors both sides share, expands what is left
-    and compares; it is a decision procedure.  Eval mode compares values at
-    every sample point (resampling a point when a factor vanishes there) and
-    is one-sided: agreement everywhere reports equality.
+    Exact mode is ``x.equals(y)``, a decision procedure.  Eval mode compares
+    values at every sample point (resampling a point when a factor vanishes
+    there) and is one-sided: agreement everywhere reports equality.
     """
     if mode == "exact":
-        if x.coeff == 0 or y.coeff == 0:
-            return x.coeff == y.coeff
-        u, v = cancelled_ratio(x.qexp, x.texp, x.factors,
-                               y.qexp, y.texp, y.factors)
-        return u.scale(x.coeff) == v.scale(y.coeff)
+        return x.equals(y)
     if mode == "eval":
         if not points:
             raise ValueError("eval mode requires at least one point")

@@ -1,9 +1,11 @@
 """Truncated formal power series in named commuting variables.
 
-Coefficients are exact: in ``exact`` mode they are ratios of a bivariate
-polynomial in (q, t) by a product of binomials (1 - q^a t^b) (``QTCoeff``);
-in ``eval`` mode they are rational numbers obtained by evaluating every
-factor at a fixed :class:`~qthook.qtcore.EvalPoint`.  Truncation is by total
+A series carries ``point``, and its coefficients are exact either way.  With
+``point`` None (exact mode) they are ratios of a bivariate polynomial in
+(q, t) by a product of binomials (1 - q^a t^b) (``QTCoeff``); at an
+:class:`~qthook.qtcore.EvalPoint` (eval mode) they are the ``Fraction``
+values of those ratios there.  ``as_coeff`` turns any input into the one
+kind, and ``not c`` is the zero test for both.  Truncation is by total
 degree across all variables, which matches the weight |pi| of a P-partition.
 """
 
@@ -20,8 +22,6 @@ from .qtcore import (
     cancelled_ratio,
     f_series_coeff,
 )
-
-ZERO = Fraction(0)
 
 
 class QTCoeff:
@@ -60,6 +60,9 @@ class QTCoeff:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
+
+    def __bool__(self) -> bool:
+        return bool(self.num.terms)
 
     def _den_poly(self) -> BiPoly:
         out = BiPoly.monomial(1, self.dq, self.dt)
@@ -134,60 +137,30 @@ class QTCoeff:
         return f"({n})/({d})" if d != "1" else f"({n})"
 
 
-class CoeffRing:
-    """Uniform coefficient operations for one series mode."""
+def as_coeff(c, point: EvalPoint | None):
+    """``c`` as a coefficient of a series at ``point``.
 
-    def __init__(self, mode: str, point: EvalPoint | None = None):
-        if mode not in ("exact", "eval"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if mode == "eval" and point is None:
-            raise ValueError("eval mode requires an EvalPoint")
-        self.mode = mode
-        self.point = point
+    With ``point`` None (exact mode) that is a QTCoeff; at a point it is the
+    Fraction value of ``c`` there.  ``c`` is a QTFactored, a QTCoeff, an int
+    or a Fraction; anything else is a TypeError.
+    """
+    if isinstance(c, QTFactored):
+        return QTCoeff.from_qtf(c) if point is None else c.evaluate(point)
+    if isinstance(c, QTCoeff):
+        return c if point is None else c.evaluate(point)
+    if isinstance(c, (int, Fraction)):
+        return QTCoeff.from_qtf(QTFactored(c)) if point is None else Fraction(c)
+    raise TypeError(f"cannot turn {type(c).__name__} into a series coefficient")
 
-    def from_qtf(self, f: QTFactored):
-        if self.mode == "exact":
-            return QTCoeff.from_qtf(f)
-        return f.evaluate(self.point)
 
-    def zero(self):
-        return QTCoeff.zero() if self.mode == "exact" else ZERO
-
-    def one(self):
-        return QTCoeff.one() if self.mode == "exact" else Fraction(1)
-
-    def eq(self, a, b) -> bool:
-        if self.mode == "exact":
-            return a.equals(b)
-        return a == b
-
-    def is_zero(self, a) -> bool:
-        if self.mode == "exact":
-            return a.is_zero()
-        return a == 0
-
-    def coerce(self, c):
-        """Accept QTFactored, QTCoeff, Fraction or int."""
-        if isinstance(c, QTFactored):
-            return self.from_qtf(c)
-        if isinstance(c, QTCoeff):
-            if self.mode == "exact":
-                return c
-            return c.evaluate(self.point)
-        if self.mode == "eval":
-            return Fraction(c)
-        if isinstance(c, int):
-            return QTCoeff.from_qtf(QTFactored(c))
-        raise TypeError(f"cannot coerce {type(c)} into {self.mode} coefficients")
-
-    def describe(self, a) -> str:
-        if self.mode == "exact":
-            n, d = a.num_den_strings()
-            return f"({n})/({d})"
-        return str(a)
-
-    def same(self, other: "CoeffRing") -> bool:
-        return self.mode == other.mode and self.point == other.point
+def _coeff_ops(point: EvalPoint | None):
+    """(equality, text) of the coefficients of a series at ``point``: exact
+    coefficients compare by ``QTCoeff.equals`` and print as "(num)/(den)",
+    values at a point compare by ``==`` and print by ``str``."""
+    if point is None:
+        return (QTCoeff.equals,
+                lambda c: "({})/({})".format(*c.num_den_strings()))
+    return (lambda a, b: a == b), str
 
 
 class VarSet:
@@ -243,27 +216,30 @@ def mono_str(mono, varset: VarSet) -> str:
 
 
 class MultiSeries:
-    """Power series truncated at total degree D with exact coefficients."""
+    """Power series truncated at total degree D, exact (``point`` None) or
+    at an EvalPoint."""
 
-    __slots__ = ("varset", "trunc", "ring", "terms")
+    __slots__ = ("varset", "trunc", "point", "terms")
 
-    def __init__(self, varset: VarSet, trunc: int, ring: CoeffRing, terms=None):
+    def __init__(self, varset: VarSet, trunc: int,
+                 point: EvalPoint | None = None, terms=None):
         self.varset = varset
         self.trunc = trunc
-        self.ring = ring
+        self.point = point
         self.terms = {}
         for mono, c in (terms or {}).items():
-            if total_degree(mono) > trunc or ring.is_zero(c):
+            if total_degree(mono) > trunc or not c:
                 continue
             if any(e < 0 for e in mono):
                 raise ValueError(f"negative exponent in stored monomial {mono}")
             self.terms[mono] = c
 
     @staticmethod
-    def constant(c, varset: VarSet, trunc: int, ring: CoeffRing) -> "MultiSeries":
-        c = ring.coerce(c)
-        s = MultiSeries(varset, trunc, ring)
-        if not ring.is_zero(c):
+    def constant(c, varset: VarSet, trunc: int,
+                 point: EvalPoint | None = None) -> "MultiSeries":
+        c = as_coeff(c, point)
+        s = MultiSeries(varset, trunc, point)
+        if c:
             s.terms[varset.unit()] = c
         return s
 
@@ -272,20 +248,19 @@ class MultiSeries:
             raise ValueError("variable set mismatch")
         if self.trunc != other.trunc:
             raise ValueError("truncation mismatch")
-        if not self.ring.same(other.ring):
+        if self.point != other.point:
             raise ValueError("coefficient mode mismatch")
 
     def __add__(self, other: "MultiSeries") -> "MultiSeries":
         self._check_compatible(other)
-        ring = self.ring
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            s = out.get(mono, ring.zero()) + c
-            if ring.is_zero(s):
-                out.pop(mono, None)
-            else:
+            s = out[mono] + c if mono in out else c
+            if s:
                 out[mono] = s
-        res = MultiSeries(self.varset, self.trunc, ring)
+            else:
+                del out[mono]
+        res = MultiSeries(self.varset, self.trunc, self.point)
         res.terms = out
         return res
 
@@ -294,7 +269,6 @@ class MultiSeries:
 
     def __mul__(self, other: "MultiSeries") -> "MultiSeries":
         self._check_compatible(other)
-        ring = self.ring
         out = {}
         for m1, c1 in self.terms.items():
             d1 = total_degree(m1)
@@ -305,36 +279,33 @@ class MultiSeries:
                 prod = c1 * c2
                 if k in out:
                     s = out[k] + prod
-                    if ring.is_zero(s):
-                        del out[k]
-                    else:
+                    if s:
                         out[k] = s
-                elif not ring.is_zero(prod):
+                    else:
+                        del out[k]
+                elif prod:
                     out[k] = prod
-        res = MultiSeries(self.varset, self.trunc, ring)
+        res = MultiSeries(self.varset, self.trunc, self.point)
         res.terms = out
         return res
 
     def scale(self, c) -> "MultiSeries":
-        ring = self.ring
-        c = ring.coerce(c)
-        res = MultiSeries(self.varset, self.trunc, ring)
-        if ring.is_zero(c):
-            return res
-        res.terms = {m: v * c for m, v in self.terms.items()}
+        c = as_coeff(c, self.point)
+        res = MultiSeries(self.varset, self.trunc, self.point)
+        if c:
+            res.terms = {m: v * c for m, v in self.terms.items()}
         return res
 
     def add_term(self, mono, c):
         """Accumulate c * x^mono in place (trusted internal constructor)."""
-        ring = self.ring
         if total_degree(mono) > self.trunc:
             return
-        c = ring.coerce(c)
-        s = self.terms.get(mono, ring.zero()) + c
-        if ring.is_zero(s):
-            self.terms.pop(mono, None)
-        else:
+        c = as_coeff(c, self.point)
+        s = self.terms[mono] + c if mono in self.terms else c
+        if s:
             self.terms[mono] = s
+        else:
+            self.terms.pop(mono, None)
 
     def shift_monomial(self, shift: tuple[int, ...]) -> "MultiSeries":
         """Multiply by x^shift where shift may have negative entries.
@@ -342,7 +313,7 @@ class MultiSeries:
         Every shifted monomial must come out nonnegative; used for the
         Laurent prefactors that are provably cleared by the series part.
         """
-        res = MultiSeries(self.varset, self.trunc, self.ring)
+        res = MultiSeries(self.varset, self.trunc, self.point)
         for mono, c in self.terms.items():
             new = mono_mul(mono, shift)
             if any(e < 0 for e in new):
@@ -356,7 +327,7 @@ class MultiSeries:
 
     def truncated(self, new_trunc: int) -> "MultiSeries":
         """Copy with a different degree bound (dropping higher terms)."""
-        res = MultiSeries(self.varset, new_trunc, self.ring)
+        res = MultiSeries(self.varset, new_trunc, self.point)
         res.terms = {m: c for m, c in self.terms.items()
                      if total_degree(m) <= new_trunc}
         return res
@@ -365,14 +336,13 @@ class MultiSeries:
         return not self.terms
 
     def coefficient(self, mono):
-        return self.terms.get(mono, self.ring.zero())
+        return self.terms.get(mono) or as_coeff(0, self.point)
 
     def evaluate_exact_at(self, point: EvalPoint) -> "MultiSeries":
         """Project an exact-mode series to eval mode at the given point."""
-        if self.ring.mode != "exact":
+        if self.point is not None:
             raise ValueError("only exact-mode series can be projected")
-        ring = CoeffRing("eval", point)
-        res = MultiSeries(self.varset, self.trunc, ring)
+        res = MultiSeries(self.varset, self.trunc, point)
         for mono, c in self.terms.items():
             v = c.evaluate(point)
             if v:
@@ -383,7 +353,7 @@ class MultiSeries:
         terms = []
         for mono in sorted(self.terms):
             c = self.terms[mono]
-            if self.ring.mode == "exact":
+            if self.point is None:
                 num, den = c.num_den_strings()
             else:
                 frac = Fraction(c)
@@ -392,18 +362,19 @@ class MultiSeries:
         return {
             "vars": list(self.varset.names),
             "truncation": self.trunc,
-            "mode": self.ring.mode,
+            "mode": "exact" if self.point is None else "eval",
             "terms": terms,
         }
 
     def __repr__(self):
-        bits = [f"{self.ring.describe(c)}*{mono_str(m, self.varset)}"
+        text = _coeff_ops(self.point)[1]
+        bits = [f"{text(c)}*{mono_str(m, self.varset)}"
                 for m, c in sorted(self.terms.items())]
         return " + ".join(bits) if bits else "0"
 
 
 def series_f(mono: tuple[int, ...], varset: VarSet, trunc: int,
-             ring: CoeffRing) -> MultiSeries:
+             point: EvalPoint | None = None) -> MultiSeries:
     """F(x) = (tx; q)_inf / (x; q)_inf at x = the given monomial, truncated.
 
     Expanded through its binomial coefficients f(k; 0).
@@ -413,15 +384,16 @@ def series_f(mono: tuple[int, ...], varset: VarSet, trunc: int,
         raise ValueError("series_f needs a monomial of degree >= 1")
     if any(e < 0 for e in mono):
         raise ValueError("series_f needs nonnegative exponents")
-    res = MultiSeries(varset, trunc, ring)
+    res = MultiSeries(varset, trunc, point)
     k = 0
     while k * deg <= trunc:
-        res.add_term(mono_pow(mono, k), ring.from_qtf(f_series_coeff(k)))
+        res.add_term(mono_pow(mono, k), f_series_coeff(k))
         k += 1
     return res
 
 
-def product_of_f(monos, varset: VarSet, trunc: int, ring: CoeffRing) -> MultiSeries:
+def product_of_f(monos, varset: VarSet, trunc: int,
+                 point: EvalPoint | None = None) -> MultiSeries:
     """prod_m F(x^m) truncated; the right-hand side shape of every hook formula.
 
     The factors go in by descending total degree of their monomial (a stable
@@ -429,14 +401,15 @@ def product_of_f(monos, varset: VarSet, trunc: int, ring: CoeffRing) -> MultiSer
     truncation, so it is cheapest to multiply in while the running product is
     still small; the product, being exact, does not depend on the order.
     """
-    out = MultiSeries.constant(1, varset, trunc, ring)
+    out = MultiSeries.constant(1, varset, trunc, point)
     for m in sorted(monos, key=total_degree, reverse=True):
-        out = out * series_f(m, varset, trunc, ring)
+        out = out * series_f(m, varset, trunc, point)
     return out
 
 
 def substitute_monomials(poly: dict, images: list[tuple[int, ...]],
-                         varset: VarSet, trunc: int, ring: CoeffRing) -> MultiSeries:
+                         varset: VarSet, trunc: int,
+                         point: EvalPoint | None = None) -> MultiSeries:
     """Substitute variable i of a polynomial by the monomial images[i].
 
     ``poly`` maps exponent vectors (over its own variables) to QTFactored or
@@ -445,7 +418,7 @@ def substitute_monomials(poly: dict, images: list[tuple[int, ...]],
     for img in images:
         if total_degree(img) < 1 or any(e < 0 for e in img):
             raise ValueError(f"bad substitution image {img}")
-    res = MultiSeries(varset, trunc, ring)
+    res = MultiSeries(varset, trunc, point)
     for exps, c in poly.items():
         mono = varset.unit()
         for e, img in zip(exps, images):
@@ -462,15 +435,15 @@ def series_equals(a: MultiSeries, b: MultiSeries):
     monomial and both coefficient strings.
     """
     a._check_compatible(b)
-    ring = a.ring
+    same, text = _coeff_ops(a.point)
     monos = sorted(set(a.terms) | set(b.terms))
     for mono in monos:
         ca = a.coefficient(mono)
         cb = b.coefficient(mono)
-        if not ring.eq(ca, cb):
+        if not same(ca, cb):
             return False, {
                 "monomial": mono_str(mono, a.varset),
-                "lhs": ring.describe(ca),
-                "rhs": ring.describe(cb),
+                "lhs": text(ca),
+                "rhs": text(cb),
             }
     return True, None

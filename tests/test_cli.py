@@ -4,6 +4,7 @@ import pytest
 
 from qthook import suites
 from qthook.cli import main
+from qthook.report import VerificationReport
 
 
 def run_cli(argv, capsys):
@@ -181,6 +182,24 @@ def test_verify_all_desk_profile(capsys):
     # all hook instances plus every named identity
     assert len(payload["checks"]) == len(suites_all_expected())
     assert "PASS" in err
+
+
+def test_verify_all_prints_each_line_as_its_check_finishes(capsys, monkeypatch):
+    # the identities are stubbed out: what matters is that every hook line
+    # is on stderr before the first identity starts
+    seen = []
+
+    def run_identity(name, seed=0, trials=50):
+        if not seen:
+            seen.append(capsys.readouterr().err)
+        return VerificationReport(check=name, mode="exact")
+
+    monkeypatch.setattr(suites, "run_identity", run_identity)
+    code, _, _ = run_cli(["verify", "all", "--seed", "0"], capsys)
+    assert code == 0
+    lines = seen[0].splitlines()
+    assert len(lines) == len(suites.DESK_HOOKS)
+    assert all(line.startswith("PASS hook ") for line in lines)
 
 
 def suites_all_expected():

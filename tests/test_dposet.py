@@ -233,10 +233,9 @@ def test_p_partition_count_matches_hook_product_at_t_equals_q():
     # <= D equals the coefficient sum of the truncated hook product
     from fractions import Fraction
     from qthook.qtcore import EvalPoint
-    from qthook.series import CoeffRing
     from qthook.hookformula import rhs_series
 
-    ring = CoeffRing("eval", EvalPoint(Fraction(2, 3), Fraction(2, 3)))
+    ring = EvalPoint(Fraction(2, 3), Fraction(2, 3))
     for poset in (build_shifted(P([3, 1])),
                   build_bird(P([2, 1]), P([2, 1]), 1)):
         rhs = rhs_series(poset, 3, ring)

@@ -14,7 +14,6 @@ from qthook.qtcore import (
     qt_equals,
     sample_points,
 )
-from qthook.series import CoeffRing
 from qthook.dposet import (
     ColoredPoset,
     build_banner,
@@ -46,7 +45,7 @@ from qthook.hookformula import (
 from qthook.series import series_equals
 
 P = Partition
-EXACT = CoeffRing("exact")
+EXACT = None
 
 
 def zero_pi(poset):
@@ -289,6 +288,22 @@ def test_macdonald_forms_banner():
     eq, info = series_equals(rhs_series(poset, 3, EXACT),
                              rhs_macdonald_form(poset, 3, EXACT))
     assert eq, info
+
+
+def test_macdonald_forms_notice_a_doubled_factor(monkeypatch):
+    # negative control: each rewrite must really use b_el and f_fun
+    monkeypatch.setattr(hookformula, "b_el", lambda lam: b_el(lam).scale(2))
+    poset = build_shifted(P([2, 1]))
+    eq, _ = series_equals(lhs_series(poset, 3, EXACT),
+                          lhs_macdonald_form(poset, 3, EXACT))
+    assert not eq
+    monkeypatch.undo()
+    monkeypatch.setattr(hookformula, "f_fun", lambda n, m: f_fun(n, m).scale(2))
+    for poset in (build_bird(P([2, 1]), P([2, 1]), 1),
+                  build_banner(P([4, 3, 2, 1]), 2)):
+        eq, _ = series_equals(rhs_series(poset, 3, EXACT),
+                              rhs_macdonald_form(poset, 3, EXACT))
+        assert not eq, poset.family
 
 
 def test_composition_warnaar_even_gives_product_form():

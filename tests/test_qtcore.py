@@ -158,6 +158,17 @@ def test_qt_equals_eval_agrees_with_exact():
             assert not ev  # 5 rational points make a false match implausible
 
 
+def test_qt_equals_on_qtcoeff_values():
+    pts = sample_points(3, seed=5)
+    f10 = QTCoeff.from_qtf(f_fun(1, 0))
+    twice = f10 + f10
+    assert qt_equals(twice, QTCoeff.from_qtf(f_fun(1, 0).scale(2)))
+    assert qt_equals(twice, QTCoeff.from_qtf(f_fun(1, 0).scale(2)), "eval", pts)
+    other = QTCoeff.from_qtf(f_fun(1, 1))
+    assert not qt_equals(f10, other)
+    assert not qt_equals(f10, other, "eval", pts)
+
+
 def _random_qtf(rng):
     if rng.random() < 0.05:
         return QTFactored.zero()

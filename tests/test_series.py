@@ -7,10 +7,10 @@ from qthook.dposet import build_banner, build_bird, hook_monomials
 from qthook.partitions import Partition as P
 from qthook.qtcore import EvalPoint, QTFactored, f_fun
 from qthook.series import (
-    CoeffRing,
     MultiSeries,
     QTCoeff,
     VarSet,
+    as_coeff,
     product_of_f,
     series_equals,
     series_f,
@@ -18,7 +18,7 @@ from qthook.series import (
 )
 
 XYZ = VarSet(["z0", "z1", "z2"])
-EXACT = CoeffRing("exact")
+EXACT = None
 
 
 def z(name, k=1):
@@ -51,7 +51,7 @@ def test_series_f_rejects_unit_and_negative():
 def test_series_f_at_t_equals_q_is_geometric():
     # f(k;0) telescopes to 1 at t = q; permitted only for this check
     pt = EvalPoint(Fraction(2, 3), Fraction(2, 3))
-    ring = CoeffRing("eval", pt)
+    ring = pt
     s = series_f(z("z0"), XYZ, 5, ring)
     for k in range(6):
         assert s.coefficient(z("z0", k)) == 1
@@ -92,9 +92,29 @@ def test_incompatible_operands_are_rejected():
         s + series_f(z("z0"), XYZ, 2, EXACT)  # truncation mismatch
     from qthook.qtcore import EvalPoint
     from fractions import Fraction
-    ring_eval = CoeffRing("eval", EvalPoint(Fraction(2, 3), Fraction(3, 5)))
+    ring_eval = EvalPoint(Fraction(2, 3), Fraction(3, 5))
     with pytest.raises(ValueError):
         s + series_f(z("z0"), XYZ, 3, ring_eval)  # mode mismatch
+
+
+def test_coefficient_conversion_by_mode():
+    s = series_f(z("z0"), XYZ, 3, EXACT)
+    with pytest.raises(TypeError):
+        s.add_term(z("z1"), 0.5)
+    with pytest.raises(TypeError):
+        MultiSeries.constant(0.5, XYZ, 3, EXACT)
+    pt = EvalPoint(Fraction(2, 3), Fraction(3, 5))
+    f = f_fun(2, 0) * f_fun(1, 1)
+    assert as_coeff(f, pt) == f.evaluate(pt)
+    assert as_coeff(QTCoeff.from_qtf(f), pt) == f.evaluate(pt)
+    assert as_coeff(3, pt) == 3 and as_coeff(Fraction(1, 2), pt) == Fraction(1, 2)
+    assert as_coeff(f, EXACT).equals(QTCoeff.from_qtf(f))
+
+
+def test_qtcoeff_truth_is_nonzero():
+    assert not QTCoeff.zero()
+    assert QTCoeff.one()
+    assert not (QTCoeff.one() - QTCoeff.one())
 
 
 def test_series_equals_reports_first_mismatch():
@@ -155,7 +175,7 @@ def test_exact_and_eval_commute():
     pts = sample_points(3, seed=2)
     for trial in range(20):
         pt = pts[trial % len(pts)]
-        ring_e = CoeffRing("eval", pt)
+        ring_e = pt
         a = _random_series(rng, XYZ, 4, EXACT)
         b = _random_series(rng, XYZ, 4, EXACT)
         exact = (a * b + a).evaluate_exact_at(pt)
@@ -194,7 +214,7 @@ def test_product_of_f_does_not_depend_on_the_order(family, D):
              for m in hook_monomials(poset, verify_choices=False).values()]
     rng = random.Random(D)
     orders = [monos, monos[::-1]] + [rng.sample(monos, len(monos)) for _ in range(2)]
-    ring = CoeffRing("eval", EvalPoint(Fraction(-2, 3), Fraction(5, 7)))
+    ring = EvalPoint(Fraction(-2, 3), Fraction(5, 7))
     got = product_of_f(monos, varset, D, ring)
     assert len(got.terms) > 50
     for order in orders:
