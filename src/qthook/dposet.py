@@ -569,14 +569,22 @@ def hook_monomials_closed_form(poset: ColoredPoset) -> dict:
 # P-partition enumeration.
 # ---------------------------------------------------------------------------
 
+def fill_order(poset: ColoredPoset) -> list:
+    """The linear extension enumerate_p_partitions fills, top-down by rank."""
+    return sorted(poset.elements, key=lambda e: (poset.rank[e], e))
+
+
 def enumerate_p_partitions(poset: ColoredPoset, bound: int):
     """All order-reversing maps P -> N of weight <= bound, deterministically.
 
-    Elements are filled top-down along a fixed linear extension; each value
-    is at least the maximum over the upper covers.
+    Elements are filled top-down along ``fill_order``; each value is at
+    least the maximum over the upper covers, and at most (bound - used) //
+    |downset(e)|, since every element below e is still empty and will take
+    a value at least e's (Stanley's order-reversing maps, Mem. AMS 119).
     """
-    order = sorted(poset.elements, key=lambda e: (poset.rank[e], e))
+    order = fill_order(poset)
     uppers = {e: [u for u in poset.upper_covers(e)] for e in order}
+    below = {e: len(poset.downset(e)) for e in order}
     values = {}
 
     def rec(pos, used):
@@ -585,7 +593,7 @@ def enumerate_p_partitions(poset: ColoredPoset, bound: int):
             return
         e = order[pos]
         lo = max((values[u] for u in uppers[e]), default=0)
-        for v in range(lo, bound - used + 1):
+        for v in range(lo, (bound - used) // below[e] + 1):
             values[e] = v
             yield from rec(pos + 1, used + v)
         values.pop(e, None)

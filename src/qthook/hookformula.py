@@ -5,21 +5,22 @@ equal-color pairs) is the ground truth; the per-family closed forms, the
 trace decompositions and the Macdonald-form rewrites of both sides are all
 validated against it.  It runs from a per-poset plan: the pairs, their kinds
 and their f-arguments are found once per poset (where the rank parities are
-also checked).  Weighing a P-partition is one pass over the plan that counts
-each distinct f-argument (n, m) with its sign, then one f-lookup per
-distinct argument whose factor exponents are added, scaled by its count.
+also checked).  A weight counts each distinct f-argument (n, m) with its
+sign, then adds the factor exponents of each f once, scaled by its count;
+the hook LHS keeps those counts along one walk over all P-partitions.
 """
 
 from __future__ import annotations
 
 from .dposet import (ColoredPoset, _alias_tables, _complement, _mono_mul,
-                     enumerate_p_partitions, hook_monomials)
+                     enumerate_p_partitions, fill_order, hook_monomials)
 from .partitions import (Partition, bounded_tuples, is_horizontal_strip,
                          monotone_chains, partitions_up_to)
 from .qtcore import (EvalPoint, QTFactored, b_el, b_lambda, f_fun, phi_skew,
                      psi_skew, resampled)
 from .report import VerificationReport, timed
-from .series import MultiSeries, VarSet, product_of_f, series_equals
+from .series import (MultiSeries, VarSet, as_coeff, product_of_f,
+                     series_equals)
 
 HAT = "__hat__"
 NO_TRUNC = 10 ** 9
@@ -103,8 +104,14 @@ def weight_generic(poset: ColoredPoset, pi: dict) -> QTFactored:
         if n < 0:
             return QTFactored.zero()
         counts[n, m] = get((n, m), 0) + 1
+    return _f_product(counts.items())
+
+
+def _f_product(counts) -> QTFactored:
+    """prod f(n; m)^c over the ((n, m), c) pairs of ``counts``: each f is
+    looked up once and its factor exponents are added, scaled by c."""
     exps = {}
-    for (n, m), c in counts.items():
+    for (n, m), c in counts:
         if c:
             for k, v in f_fun(n, m).factors.items():
                 exps[k] = exps.get(k, 0) + c * v
@@ -393,21 +400,67 @@ def z_monomial(poset: ColoredPoset, pi: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def lhs_terms(poset: ColoredPoset,
-              trunc: int) -> list[tuple[tuple[int, ...], QTFactored]]:
-    """Symbolic (monomial, weight) pairs of the P-partition sum."""
-    out = []
+              trunc: int) -> list[tuple[QTFactored, list[tuple[int, ...]]]]:
+    """(weight, monomials) groups of the P-partition sum of W(pi) z^pi.
+
+    One walk over ``enumerate_p_partitions``: each plan pair is counted at
+    the position of its lower element in ``fill_order``, and a P-partition
+    takes back and recounts only the pairs closed from the first position
+    where it differs from the one before (f-arguments with n = 0, where
+    f = 1, are not counted).  P-partitions with the same nonzero counts
+    share one weight, built once by ``_f_product``; groups come in the order
+    of their first P-partition and list their z^pi in enumeration order.
+    """
+    order = fill_order(poset)
+    pos = {e: i for i, e in enumerate(order)}
+    adjacent, equal, hat = _weight_plan(poset)
+    closes = [[] for _ in order]  # (partner position, m, sign) per position
+    for x, y, e in equal:
+        closes[pos[x]] += [(pos[y], e, -1), (pos[y], e - 1, -1)]
+    for x, y, m in adjacent:
+        closes[pos[x]].append((pos[y], m, 1))
+    for x, m in hat:  # the partner -1 is the value 0 appended to each row
+        closes[pos[x]].append((-1, m, 1))
+    color = [poset.varset.index[poset.color[e]] for e in order]
+    counts, groups, prev = {}, {}, []
+
+    def count(vals, start, sign):
+        for i in range(start, len(order)):
+            for j, m, s in closes[i]:
+                n = vals[i] - vals[j]
+                if n:
+                    counts[n, m] = counts.get((n, m), 0) + sign * s
+
     for pi in enumerate_p_partitions(poset, trunc):
-        out.append((poset.varset.monomial(z_monomial(poset, pi)),
-                    weight_generic(poset, pi)))
-    return out
+        vals = [pi[e] for e in order] + [0]
+        start = 0
+        if prev:
+            while prev[start] == vals[start]:
+                start += 1
+            count(prev, start, -1)
+        count(vals, start, 1)
+        prev = vals
+        mono = [0] * len(poset.varset)
+        for k, v in zip(color, vals):
+            mono[k] += v
+        key = frozenset(kv for kv in counts.items() if kv[1])
+        groups.setdefault(key, []).append(tuple(mono))
+    return [(_f_product(key), monos) for key, monos in groups.items()]
 
 
 def lhs_series(poset: ColoredPoset, trunc: int,
                point: EvalPoint | None = None, terms=None) -> MultiSeries:
-    """Sum over P-partitions of weight <= trunc of W(pi) z^pi."""
+    """Sum over P-partitions of weight <= trunc of W(pi) z^pi.
+
+    ``terms`` are ``lhs_terms`` groups: each weight becomes a coefficient
+    once (one evaluation at ``point``, or one ``QTCoeff`` expansion in exact
+    mode) and is added at each of its monomials.
+    """
     out = MultiSeries(poset.varset, trunc, point)
-    for mono, w in (terms if terms is not None else lhs_terms(poset, trunc)):
-        out.add_term(mono, w)
+    for w, monos in (terms if terms is not None else lhs_terms(poset, trunc)):
+        c = as_coeff(w, point)
+        for mono in monos:
+            out.add_term(mono, c)
     return out
 
 

@@ -12,6 +12,7 @@ degree across all variables, which matches the weight |pi| of a P-partition.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, itemgetter
 
 from .qtcore import (
     BI_ONE,
@@ -141,9 +142,12 @@ def as_coeff(c, point: EvalPoint | None):
     """``c`` as a coefficient of a series at ``point``.
 
     With ``point`` None (exact mode) that is a QTCoeff; at a point it is the
-    Fraction value of ``c`` there.  ``c`` is a QTFactored, a QTCoeff, an int
-    or a Fraction; anything else is a TypeError.
+    Fraction value of ``c`` there (a Fraction is returned as it is).  ``c``
+    is a QTFactored, a QTCoeff, an int or a Fraction; anything else is a
+    TypeError.
     """
+    if isinstance(c, Fraction) and point is not None:
+        return c
     if isinstance(c, QTFactored):
         return QTCoeff.from_qtf(c) if point is None else c.evaluate(point)
     if isinstance(c, QTCoeff):
@@ -199,14 +203,6 @@ class VarSet:
 
 def total_degree(mono: tuple[int, ...]) -> int:
     return sum(mono)
-
-
-def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_pow(a, k: int):
-    return tuple(x * k for x in a)
 
 
 def mono_str(mono, varset: VarSet) -> str:
@@ -269,13 +265,17 @@ class MultiSeries:
 
     def __mul__(self, other: "MultiSeries") -> "MultiSeries":
         self._check_compatible(other)
+        # by degree, so the inner loop stops at the truncation; each output
+        # monomial still receives its products in the left operand's order
+        right = sorted(((total_degree(m), m, c) for m, c in other.terms.items()),
+                       key=itemgetter(0))
         out = {}
         for m1, c1 in self.terms.items():
-            d1 = total_degree(m1)
-            for m2, c2 in other.terms.items():
-                if d1 + total_degree(m2) > self.trunc:
-                    continue
-                k = mono_mul(m1, m2)
+            room = self.trunc - total_degree(m1)
+            for d2, m2, c2 in right:
+                if d2 > room:
+                    break
+                k = tuple(map(add, m1, m2))
                 prod = c1 * c2
                 if k in out:
                     s = out[k] + prod
@@ -315,7 +315,7 @@ class MultiSeries:
         """
         res = MultiSeries(self.varset, self.trunc, self.point)
         for mono, c in self.terms.items():
-            new = mono_mul(mono, shift)
+            new = tuple(map(add, mono, shift))
             if any(e < 0 for e in new):
                 raise ValueError(f"monomial shift {shift} drives {mono} negative")
             if total_degree(new) <= self.trunc:
@@ -387,7 +387,7 @@ def series_f(mono: tuple[int, ...], varset: VarSet, trunc: int,
     res = MultiSeries(varset, trunc, point)
     k = 0
     while k * deg <= trunc:
-        res.add_term(mono_pow(mono, k), f_series_coeff(k))
+        res.add_term(tuple(e * k for e in mono), f_series_coeff(k))
         k += 1
     return res
 
@@ -405,27 +405,6 @@ def product_of_f(monos, varset: VarSet, trunc: int,
     for m in sorted(monos, key=total_degree, reverse=True):
         out = out * series_f(m, varset, trunc, point)
     return out
-
-
-def substitute_monomials(poly: dict, images: list[tuple[int, ...]],
-                         varset: VarSet, trunc: int,
-                         point: EvalPoint | None = None) -> MultiSeries:
-    """Substitute variable i of a polynomial by the monomial images[i].
-
-    ``poly`` maps exponent vectors (over its own variables) to QTFactored or
-    QTCoeff coefficients.  Image monomials must be nonnegative of degree >= 1.
-    """
-    for img in images:
-        if total_degree(img) < 1 or any(e < 0 for e in img):
-            raise ValueError(f"bad substitution image {img}")
-    res = MultiSeries(varset, trunc, point)
-    for exps, c in poly.items():
-        mono = varset.unit()
-        for e, img in zip(exps, images):
-            if e:
-                mono = mono_mul(mono, mono_pow(img, e))
-        res.add_term(mono, c)
-    return res
 
 
 def series_equals(a: MultiSeries, b: MultiSeries):

@@ -1,4 +1,5 @@
 import json
+from hashlib import sha256
 
 import pytest
 
@@ -182,6 +183,22 @@ def test_verify_all_desk_profile(capsys):
     # all hook instances plus every named identity
     assert len(payload["checks"]) == len(suites_all_expected())
     assert "PASS" in err
+    # pinned, timings aside: a speed-up must not change a report
+    assert sha256(json.dumps(without_elapsed(payload), sort_keys=True)
+                  .encode()).hexdigest() == VERIFY_ALL_SEED0_SHA256
+
+
+VERIFY_ALL_SEED0_SHA256 = \
+    "0b0659fdf1038763c45d72c777f861c50cf7a43dc45fc6ea24d190f615f55467"
+
+
+def without_elapsed(obj):
+    if isinstance(obj, dict):
+        return {k: without_elapsed(v) for k, v in obj.items()
+                if k != "elapsedMs"}
+    if isinstance(obj, list):
+        return [without_elapsed(v) for v in obj]
+    return obj
 
 
 def test_verify_all_prints_each_line_as_its_check_finishes(capsys, monkeypatch):

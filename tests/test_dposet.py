@@ -8,6 +8,7 @@ from qthook.dposet import (
     build_shifted,
     d_complete_check,
     enumerate_p_partitions,
+    fill_order,
     find_dk_intervals,
     hook_monomials,
     hook_monomials_closed_form,
@@ -219,6 +220,35 @@ def test_enumerate_p_partitions_counts():
     assert len(list(enumerate_p_partitions(chain, 2))) == 4
     for pi in enumerate_p_partitions(chain, 3):
         assert pi[(1, 1)] <= pi[(1, 2)] <= pi[(2, 2)]
+
+
+def brute_force_p_partitions(poset, bound):
+    """Every map of weight <= bound, in lexicographic order along
+    fill_order, kept where it reverses the order: no pruning at all."""
+    order = fill_order(poset)
+
+    def maps(pos, left):
+        if pos == len(order):
+            yield {}
+            return
+        for v in range(left + 1):
+            for rest in maps(pos + 1, left - v):
+                yield {order[pos]: v, **rest}
+
+    return [pi for pi in maps(0, bound)
+            if all(pi[x] >= pi[y] for x in order for y in order
+                   if poset.le(x, y))]
+
+
+@pytest.mark.parametrize("poset, D", [
+    (build_shifted(P([3, 2])), 6),
+    (build_bird(P([2, 1]), P([2, 1]), 1), 6),
+    (build_banner(P([4, 3, 2, 1]), 2), 5),
+], ids=["shifted", "bird", "banner"])
+def test_pruned_enumeration_matches_brute_force(poset, D):
+    pis = list(enumerate_p_partitions(poset, D))
+    assert len(pis) > 20
+    assert pis == brute_force_p_partitions(poset, D)
 
 
 def test_antichain_p_partition_count():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from qthook.hookformula import (
     f_nd,
     lhs_macdonald_form,
     lhs_series,
+    lhs_terms,
     phi_chain,
     phi_hat,
     rhs_macdonald_form,
@@ -237,15 +239,16 @@ def test_verify_okada_eval_small():
 
 def test_corrupted_weight_fails_with_lowest_mismatch():
     poset = build_shifted(P([2, 1]))
-    from qthook.hookformula import lhs_terms
     from qthook.series import MultiSeries, series_equals as seq
 
     terms = []
-    for mono, w in lhs_terms(poset, 3):
-        if sum(mono) == 1 and w.factors:
-            # corrupt one factor's shift by 1: multiply by (1-qt)/(1-t)
-            w = w * QTFactored.binomial(1, 1) / QTFactored.binomial(0, 1)
-        terms.append((mono, w))
+    for w, monos in lhs_terms(poset, 3):
+        for mono in monos:
+            bad = w
+            if sum(mono) == 1 and w.factors:
+                # corrupt one factor's shift by 1: multiply by (1-qt)/(1-t)
+                bad = w * QTFactored.binomial(1, 1) / QTFactored.binomial(0, 1)
+            terms.append((bad, [mono]))
     lhs = lhs_series(poset, 3, EXACT, terms)
     rhs = rhs_series(poset, 3, EXACT)
     eq, mismatch = seq(lhs, rhs)
@@ -254,6 +257,71 @@ def test_corrupted_weight_fails_with_lowest_mismatch():
     # the corruption hits degree-1 monomials; the first mismatch is degree 1
     name = mismatch["monomial"]
     assert "^" not in name and "*" not in name
+
+
+@pytest.mark.parametrize("poset, D", [
+    (build_shifted(P([4, 2, 1])), 6),
+    (build_bird(P([3, 2]), P([2, 1]), 2), 5),
+    (build_banner(P([4, 3, 2, 1]), 2), 6),
+], ids=["shifted", "bird", "banner"])
+def test_lhs_groups_expand_to_the_weight_of_each_p_partition(poset, D):
+    def key(mono, w):
+        return mono, w.coeff, w.qexp, w.texp, tuple(sorted(w.factors.items()))
+
+    groups = lhs_terms(poset, D)
+    grouped = sorted(key(m, w) for w, monos in groups for m in monos)
+    single = sorted(key(poset.varset.monomial(z_monomial(poset, pi)),
+                        weight_generic(poset, pi))
+                    for pi in enumerate_p_partitions(poset, D))
+    assert grouped == single
+    assert len(groups) < len(single) / 2
+
+
+def test_eval_mode_evaluates_each_group_once_per_point(monkeypatch):
+    poset = build_bird(P([3, 2]), P([2, 1]), 2)
+    groups = []
+
+    def recorded_lhs_terms(*args):
+        groups.extend(lhs_terms(*args))
+        return groups
+
+    calls = Counter()
+    evaluate = QTFactored.evaluate
+
+    def counted_evaluate(w, pt):
+        calls[id(w)] += 1
+        return evaluate(w, pt)
+
+    monkeypatch.setattr(hookformula, "lhs_terms", recorded_lhs_terms)
+    monkeypatch.setattr(QTFactored, "evaluate", counted_evaluate)
+    report = verify_okada(poset, 5, "eval", sample_points(3, seed=2))
+    assert report.passed and len(report.points) == 3
+    assert len(groups) > 10
+    # the right side evaluates its own coefficients; each group weight is
+    # evaluated once per point
+    assert {id(w): calls[id(w)] for w, _ in groups} == \
+        {id(w): 3 for w, _ in groups}
+
+
+def dropped_hook_report(mode, points=None):
+    """The hook check of shifted (3,2) at D=4 with its lowest-degree hook
+    dropped from the right side: a negative control."""
+    poset = build_shifted(P([3, 2]))
+    hooks = hookformula.hook_monomials(poset, verify_choices=False)
+    del hooks[min(hooks, key=lambda e: sum(hooks[e].values()))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hookformula, "hook_monomials", lambda *a, **k: hooks)
+        return verify_okada(poset, 4, mode, points)
+
+
+def test_dropped_hook_reports_are_pinned():
+    report = dropped_hook_report("exact")
+    assert report.result == "fail" and report.points == []
+    assert report.mismatch == {"monomial": "z1", "lhs": "(1-t)/(1-q)",
+                               "rhs": "(0)/(1)"}
+    report = dropped_hook_report("eval", sample_points(2, 0))
+    assert report.result == "fail" and report.points == [["6/5", "5/4"]]
+    assert report.mismatch == {"monomial": "z1", "lhs": "5/4", "rhs": "0"}
 
 
 def test_lhs_macdonald_form_shifted():

@@ -14,7 +14,6 @@ from qthook.series import (
     product_of_f,
     series_equals,
     series_f,
-    substitute_monomials,
 )
 
 XYZ = VarSet(["z0", "z1", "z2"])
@@ -68,18 +67,6 @@ def test_mul_and_add_basics():
     assert c.equals(f1)
     diff = s + s.scale(-1)
     assert diff.is_zero()
-
-
-def test_substitute_monomials():
-    # polynomial x1 + x2 in its own two variables
-    poly = {(1, 0): QTFactored.one(), (0, 1): QTFactored.one()}
-    out = substitute_monomials(poly, [z("z0"), z("z1")], XYZ, 4, EXACT)
-    assert set(out.terms) == {z("z0"), z("z1")}
-    sq = substitute_monomials({(2,): QTFactored.one()},
-                              [XYZ.monomial({"z0": 1, "z1": 1})], XYZ, 4, EXACT)
-    assert set(sq.terms) == {XYZ.monomial({"z0": 2, "z1": 2})}
-    with pytest.raises(ValueError):
-        substitute_monomials(poly, [XYZ.unit(), z("z1")], XYZ, 4, EXACT)
 
 
 def test_incompatible_operands_are_rejected():
