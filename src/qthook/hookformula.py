@@ -19,11 +19,10 @@ from .partitions import (Partition, bounded_tuples, is_horizontal_strip,
 from .qtcore import (EvalPoint, QTFactored, b_el, b_lambda, f_fun, phi_skew,
                      psi_skew, resampled)
 from .report import VerificationReport, timed
-from .series import (MultiSeries, VarSet, as_coeff, product_of_f,
+from .series import (NO_TRUNC, MultiSeries, as_coeff, product_of_f,
                      series_equals)
 
 HAT = "__hat__"
-NO_TRUNC = 10 ** 9
 
 # ---------------------------------------------------------------------------
 # Generic weight.
@@ -535,19 +534,6 @@ def _kernel(poset: ColoredPoset, al: dict, trunc: int,
                         poset.varset, trunc, point)
 
 
-def _series_from_poly(poly, images: list[dict], varset: VarSet,
-                      point: EvalPoint | None) -> MultiSeries:
-    """Substitute a SymPoly at alias monomials (kept exact, no truncation)."""
-    out = MultiSeries(varset, NO_TRUNC, point)
-    for exps, c in poly.coeffs.items():
-        mono = {}
-        for e, img in zip(exps, images):
-            if e:
-                mono = _mono_mul(mono, img, e)
-        out.add_term(varset.monomial(mono), c)
-    return out
-
-
 def _wing_series(poset: ColoredPoset, al: dict, lam: Partition,
                  point: EvalPoint | None) -> MultiSeries:
     """P_lam at the z~ aliases of the alpha wing (x~_0 times each on a bird:
@@ -561,13 +547,14 @@ def _wing_series(poset: ColoredPoset, al: dict, lam: Partition,
     images = [al["zt"][alpha[i]] for i in range(1, width + 1)]
     if fam == "bird":
         images = [_mono_mul(al["xt"][0], m) for m in images]
-    out = _series_from_poly(macdonald_p(lam, width), images, poset.varset,
-                            point)
+    varset = poset.varset
+    out = macdonald_p(lam, width).substitute(
+        [varset.monomial(m) for m in images], varset, NO_TRUNC, point)
     if fam == "bird":
         beta = poset.params["beta"]
-        out = out * _series_from_poly(
-            macdonald_q(lam, 2), [al["yt"][beta[i]] for i in (1, 2)],
-            poset.varset, point)
+        out = out * macdonald_q(lam, 2).substitute(
+            [varset.monomial(al["yt"][beta[i]]) for i in (1, 2)],
+            varset, NO_TRUNC, point)
     return out
 
 

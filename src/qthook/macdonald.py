@@ -3,7 +3,10 @@
 P and Q are constructed through horizontal-strip chains (the tableau form of
 the Pieri rule), so every coefficient is an explicit product of the phi/psi
 coefficients from :mod:`qthook.qtcore`.  A Gram-Schmidt construction against
-the (q, t) power-sum scalar product is kept as an independent oracle.
+the (q, t) power-sum scalar product is kept as an independent oracle.  A
+polynomial in n variables is an exact ``MultiSeries`` over ``poly_vars(n)``
+(x1..xn) with truncation ``NO_TRUNC``; ``MultiSeries.substitute`` places it
+on the variables of a larger series.
 
 The series-level checks share one engine, the bracket partition sum
 (``partition_sum_check``): the Cauchy kernel is its bracket-Q instance with
@@ -39,6 +42,7 @@ from .qtcore import (
     psi_skew,
 )
 from .series import (
+    NO_TRUNC,
     MultiSeries,
     QTCoeff,
     VarSet,
@@ -48,94 +52,35 @@ from .series import (
 )
 
 
-class SymPoly:
-    """Symmetric polynomial in n variables, coefficients in Q(q, t)."""
+@lru_cache(maxsize=None)
+def poly_vars(n: int) -> VarSet:
+    """The variables x1..xn of a polynomial in n variables."""
+    return VarSet(f"x{i}" for i in range(1, n + 1))
 
-    __slots__ = ("n", "coeffs")
 
-    def __init__(self, n: int, coeffs=None):
-        self.n = n
-        self.coeffs = {}
-        for exps, c in (coeffs or {}).items():
-            if not c.is_zero():
-                self.coeffs[exps] = c
+def check_symmetric(poly: MultiSeries) -> MultiSeries:
+    """``poly``, after asserting that it is symmetric in its variables."""
+    groups = {}
+    for e in poly.terms:
+        groups.setdefault(tuple(sorted(e, reverse=True)), []).append(e)
+    for rep, members in groups.items():
+        base = poly.terms[members[0]]
+        if len(members) != _n_permutations(rep, len(poly.varset)):
+            raise AssertionError(f"missing orbit members for {rep}")
+        for m in members[1:]:
+            if not poly.terms[m].equals(base):
+                raise AssertionError(f"asymmetric coefficients at {m}")
+    return poly
 
-    @staticmethod
-    def zero(n: int) -> "SymPoly":
-        return SymPoly(n)
 
-    @staticmethod
-    def one(n: int) -> "SymPoly":
-        return SymPoly(n, {(0,) * n: QTCoeff.one()})
-
-    def add_term(self, exps: tuple[int, ...], c):
-        if isinstance(c, QTFactored):
-            c = QTCoeff.from_qtf(c)
-        s = self.coeffs.get(exps, QTCoeff.zero()) + c
-        if s.is_zero():
-            self.coeffs.pop(exps, None)
-        else:
-            self.coeffs[exps] = s
-
-    def __add__(self, other: "SymPoly") -> "SymPoly":
-        assert self.n == other.n
-        out = SymPoly(self.n, self.coeffs)
-        for e, c in other.coeffs.items():
-            out.add_term(e, c)
-        return out
-
-    def __mul__(self, other: "SymPoly") -> "SymPoly":
-        assert self.n == other.n
-        out = SymPoly(self.n)
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                out.add_term(tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return out
-
-    def scale(self, f) -> "SymPoly":
-        if isinstance(f, QTFactored):
-            f = QTCoeff.from_qtf(f)
-        out = SymPoly(self.n)
-        for e, c in self.coeffs.items():
-            out.add_term(e, c * f)
-        return out
-
-    def coefficient(self, exps: tuple[int, ...]) -> QTCoeff:
-        return self.coeffs.get(exps, QTCoeff.zero())
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def equals(self, other: "SymPoly") -> bool:
-        assert self.n == other.n
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(self.coefficient(k).equals(other.coefficient(k)) for k in keys)
-
-    def degree(self):
-        return max((sum(e) for e in self.coeffs), default=None)
-
-    def check_symmetric(self):
-        groups = {}
-        for e in self.coeffs:
-            groups.setdefault(tuple(sorted(e, reverse=True)), []).append(e)
-        for rep, members in groups.items():
-            base = self.coefficient(members[0])
-            count = _n_permutations(rep, self.n)
-            if len(members) != count:
-                raise AssertionError(f"missing orbit members for {rep}")
-            for m in members[1:]:
-                if not self.coefficient(m).equals(base):
-                    raise AssertionError(f"asymmetric coefficients at {m}")
-        return self
-
-    def m_expansion(self) -> dict[Partition, QTCoeff]:
-        """Coefficients on the monomial symmetric basis (needs n >= degree)."""
-        out = {}
-        for e, c in self.coeffs.items():
-            key = tuple(sorted(e, reverse=True))
-            if key == e:
-                out[Partition(key)] = c
-        return out
+def m_expansion(poly: MultiSeries) -> dict[Partition, QTCoeff]:
+    """Coefficients on the monomial symmetric basis (needs n >= degree)."""
+    out = {}
+    for e, c in poly.terms.items():
+        key = tuple(sorted(e, reverse=True))
+        if key == e:
+            out[Partition(key)] = c
+    return out
 
 
 def _n_permutations(sorted_exps, n):
@@ -185,7 +130,7 @@ def _strip_chains(lam: Partition, mu: Partition, n: int):
 def _skew_cached(lam_parts, mu_parts, n, kind):
     lam, mu = Partition(lam_parts), Partition(mu_parts)
     coeff_fun = psi_skew if kind == "P" else phi_skew
-    out = SymPoly(n)
+    out = MultiSeries(poly_vars(n), NO_TRUNC)
     for chain in _strip_chains(lam, mu, n):
         w = QTFactored.one()
         exps = []
@@ -194,38 +139,39 @@ def _skew_cached(lam_parts, mu_parts, n, kind):
             exps.append(nxt.weight() - prev.weight())
         if not w.is_zero():
             out.add_term(tuple(exps), w)
-    return out.check_symmetric()
+    return check_symmetric(out)
 
 
-def _skew(lam: Partition, mu: Partition, n: int, kind: str) -> SymPoly:
+def _skew(lam: Partition, mu: Partition, n: int, kind: str) -> MultiSeries:
     """A copy of the cached skew polynomial: callers may change it freely."""
     if not lam.contains(mu):
         raise ValueError(f"{mu} is not contained in {lam}")
-    return SymPoly(n, _skew_cached(lam.parts, mu.parts, n, kind).coeffs)
+    return MultiSeries(poly_vars(n), NO_TRUNC, None,
+                       _skew_cached(lam.parts, mu.parts, n, kind).terms)
 
 
-def skew_p(lam: Partition, mu: Partition, n: int) -> SymPoly:
+def skew_p(lam: Partition, mu: Partition, n: int) -> MultiSeries:
     """P_{lam/mu}(x_1..x_n; q, t); zero when no strip chain exists."""
     return _skew(lam, mu, n, "P")
 
 
-def skew_q(lam: Partition, mu: Partition, n: int) -> SymPoly:
+def skew_q(lam: Partition, mu: Partition, n: int) -> MultiSeries:
     """Q_{lam/mu}(x_1..x_n; q, t) = (b_lam / b_mu) P_{lam/mu}."""
     return _skew(lam, mu, n, "Q")
 
 
-def macdonald_p(lam: Partition, n: int) -> SymPoly:
+def macdonald_p(lam: Partition, n: int) -> MultiSeries:
     return skew_p(lam, EMPTY, n)
 
 
-def macdonald_q(lam: Partition, n: int) -> SymPoly:
+def macdonald_q(lam: Partition, n: int) -> MultiSeries:
     return skew_q(lam, EMPTY, n)
 
 
-def g_r(r: int, n: int) -> SymPoly:
+def g_r(r: int, n: int) -> MultiSeries:
     """g_r = Q_(r), the one-row Macdonald Q polynomial; g_0 = 1."""
     if r == 0:
-        return SymPoly.one(n)
+        return MultiSeries.constant(1, poly_vars(n), NO_TRUNC)
     return macdonald_q(Partition([r]), n)
 
 
@@ -233,23 +179,23 @@ def g_r(r: int, n: int) -> SymPoly:
 # Expansion in the P basis (triangular, dominance-compatible lex order).
 # ---------------------------------------------------------------------------
 
-def expand_in_p(poly: SymPoly, degree: int, n: int) -> dict[Partition, QTCoeff]:
+def expand_in_p(poly: MultiSeries, degree: int, n: int) -> dict[Partition, QTCoeff]:
     """Write a homogeneous symmetric polynomial as sum c_lam P_lam.
 
     Ties between dominance-incomparable partitions are broken
     lexicographically (any linear extension works).
     """
-    rest = SymPoly(n, poly.coeffs)
+    rest = poly
     out = {}
     candidates = sorted(partitions_of(degree, None, n),
                         key=lambda p: p.parts, reverse=True)
     for lam in candidates:
         exps = lam.parts + (0,) * (n - lam.length())
         c = rest.coefficient(exps)
-        if c.is_zero():
+        if not c:
             continue
         out[lam] = c
-        rest = rest + macdonald_p(lam, n).scale(c).scale(QTFactored(-1))
+        rest = rest - macdonald_p(lam, n).scale(c)
     if not rest.is_zero():
         raise AssertionError("P-basis expansion left a nonzero remainder")
     return out
@@ -263,17 +209,17 @@ def structure_constants(mu: Partition, nu: Partition, n: int) -> dict[Partition,
     return expand_in_p(prod, mu.weight() + nu.weight(), n)
 
 
-def skew_q_via_structure(lam: Partition, mu: Partition, n: int) -> SymPoly:
+def skew_q_via_structure(lam: Partition, mu: Partition, n: int) -> MultiSeries:
     """Q_{lam/mu} = sum_nu f^lam_{mu nu} Q_nu, the defining expansion."""
     d = lam.weight() - mu.weight()
-    out = SymPoly.zero(n)
+    out = MultiSeries(poly_vars(n), NO_TRUNC)
     for nu in partitions_of(d):
         if nu.length() > n:
             continue  # Q_nu vanishes in n variables
         consts = structure_constants(mu, nu, max(n, mu.length() + nu.length(),
                                                  lam.length()))
         c = consts.get(lam)
-        if c is not None and not c.is_zero():
+        if c:
             out = out + macdonald_q(nu, n).scale(c)
     return out
 
@@ -416,8 +362,8 @@ RF_ZERO = RatFunc(BiPoly())
 RF_ONE = RatFunc(BI_ONE)
 
 
-def _power_sum_poly(r: int, n: int) -> SymPoly:
-    out = SymPoly(n)
+def _power_sum_poly(r: int, n: int) -> MultiSeries:
+    out = MultiSeries(poly_vars(n), NO_TRUNC)
     for i in range(n):
         e = [0] * n
         e[i] = r
@@ -431,17 +377,17 @@ def _p_to_m_matrix(d: int):
     parts = sorted(partitions_of(d), key=lambda p: p.parts, reverse=True)
     rows = {}
     for lam in parts:
-        poly = SymPoly.one(d)
+        poly = MultiSeries.constant(1, poly_vars(d), NO_TRUNC)
         for r in lam:
             poly = poly * _power_sum_poly(r, d)
-        exp = poly.m_expansion()
+        exp = m_expansion(poly)
         rows[lam] = {mu: _qtcoeff_to_fraction(c) for mu, c in exp.items()}
     return parts, rows
 
 
 def _qtcoeff_to_fraction(c: QTCoeff) -> Fraction:
     # integer-coefficient helper for the p->m matrix
-    if c.is_zero():
+    if not c:
         return Fraction(0)
     if set(c.num.terms) != {(0, 0)} or c.den or c.dq or c.dt:
         raise AssertionError("expected a constant coefficient")
@@ -550,20 +496,20 @@ def _gram_p_basis(d: int):
     return built
 
 
-def gram_p(lam: Partition, n: int) -> SymPoly:
+def gram_p(lam: Partition, n: int) -> MultiSeries:
     """Oracle construction of P_lam by Gram-Schmidt; budget |lam| <= 6."""
     if lam.weight() > 6:
         raise ValueError("gram_p oracle budget is |lam| <= 6")
     if lam.length() > n:
         raise ValueError("gram_p needs l(lam) <= n")
     coords = _gram_p_basis(lam.weight())[lam]
-    out = SymPoly(n)
+    out = MultiSeries(poly_vars(n), NO_TRUNC)
     for mu, c in coords.items():
         if mu.length() > n:
             continue
-        qc = _OracleCoeff(c)
+        qc = _OracleCoeff(c)  # not a QTCoeff: stored, not added
         for e in _distinct_permutations(mu, n):
-            out.add_term(e, qc)
+            out.terms[e] = qc
     return out
 
 
@@ -584,8 +530,8 @@ class _OracleCoeff:
     def _rat(c) -> RatFunc:
         return c.rat if isinstance(c, _OracleCoeff) else RatFunc.from_qtcoeff(c)
 
-    def is_zero(self):
-        return self.rat.is_zero()
+    def __bool__(self):
+        return not self.rat.is_zero()
 
     def equals(self, other):
         if isinstance(other, _OracleCoeff):
@@ -624,8 +570,8 @@ def _distinct_permutations(mu: Partition, n: int):
     return set(itertools.permutations(base))
 
 
-def m_coeffs_of(poly: SymPoly) -> dict[Partition, RatFunc]:
-    return {mu: RatFunc.from_qtcoeff(c) for mu, c in poly.m_expansion().items()}
+def m_coeffs_of(poly: MultiSeries) -> dict[Partition, RatFunc]:
+    return {mu: RatFunc.from_qtcoeff(c) for mu, c in m_expansion(poly).items()}
 
 
 def orthonormality_check(lam: Partition, mu: Partition, n: int) -> bool:
@@ -665,25 +611,13 @@ def _mono(varset: VarSet, positions) -> tuple[int, ...]:
     return tuple(mono)
 
 
-def inject_sympoly(poly: SymPoly, slot: list[int], varset: VarSet,
-                   trunc: int) -> MultiSeries:
-    """Place a SymPoly on the chosen variable positions of a larger VarSet."""
-    assert poly.n == len(slot)
-    out = MultiSeries(varset, trunc)
-    nvars = len(varset)
-    for exps, c in poly.coeffs.items():
-        mono = [0] * nvars
-        for pos, e in zip(slot, exps):
-            mono[pos] = e
-        out.add_term(tuple(mono), c)
-    return out
-
-
 def _product_series(factors, varset, trunc) -> MultiSeries:
-    """Product of (SymPoly, slot) pairs as a truncated series."""
+    """Product of (polynomial, slot) pairs as a truncated series: the
+    polynomial's variable i goes to the variable at position slot[i]."""
     out = MultiSeries.constant(1, varset, trunc)
     for poly, slot in factors:
-        out = out * inject_sympoly(poly, slot, varset, trunc)
+        out = out * poly.substitute([_mono(varset, [p]) for p in slot],
+                                    varset, trunc)
         if out.is_zero():
             break
     return out
@@ -785,20 +719,17 @@ def pieri_check(mu: Partition, r: int, n: int, kind: str):
 def branching_check(lam: Partition, nx: int, nz: int):
     """P_lam(x, z) = sum_mu P_{lam/mu}(x) P_mu(z), and the Q analogue."""
     n = nx + nz
+    varset = poly_vars(n)
     for skew, label in ((skew_p, "P"), (skew_q, "Q")):
         whole = skew(lam, EMPTY, n)
-        total = SymPoly.zero(n)
+        total = MultiSeries(varset, NO_TRUNC)
         for d in range(lam.weight() + 1):
             for mu in partitions_of(d):
-                if not lam.contains(mu):
-                    continue
-                outer = skew(lam, mu, nx)
-                inner = skew(mu, EMPTY, nz)
-                if outer.is_zero() or inner.is_zero():
-                    continue
-                for e1, c1 in outer.coeffs.items():
-                    for e2, c2 in inner.coeffs.items():
-                        total.add_term(e1 + e2, c1 * c2)
+                if lam.contains(mu):
+                    total = total + _product_series(
+                        [(skew(lam, mu, nx), range(nx)),
+                         (skew(mu, EMPTY, nz), range(nx, n))],
+                        varset, NO_TRUNC)
         if not whole.equals(total):
             return False, {"lam": str(lam), "basis": label}
     return True, None
@@ -873,7 +804,8 @@ def warnaar_check(variant: str, n: int, trunc: int):
 
     lhs = MultiSeries(varset, trunc)
     for lam in partitions_up_to(trunc, max_length=n):
-        term = inject_sympoly(macdonald_p(lam, n), xs, varset, trunc)
+        term = macdonald_p(lam, n).substitute(
+            [_mono(varset, [i]) for i in xs], varset, trunc)
         lhs = lhs + term.scale(b_fun(lam)).shift_monomial(
             _mono(varset, w * w_exponent(lam)))
 

@@ -7,6 +7,10 @@ A series carries ``point``, and its coefficients are exact either way.  With
 values of those ratios there.  ``as_coeff`` turns any input into the one
 kind, and ``not c`` is the zero test for both.  Truncation is by total
 degree across all variables, which matches the weight |pi| of a P-partition.
+
+A polynomial is a series with truncation ``NO_TRUNC``: the Macdonald
+polynomials are exact series in x1..xn, and ``substitute`` places one on
+the variables of a larger series.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from .qtcore import (
     cancelled_ratio,
     f_series_coeff,
 )
+
+NO_TRUNC = 10 ** 9
 
 
 class QTCoeff:
@@ -59,9 +65,6 @@ class QTCoeff:
                 den[(a, b)] = -e
         return QTCoeff(num, max(-f.qexp, 0), max(-f.texp, 0), den)
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def __bool__(self) -> bool:
         return bool(self.num.terms)
 
@@ -74,9 +77,9 @@ class QTCoeff:
     def __add__(self, other: "QTCoeff") -> "QTCoeff":
         if not isinstance(other, QTCoeff):
             return NotImplemented
-        if self.is_zero():
+        if not self:
             return other
-        if other.is_zero():
+        if not other:
             return self
         dq = max(self.dq, other.dq)
         dt = max(self.dt, other.dt)
@@ -104,7 +107,7 @@ class QTCoeff:
     def __mul__(self, other: "QTCoeff") -> "QTCoeff":
         if not isinstance(other, QTCoeff):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        if not self or not other:
             return QTCoeff.zero()
         den = dict(self.den)
         for k, e in other.den.items():
@@ -118,8 +121,8 @@ class QTCoeff:
     def equals(self, other) -> bool:
         if not isinstance(other, QTCoeff):
             return other.equals(self)
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
+        if not self or not other:
+            return not self and not other
         # self.num / D == other.num / D' iff self.num * D' == other.num * D,
         # and D' / D = u / v once their common factors are cancelled.
         u, v = cancelled_ratio(other.dq, other.dt, other.den,
@@ -159,10 +162,10 @@ def as_coeff(c, point: EvalPoint | None):
 
 def _coeff_ops(point: EvalPoint | None):
     """(equality, text) of the coefficients of a series at ``point``: exact
-    coefficients compare by ``QTCoeff.equals`` and print as "(num)/(den)",
+    coefficients compare by their ``equals`` and print as "(num)/(den)",
     values at a point compare by ``==`` and print by ``str``."""
     if point is None:
-        return (QTCoeff.equals,
+        return (lambda a, b: a.equals(b),
                 lambda c: "({})/({})".format(*c.num_den_strings()))
     return (lambda a, b: a == b), str
 
@@ -338,33 +341,22 @@ class MultiSeries:
     def coefficient(self, mono):
         return self.terms.get(mono) or as_coeff(0, self.point)
 
-    def evaluate_exact_at(self, point: EvalPoint) -> "MultiSeries":
-        """Project an exact-mode series to eval mode at the given point."""
-        if self.point is not None:
-            raise ValueError("only exact-mode series can be projected")
-        res = MultiSeries(self.varset, self.trunc, point)
-        for mono, c in self.terms.items():
-            v = c.evaluate(point)
-            if v:
-                res.terms[mono] = v
-        return res
+    def equals(self, other: "MultiSeries") -> bool:
+        return series_equals(self, other)[0]
 
-    def to_json(self) -> dict:
-        terms = []
-        for mono in sorted(self.terms):
-            c = self.terms[mono]
-            if self.point is None:
-                num, den = c.num_den_strings()
-            else:
-                frac = Fraction(c)
-                num, den = str(frac.numerator), str(frac.denominator)
-            terms.append({"exps": list(mono), "num": num, "den": den})
-        return {
-            "vars": list(self.varset.names),
-            "truncation": self.trunc,
-            "mode": "exact" if self.point is None else "eval",
-            "terms": terms,
-        }
+    def substitute(self, images, varset: VarSet, trunc: int,
+                   point: EvalPoint | None = None) -> "MultiSeries":
+        """This series with variable i replaced by the monomial ``images[i]``
+        of ``varset`` (possibly the unit), truncated at ``trunc``."""
+        assert len(images) == len(self.varset)
+        res = MultiSeries(varset, trunc, point)
+        for mono, c in self.terms.items():
+            new = varset.unit()
+            for e, image in zip(mono, images):
+                if e:
+                    new = tuple(a + e * b for a, b in zip(new, image))
+            res.add_term(new, c)
+        return res
 
     def __repr__(self):
         text = _coeff_ops(self.point)[1]

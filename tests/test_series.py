@@ -7,6 +7,7 @@ from qthook.dposet import build_banner, build_bird, hook_monomials
 from qthook.partitions import Partition as P
 from qthook.qtcore import EvalPoint, QTFactored, f_fun
 from qthook.series import (
+    NO_TRUNC,
     MultiSeries,
     QTCoeff,
     VarSet,
@@ -67,6 +68,40 @@ def test_mul_and_add_basics():
     assert c.equals(f1)
     diff = s + s.scale(-1)
     assert diff.is_zero()
+
+
+def _series(varset, trunc, point, terms):
+    s = MultiSeries(varset, trunc, point)
+    for mono, c in terms.items():
+        s.add_term(mono, c)
+    return s
+
+
+# 1 + 2a + 3b^2 + 5a^2 b, a polynomial in (a, b)
+AB = VarSet(["a", "b"])
+AB_POLY = _series(AB, NO_TRUNC, EXACT, {(0, 0): 1, (1, 0): 2, (0, 2): 3,
+                                        (2, 1): 5})
+ZERO_ONE = XYZ.monomial({"z0": 1, "z1": 1})
+
+
+@pytest.mark.parametrize("images, trunc, point, expected", [
+    # unit images at chosen slots: a -> z2, b -> z0
+    ([z("z2"), z("z0")], 3, EXACT,
+     {XYZ.unit(): 1, z("z2"): 2, z("z0", 2): 3,
+      XYZ.monomial({"z2": 2, "z0": 1}): 5}),
+    # b -> the empty monomial merges 1 and 3b^2; a -> z0 z1 scales with its
+    # exponent, so a^2 b lands at degree 4, above the truncation
+    ([ZERO_ONE, XYZ.unit()], 3, EXACT, {XYZ.unit(): 4, ZERO_ONE: 2}),
+    ([ZERO_ONE, XYZ.unit()], 4, EXACT,
+     {XYZ.unit(): 4, ZERO_ONE: 2, XYZ.monomial({"z0": 2, "z1": 2}): 5}),
+    # into eval mode: the coefficients become values
+    ([z("z2"), z("z0")], 2, EvalPoint(Fraction(2, 3), Fraction(5, 7)),
+     {XYZ.unit(): 1, z("z2"): 2, z("z0", 2): 3}),
+])
+def test_substitute(images, trunc, point, expected):
+    got = AB_POLY.substitute(images, XYZ, trunc, point)
+    assert got.point == point and got.trunc == trunc
+    assert got.equals(_series(XYZ, trunc, point, expected))
 
 
 def test_incompatible_operands_are_rejected():
@@ -162,24 +197,16 @@ def test_exact_and_eval_commute():
     pts = sample_points(3, seed=2)
     for trial in range(20):
         pt = pts[trial % len(pts)]
-        ring_e = pt
+
+        def at_pt(s):
+            return MultiSeries(XYZ, 4, pt,
+                               {m: c.evaluate(pt) for m, c in s.terms.items()})
+
         a = _random_series(rng, XYZ, 4, EXACT)
         b = _random_series(rng, XYZ, 4, EXACT)
-        exact = (a * b + a).evaluate_exact_at(pt)
-        a2 = MultiSeries(XYZ, 4, ring_e,
-                         {m: c.evaluate(pt) for m, c in a.terms.items()})
-        b2 = MultiSeries(XYZ, 4, ring_e,
-                         {m: c.evaluate(pt) for m, c in b.terms.items()})
-        eq, _ = series_equals(exact, a2 * b2 + a2)
+        a2, b2 = at_pt(a), at_pt(b)
+        eq, _ = series_equals(at_pt(a * b + a), a2 * b2 + a2)
         assert eq
-
-
-def test_json_dump_shape():
-    s = series_f(z("z0"), XYZ, 2, EXACT)
-    d = s.to_json()
-    assert d["vars"] == ["z0", "z1", "z2"]
-    assert d["truncation"] == 2 and d["mode"] == "exact"
-    assert all(set(t) == {"exps", "num", "den"} for t in d["terms"])
 
 
 # -- product_of_f against the same factors in other orders -------------------

@@ -9,6 +9,7 @@ import json
 import pytest
 
 from qthook import hypergeom, macdonald, suites
+from qthook.qtcore import QTFactored
 
 # identity -> (module, name of the check it runs per case)
 CHECKS = {
@@ -121,3 +122,26 @@ def test_b_ratio_display_failure(name, monkeypatch):
     assert report.result == "fail"
     assert _mismatch_json(report) == {"params": "b-ratio display"}
     assert counter[0] == 1
+
+
+# Negative controls: doubling a coefficient the check relies on must turn the
+# sweep's report to "fail".  A first, unmutated run fills the skew cache, so
+# every skew polynomial keeps its real coefficients and none built with the
+# doubled one outlives the test.
+MUTATIONS = [("pieri", "phi_skew"), ("pieri", "psi_skew"),
+             ("warnaar-oa", "b_oa"), ("warnaar-el", "b_el"),
+             ("warnaar-odd", "b_el"), ("warnaar-even", "b_el")]
+
+
+@pytest.mark.parametrize("name, attr", MUTATIONS,
+                         ids=[f"{n}-{a}" for n, a in MUTATIONS])
+def test_sweep_fails_on_a_doubled_coefficient(name, attr, monkeypatch):
+    assert suites.run_identity(name).result == "pass"
+    misses = macdonald._skew_cached.cache_info().misses
+    real = getattr(macdonald, attr)
+    monkeypatch.setattr(macdonald, attr,
+                        lambda *args: real(*args) * QTFactored(2))
+    report = suites.run_identity(name)
+    assert report.result == "fail"
+    assert report.mismatch is not None
+    assert macdonald._skew_cached.cache_info().misses == misses
