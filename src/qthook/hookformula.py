@@ -452,7 +452,7 @@ def lhs_series(poset: ColoredPoset, trunc: int,
     """Sum over P-partitions of weight <= trunc of W(pi) z^pi.
 
     ``terms`` are ``lhs_terms`` groups: each weight becomes a coefficient
-    once (one evaluation at ``point``, or one ``QTCoeff`` expansion in exact
+    once (one evaluation at ``point``, or one unexpanded ``QTCoeff`` in exact
     mode) and is added at each of its monomials.
     """
     out = MultiSeries(poset.varset, trunc, point)

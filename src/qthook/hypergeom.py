@@ -3,7 +3,8 @@
 Everything here is a finite sum of exact rational terms: q-shifted
 factorials, the r+1_phi_r series, very-well-poised W series evaluated
 through their square-root-free per-term form, Gasper's transformation, and
-the two summation identities that close the hook-formula proof.
+the summation identities that close the hook-formula proof, whose sides are
+sums of f-ratio products added in a balanced tree (``_qsum``).
 """
 
 from __future__ import annotations
@@ -267,10 +268,13 @@ def gasper_sweep(trials: int, seed: int, max_n: int = 6,
 # ---------------------------------------------------------------------------
 
 def _qsum(values) -> QTCoeff:
-    total = QTCoeff.zero()
-    for v in values:
-        total = total + QTCoeff.from_qtf(v)
-    return total
+    """The sum of a list of QTFactored terms as a balanced pairwise tree
+    (Bernstein, "Fast multiplication and its applications", 2008)."""
+    level = [QTCoeff.from_qtf(v) for v in values] or [QTCoeff.zero()]
+    while len(level) > 1:
+        level = [sum(level[i:i + 2], QTCoeff.zero())
+                 for i in range(0, len(level), 2)]
+    return level[0]
 
 
 def lemma_both_sides(m: int, k0: int, rho0: int, theta0: int, gamma: int):

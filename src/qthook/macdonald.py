@@ -179,11 +179,16 @@ def g_r(r: int, n: int) -> MultiSeries:
 # Expansion in the P basis (triangular, dominance-compatible lex order).
 # ---------------------------------------------------------------------------
 
+class NotInPBasis(ArithmeticError):
+    """``expand_in_p`` could not expand: ``args`` is (lam, reason)."""
+
+
 def expand_in_p(poly: MultiSeries, degree: int, n: int) -> dict[Partition, QTCoeff]:
     """Write a homogeneous symmetric polynomial as sum c_lam P_lam.
 
     Ties between dominance-incomparable partitions are broken
-    lexicographically (any linear extension works).
+    lexicographically (any linear extension works).  Raises NotInPBasis when
+    a P_lam used has x^lam coefficient other than 1, or a remainder is left.
     """
     rest = poly
     out = {}
@@ -194,10 +199,14 @@ def expand_in_p(poly: MultiSeries, degree: int, n: int) -> dict[Partition, QTCoe
         c = rest.coefficient(exps)
         if not c:
             continue
+        p_lam = macdonald_p(lam, n)
+        if not p_lam.coefficient(exps).equals(QTCoeff.one()):
+            raise NotInPBasis(lam, "P_lam has a leading coefficient other than 1")
         out[lam] = c
-        rest = rest - macdonald_p(lam, n).scale(c)
+        rest = rest - p_lam.scale(c)
     if not rest.is_zero():
-        raise AssertionError("P-basis expansion left a nonzero remainder")
+        raise NotInPBasis(Partition(sorted(max(rest.terms), reverse=True)),
+                          "the expansion left a nonzero remainder")
     return out
 
 
@@ -696,17 +705,20 @@ def pieri_check(mu: Partition, r: int, n: int, kind: str):
         raise ValueError("need l(mu) <= n")
     d = mu.weight() + r
     if kind == "phi":
-        prod = macdonald_p(mu, n) * g_r(r, n)
-        coeffs = expand_in_p(prod, d, n)
-        reference = phi_skew
+        prod, reference = macdonald_p(mu, n) * g_r(r, n), phi_skew
     elif kind == "psi":
-        prod = macdonald_q(mu, n) * g_r(r, n)
-        p_coeffs = expand_in_p(prod, d, n)
-        coeffs = {lam: c.mul_qtf(b_lambda(lam).inverse())
-                  for lam, c in p_coeffs.items()}
-        reference = psi_skew
+        prod, reference = macdonald_q(mu, n) * g_r(r, n), psi_skew
     else:
         raise ValueError(f"unknown Pieri kind {kind!r}")
+    try:
+        coeffs = expand_in_p(prod, d, n)
+    except NotInPBasis as err:
+        lam, reason = err.args
+        return False, {"lam": str(lam), "mu": str(mu), "r": r, "kind": kind,
+                       "reason": reason}
+    if kind == "psi":
+        coeffs = {lam: c.mul_qtf(b_lambda(lam).inverse())
+                  for lam, c in coeffs.items()}
     strips = set(horizontal_strips_above(mu, r, n))
     for lam in partitions_of(d, None, n):
         expected = reference(lam, mu) if lam in strips else QTFactored.zero()

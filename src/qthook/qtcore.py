@@ -3,7 +3,8 @@
 Every weight and coefficient formula in this package is a product of factors
 (1 - q^a t^b)^(+-1) times a rational scalar, so the primary value type
 ``QTFactored`` keeps that factored shape: multiplication and division are
-dictionary merges and never expand anything.  Exact equality testing first
+dictionary merges and never expand anything (it is also the content of the
+exact series coefficient ``series.QTCoeff``).  Exact equality testing first
 cancels the monomial and the (1 - q^a t^b) powers both sides share
 (``cancelled_ratio``), then expands what is left to bivariate polynomials
 (``BiPoly``) and compares; eval mode compares values at rational sample

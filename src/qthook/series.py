@@ -1,12 +1,13 @@
 """Truncated formal power series in named commuting variables.
 
 A series carries ``point``, and its coefficients are exact either way.  With
-``point`` None (exact mode) they are ratios of a bivariate polynomial in
-(q, t) by a product of binomials (1 - q^a t^b) (``QTCoeff``); at an
-:class:`~qthook.qtcore.EvalPoint` (eval mode) they are the ``Fraction``
-values of those ratios there.  ``as_coeff`` turns any input into the one
-kind, and ``not c`` is the zero test for both.  Truncation is by total
-degree across all variables, which matches the weight |pi| of a P-partition.
+``point`` None (exact mode) each is a ``QTCoeff``: a factored content times
+an integer polynomial, whose sums divide binomials back out
+(``divide_binomial``); at an :class:`~qthook.qtcore.EvalPoint` (eval mode)
+they are the ``Fraction`` values there.  ``as_coeff`` turns any input into
+the one kind, and ``not c`` is the zero test for both.  Truncation is by
+total degree across all variables, which matches the weight |pi| of a
+P-partition.
 
 A polynomial is a series with truncation ``NO_TRUNC``: the Macdonald
 polynomials are exact series in x1..xn, and ``substitute`` places one on
@@ -16,6 +17,7 @@ the variables of a larger series.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, itemgetter
 
 from .qtcore import (
@@ -23,6 +25,7 @@ from .qtcore import (
     BiPoly,
     EvalPoint,
     QTFactored,
+    VanishingFactor,
     _binomial_power,
     cancelled_ratio,
     f_series_coeff,
@@ -32,17 +35,34 @@ NO_TRUNC = 10 ** 9
 
 
 class QTCoeff:
-    """num / (q^dq t^dt * prod (1 - q^a t^b)^e) with num an exact polynomial."""
+    """An exact coefficient ``content * rem``: a factored QTFactored content
+    times an integer BiPoly remainder, 0 exactly when ``rem`` is.  A content
+    is never mutated, so ``from_qtf`` keeps what it is handed (a cached
+    ``f_fun`` value, say) without expanding or copying it.
 
-    __slots__ = ("num", "dq", "dt", "den")
+    ``(dq, dt, den)`` is the display denominator q^dq t^dt prod
+    (1 - q^a t^b)^den[a, b], summed by ``*`` and maxed by ``+``; the value
+    times it is the polynomial ``num``, which ``num_den_strings`` prints, and
+    ``evaluate`` raises VanishingFactor exactly where it vanishes.
+    """
+
+    __slots__ = ("content", "rem", "dq", "dt", "den")
 
     def __init__(self, num: BiPoly, dq: int = 0, dt: int = 0, den=None):
-        self.num = num
-        self.dq = dq
-        self.dt = dt
-        self.den = {k: e for k, e in (den or {}).items() if e}
-        if any(e < 0 for e in self.den.values()):
+        """The coefficient num / (q^dq t^dt prod (1 - q^a t^b)^den[a, b])."""
+        den = {k: e for k, e in (den or {}).items() if e}
+        if any(e < 0 for e in den.values()):
             raise ValueError("denominator exponents must be positive")
+        scale = lcm(*(Fraction(c).denominator for c in num.terms.values()))
+        self.content = QTFactored(Fraction(1, scale), -dq, -dt,
+                                  {k: -e for k, e in den.items()})
+        self.rem, self.dq, self.dt, self.den = num.scale(scale), dq, dt, den
+
+    @staticmethod
+    def _make(content: QTFactored, rem: BiPoly, dq, dt, den) -> "QTCoeff":
+        out = QTCoeff.__new__(QTCoeff)
+        out.content, out.rem, out.dq, out.dt, out.den = content, rem, dq, dt, den
+        return out
 
     @staticmethod
     def zero() -> "QTCoeff":
@@ -54,19 +74,18 @@ class QTCoeff:
 
     @staticmethod
     def from_qtf(f: QTFactored) -> "QTCoeff":
-        if f.is_zero():
-            return QTCoeff.zero()
-        num = BiPoly.monomial(f.coeff, max(f.qexp, 0), max(f.texp, 0))
-        den = {}
-        for (a, b), e in f.factors.items():
-            if e > 0:
-                num = num * _binomial_power(a, b, e)
-            else:
-                den[(a, b)] = -e
-        return QTCoeff(num, max(-f.qexp, 0), max(-f.texp, 0), den)
+        return QTCoeff._make(f, BI_ONE if f.coeff else BiPoly(),
+                             max(-f.qexp, 0), max(-f.texp, 0),
+                             {k: -e for k, e in f.factors.items() if e < 0})
 
     def __bool__(self) -> bool:
-        return bool(self.num.terms)
+        return bool(self.rem.terms)
+
+    @property
+    def num(self) -> BiPoly:
+        """The value times the display denominator, expanded."""
+        return _lift(self.rem, self.content, 1, -self.dq, -self.dt,
+                     {k: -e for k, e in self.den.items()})
 
     def _den_poly(self) -> BiPoly:
         out = BiPoly.monomial(1, self.dq, self.dt)
@@ -75,31 +94,36 @@ class QTCoeff:
         return out
 
     def __add__(self, other: "QTCoeff") -> "QTCoeff":
+        """Keep the content both sides share, add the two expanded quotients,
+        and divide out each denominator binomial of it while that is exact."""
         if not isinstance(other, QTCoeff):
             return NotImplemented
-        if not self:
-            return other
-        if not other:
-            return self
-        dq = max(self.dq, other.dq)
-        dt = max(self.dt, other.dt)
-        den = dict(self.den)
-        for k, e in other.den.items():
-            den[k] = max(den.get(k, 0), e)
-        a = self.num.shift(dq - self.dq, dt - self.dt)
-        for k, e in den.items():
-            gap = e - self.den.get(k, 0)
-            if gap:
-                a = a * _binomial_power(*k, gap)
-        b = other.num.shift(dq - other.dq, dt - other.dt)
-        for k, e in den.items():
-            gap = e - other.den.get(k, 0)
-            if gap:
-                b = b * _binomial_power(*k, gap)
-        return QTCoeff(a + b, dq, dt, den)
+        if not (self and other):
+            return self or other
+        den = {k: max(self.den.get(k, 0), other.den.get(k, 0))
+               for k in self.den.keys() | other.den.keys()}
+        x, y = self.content, other.content
+        # minimum exponents and gcd(nums) / lcm(dens): integral quotients
+        scalar = Fraction(gcd(x.coeff.numerator, y.coeff.numerator),
+                          lcm(x.coeff.denominator, y.coeff.denominator))
+        qexp, texp = min(x.qexp, y.qexp), min(x.texp, y.texp)
+        common = {k: min(x.factors.get(k, 0), y.factors.get(k, 0))
+                  for k in x.factors.keys() | y.factors.keys()}
+        total = (_lift(self.rem, x, scalar, qexp, texp, common)
+                 + _lift(other.rem, y, scalar, qexp, texp, common))
+        for k, e in common.items():
+            while e < 0 and total.terms:
+                quotient = divide_binomial(total, *k)
+                if quotient is None:
+                    break
+                total, e = quotient, e + 1
+            common[k] = e
+        return QTCoeff._make(QTFactored(scalar, qexp, texp, common), total,
+                             max(self.dq, other.dq), max(self.dt, other.dt), den)
 
     def __neg__(self) -> "QTCoeff":
-        return QTCoeff(-self.num, self.dq, self.dt, self.den)
+        return QTCoeff._make(self.content.scale(-1), self.rem,
+                             self.dq, self.dt, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -112,26 +136,38 @@ class QTCoeff:
         den = dict(self.den)
         for k, e in other.den.items():
             den[k] = den.get(k, 0) + e
-        return QTCoeff(self.num * other.num, self.dq + other.dq,
-                       self.dt + other.dt, den)
+        return QTCoeff._make(self.content * other.content,
+                             _times(self.rem, other.rem),
+                             self.dq + other.dq, self.dt + other.dt, den)
 
     def mul_qtf(self, f: QTFactored) -> "QTCoeff":
         return self * QTCoeff.from_qtf(f)
 
     def equals(self, other) -> bool:
+        """Cancel the two contents, then compare the remainders."""
         if not isinstance(other, QTCoeff):
             return other.equals(self)
         if not self or not other:
             return not self and not other
-        # self.num / D == other.num / D' iff self.num * D' == other.num * D,
-        # and D' / D = u / v once their common factors are cancelled.
-        u, v = cancelled_ratio(other.dq, other.dt, other.den,
-                               self.dq, self.dt, self.den)
-        return self.num * u == other.num * v
+        x, y = self.content, other.content
+        u, v = cancelled_ratio(x.qexp, x.texp, x.factors,
+                               y.qexp, y.texp, y.factors)
+        left, right = _times(self.rem, u), _times(other.rem, v)
+        sx = x.coeff.numerator * y.coeff.denominator
+        sy = y.coeff.numerator * x.coeff.denominator
+        if sx != sy:
+            left, right = left.scale(sx), right.scale(sy)
+        return left == right
 
     def evaluate(self, point: EvalPoint) -> Fraction:
-        return point.value(self.num.evaluate(point.q0, point.t0), -self.dq,
-                           -self.dt, {k: -e for k, e in self.den.items()})
+        for k in self.den:  # raises where the display denominator vanishes
+            point.binomial(*k)
+        c = self.content
+        try:
+            return point.value(c.coeff * self.rem.evaluate(point.q0, point.t0),
+                               c.qexp, c.texp, c.factors)
+        except VanishingFactor:  # only a positive content factor can vanish
+            return Fraction(0)
 
     def num_den_strings(self) -> tuple[str, str]:
         return str(self.num), str(self._den_poly())
@@ -139,6 +175,53 @@ class QTCoeff:
     def __repr__(self):
         n, d = self.num_den_strings()
         return f"({n})/({d})" if d != "1" else f"({n})"
+
+
+def _times(a: BiPoly, b: BiPoly) -> BiPoly:
+    """a * b, without a product when either is 1."""
+    return b if a.terms == BI_ONE.terms else a if b.terms == BI_ONE.terms else a * b
+
+
+def _lift(rem: BiPoly, f: QTFactored, scalar, qexp: int, texp: int,
+          floor: dict) -> BiPoly:
+    """rem * f / (scalar q^qexp t^texp prod (1 - q^a t^b)^floor[a, b]),
+    expanded; no exponent of f lies below the one it is divided by."""
+    p = BiPoly.monomial(f.coeff / scalar, f.qexp - qexp, f.texp - texp)
+    for k in f.factors.keys() | floor.keys():
+        gap = f.factors.get(k, 0) - floor.get(k, 0)
+        if gap:
+            p = p * _binomial_power(*k, gap)
+    return _times(rem, p)
+
+
+def divide_binomial(p: BiPoly, a: int, b: int) -> BiPoly | None:
+    """p / (1 - q^a t^b) when that division is exact, else None.
+
+    The terms of p fall into chains m, m + (a, b), ..., keyed by where each
+    chain starts; a or b may be 0.  Along a chain the quotient is the running
+    sum of p's coefficients, so the division is exact when every chain sums
+    to 0.  O(n log n), no gcd."""
+    terms = p.terms
+    i, j = max(terms, default=(0, 0))  # top of its chain: most failures show there
+    if sum(terms.get((i - s * a, j - s * b), 0)
+           for s in range(min(i // a if a else j // b, j // b if b else i // a) + 1)):
+        return None
+    chains = {}
+    for (i, j), c in terms.items():
+        k = min(i // a if a else j // b, j // b if b else i // a)
+        chains.setdefault((i - k * a, j - k * b), []).append((k, c))
+    out = {}
+    for (i, j), chain in chains.items():
+        chain.sort()
+        total = 0
+        for (k, c), (k_next, _) in zip(chain, chain[1:]):
+            total += c
+            if total:
+                for s in range(k, k_next):
+                    out[i + s * a, j + s * b] = total
+        if total + chain[-1][1]:
+            return None
+    return BiPoly(out)
 
 
 def as_coeff(c, point: EvalPoint | None):

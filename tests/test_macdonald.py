@@ -4,7 +4,7 @@ import pytest
 
 from qthook.partitions import EMPTY, Partition, partitions_of, partitions_up_to
 from qthook.qtcore import EvalPoint, QTFactored, b_lambda, f_fun
-from qthook.series import QTCoeff
+from qthook.series import NO_TRUNC, MultiSeries, QTCoeff
 from qthook import macdonald
 from qthook.macdonald import (
     branching_check,
@@ -324,3 +324,12 @@ def test_bracket_checks_fail_on_a_wrong_side(name, fault, monkeypatch):
     ok, info = check()
     assert not ok
     assert "monomial" in info
+
+
+def test_expand_in_p_names_what_it_cannot_expand():
+    # x1 alone is not symmetric: P_(1) takes all of it and leaves -x2 - x3
+    poly = MultiSeries(macdonald.poly_vars(3), NO_TRUNC)
+    poly.add_term((1, 0, 0), 1)
+    with pytest.raises(macdonald.NotInPBasis) as err:
+        expand_in_p(poly, 1, 3)
+    assert err.value.args == (P([1]), "the expansion left a nonzero remainder")

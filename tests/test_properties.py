@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qthook.partitions import Partition, is_horizontal_strip
 from qthook.qtcore import BiPoly, QTFactored, qt_equals, sample_points
 from qthook.polyops import divexact_bipoly, gcd_bipoly
+from qthook.series import divide_binomial
 
 partitions = st.lists(st.integers(1, 6), max_size=5).map(
     lambda xs: Partition(sorted(xs, reverse=True)))
@@ -92,3 +93,31 @@ def test_gcd_of_common_multiple(p, q, r):
     # r divides the gcd of (pr, qr)
     if not (p.is_zero() and q.is_zero()):
         assert (divexact_bipoly(g, r) * r) == g
+
+
+int_polys = st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    st.integers(-5, 5), max_size=8,
+).map(BiPoly)
+binomial_keys = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(
+    lambda ab: ab != (0, 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_polys, binomial_keys,
+       st.tuples(st.integers(0, 9), st.integers(0, 9)),
+       st.integers(-5, 5).filter(lambda c: c != 0))
+def test_divide_binomial_undoes_the_product(p, ab, mono, c):
+    b = BiPoly({(0, 0): 1, ab: -1})
+    assert divide_binomial(p * b, *ab) == p
+    # a monomial never vanishes where 1 - q^a t^b does, so this cannot divide
+    assert divide_binomial(p * b + BiPoly.monomial(c, *mono), *ab) is None
+
+
+def test_divide_binomial_with_a_zero_exponent():
+    p = BiPoly({(0, 0): 3, (1, 2): -1, (4, 0): 7})
+    for ab in ((0, 1), (0, 3), (1, 0), (2, 0)):
+        b = BiPoly({(0, 0): 1, ab: -1})
+        assert divide_binomial(p * b, *ab) == p
+        assert divide_binomial(p * b * b, *ab) == p * b
+        assert divide_binomial(p, *ab) is None

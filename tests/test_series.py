@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from qthook import hypergeom
 from qthook.dposet import build_banner, build_bird, hook_monomials
 from qthook.partitions import Partition as P
-from qthook.qtcore import EvalPoint, QTFactored, f_fun
+from qthook.qtcore import BiPoly, EvalPoint, QTFactored, b_lambda, f_fun
 from qthook.series import (
     NO_TRUNC,
     MultiSeries,
@@ -240,3 +241,93 @@ def test_product_of_f_does_not_depend_on_the_order(family, D):
         assert got.terms.keys() == ref.terms.keys()
         assert all(got.terms[m].num_den_strings() == ref.terms[m].num_den_strings()
                    for m in got.terms)
+
+
+# -- the factored coefficient: tree sums and the display text ----------------
+
+def _random_f_product(rng, sign=1):
+    """A random scalar times f-ratios and their inverses.  With ``sign`` 1
+    every such term is positive at 0 < q, t < 1, so no partial sum is 0."""
+    out = QTFactored(Fraction(sign * rng.randint(1, 9), rng.randint(1, 4)))
+    for _ in range(rng.randint(1, 4)):
+        f = f_fun(rng.randint(0, 3), rng.randint(0, 2))
+        out = out * f if rng.random() < 0.7 else out / f
+    return out
+
+
+def _expand(c, qexp, texp, factors):
+    out = BiPoly.monomial(c, qexp, texp)
+    for k, e in factors.items():
+        for _ in range(e):
+            out = out * BiPoly({(0, 0): 1, k: -1})
+    return out
+
+
+def _lifted_text(terms):
+    """Text oracle: every term's numerator lifted to the max-exponent
+    denominator, expanded one binomial at a time, then summed."""
+    dq = max(max(-f.qexp, 0) for f in terms)
+    dt = max(max(-f.texp, 0) for f in terms)
+    den = {}
+    for f in terms:
+        for k, e in f.factors.items():
+            if e < 0:
+                den[k] = max(den.get(k, 0), -e)
+    total = BiPoly()
+    for f in terms:
+        total = total + _expand(f.coeff, f.qexp + dq, f.texp + dt, {
+            k: f.factors.get(k, 0) + den.get(k, 0)
+            for k in f.factors.keys() | den.keys()})
+    return str(total), str(_expand(1, dq, dt, den))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tree_sum_matches_the_sequential_sum(seed):
+    rng = random.Random(seed)
+    pt = EvalPoint(Fraction(2, 3), Fraction(3, 5))
+    for sign in (1, -1):
+        terms = [_random_f_product(rng, rng.choice((1, sign)))
+                 for _ in range(rng.randint(2, 9))]
+        tree = hypergeom._qsum(terms)
+        seq = QTCoeff.zero()
+        for f in terms:
+            seq = seq + QTCoeff.from_qtf(f)
+        assert tree.equals(seq) and seq.equals(tree)
+        assert tree.evaluate(pt) == seq.evaluate(pt) == sum(
+            f.evaluate(pt) for f in terms)
+        assert not tree.equals(seq + QTCoeff.from_qtf(terms[0]))
+        if sign == 1:
+            assert tree.num_den_strings() == _lifted_text(terms)
+            assert seq.num_den_strings() == _lifted_text(terms)
+
+
+def test_a_sum_divides_out_a_shared_denominator():
+    # 1/(1-q) - q/(1-q) is 1: the remainder is divided by (1 - q)
+    s = QTCoeff.from_qtf(QTFactored.binomial(1, 0, -1)) + QTCoeff.from_qtf(
+        QTFactored(-1, 1, 0, {(1, 0): -1}))
+    assert s.rem == BiPoly.const(1) and not s.content.factors
+    assert s.equals(QTCoeff.one())
+    # the display denominator is still the lcm the terms were written over
+    assert s.num_den_strings() == ("1-q", "1-q")
+
+
+def test_operations_leave_their_operands_alone():
+    f = f_fun(2, 0)
+
+    def state(c):
+        return (c.coeff, c.qexp, c.texp, dict(c.factors))
+
+    before = state(f)
+    xs = [QTCoeff.from_qtf(f), QTCoeff.from_qtf(b_lambda(P([2, 1]))),
+          QTCoeff.from_qtf(f * f_fun(1, 1)) + QTCoeff.from_qtf(f)]
+    assert xs[0].content is f
+    kept = [(state(x.content), dict(x.rem.terms), x.dq, x.dt, dict(x.den))
+            for x in xs]
+    pt = EvalPoint(Fraction(2, 3), Fraction(3, 5))
+    for x in xs:
+        for y in xs:
+            x + y, x * y, x - y, x.equals(y)
+        -x, x.num_den_strings(), x.evaluate(pt)
+    assert state(f) == before and f_fun(2, 0) is f
+    assert [(state(x.content), dict(x.rem.terms), x.dq, x.dt, dict(x.den))
+            for x in xs] == kept

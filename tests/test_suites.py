@@ -4,6 +4,7 @@ Each sweep's underlying check is forced to fail at its k-th call.  The
 report must name that case in its mismatch, and the sweep must stop there.
 """
 
+import itertools
 import json
 
 import pytest
@@ -145,3 +146,48 @@ def test_sweep_fails_on_a_doubled_coefficient(name, attr, monkeypatch):
     assert report.result == "fail"
     assert report.mismatch is not None
     assert macdonald._skew_cached.cache_info().misses == misses
+
+
+def test_pieri_fails_on_a_scaled_p_basis(monkeypatch):
+    """With psi_skew doubled and a cold skew cache every P_lam is scaled, so
+    the P-basis expansion meets a leading coefficient other than 1: the sweep
+    reports a fail, not an internal error."""
+    real = macdonald.psi_skew
+    monkeypatch.setattr(macdonald, "psi_skew",
+                        lambda *args: real(*args) * QTFactored(2))
+    macdonald._skew_cached.cache_clear()
+    try:
+        report = suites.run_identity("pieri")
+    finally:
+        macdonald._skew_cached.cache_clear()  # no scaled polynomial outlives it
+    assert report.result == "fail"
+    # the first case already fails: P_() is 2^4 in four variables
+    assert _mismatch_json(report) == {
+        "lam": "", "mu": "", "r": 0, "kind": "phi",
+        "reason": "P_lam has a leading coefficient other than 1"}
+
+
+def _drop_last_rhs_summand(monkeypatch):
+    """The sums of ``hypergeom`` lose their last RHS summand (``hookformula``
+    keeps its own ``bounded_tuples`` binding)."""
+    real = hypergeom.bounded_tuples
+    monkeypatch.setattr(hypergeom, "bounded_tuples",
+                        lambda *args, **kw: real(*args, **kw)[:-1])
+
+
+@pytest.mark.parametrize("name", ["lemma", "general", "birds-final",
+                                  "banners-final"])
+def test_sweep_fails_without_its_last_rhs_summand(name, monkeypatch):
+    _drop_last_rhs_summand(monkeypatch)
+    assert suites.run_identity(name).result == "fail"
+
+
+def test_every_general_case_fails_without_its_last_rhs_summand(monkeypatch):
+    _drop_last_rhs_summand(monkeypatch)
+    cases = [(m, n, k0, rho0, theta0, list(gamma))
+             for m in range(3) for n in (1, 2)
+             for k0, rho0, theta0 in itertools.combinations_with_replacement(range(3), 3)
+             if k0 < rho0
+             for gamma in itertools.product(range(4), repeat=n)]
+    assert len(cases) == 240
+    assert not any(hypergeom.general_check(*case) for case in cases)
