@@ -581,21 +581,36 @@ def enumerate_p_partitions(poset: ColoredPoset, bound: int):
     least the maximum over the upper covers, and at most (bound - used) //
     |downset(e)|, since every element below e is still empty and will take
     a value at least e's (Stanley's order-reversing maps, Mem. AMS 119).
+    The maps come in lexicographic order along ``fill_order``, each a dict
+    keyed in that order, from one odometer: it fills every position from
+    the first one it moved, and moves the deepest one below its cap.
     """
     order = fill_order(poset)
-    uppers = {e: [u for u in poset.upper_covers(e)] for e in order}
-    below = {e: len(poset.downset(e)) for e in order}
-    values = {}
-
-    def rec(pos, used):
-        if pos == len(order):
-            yield dict(values)
+    pos = {e: i for i, e in enumerate(order)}
+    uppers = [[pos[u] for u in poset.upper_covers(e)] for e in order]
+    below = [len(poset.downset(e)) for e in order]
+    size = len(order)
+    values, caps = [0] * size, [0] * size
+    used = [0] * (size + 1)  # used[i]: the weight of positions before i
+    i = 0
+    while True:
+        while i < size:  # fill each position from i on with its least value
+            v = 0
+            for u in uppers[i]:
+                if values[u] > v:
+                    v = values[u]
+            cap = (bound - used[i]) // below[i]
+            if v > cap:
+                break
+            values[i], caps[i], used[i + 1] = v, cap, used[i] + v
+            i += 1
+        else:
+            yield dict(zip(order, values))
+        i -= 1  # move the deepest position below its cap, refill after it
+        while i >= 0 and values[i] == caps[i]:
+            i -= 1
+        if i < 0:
             return
-        e = order[pos]
-        lo = max((values[u] for u in uppers[e]), default=0)
-        for v in range(lo, (bound - used) // below[e] + 1):
-            values[e] = v
-            yield from rec(pos + 1, used + v)
-        values.pop(e, None)
-
-    yield from rec(0, 0)
+        values[i] += 1
+        used[i + 1] += 1
+        i += 1

@@ -19,8 +19,7 @@ from .partitions import (Partition, bounded_tuples, is_horizontal_strip,
 from .qtcore import (EvalPoint, QTFactored, b_el, b_lambda, f_fun, phi_skew,
                      psi_skew, resampled)
 from .report import VerificationReport, timed
-from .series import (NO_TRUNC, MultiSeries, as_coeff, product_of_f,
-                     series_equals)
+from .series import NO_TRUNC, MultiSeries, product_of_f, series_equals
 
 HAT = "__hat__"
 
@@ -406,9 +405,11 @@ def lhs_terms(poset: ColoredPoset,
     the position of its lower element in ``fill_order``, and a P-partition
     takes back and recounts only the pairs closed from the first position
     where it differs from the one before (f-arguments with n = 0, where
-    f = 1, are not counted).  P-partitions with the same nonzero counts
-    share one weight, built once by ``_f_product``; groups come in the order
-    of their first P-partition and list their z^pi in enumeration order.
+    f = 1, are not counted, and a count that returns to 0 is dropped, so
+    the counts are the group key as they stand); z^pi is kept the same way.
+    P-partitions with the same counts share one weight, built once by
+    ``_f_product``; groups come in the order of their first P-partition and
+    list their z^pi in enumeration order.
     """
     order = fill_order(poset)
     pos = {e: i for i, e in enumerate(order)}
@@ -422,16 +423,24 @@ def lhs_terms(poset: ColoredPoset,
         closes[pos[x]].append((-1, m, 1))
     color = [poset.varset.index[poset.color[e]] for e in order]
     counts, groups, prev = {}, {}, []
+    mono = [0] * len(poset.varset)  # z^pi, kept along with the counts
+    get = counts.get
 
     def count(vals, start, sign):
         for i in range(start, len(order)):
+            v = vals[i]
+            mono[color[i]] += sign * v
             for j, m, s in closes[i]:
-                n = vals[i] - vals[j]
+                n = v - vals[j]
                 if n:
-                    counts[n, m] = counts.get((n, m), 0) + sign * s
+                    c = get((n, m), 0) + sign * s
+                    if c:
+                        counts[n, m] = c
+                    else:
+                        del counts[n, m]
 
     for pi in enumerate_p_partitions(poset, trunc):
-        vals = [pi[e] for e in order] + [0]
+        vals = [*pi.values(), 0]  # the maps come keyed in fill order
         start = 0
         if prev:
             while prev[start] == vals[start]:
@@ -439,11 +448,7 @@ def lhs_terms(poset: ColoredPoset,
             count(prev, start, -1)
         count(vals, start, 1)
         prev = vals
-        mono = [0] * len(poset.varset)
-        for k, v in zip(color, vals):
-            mono[k] += v
-        key = frozenset(kv for kv in counts.items() if kv[1])
-        groups.setdefault(key, []).append(tuple(mono))
+        groups.setdefault(frozenset(counts.items()), []).append(tuple(mono))
     return [(_f_product(key), monos) for key, monos in groups.items()]
 
 
@@ -453,13 +458,11 @@ def lhs_series(poset: ColoredPoset, trunc: int,
 
     ``terms`` are ``lhs_terms`` groups: each weight becomes a coefficient
     once (one evaluation at ``point``, or one unexpanded ``QTCoeff`` in exact
-    mode) and is added at each of its monomials.
+    mode) and is added at each of its monomials; at a point the series takes
+    the lcm of the values' denominators first, so every sum is of integers.
     """
     out = MultiSeries(poset.varset, trunc, point)
-    for w, monos in (terms if terms is not None else lhs_terms(poset, trunc)):
-        c = as_coeff(w, point)
-        for mono in monos:
-            out.add_term(mono, c)
+    out.add_groups(terms if terms is not None else lhs_terms(poset, trunc))
     return out
 
 

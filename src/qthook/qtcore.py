@@ -204,11 +204,17 @@ class EvalPoint:
         VanishingFactor where the binomial is 0 at this point."""
         B = self._binomials.get((a, b))
         if B is None:
-            B = (1 - self.q0 ** a * self.t0 ** b) \
-                * Fraction(self.q0.denominator) ** a * Fraction(self.t0.denominator) ** b
+            q0, t0 = self.q0, self.t0
+            if a >= 0 and b >= 0:
+                B = (q0.denominator ** a * t0.denominator ** b
+                     - q0.numerator ** a * t0.numerator ** b)
+            else:
+                B = (1 - q0 ** a * t0 ** b) \
+                    * Fraction(q0.denominator) ** a * Fraction(t0.denominator) ** b
+                B = B.numerator if B.denominator == 1 else B
             if B == 0:
                 raise VanishingFactor(f"(1 - q^{a} t^{b}) vanishes at {self}")
-            B = self._binomials[(a, b)] = B.numerator if B.denominator == 1 else B
+            self._binomials[(a, b)] = B
         return B
 
     def value(self, coeff: Fraction, qexp: int, texp: int, factors: dict) -> Fraction:
@@ -339,7 +345,8 @@ class QTFactored:
         if self.coeff == 0 or other.coeff == 0:
             return QTFactored.zero()
         out = QTFactored.__new__(QTFactored)
-        out.coeff = self.coeff * other.coeff
+        a, b = self.coeff, other.coeff
+        out.coeff = b if a == 1 else a if b == 1 else a * b
         out.qexp = self.qexp + other.qexp
         out.texp = self.texp + other.texp
         f = dict(self.factors)

@@ -4,10 +4,11 @@ A series carries ``point``, and its coefficients are exact either way.  With
 ``point`` None (exact mode) each is a ``QTCoeff``: a factored content times
 an integer polynomial, whose sums divide binomials back out
 (``divide_binomial``); at an :class:`~qthook.qtcore.EvalPoint` (eval mode)
-they are the ``Fraction`` values there.  ``as_coeff`` turns any input into
-the one kind, and ``not c`` is the zero test for both.  Truncation is by
-total degree across all variables, which matches the weight |pi| of a
-P-partition.
+a series holds the values there as integer numerators over one denominator
+``den``, so that its sums and products are integer ones.  ``as_coeff`` turns
+any input into a coefficient of either kind (a ``Fraction`` at a point),
+and ``not c`` is the zero test for both.  Truncation is by total degree
+across all variables, which matches the weight |pi| of a P-partition.
 
 A polynomial is a series with truncation ``NO_TRUNC``: the Macdonald
 polynomials are exact series in x1..xn, and ``substitute`` places one on
@@ -243,14 +244,12 @@ def as_coeff(c, point: EvalPoint | None):
     raise TypeError(f"cannot turn {type(c).__name__} into a series coefficient")
 
 
-def _coeff_ops(point: EvalPoint | None):
-    """(equality, text) of the coefficients of a series at ``point``: exact
-    coefficients compare by their ``equals`` and print as "(num)/(den)",
-    values at a point compare by ``==`` and print by ``str``."""
+def _coeff_text(point: EvalPoint | None):
+    """The text of a coefficient of a series at ``point``: "(num)/(den)" for
+    an exact one, ``str`` of the value at a point."""
     if point is None:
-        return (lambda a, b: a.equals(b),
-                lambda c: "({})/({})".format(*c.num_den_strings()))
-    return (lambda a, b: a == b), str
+        return lambda c: "({})/({})".format(*c.num_den_strings())
+    return str
 
 
 class VarSet:
@@ -299,30 +298,63 @@ def mono_str(mono, varset: VarSet) -> str:
 
 class MultiSeries:
     """Power series truncated at total degree D, exact (``point`` None) or
-    at an EvalPoint."""
+    at an EvalPoint.
 
-    __slots__ = ("varset", "trunc", "point", "terms")
+    The coefficient of x^m is ``terms[m] / den``.  At a point ``terms``
+    holds integer numerators over one positive integer ``den``, so sums and
+    products are integer sums and products; an exact series holds QTCoeffs
+    and keeps ``den`` at 1.  ``den`` need not be the least one: read values
+    through ``coefficient`` and compare through ``series_equals``.
+    """
+
+    __slots__ = ("varset", "trunc", "point", "terms", "den")
 
     def __init__(self, varset: VarSet, trunc: int,
                  point: EvalPoint | None = None, terms=None):
+        """The series of the c x^m over the (m, c) of ``terms``, each c
+        anything ``as_coeff`` takes."""
         self.varset = varset
         self.trunc = trunc
         self.point = point
         self.terms = {}
+        self.den = 1
+        groups = []
         for mono, c in (terms or {}).items():
             if total_degree(mono) > trunc or not c:
                 continue
             if any(e < 0 for e in mono):
                 raise ValueError(f"negative exponent in stored monomial {mono}")
-            self.terms[mono] = c
+            groups.append((c, (mono,)))
+        self.add_groups(groups)
+
+    def _make(self, terms: dict, den: int = 1,
+              trunc: int | None = None) -> "MultiSeries":
+        """A series like this one holding ``terms`` over ``den``, less
+        gcd(den, *terms) (never computed in exact mode, where den is 1)."""
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                terms = {m: v // g for m, v in terms.items()}
+                den //= g
+        res = MultiSeries(self.varset, self.trunc if trunc is None else trunc,
+                          self.point)
+        res.terms, res.den = terms, den
+        return res
+
+    def _over(self, den: int) -> dict:
+        """The numerators over ``den``, a multiple of ``self.den``."""
+        r = den // self.den
+        return self.terms if r == 1 else {m: v * r for m, v in self.terms.items()}
+
+    def _value(self, c):
+        """The coefficient that the stored numerator ``c`` stands for."""
+        return c if self.point is None else Fraction(c, self.den)
 
     @staticmethod
     def constant(c, varset: VarSet, trunc: int,
                  point: EvalPoint | None = None) -> "MultiSeries":
-        c = as_coeff(c, point)
         s = MultiSeries(varset, trunc, point)
-        if c:
-            s.terms[varset.unit()] = c
+        s.add_groups(((c, (varset.unit(),)),))
         return s
 
     def _check_compatible(self, other: "MultiSeries"):
@@ -335,16 +367,15 @@ class MultiSeries:
 
     def __add__(self, other: "MultiSeries") -> "MultiSeries":
         self._check_compatible(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
+        den = lcm(self.den, other.den)
+        out = dict(self._over(den))
+        for mono, c in other._over(den).items():
             s = out[mono] + c if mono in out else c
             if s:
                 out[mono] = s
             else:
                 del out[mono]
-        res = MultiSeries(self.varset, self.trunc, self.point)
-        res.terms = out
-        return res
+        return self._make(out, den)
 
     def __sub__(self, other: "MultiSeries") -> "MultiSeries":
         return self + other.scale(-1)
@@ -371,27 +402,47 @@ class MultiSeries:
                         del out[k]
                 elif prod:
                     out[k] = prod
-        res = MultiSeries(self.varset, self.trunc, self.point)
-        res.terms = out
-        return res
+        return self._make(out, self.den * other.den)
 
     def scale(self, c) -> "MultiSeries":
         c = as_coeff(c, self.point)
-        res = MultiSeries(self.varset, self.trunc, self.point)
-        if c:
-            res.terms = {m: v * c for m, v in self.terms.items()}
-        return res
+        if not c:
+            return self._make({})
+        n, d = (c, 1) if self.point is None else (c.numerator, c.denominator)
+        return self._make({m: v * n for m, v in self.terms.items()},
+                          self.den * d)
 
     def add_term(self, mono, c):
         """Accumulate c * x^mono in place (trusted internal constructor)."""
-        if total_degree(mono) > self.trunc:
-            return
-        c = as_coeff(c, self.point)
-        s = self.terms[mono] + c if mono in self.terms else c
-        if s:
-            self.terms[mono] = s
-        else:
-            self.terms.pop(mono, None)
+        self.add_groups(((c, (mono,)),))
+
+    def add_groups(self, groups):
+        """Accumulate c * x^m in place for each (c, monos) of ``groups`` and
+        each m in monos of degree <= trunc (trusted internal constructor).
+
+        A c all of whose monomials lie above the truncation is not turned
+        into a coefficient.  At a point ``den`` becomes the lcm of its own
+        and every value's denominator first, so that the sums are integer.
+        """
+        trunc, point = self.trunc, self.point
+        kept = []
+        for c, monos in groups:
+            monos = [m for m in monos if total_degree(m) <= trunc]
+            if monos:
+                kept.append((as_coeff(c, point), monos))
+        if point is not None:
+            den = lcm(self.den, *(c.denominator for c, _ in kept))
+            self.terms, self.den = self._over(den), den
+            kept = [(c.numerator * (den // c.denominator), monos)
+                    for c, monos in kept]
+        terms = self.terms
+        for c, monos in kept:
+            for mono in monos:
+                s = terms[mono] + c if mono in terms else c
+                if s:
+                    terms[mono] = s
+                else:
+                    terms.pop(mono, None)
 
     def shift_monomial(self, shift: tuple[int, ...]) -> "MultiSeries":
         """Multiply by x^shift where shift may have negative entries.
@@ -399,30 +450,29 @@ class MultiSeries:
         Every shifted monomial must come out nonnegative; used for the
         Laurent prefactors that are provably cleared by the series part.
         """
-        res = MultiSeries(self.varset, self.trunc, self.point)
+        out = {}
         for mono, c in self.terms.items():
             new = tuple(map(add, mono, shift))
             if any(e < 0 for e in new):
                 raise ValueError(f"monomial shift {shift} drives {mono} negative")
             if total_degree(new) <= self.trunc:
-                res.terms[new] = c
-        return res
+                out[new] = c
+        return self._make(out, self.den)
 
     def min_total_degree(self):
         return min((total_degree(m) for m in self.terms), default=None)
 
     def truncated(self, new_trunc: int) -> "MultiSeries":
         """Copy with a different degree bound (dropping higher terms)."""
-        res = MultiSeries(self.varset, new_trunc, self.point)
-        res.terms = {m: c for m, c in self.terms.items()
-                     if total_degree(m) <= new_trunc}
-        return res
+        return self._make({m: c for m, c in self.terms.items()
+                           if total_degree(m) <= new_trunc}, self.den, new_trunc)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def coefficient(self, mono):
-        return self.terms.get(mono) or as_coeff(0, self.point)
+        c = self.terms.get(mono)
+        return self._value(c) if c else as_coeff(0, self.point)
 
     def equals(self, other: "MultiSeries") -> bool:
         return series_equals(self, other)[0]
@@ -432,39 +482,49 @@ class MultiSeries:
         """This series with variable i replaced by the monomial ``images[i]``
         of ``varset`` (possibly the unit), truncated at ``trunc``."""
         assert len(images) == len(self.varset)
-        res = MultiSeries(varset, trunc, point)
+        groups = []
         for mono, c in self.terms.items():
             new = varset.unit()
             for e, image in zip(mono, images):
                 if e:
                     new = tuple(a + e * b for a, b in zip(new, image))
-            res.add_term(new, c)
+            groups.append((self._value(c), (new,)))
+        res = MultiSeries(varset, trunc, point)
+        res.add_groups(groups)
         return res
 
     def __repr__(self):
-        text = _coeff_ops(self.point)[1]
-        bits = [f"{text(c)}*{mono_str(m, self.varset)}"
+        text = _coeff_text(self.point)
+        bits = [f"{text(self._value(c))}*{mono_str(m, self.varset)}"
                 for m, c in sorted(self.terms.items())]
         return " + ".join(bits) if bits else "0"
 
 
 def series_f(mono: tuple[int, ...], varset: VarSet, trunc: int,
-             point: EvalPoint | None = None) -> MultiSeries:
+             point: EvalPoint | None = None, coeffs=None) -> MultiSeries:
     """F(x) = (tx; q)_inf / (x; q)_inf at x = the given monomial, truncated.
 
-    Expanded through its binomial coefficients f(k; 0).
+    Expanded through its binomial coefficients f(k; 0); ``coeffs``, when
+    given, holds them as coefficients at ``point`` for k <= trunc // deg at
+    least (``product_of_f`` shares one list among its factors).
     """
     deg = total_degree(mono)
     if deg < 1:
         raise ValueError("series_f needs a monomial of degree >= 1")
     if any(e < 0 for e in mono):
         raise ValueError("series_f needs nonnegative exponents")
+    top = trunc // deg
+    if coeffs is None:
+        coeffs = _f_coeffs(top, point)
     res = MultiSeries(varset, trunc, point)
-    k = 0
-    while k * deg <= trunc:
-        res.add_term(tuple(e * k for e in mono), f_series_coeff(k))
-        k += 1
+    res.add_groups((coeffs[k], (tuple(e * k for e in mono),))
+                   for k in range(top + 1))
     return res
+
+
+def _f_coeffs(top: int, point: EvalPoint | None) -> list:
+    """f(k; 0) for k = 0..top as coefficients at ``point``."""
+    return [as_coeff(f_series_coeff(k), point) for k in range(top + 1)]
 
 
 def product_of_f(monos, varset: VarSet, trunc: int,
@@ -475,10 +535,15 @@ def product_of_f(monos, varset: VarSet, trunc: int,
     sort).  A factor of large degree has only one or two terms below the
     truncation, so it is cheapest to multiply in while the running product is
     still small; the product, being exact, does not depend on the order.
+    Each f(k; 0) becomes a coefficient once, for k up to trunc over the
+    smallest degree: the ones the factors use, and no others.
     """
+    monos = sorted(monos, key=total_degree, reverse=True)
     out = MultiSeries.constant(1, varset, trunc, point)
-    for m in sorted(monos, key=total_degree, reverse=True):
-        out = out * series_f(m, varset, trunc, point)
+    if monos:
+        coeffs = _f_coeffs(trunc // max(total_degree(monos[-1]), 1), point)
+        for m in monos:
+            out = out * series_f(m, varset, trunc, point, coeffs)
     return out
 
 
@@ -486,18 +551,26 @@ def series_equals(a: MultiSeries, b: MultiSeries):
     """Compare two series; on inequality report the lex-first differing monomial.
 
     Returns (equal, mismatch) where mismatch is None or a dict with the
-    monomial and both coefficient strings.
+    monomial and both coefficient strings.  At a point the numerators are
+    compared across the two denominators, x * b.den == y * a.den.
     """
     a._check_compatible(b)
-    same, text = _coeff_ops(a.point)
-    monos = sorted(set(a.terms) | set(b.terms))
-    for mono in monos:
-        ca = a.coefficient(mono)
-        cb = b.coefficient(mono)
-        if not same(ca, cb):
+    if a.point is None:
+        zero = QTCoeff.zero()
+
+        def same(x, y):
+            return x.equals(y)
+    else:
+        zero, da, db = 0, a.den, b.den
+
+        def same(x, y):
+            return x * db == y * da
+    for mono in sorted(set(a.terms) | set(b.terms)):
+        if not same(a.terms.get(mono, zero), b.terms.get(mono, zero)):
+            text = _coeff_text(a.point)
             return False, {
                 "monomial": mono_str(mono, a.varset),
-                "lhs": text(ca),
-                "rhs": text(cb),
+                "lhs": text(a.coefficient(mono)),
+                "rhs": text(b.coefficient(mono)),
             }
     return True, None

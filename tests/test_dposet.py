@@ -251,6 +251,44 @@ def test_pruned_enumeration_matches_brute_force(poset, D):
     assert pis == brute_force_p_partitions(poset, D)
 
 
+def recursive_p_partitions(poset, bound):
+    """The same pruned walk with one generator frame per position: the
+    reference the odometer must reproduce, map for map and key for key."""
+    order = fill_order(poset)
+    values = {}
+
+    def rec(pos, used):
+        if pos == len(order):
+            yield dict(values)
+            return
+        e = order[pos]
+        lo = max((values[u] for u in poset.upper_covers(e)), default=0)
+        for v in range(lo, (bound - used) // len(poset.downset(e)) + 1):
+            values[e] = v
+            yield from rec(pos + 1, used + v)
+        values.pop(e, None)
+
+    return list(rec(0, 0))
+
+
+@pytest.mark.parametrize("poset, D", [
+    (build_shifted(P([4, 2, 1])), 7),
+    (build_bird(P([3, 2]), P([2, 1]), 2), 5),
+    (build_banner(P([9, 6, 3, 2]), 2), 5),
+    (build_banner(P([4, 3, 2, 1]), 2), 0),
+], ids=["shifted", "bird", "banner", "bound-0"])
+def test_odometer_matches_the_recursive_walk(poset, D):
+    got = [list(pi.items()) for pi in enumerate_p_partitions(poset, D)]
+    assert got == [list(pi.items())
+                   for pi in recursive_p_partitions(poset, D)]
+    assert all([e for e, _ in pi] == fill_order(poset) for pi in got)
+    if D == 0:
+        assert got == [[(e, 0) for e in fill_order(poset)]]
+    else:
+        assert len(got) > 50
+    assert list(enumerate_p_partitions(poset, -1)) == []
+
+
 def test_antichain_p_partition_count():
     poset = ColoredPoset("custom", {}, [(1, 1), (2, 2)],
                          lambda e: {e}, lambda e: f"c{e[0]}", strict=False)

@@ -44,7 +44,7 @@ from qthook.hookformula import (
     weight_via_traces,
     z_monomial,
 )
-from qthook.series import series_equals
+from qthook.series import mono_str, series_equals
 
 P = Partition
 EXACT = None
@@ -275,6 +275,48 @@ def test_lhs_groups_expand_to_the_weight_of_each_p_partition(poset, D):
                     for pi in enumerate_p_partitions(poset, D))
     assert grouped == single
     assert len(groups) < len(single) / 2
+
+
+@pytest.mark.parametrize("poset, D", [
+    (build_shifted(P([4, 2, 1])), 6),
+    (build_bird(P([3, 2]), P([2, 1]), 2), 5),
+    (build_banner(P([9, 6, 3, 2]), 2), 7),
+], ids=["shifted", "bird", "banner"])
+def test_lhs_groups_are_the_p_partitions_grouped_by_weight(poset, D):
+    # the same groups, in the same order, as grouping each P-partition in
+    # enumeration order by its weight_generic weight
+    def key(w):
+        return w.coeff, w.qexp, w.texp, frozenset(w.factors.items())
+
+    by_weight = {}
+    for pi in enumerate_p_partitions(poset, D):
+        by_weight.setdefault(key(weight_generic(poset, pi)), []).append(
+            poset.varset.monomial(z_monomial(poset, pi)))
+    assert [(key(w), monos) for w, monos in lhs_terms(poset, D)] == \
+        list(by_weight.items())
+
+
+def test_eval_mismatch_text_is_the_exact_coefficient_at_the_point():
+    poset = build_shifted(P([3, 2]))
+    pt = EvalPoint(Fraction(-2, 3), Fraction(5, 7))
+    terms = []
+    for w, monos in lhs_terms(poset, 4):
+        for mono in monos:
+            if sum(mono) == 2 and w.factors:
+                # corrupt one factor's shift: multiply by (1-qt)/(1-t)
+                w = w * QTFactored.binomial(1, 1) / QTFactored.binomial(0, 1)
+            terms.append((w, [mono]))
+    exact = [lhs_series(poset, 4, EXACT, terms), rhs_series(poset, 4, EXACT)]
+    eq, want = series_equals(*exact)
+    assert not eq
+    eq, got = series_equals(lhs_series(poset, 4, pt, terms),
+                            rhs_series(poset, 4, pt))
+    assert not eq and got["monomial"] == want["monomial"]
+    mono = next(m for m in sorted(exact[0].terms)
+                if mono_str(m, poset.varset) == want["monomial"])
+    assert [got["lhs"], got["rhs"]] == \
+        [str(side.coefficient(mono).evaluate(pt)) for side in exact]
+    assert "/" in got["lhs"] and got["lhs"] != got["rhs"]
 
 
 def test_eval_mode_evaluates_each_group_once_per_point(monkeypatch):

@@ -466,3 +466,38 @@ def test_evaluate_raises_on_a_vanishing_factor():
         QTCoeff.from_qtf(QTFactored.binomial(1, 1, -2)).evaluate(pt)
     # a zero weight is 0 whatever its factors
     assert QTFactored.zero().evaluate(pt) == 0
+
+
+@pytest.mark.parametrize("q0, t0", [
+    (Fraction(-2, 3), Fraction(5, 7)), (Fraction(2, 3), Fraction(-3, 5)),
+    (Fraction(7, 2), Fraction(4, 3)), (2, Fraction(1, 4)),
+])
+def test_binomial_numerators_match_the_fraction_formula(q0, t0):
+    # B = qd^a td^b (1 - q0^a t0^b), through Fraction powers: the reference
+    q0, t0 = Fraction(q0), Fraction(t0)
+    pt = EvalPoint(q0, t0)
+    vanished = 0
+    for a in range(-2, 6):
+        for b in range(-2, 6):
+            want = ((1 - q0 ** a * t0 ** b) * Fraction(q0.denominator) ** a
+                    * Fraction(t0.denominator) ** b)
+            if want == 0:  # (0, 0) everywhere; a = 2b at (2, 1/4)
+                vanished += 1
+                with pytest.raises(VanishingFactor):
+                    pt.binomial(a, b)
+                continue
+            for _ in range(2):  # computed, then cached
+                got = pt.binomial(a, b)
+                assert got == want
+                assert type(got) is (int if want.denominator == 1 else Fraction)
+    assert vanished == (4 if (q0, t0) == (2, Fraction(1, 4)) else 1)
+
+
+def test_a_product_with_a_unit_scalar_keeps_the_other_scalar():
+    x = QTFactored(Fraction(-3, 4), 1, 0, {(1, 0): 2})
+    y = QTFactored(1, 0, 2, {(1, 0): -2, (0, 1): 1})
+    for p in (x * y, y * x):
+        assert p.coeff == Fraction(-3, 4) and type(p.coeff) is Fraction
+        assert (p.qexp, p.texp, p.factors) == (1, 2, {(0, 1): 1})
+    assert (x * x).coeff == Fraction(9, 16)
+    assert (y * y).coeff == 1

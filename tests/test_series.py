@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -231,10 +232,13 @@ def test_product_of_f_does_not_depend_on_the_order(family, D):
     orders = [monos, monos[::-1]] + [rng.sample(monos, len(monos)) for _ in range(2)]
     ring = EvalPoint(Fraction(-2, 3), Fraction(5, 7))
     got = product_of_f(monos, varset, D, ring)
-    assert len(got.terms) > 50
+    assert len(got.terms) > 50 and got.den > 1
     for order in orders:
-        assert product_of_f(order, varset, D, ring).terms == got.terms
-        assert product_in_order(order, varset, D, ring).terms == got.terms
+        for other in (product_of_f(order, varset, D, ring),
+                      product_in_order(order, varset, D, ring)):
+            # each product divides out gcd(den, *numerators): one form
+            assert (other.terms, other.den) == (got.terms, got.den)
+            assert series_equals(other, got) == (True, None)
     got = product_of_f(monos, varset, D, EXACT)
     for order in orders[:2]:
         ref = product_in_order(order, varset, D, EXACT)
@@ -331,3 +335,98 @@ def test_operations_leave_their_operands_alone():
     assert state(f) == before and f_fun(2, 0) is f
     assert [(state(x.content), dict(x.rem.terms), x.dq, x.dt, dict(x.den))
             for x in xs] == kept
+
+
+# -- eval mode: integer numerators over one denominator ----------------------
+
+EVAL_POINTS = [EvalPoint(Fraction(-2, 3), Fraction(5, 7)),
+               EvalPoint(Fraction(2, 3), Fraction(3, 5))]
+
+
+def _values(s):
+    """{monomial: value} of an eval-mode series, after checking its form."""
+    assert type(s.den) is int and s.den > 0
+    assert all(type(c) is int and c for c in s.terms.values())
+    return {m: s.coefficient(m) for m in s.terms}
+
+
+def _random_coeff(rng, pt):
+    """(a coefficient of any kind add_term takes, its Fraction value)."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        c = rng.randint(-3, 3)
+        return c, Fraction(c)
+    if kind == 1:
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        return c, c
+    c = QTFactored(Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 4)),
+                   rng.randint(-1, 2), rng.randint(-1, 2),
+                   {(1, 0): rng.randint(-2, 2), (1, 1): rng.randint(-1, 1),
+                    (2, 1): rng.randint(-1, 1)})
+    return c, c.evaluate(pt)
+
+
+def _random_pair(rng, pt, trunc=4):
+    """An eval-mode series built by add_term, and its {mono: Fraction}."""
+    s, ref = MultiSeries(XYZ, trunc, pt), {}
+    for _ in range(rng.randint(0, 7)):
+        mono = tuple(rng.randint(0, 3) for _ in XYZ.names)
+        c, v = _random_coeff(rng, pt)
+        s.add_term(mono, c)
+        if sum(mono) <= trunc:
+            ref[mono] = ref.get(mono, 0) + v
+    return s, {m: v for m, v in ref.items() if v}
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for m, v in b.items():
+        out[m] = out.get(m, 0) + sign * v
+    return {m: v for m, v in out.items() if v}
+
+
+def _ref_mul(a, b, trunc):
+    out = {}
+    for m1, v1 in a.items():
+        for m2, v2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            if sum(m) <= trunc:
+                out[m] = out.get(m, 0) + v1 * v2
+    return {m: v for m, v in out.items() if v}
+
+
+@pytest.mark.parametrize("pt", EVAL_POINTS, ids=["negative-q", "positive"])
+def test_eval_series_match_a_fraction_reference(pt):
+    rng = random.Random(14)
+    for _ in range(60):
+        (a, ra), (b, rb) = _random_pair(rng, pt), _random_pair(rng, pt)
+        assert _values(a) == ra and _values(b) == rb
+        assert _values(a + b) == _ref_add(ra, rb)
+        assert _values(a - b) == _ref_add(ra, rb, -1)
+        assert _values(a * b) == _ref_mul(ra, rb, 4)
+        c, v = _random_coeff(rng, pt)
+        assert _values(a.scale(c)) == {m: x * v for m, x in ra.items() if v}
+        for p in (a * b, a.scale(c)):  # gcd(den, *numerators) divided out
+            assert gcd(p.den, *p.terms.values()) == 1
+        assert _values(a.truncated(2)) == {m: x for m, x in ra.items()
+                                           if sum(m) <= 2}
+        low = [min((m[i] for m in ra), default=0) for i in range(3)]
+        shift = tuple(rng.randint(-lo, 1) for lo in low)
+        assert _values(a.shift_monomial(shift)) == {
+            tuple(map(sum, zip(m, shift))): x for m, x in ra.items()
+            if sum(m) + sum(shift) <= 4}
+        images = [rng.choice([z("z0"), z("z1", 2), ZERO_ONE, XYZ.unit()])
+                  for _ in range(3)]
+        want = {}
+        for m, x in ra.items():
+            new = tuple(sum(e * img[i] for e, img in zip(m, images))
+                        for i in range(3))
+            if sum(new) <= 5:
+                want[new] = want.get(new, 0) + x
+        assert _values(a.substitute(images, XYZ, 5, pt)) == {
+            m: x for m, x in want.items() if x}
+        for m in {(0, 0, 0), (1, 1, 1), *ra}:
+            assert a.coefficient(m) == ra.get(m, 0)
+            assert type(a.coefficient(m)) is Fraction
+        assert series_equals(a + b, b + a) == (True, None)
+        assert a.equals(a.scale(Fraction(3, 7)).scale(Fraction(7, 3)))
