@@ -41,32 +41,29 @@ class ColoredPoset:
         self.index = {e: k for k, e in enumerate(self.elements)}
         n = len(self.elements)
 
-        geq = [[False] * n for _ in range(n)]  # geq[a][b]: a >= b
-        for a, ea in enumerate(self.elements):
-            for b, eb in enumerate(self.elements):
-                if block_of(ea) & block_of(eb):
-                    if ea[0] <= eb[0] and ea[1] <= eb[1]:
-                        geq[a][b] = True
+        # down[a]: bit b set iff a >= b; up[b]: bit a set iff a >= b
+        blocks = [block_of(e) for e in self.elements]
+        down = [sum(1 << b for b, eb in enumerate(self.elements)
+                    if ea[0] <= eb[0] and ea[1] <= eb[1]
+                    and blocks[a] & blocks[b])
+                for a, ea in enumerate(self.elements)]
         for k in range(n):  # transitive closure
-            gk = geq[k]
             for a in range(n):
-                if geq[a][k]:
-                    ga = geq[a]
-                    for b in range(n):
-                        if gk[b]:
-                            ga[b] = True
-        self._geq = geq
+                if down[a] >> k & 1:
+                    down[a] |= down[k]
+        up = [sum(1 << a for a in range(n) if down[a] >> b & 1)
+              for b in range(n)]
+        self._down, self._up = down, up
         self.color = {e: color_of(e) for e in self.elements}
 
         self.covers = []  # (lower, upper) pairs
         for a, ea in enumerate(self.elements):
-            for b, eb in enumerate(self.elements):
-                if a == b or not geq[a][b]:
-                    continue
-                if any(geq[a][c] and geq[c][b] and c not in (a, b)
-                       for c in range(n)):
-                    continue
-                self.covers.append((eb, ea))
+            lower = down[a] & ~(1 << a)
+            deeper = 0  # what lies strictly below something strictly below a
+            for c in self._bits(lower):
+                deeper |= down[c] & ~(1 << c)
+            self.covers.extend((self.elements[b], ea)
+                               for b in self._bits(lower & ~deeper))
 
         self._upper = {e: [] for e in self.elements}
         self._lower = {e: [] for e in self.elements}
@@ -82,7 +79,8 @@ class ColoredPoset:
         # rank: depth from the maxima; in strict mode every saturated chain
         # to the top must agree (Proctor's rank property)
         self.rank = {}
-        pending = sorted(self.elements, key=lambda e: len(self.upset(e)))
+        pending = sorted(self.elements,
+                         key=lambda e: up[self.index[e]].bit_count())
         for e in pending:
             uppers = self._upper[e]
             if not uppers:
@@ -99,17 +97,35 @@ class ColoredPoset:
 
     # -- order primitives --------------------------------------------------
 
+    @staticmethod
+    def _bits(mask: int):
+        """The positions of the set bits of ``mask``, ascending."""
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+
+    def members(self, mask: int) -> list:
+        """The elements whose bits ``mask`` sets, in element order."""
+        return [self.elements[i] for i in self._bits(mask)]
+
+    def down_mask(self, e) -> int:
+        """The downset of e as a mask over element positions."""
+        return self._down[self.index[e]]
+
+    def up_mask(self, e) -> int:
+        """The upset of e as a mask over element positions."""
+        return self._up[self.index[e]]
+
     def le(self, x, y) -> bool:
         """x <= y in the poset order."""
-        return self._geq[self.index[y]][self.index[x]]
+        return bool(self._down[self.index[y]] >> self.index[x] & 1)
 
     def downset(self, e):
-        a = self.index[e]
-        return [f for f in self.elements if self._geq[a][self.index[f]]]
+        return self.members(self.down_mask(e))
 
     def upset(self, e):
-        a = self.index[e]
-        return [f for f in self.elements if self._geq[self.index[f]][a]]
+        return self.members(self.up_mask(e))
 
     def lower_covers(self, e):
         return self._lower[e]
@@ -118,12 +134,9 @@ class ColoredPoset:
         return self._upper[e]
 
     def _compute_top_tree(self):
-        multi = {e for e in self.elements if len(self._upper[e]) > 1}
-        tree = []
-        for e in self.elements:
-            if all(u not in multi for u in self.upset(e)):
-                tree.append(e)
-        return set(tree)
+        multi = sum(1 << self.index[e] for e in self.elements
+                    if len(self._upper[e]) > 1)
+        return {e for e in self.elements if not self.up_mask(e) & multi}
 
     def top_tree_adjacency(self) -> set[frozenset]:
         """Color pairs adjacent in the top tree (Hasse edges inside T)."""
@@ -134,9 +147,7 @@ class ColoredPoset:
         return edges
 
     def interval(self, w, v):
-        iw, iv = self.index[w], self.index[v]
-        return [e for e in self.elements
-                if self._geq[self.index[e]][iw] and self._geq[iv][self.index[e]]]
+        return self.members(self.up_mask(w) & self.down_mask(v))
 
     def __len__(self):
         return len(self.elements)
@@ -281,43 +292,47 @@ class DkInterval:
         return hash((self.bottom, self.top, self.k, self.sides))
 
 
-def _diamond_shape(poset: ColoredPoset, members):
-    """Classify a convex set: (k, sides, chain) if shaped like d_k(1)."""
-    incomp = [(a, b) for idx, a in enumerate(members) for b in members[idx + 1:]
-              if not poset.le(a, b) and not poset.le(b, a)]
-    if len(incomp) != 1:
+def _diamond_shape(poset: ColoredPoset, mask: int):
+    """Classify a convex set, given as a mask: ((x, y), |below|, |above|)
+    if it is one incomparable pair x, y (x first in element order) with
+    every other member below both or above both, else None."""
+    down, up = poset._down, poset._up
+    incomparable = [(i, m) for i in poset._bits(mask)
+                    if (m := mask & ~(down[i] | up[i]))]
+    if len(incomparable) != 2 or any(m.bit_count() != 1
+                                     for _, m in incomparable):
+        return None  # not exactly one incomparable pair
+    (i, _), (j, _) = incomparable
+    chain = mask & ~(1 << i | 1 << j)
+    below, above = chain & down[i], chain & up[i]
+    if below | above != chain or below & ~down[j] or above & ~up[j]:
         return None
-    x, y = incomp[0]
-    chain = [e for e in members if e not in (x, y)]
-    below = [e for e in chain if poset.le(e, x)]
-    above = [e for e in chain if poset.le(x, e)]
-    if len(below) + len(above) != len(chain):
-        return None
-    if any(not poset.le(e, y) for e in below):
-        return None
-    if any(not poset.le(y, e) for e in above):
-        return None
-    return (x, y), below, above
+    pair = (poset.elements[i], poset.elements[j])
+    return pair, below.bit_count(), above.bit_count()
+
+
+def _intervals(poset: ColoredPoset, sizes):
+    """(w, v, mask) of each interval [w, v] with w < v whose size is in
+    ``sizes``, in element order of w, then of v."""
+    for w in poset.elements:
+        up = poset.up_mask(w)
+        for v in poset.members(up & ~(1 << poset.index[w])):
+            mask = up & poset.down_mask(v)
+            if mask.bit_count() in sizes:
+                yield w, v, mask
 
 
 def find_dk_intervals(poset: ColoredPoset) -> list[DkInterval]:
     """All intervals isomorphic to some d_k(1), k >= 3."""
     out = []
-    for w in poset.elements:
-        for v in poset.elements:
-            if w == v or not poset.le(w, v):
-                continue
-            members = poset.interval(w, v)
-            size = len(members)
-            if size < 4 or size % 2 != 0:
-                continue
-            k = (size + 2) // 2
-            shape = _diamond_shape(poset, members)
-            if shape is None:
-                continue
-            (x, y), below, above = shape
-            if len(below) == k - 2 and len(above) == k - 2:
-                out.append(DkInterval(w, v, k, (x, y)))
+    for w, v, mask in _intervals(poset, range(4, len(poset) + 1, 2)):
+        k = (mask.bit_count() + 2) // 2
+        shape = _diamond_shape(poset, mask)
+        if shape is None:
+            continue
+        sides, below, above = shape
+        if below == k - 2 and above == k - 2:
+            out.append(DkInterval(w, v, k, sides))
     return out
 
 
@@ -332,21 +347,14 @@ def _find_dk_minus(poset: ColoredPoset):
                 members = frozenset((w, ups[i], ups[j]))
                 out.append((3, members, frozenset((ups[i], ups[j])), w))
     # k >= 4: intervals shaped like d_k(1) minus its top
-    for w in poset.elements:
-        for u in poset.elements:
-            if w == u or not poset.le(w, u):
-                continue
-            members = poset.interval(w, u)
-            size = len(members)
-            if size < 5 or size % 2 == 0:
-                continue
-            k = (size + 3) // 2
-            shape = _diamond_shape(poset, members)
-            if shape is None:
-                continue
-            sides, below, above = shape
-            if len(below) == k - 2 and len(above) == k - 3:
-                out.append((k, frozenset(members), frozenset((u,)), w))
+    for w, u, mask in _intervals(poset, range(5, len(poset) + 1, 2)):
+        k = (mask.bit_count() + 3) // 2
+        shape = _diamond_shape(poset, mask)
+        if shape is None:
+            continue
+        _, below, above = shape
+        if below == k - 2 and above == k - 3:
+            out.append((k, frozenset(poset.members(mask)), frozenset((u,)), w))
     return out
 
 

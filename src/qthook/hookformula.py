@@ -19,7 +19,8 @@ from .partitions import (Partition, bounded_tuples, is_horizontal_strip,
 from .qtcore import (EvalPoint, QTFactored, b_el, b_lambda, f_fun, phi_skew,
                      psi_skew, resampled)
 from .report import VerificationReport, timed
-from .series import NO_TRUNC, MultiSeries, product_of_f, series_equals
+from .series import (NO_TRUNC, MultiSeries, key_layout, product_of_f,
+                     series_equals)
 
 HAT = "__hat__"
 
@@ -398,18 +399,19 @@ def z_monomial(poset: ColoredPoset, pi: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def lhs_terms(poset: ColoredPoset,
-              trunc: int) -> list[tuple[QTFactored, list[tuple[int, ...]]]]:
-    """(weight, monomials) groups of the P-partition sum of W(pi) z^pi.
+              trunc: int) -> list[tuple[QTFactored, list[int]]]:
+    """(weight, monomial keys) groups of the P-partition sum of W(pi) z^pi.
 
     One walk over ``enumerate_p_partitions``: each plan pair is counted at
     the position of its lower element in ``fill_order``, and a P-partition
     takes back and recounts only the pairs closed from the first position
     where it differs from the one before (f-arguments with n = 0, where
     f = 1, are not counted, and a count that returns to 0 is dropped, so
-    the counts are the group key as they stand); z^pi is kept the same way.
-    P-partitions with the same counts share one weight, built once by
-    ``_f_product``; groups come in the order of their first P-partition and
-    list their z^pi in enumeration order.
+    the counts are the group key as they stand); z^pi is kept the same way,
+    as its ``key_layout(len(poset.varset), trunc)`` key.  P-partitions with
+    the same counts share one weight, built once by ``_f_product``; groups
+    come in the order of their first P-partition and list their z^pi in
+    enumeration order.
     """
     order = fill_order(poset)
     pos = {e: i for i, e in enumerate(order)}
@@ -421,15 +423,19 @@ def lhs_terms(poset: ColoredPoset,
         closes[pos[x]].append((pos[y], m, 1))
     for x, m in hat:  # the partner -1 is the value 0 appended to each row
         closes[pos[x]].append((-1, m, 1))
-    color = [poset.varset.index[poset.color[e]] for e in order]
+    units = key_layout(len(poset.varset), trunc).units
+    unit = [units[poset.varset.index[poset.color[e]]] for e in order]
     counts, groups, prev = {}, {}, []
-    mono = [0] * len(poset.varset)  # z^pi, kept along with the counts
+    z_key = 0  # the key of z^pi, kept along with the counts
     get = counts.get
 
     def count(vals, start, sign):
+        """Count the pairs closed from ``start`` on; the sign times the
+        key of those positions' part of z^pi."""
+        z = 0
         for i in range(start, len(order)):
             v = vals[i]
-            mono[color[i]] += sign * v
+            z += v * unit[i]
             for j, m, s in closes[i]:
                 n = v - vals[j]
                 if n:
@@ -438,6 +444,7 @@ def lhs_terms(poset: ColoredPoset,
                         counts[n, m] = c
                     else:
                         del counts[n, m]
+        return sign * z
 
     for pi in enumerate_p_partitions(poset, trunc):
         vals = [*pi.values(), 0]  # the maps come keyed in fill order
@@ -445,10 +452,10 @@ def lhs_terms(poset: ColoredPoset,
         if prev:
             while prev[start] == vals[start]:
                 start += 1
-            count(prev, start, -1)
-        count(vals, start, 1)
+            z_key += count(prev, start, -1)
+        z_key += count(vals, start, 1)
         prev = vals
-        groups.setdefault(frozenset(counts.items()), []).append(tuple(mono))
+        groups.setdefault(frozenset(counts.items()), []).append(z_key)
     return [(_f_product(key), monos) for key, monos in groups.items()]
 
 

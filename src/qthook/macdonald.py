@@ -60,15 +60,16 @@ def poly_vars(n: int) -> VarSet:
 
 def check_symmetric(poly: MultiSeries) -> MultiSeries:
     """``poly``, after asserting that it is symmetric in its variables."""
+    terms = dict(poly.monomials())
     groups = {}
-    for e in poly.terms:
+    for e in terms:
         groups.setdefault(tuple(sorted(e, reverse=True)), []).append(e)
     for rep, members in groups.items():
-        base = poly.terms[members[0]]
+        base = terms[members[0]]
         if len(members) != _n_permutations(rep, len(poly.varset)):
             raise AssertionError(f"missing orbit members for {rep}")
         for m in members[1:]:
-            if not poly.terms[m].equals(base):
+            if not terms[m].equals(base):
                 raise AssertionError(f"asymmetric coefficients at {m}")
     return poly
 
@@ -76,7 +77,7 @@ def check_symmetric(poly: MultiSeries) -> MultiSeries:
 def m_expansion(poly: MultiSeries) -> dict[Partition, QTCoeff]:
     """Coefficients on the monomial symmetric basis (needs n >= degree)."""
     out = {}
-    for e, c in poly.terms.items():
+    for e, c in poly.monomials():
         key = tuple(sorted(e, reverse=True))
         if key == e:
             out[Partition(key)] = c
@@ -146,8 +147,8 @@ def _skew(lam: Partition, mu: Partition, n: int, kind: str) -> MultiSeries:
     """A copy of the cached skew polynomial: callers may change it freely."""
     if not lam.contains(mu):
         raise ValueError(f"{mu} is not contained in {lam}")
-    return MultiSeries(poly_vars(n), NO_TRUNC, None,
-                       _skew_cached(lam.parts, mu.parts, n, kind).terms)
+    cached = _skew_cached(lam.parts, mu.parts, n, kind)
+    return cached._make(dict(cached.terms))
 
 
 def skew_p(lam: Partition, mu: Partition, n: int) -> MultiSeries:
@@ -205,7 +206,8 @@ def expand_in_p(poly: MultiSeries, degree: int, n: int) -> dict[Partition, QTCoe
         out[lam] = c
         rest = rest - p_lam.scale(c)
     if not rest.is_zero():
-        raise NotInPBasis(Partition(sorted(max(rest.terms), reverse=True)),
+        raise NotInPBasis(Partition(sorted(max(e for e, _ in rest.monomials()),
+                                           reverse=True)),
                           "the expansion left a nonzero remainder")
     return out
 
@@ -518,7 +520,7 @@ def gram_p(lam: Partition, n: int) -> MultiSeries:
             continue
         qc = _OracleCoeff(c)  # not a QTCoeff: stored, not added
         for e in _distinct_permutations(mu, n):
-            out.terms[e] = qc
+            out.terms[out.keys.pack(e)] = qc
     return out
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .partitions import Partition
 
@@ -482,8 +483,7 @@ def qt_equals(x, y, mode: str = "exact",
 
 @lru_cache(maxsize=None)
 def _f_fun_cached(n: int, m: int) -> QTFactored:
-    if n < 0:
-        return QTFactored.zero()
+    """f(n; m), shared by every caller: its factors are a read-only view."""
     factors = {}
 
     def bump(a, b, e):
@@ -497,7 +497,9 @@ def _f_fun_cached(n: int, m: int) -> QTFactored:
     for k in range(n):
         bump(k, m + 1, +1)       # (1 - q^k t^(m+1))
         bump(k + 1, m, -1)       # 1 / (1 - q^(k+1) t^m)
-    return QTFactored(1, 0, 0, factors)
+    out = QTFactored(1 if n >= 0 else 0, 0, 0, factors)
+    out.factors = MappingProxyType(out.factors)
+    return out
 
 
 def f_fun(n: int, m: int) -> QTFactored:

@@ -10,6 +10,13 @@ any input into a coefficient of either kind (a ``Fraction`` at a point),
 and ``not c`` is the zero test for both.  Truncation is by total degree
 across all variables, which matches the weight |pi| of a P-partition.
 
+A series keys each monomial by one int (``KeyLayout``): its total degree in
+the top field, above one field per variable, so that a monomial product is
+one int addition and the truncation one comparison.  Tuples of exponents
+stay the interface (the constructor, ``coefficient``, ``monomials``,
+``substitute``, ``shift_monomial``), and whatever orders monomials, such as
+the lex-first mismatch of ``series_equals``, orders the tuples.
+
 A polynomial is a series with truncation ``NO_TRUNC``: the Macdonald
 polynomials are exact series in x1..xn, and ``substitute`` places one on
 the variables of a larger series.
@@ -18,8 +25,9 @@ the variables of a larger series.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 
 from .qtcore import (
     BI_ONE,
@@ -286,8 +294,41 @@ class VarSet:
         return (0,) * len(self.names)
 
 
-def total_degree(mono: tuple[int, ...]) -> int:
-    return sum(mono)
+class KeyLayout:
+    """The one int a series stores for each monomial of degree <= trunc.
+
+    Below the total degree, which sits in the top field, each of the n
+    variables has a field of ``width`` = trunc.bit_length() bits, x1 the
+    most significant; ``pack`` is linear, pack(a) + pack(b) = pack(a + b).
+    A monomial of degree <= trunc has every exponent <= trunc, so no field
+    overflows, and any exponent vector of degree > trunc packs to a key >=
+    ``limit``: the truncation is one comparison.  Keys of one degree sort
+    like their exponent tuples; keys of different degrees sort by degree.
+    """
+
+    __slots__ = ("width", "shift", "units", "limit")
+
+    def __init__(self, n: int, trunc: int):
+        self.width = trunc.bit_length()
+        self.shift = n * self.width
+        self.units = tuple((1 << self.shift) + (1 << (n - 1 - i) * self.width)
+                           for i in range(n))  # pack of each variable
+        self.limit = (trunc + 1) << self.shift
+
+    def pack(self, mono) -> int:
+        """The key of a nonnegative exponent vector."""
+        return sum(map(mul, mono, self.units))
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        w, mask = self.width, (1 << self.width) - 1
+        return tuple(key >> (i * w) & mask
+                     for i in range(len(self.units) - 1, -1, -1))
+
+
+@lru_cache(maxsize=None)
+def key_layout(n: int, trunc: int) -> KeyLayout:
+    """The layout of a series in n variables truncated at ``trunc``."""
+    return KeyLayout(n, trunc)
 
 
 def mono_str(mono, varset: VarSet) -> str:
@@ -300,61 +341,71 @@ class MultiSeries:
     """Power series truncated at total degree D, exact (``point`` None) or
     at an EvalPoint.
 
-    The coefficient of x^m is ``terms[m] / den``.  At a point ``terms``
-    holds integer numerators over one positive integer ``den``, so sums and
+    The coefficient of x^m is ``terms[keys.pack(m)] / den``, ``keys`` being
+    the ``key_layout`` of the variables and D.  At a point ``terms`` holds
+    integer numerators over one positive integer ``den``, so sums and
     products are integer sums and products; an exact series holds QTCoeffs
     and keeps ``den`` at 1.  ``den`` need not be the least one: read values
-    through ``coefficient`` and compare through ``series_equals``.
+    through ``coefficient`` or ``monomials`` and compare through
+    ``series_equals``.
     """
 
-    __slots__ = ("varset", "trunc", "point", "terms", "den")
+    __slots__ = ("varset", "trunc", "point", "terms", "den", "keys")
 
     def __init__(self, varset: VarSet, trunc: int,
                  point: EvalPoint | None = None, terms=None):
-        """The series of the c x^m over the (m, c) of ``terms``, each c
-        anything ``as_coeff`` takes."""
+        """The series of the c x^m over the (m, c) of ``terms``, each m an
+        exponent tuple and each c anything ``as_coeff`` takes."""
         self.varset = varset
         self.trunc = trunc
         self.point = point
         self.terms = {}
         self.den = 1
-        groups = []
-        for mono, c in (terms or {}).items():
-            if total_degree(mono) > trunc or not c:
-                continue
-            if any(e < 0 for e in mono):
-                raise ValueError(f"negative exponent in stored monomial {mono}")
-            groups.append((c, (mono,)))
-        self.add_groups(groups)
+        self.keys = key_layout(len(varset), trunc)
+        if terms:
+            groups = []
+            for mono, c in terms.items():
+                if sum(mono) > trunc or not c:
+                    continue
+                if any(e < 0 for e in mono):
+                    raise ValueError(
+                        f"negative exponent in stored monomial {mono}")
+                groups.append((c, (self.keys.pack(mono),)))
+            self.add_groups(groups)
 
-    def _make(self, terms: dict, den: int = 1,
-              trunc: int | None = None) -> "MultiSeries":
+    def _make(self, terms: dict, den: int = 1) -> "MultiSeries":
         """A series like this one holding ``terms`` over ``den``, less
         gcd(den, *terms) (never computed in exact mode, where den is 1)."""
         if den != 1:
             g = gcd(den, *terms.values())
             if g != 1:
-                terms = {m: v // g for m, v in terms.items()}
+                terms = {k: v // g for k, v in terms.items()}
                 den //= g
-        res = MultiSeries(self.varset, self.trunc if trunc is None else trunc,
-                          self.point)
+        res = MultiSeries.__new__(MultiSeries)
+        res.varset, res.trunc, res.point, res.keys = \
+            self.varset, self.trunc, self.point, self.keys
         res.terms, res.den = terms, den
         return res
 
     def _over(self, den: int) -> dict:
         """The numerators over ``den``, a multiple of ``self.den``."""
         r = den // self.den
-        return self.terms if r == 1 else {m: v * r for m, v in self.terms.items()}
+        return self.terms if r == 1 else {k: v * r for k, v in self.terms.items()}
 
     def _value(self, c):
         """The coefficient that the stored numerator ``c`` stands for."""
         return c if self.point is None else Fraction(c, self.den)
 
+    def monomials(self):
+        """The (exponent tuple, coefficient) pairs of the nonzero terms."""
+        unpack = self.keys.unpack
+        return ((unpack(k), self._value(c)) for k, c in self.terms.items())
+
     @staticmethod
     def constant(c, varset: VarSet, trunc: int,
                  point: EvalPoint | None = None) -> "MultiSeries":
         s = MultiSeries(varset, trunc, point)
-        s.add_groups(((c, (varset.unit(),)),))
+        s.add_groups(((c, (0,)),))  # 0 is the key of the unit monomial
         return s
 
     def _check_compatible(self, other: "MultiSeries"):
@@ -369,12 +420,12 @@ class MultiSeries:
         self._check_compatible(other)
         den = lcm(self.den, other.den)
         out = dict(self._over(den))
-        for mono, c in other._over(den).items():
-            s = out[mono] + c if mono in out else c
+        for k, c in other._over(den).items():
+            s = out[k] + c if k in out else c
             if s:
-                out[mono] = s
+                out[k] = s
             else:
-                del out[mono]
+                del out[k]
         return self._make(out, den)
 
     def __sub__(self, other: "MultiSeries") -> "MultiSeries":
@@ -382,26 +433,28 @@ class MultiSeries:
 
     def __mul__(self, other: "MultiSeries") -> "MultiSeries":
         self._check_compatible(other)
-        # by degree, so the inner loop stops at the truncation; each output
-        # monomial still receives its products in the left operand's order
-        right = sorted(((total_degree(m), m, c) for m, c in other.terms.items()),
-                       key=itemgetter(0))
+        # the right operand by key, so the inner loop stops at the truncation;
+        # each output monomial still receives its products in the left
+        # operand's order, and a product of nonzero coefficients is nonzero
+        right = sorted(other.terms.items(), key=itemgetter(0))
+        limit = self.keys.limit
         out = {}
-        for m1, c1 in self.terms.items():
-            room = self.trunc - total_degree(m1)
-            for d2, m2, c2 in right:
-                if d2 > room:
+        get = out.get
+        for k1, c1 in self.terms.items():
+            room = limit - k1
+            for k2, c2 in right:
+                if k2 >= room:
                     break
-                k = tuple(map(add, m1, m2))
-                prod = c1 * c2
-                if k in out:
-                    s = out[k] + prod
+                k = k1 + k2
+                s = get(k)
+                if s is None:
+                    out[k] = c1 * c2
+                else:
+                    s = s + c1 * c2
                     if s:
                         out[k] = s
                     else:
                         del out[k]
-                elif prod:
-                    out[k] = prod
         return self._make(out, self.den * other.den)
 
     def scale(self, c) -> "MultiSeries":
@@ -409,40 +462,42 @@ class MultiSeries:
         if not c:
             return self._make({})
         n, d = (c, 1) if self.point is None else (c.numerator, c.denominator)
-        return self._make({m: v * n for m, v in self.terms.items()},
+        return self._make({k: v * n for k, v in self.terms.items()},
                           self.den * d)
 
     def add_term(self, mono, c):
-        """Accumulate c * x^mono in place (trusted internal constructor)."""
-        self.add_groups(((c, (mono,)),))
+        """Accumulate c * x^mono in place, mono an exponent tuple (trusted
+        internal constructor)."""
+        self.add_groups(((c, (self.keys.pack(mono),)),))
 
     def add_groups(self, groups):
-        """Accumulate c * x^m in place for each (c, monos) of ``groups`` and
-        each m in monos of degree <= trunc (trusted internal constructor).
+        """Accumulate c * x^m in place for each (c, keys) of ``groups`` and
+        each m of degree <= trunc among the packed ``keys`` (trusted
+        internal constructor).
 
         A c all of whose monomials lie above the truncation is not turned
         into a coefficient.  At a point ``den`` becomes the lcm of its own
         and every value's denominator first, so that the sums are integer.
         """
-        trunc, point = self.trunc, self.point
+        limit, point = self.keys.limit, self.point
         kept = []
-        for c, monos in groups:
-            monos = [m for m in monos if total_degree(m) <= trunc]
-            if monos:
-                kept.append((as_coeff(c, point), monos))
+        for c, keys in groups:
+            keys = [k for k in keys if k < limit]
+            if keys:
+                kept.append((as_coeff(c, point), keys))
         if point is not None:
             den = lcm(self.den, *(c.denominator for c, _ in kept))
             self.terms, self.den = self._over(den), den
-            kept = [(c.numerator * (den // c.denominator), monos)
-                    for c, monos in kept]
+            kept = [(c.numerator * (den // c.denominator), keys)
+                    for c, keys in kept]
         terms = self.terms
-        for c, monos in kept:
-            for mono in monos:
-                s = terms[mono] + c if mono in terms else c
+        for c, keys in kept:
+            for k in keys:
+                s = terms[k] + c if k in terms else c
                 if s:
-                    terms[mono] = s
+                    terms[k] = s
                 else:
-                    terms.pop(mono, None)
+                    terms.pop(k, None)
 
     def shift_monomial(self, shift: tuple[int, ...]) -> "MultiSeries":
         """Multiply by x^shift where shift may have negative entries.
@@ -450,28 +505,38 @@ class MultiSeries:
         Every shifted monomial must come out nonnegative; used for the
         Laurent prefactors that are provably cleared by the series part.
         """
-        out = {}
-        for mono, c in self.terms.items():
+        keys, out = self.keys, {}
+        for k, c in self.terms.items():
+            mono = keys.unpack(k)
             new = tuple(map(add, mono, shift))
             if any(e < 0 for e in new):
                 raise ValueError(f"monomial shift {shift} drives {mono} negative")
-            if total_degree(new) <= self.trunc:
-                out[new] = c
+            k = keys.pack(new)
+            if k < keys.limit:
+                out[k] = c
         return self._make(out, self.den)
 
     def min_total_degree(self):
-        return min((total_degree(m) for m in self.terms), default=None)
+        """The least total degree of a term (the degree field of the least
+        key), None for the zero series."""
+        return min(self.terms) >> self.keys.shift if self.terms else None
 
     def truncated(self, new_trunc: int) -> "MultiSeries":
         """Copy with a different degree bound (dropping higher terms)."""
-        return self._make({m: c for m, c in self.terms.items()
-                           if total_degree(m) <= new_trunc}, self.den, new_trunc)
+        res = MultiSeries(self.varset, new_trunc, self.point)
+        unpack, pack, limit = self.keys.unpack, res.keys.pack, res.keys.limit
+        terms = {}
+        for k, c in self.terms.items():
+            k = pack(unpack(k))
+            if k < limit:
+                terms[k] = c
+        return res._make(terms, self.den)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def coefficient(self, mono):
-        c = self.terms.get(mono)
+        c = None if min(mono, default=0) < 0 else self.terms.get(self.keys.pack(mono))
         return self._value(c) if c else as_coeff(0, self.point)
 
     def equals(self, other: "MultiSeries") -> bool:
@@ -482,21 +547,16 @@ class MultiSeries:
         """This series with variable i replaced by the monomial ``images[i]``
         of ``varset`` (possibly the unit), truncated at ``trunc``."""
         assert len(images) == len(self.varset)
-        groups = []
-        for mono, c in self.terms.items():
-            new = varset.unit()
-            for e, image in zip(mono, images):
-                if e:
-                    new = tuple(a + e * b for a, b in zip(new, image))
-            groups.append((self._value(c), (new,)))
         res = MultiSeries(varset, trunc, point)
-        res.add_groups(groups)
+        image_keys = [res.keys.pack(image) for image in images]
+        res.add_groups((c, (sum(map(mul, mono, image_keys)),))
+                       for mono, c in self.monomials())
         return res
 
     def __repr__(self):
         text = _coeff_text(self.point)
-        bits = [f"{text(self._value(c))}*{mono_str(m, self.varset)}"
-                for m, c in sorted(self.terms.items())]
+        bits = [f"{text(c)}*{mono_str(m, self.varset)}"
+                for m, c in sorted(self.monomials(), key=itemgetter(0))]
         return " + ".join(bits) if bits else "0"
 
 
@@ -505,26 +565,31 @@ def series_f(mono: tuple[int, ...], varset: VarSet, trunc: int,
     """F(x) = (tx; q)_inf / (x; q)_inf at x = the given monomial, truncated.
 
     Expanded through its binomial coefficients f(k; 0); ``coeffs``, when
-    given, holds them as coefficients at ``point`` for k <= trunc // deg at
-    least (``product_of_f`` shares one list among its factors).
+    given, is ``_f_coeffs`` of k <= trunc // deg at least (``product_of_f``
+    shares one among its factors).
     """
-    deg = total_degree(mono)
+    deg = sum(mono)
     if deg < 1:
         raise ValueError("series_f needs a monomial of degree >= 1")
     if any(e < 0 for e in mono):
         raise ValueError("series_f needs nonnegative exponents")
     top = trunc // deg
-    if coeffs is None:
-        coeffs = _f_coeffs(top, point)
+    nums, den = coeffs or _f_coeffs(top, point)
     res = MultiSeries(varset, trunc, point)
-    res.add_groups((coeffs[k], (tuple(e * k for e in mono),))
-                   for k in range(top + 1))
+    key = res.keys.pack(mono)
+    res.terms = {k * key: nums[k] for k in range(top + 1) if nums[k]}
+    res.den = den
     return res
 
 
-def _f_coeffs(top: int, point: EvalPoint | None) -> list:
-    """f(k; 0) for k = 0..top as coefficients at ``point``."""
-    return [as_coeff(f_series_coeff(k), point) for k in range(top + 1)]
+def _f_coeffs(top: int, point: EvalPoint | None) -> tuple[list, int]:
+    """(numerators, den): f(k; 0) for k = 0..top as the stored coefficients
+    of a series at ``point``, over one denominator (1 in exact mode)."""
+    coeffs = [as_coeff(f_series_coeff(k), point) for k in range(top + 1)]
+    if point is None:
+        return coeffs, 1
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def product_of_f(monos, varset: VarSet, trunc: int,
@@ -538,10 +603,10 @@ def product_of_f(monos, varset: VarSet, trunc: int,
     Each f(k; 0) becomes a coefficient once, for k up to trunc over the
     smallest degree: the ones the factors use, and no others.
     """
-    monos = sorted(monos, key=total_degree, reverse=True)
+    monos = sorted(monos, key=sum, reverse=True)
     out = MultiSeries.constant(1, varset, trunc, point)
     if monos:
-        coeffs = _f_coeffs(trunc // max(total_degree(monos[-1]), 1), point)
+        coeffs = _f_coeffs(trunc // max(sum(monos[-1]), 1), point)
         for m in monos:
             out = out * series_f(m, varset, trunc, point, coeffs)
     return out
@@ -552,25 +617,33 @@ def series_equals(a: MultiSeries, b: MultiSeries):
 
     Returns (equal, mismatch) where mismatch is None or a dict with the
     monomial and both coefficient strings.  At a point the numerators are
-    compared across the two denominators, x * b.den == y * a.den.
+    compared across the two denominators, x * b.den == y * a.den (one dict
+    comparison when the denominators agree).  Every monomial is compared;
+    the report names the least exponent tuple among those that differ, since
+    keys of different degrees do not sort like their tuples.
     """
     a._check_compatible(b)
+    ta, tb = a.terms, b.terms
     if a.point is None:
         zero = QTCoeff.zero()
 
         def same(x, y):
             return x.equals(y)
+    elif a.den == b.den and ta == tb:
+        return True, None
     else:
         zero, da, db = 0, a.den, b.den
 
         def same(x, y):
             return x * db == y * da
-    for mono in sorted(set(a.terms) | set(b.terms)):
-        if not same(a.terms.get(mono, zero), b.terms.get(mono, zero)):
-            text = _coeff_text(a.point)
-            return False, {
-                "monomial": mono_str(mono, a.varset),
-                "lhs": text(a.coefficient(mono)),
-                "rhs": text(b.coefficient(mono)),
-            }
-    return True, None
+    differ = [k for k in ta.keys() | tb.keys()
+              if not same(ta.get(k, zero), tb.get(k, zero))]
+    if not differ:
+        return True, None
+    mono = min(map(a.keys.unpack, differ))
+    text = _coeff_text(a.point)
+    return False, {
+        "monomial": mono_str(mono, a.varset),
+        "lhs": text(a.coefficient(mono)),
+        "rhs": text(b.coefficient(mono)),
+    }

@@ -1,5 +1,6 @@
 import pytest
 
+from qthook import dposet
 from qthook.partitions import Partition
 from qthook.dposet import (
     ColoredPoset,
@@ -287,6 +288,118 @@ def test_odometer_matches_the_recursive_walk(poset, D):
     else:
         assert len(got) > 50
     assert list(enumerate_p_partitions(poset, -1)) == []
+
+
+class MatrixPoset:
+    """The order as a boolean matrix, closed and scanned pairwise: the
+    reference the bitmask construction of ColoredPoset must reproduce."""
+
+    def __init__(self, elements, block_of):
+        self.elements = sorted(set(elements))
+        self.index = {e: k for k, e in enumerate(self.elements)}
+        n = len(self.elements)
+        geq = [[bool(block_of(a) & block_of(b)) and a[0] <= b[0] and a[1] <= b[1]
+                for b in self.elements] for a in self.elements]
+        for k in range(n):  # transitive closure
+            for a in range(n):
+                if geq[a][k]:
+                    for b in range(n):
+                        if geq[k][b]:
+                            geq[a][b] = True
+        self.geq = geq
+        self.covers = [(eb, ea) for a, ea in enumerate(self.elements)
+                       for b, eb in enumerate(self.elements)
+                       if a != b and geq[a][b]
+                       and not any(geq[a][c] and geq[c][b] and c not in (a, b)
+                                   for c in range(n))]
+        upper = {e: [hi for lo, hi in self.covers if lo == e]
+                 for e in self.elements}
+        self.rank = {}
+        for e in sorted(self.elements, key=lambda e: len(self.upset(e))):
+            self.rank[e] = max((self.rank[u] + 1 for u in upper[e]), default=0)
+        multi = {e for e in self.elements if len(upper[e]) > 1}
+        self.top_tree = {e for e in self.elements
+                         if not multi & set(self.upset(e))}
+
+    def le(self, x, y):
+        return self.geq[self.index[y]][self.index[x]]
+
+    def upset(self, e):
+        return [f for f in self.elements if self.le(e, f)]
+
+    def interval(self, w, v):
+        return [e for e in self.elements if self.le(w, e) and self.le(e, v)]
+
+    def diamond_shape(self, members):
+        incomp = [(a, b) for i, a in enumerate(members) for b in members[i + 1:]
+                  if not self.le(a, b) and not self.le(b, a)]
+        if len(incomp) != 1:
+            return None
+        x, y = incomp[0]
+        chain = [e for e in members if e not in (x, y)]
+        below = [e for e in chain if self.le(e, x)]
+        above = [e for e in chain if self.le(x, e)]
+        if (len(below) + len(above) != len(chain)
+                or any(not self.le(e, y) for e in below)
+                or any(not self.le(y, e) for e in above)):
+            return None
+        return (x, y), len(below), len(above)
+
+    def dk_intervals(self, minus=False):
+        """(w, v, k, sides) of every d_k(1) interval, or of every d_k(1)
+        minus its top with k >= 4 when ``minus`` is set."""
+        out = []
+        for w in self.elements:
+            for v in self.elements:
+                if w == v or not self.le(w, v):
+                    continue
+                members = self.interval(w, v)
+                size = len(members)
+                if size < 4 + minus or size % 2 != minus:
+                    continue
+                k = (size + 2 + minus) // 2
+                shape = self.diamond_shape(members)
+                if shape and shape[1:] == (k - 2, k - 2 - minus):
+                    out.append((w, v, k, frozenset(shape[0])))
+        return out
+
+
+@pytest.mark.parametrize("build, args", [
+    (build_shifted, (P([4, 2, 1]),)),
+    (build_bird, (P([3, 2]), P([2, 1]), 2)),
+    (build_banner, (P([4, 3, 2, 1]), 2)),
+    (build_banner, (P([9, 6, 3, 2]), 2)),
+], ids=["shifted", "bird", "banner", "banner-9632"])
+def test_bitmask_poset_matches_the_matrix_construction(build, args,
+                                                       monkeypatch):
+    refs, real = [], dposet.ColoredPoset
+
+    def recorded(family, params, elements, block_of, color_of, strict=True):
+        refs.append(MatrixPoset(elements, block_of))
+        return real(family, params, elements, block_of, color_of, strict)
+
+    monkeypatch.setattr(dposet, "ColoredPoset", recorded)
+    poset = build(*args)
+    monkeypatch.undo()
+    (ref,) = refs
+    assert poset.elements == ref.elements
+    assert [[poset.le(x, y) for y in ref.elements] for x in ref.elements] == \
+        [[ref.le(x, y) for y in ref.elements] for x in ref.elements]
+    assert poset.covers == ref.covers
+    assert poset.rank == ref.rank
+    assert poset.top_tree == ref.top_tree
+    assert [(iv.bottom, iv.top, iv.k, iv.sides)
+            for iv in find_dk_intervals(poset)] == ref.dk_intervals()
+    assert [(w, k, members, maxima) for k, members, maxima, w
+            in dposet._find_dk_minus(poset) if k >= 4] == \
+        [(w, k, frozenset(ref.interval(w, v)), frozenset((v,)))
+         for w, v, k, _ in ref.dk_intervals(minus=True)]
+    hooks = hook_monomials(poset)
+    ref.color = poset.color
+    ref.downset = lambda e: [f for f in ref.elements if ref.le(f, e)]
+    monkeypatch.setattr(dposet, "find_dk_intervals", lambda p: [
+        dposet.DkInterval(*iv) for iv in p.dk_intervals()])
+    assert hook_monomials(ref) == hooks
 
 
 def test_antichain_p_partition_count():

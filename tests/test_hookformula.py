@@ -44,7 +44,7 @@ from qthook.hookformula import (
     weight_via_traces,
     z_monomial,
 )
-from qthook.series import mono_str, series_equals
+from qthook.series import key_layout, mono_str, series_equals
 
 P = Partition
 EXACT = None
@@ -241,11 +241,11 @@ def test_corrupted_weight_fails_with_lowest_mismatch():
     poset = build_shifted(P([2, 1]))
     from qthook.series import MultiSeries, series_equals as seq
 
-    terms = []
+    terms, degree = [], key_layout(len(poset.varset), 3).shift
     for w, monos in lhs_terms(poset, 3):
         for mono in monos:
             bad = w
-            if sum(mono) == 1 and w.factors:
+            if mono >> degree == 1 and w.factors:
                 # corrupt one factor's shift by 1: multiply by (1-qt)/(1-t)
                 bad = w * QTFactored.binomial(1, 1) / QTFactored.binomial(0, 1)
             terms.append((bad, [mono]))
@@ -268,8 +268,8 @@ def test_lhs_groups_expand_to_the_weight_of_each_p_partition(poset, D):
     def key(mono, w):
         return mono, w.coeff, w.qexp, w.texp, tuple(sorted(w.factors.items()))
 
-    groups = lhs_terms(poset, D)
-    grouped = sorted(key(m, w) for w, monos in groups for m in monos)
+    groups, unpack = lhs_terms(poset, D), key_layout(len(poset.varset), D).unpack
+    grouped = sorted(key(unpack(m), w) for w, monos in groups for m in monos)
     single = sorted(key(poset.varset.monomial(z_monomial(poset, pi)),
                         weight_generic(poset, pi))
                     for pi in enumerate_p_partitions(poset, D))
@@ -292,17 +292,18 @@ def test_lhs_groups_are_the_p_partitions_grouped_by_weight(poset, D):
     for pi in enumerate_p_partitions(poset, D):
         by_weight.setdefault(key(weight_generic(poset, pi)), []).append(
             poset.varset.monomial(z_monomial(poset, pi)))
-    assert [(key(w), monos) for w, monos in lhs_terms(poset, D)] == \
-        list(by_weight.items())
+    unpack = key_layout(len(poset.varset), D).unpack
+    assert [(key(w), [unpack(m) for m in monos])
+            for w, monos in lhs_terms(poset, D)] == list(by_weight.items())
 
 
 def test_eval_mismatch_text_is_the_exact_coefficient_at_the_point():
     poset = build_shifted(P([3, 2]))
     pt = EvalPoint(Fraction(-2, 3), Fraction(5, 7))
-    terms = []
+    terms, degree = [], key_layout(len(poset.varset), 4).shift
     for w, monos in lhs_terms(poset, 4):
         for mono in monos:
-            if sum(mono) == 2 and w.factors:
+            if mono >> degree == 2 and w.factors:
                 # corrupt one factor's shift: multiply by (1-qt)/(1-t)
                 w = w * QTFactored.binomial(1, 1) / QTFactored.binomial(0, 1)
             terms.append((w, [mono]))
@@ -312,7 +313,7 @@ def test_eval_mismatch_text_is_the_exact_coefficient_at_the_point():
     eq, got = series_equals(lhs_series(poset, 4, pt, terms),
                             rhs_series(poset, 4, pt))
     assert not eq and got["monomial"] == want["monomial"]
-    mono = next(m for m in sorted(exact[0].terms)
+    mono = next(m for m, _ in sorted(exact[0].monomials())
                 if mono_str(m, poset.varset) == want["monomial"])
     assert [got["lhs"], got["rhs"]] == \
         [str(side.coefficient(mono).evaluate(pt)) for side in exact]

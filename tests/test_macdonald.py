@@ -63,10 +63,11 @@ def test_p_2_coefficient_matches_gram_oracle():
 def test_check_symmetric_rejects_a_broken_orbit(fault):
     poly = macdonald_p(P([2, 1]), 3)
     assert macdonald.check_symmetric(poly) is poly
+    key = poly.keys.pack((1, 2, 0))
     if fault == "drop":
-        del poly.terms[(1, 2, 0)]
+        del poly.terms[key]
     else:
-        poly.terms[(1, 2, 0)] = poly.terms[(1, 2, 0)] + QTCoeff.one()
+        poly.terms[key] = poly.terms[key] + QTCoeff.one()
     with pytest.raises(AssertionError):
         macdonald.check_symmetric(poly)
 
@@ -259,7 +260,7 @@ def test_schur_degeneration_at_q_equals_t():
     for pt in pts:
         xs = [Fraction(1, 2), Fraction(2, 5), Fraction(3, 7)]
         got = Fraction(0)
-        for exps, c in poly.terms.items():
+        for exps, c in poly.monomials():
             term = c.evaluate(pt)
             for x, e in zip(xs, exps):
                 term *= x ** e

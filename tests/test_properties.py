@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from qthook.partitions import Partition, is_horizontal_strip
 from qthook.qtcore import BiPoly, QTFactored, qt_equals, sample_points
 from qthook.polyops import divexact_bipoly, gcd_bipoly
-from qthook.series import divide_binomial
+from qthook.series import NO_TRUNC, divide_binomial, key_layout
 
 partitions = st.lists(st.integers(1, 6), max_size=5).map(
     lambda xs: Partition(sorted(xs, reverse=True)))
@@ -121,3 +121,37 @@ def test_divide_binomial_with_a_zero_exponent():
         assert divide_binomial(p * b, *ab) == p
         assert divide_binomial(p * b * b, *ab) == p * b
         assert divide_binomial(p, *ab) is None
+
+
+@st.composite
+def exponents(draw, n, trunc):
+    """A nonnegative exponent vector of length n and degree <= trunc."""
+    left, out = trunc, []
+    for _ in range(n):
+        out.append(draw(st.integers(0, min(left, 2 * trunc // n + 1))))
+        left -= out[-1]
+    return tuple(draw(st.permutations(out)))
+
+
+@st.composite
+def layout_cases(draw):
+    n = draw(st.integers(1, 6))
+    trunc = draw(st.one_of(st.integers(0, 17), st.just(NO_TRUNC)))
+    a, b = draw(exponents(n, trunc)), draw(exponents(n, trunc))
+    return key_layout(n, trunc), trunc, a, b, tuple(draw(st.permutations(a)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout_cases())
+def test_monomial_keys_pack_add_truncate_and_sort(case):
+    keys, trunc, a, b, a_perm = case
+    ka, kb = keys.pack(a), keys.pack(b)
+    assert keys.unpack(ka) == a and keys.unpack(kb) == b
+    assert ka < keys.limit and ka >> keys.shift == sum(a)
+    if sum(a) + sum(b) <= trunc:
+        assert ka + kb == keys.pack(tuple(x + y for x, y in zip(a, b)))
+        assert keys.unpack(ka + kb) == tuple(x + y for x, y in zip(a, b))
+    else:
+        assert ka + kb >= keys.limit
+    # one degree: the keys sort like their exponent tuples
+    assert (ka < keys.pack(a_perm)) == (a < a_perm)

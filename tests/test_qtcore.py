@@ -43,6 +43,13 @@ def test_f_fun_base_cases():
     assert qt_equals(f_fun(1, 0), expected)
 
 
+def test_cached_f_fun_cannot_be_changed_by_a_caller():
+    with pytest.raises(TypeError):
+        f_fun(2, 0).factors[(7, 7)] = 1
+    # (t; q)_2 / (q; q)_2, as before the attempt
+    assert f_fun(2, 0).factors == {(0, 1): 1, (1, 0): -1, (1, 1): 1, (2, 0): -1}
+
+
 def test_f_fun_recurrence():
     # f(n, m) = f(n-1, m) * (1 - t^(m+1) q^(n-1)) / (1 - t^m q^n)
     for n in range(1, 9):

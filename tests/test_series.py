@@ -152,6 +152,26 @@ def test_series_equals_reports_first_mismatch():
     assert eq and mismatch is None
 
 
+@pytest.mark.parametrize("ring, texts", [
+    (EXACT, ("(0)/(1)", "(1/2)/(1)")),
+    (EvalPoint(Fraction(2, 3), Fraction(3, 5)), ("0", "1/2")),
+], ids=["exact", "eval"])
+def test_series_equals_names_the_lex_first_mismatch_not_the_least_key(ring,
+                                                                      texts):
+    xy = VarSet(["x", "y"])
+    s = series_f((1, 1), xy, 4, ring)
+    t = MultiSeries(xy, 4, ring, dict(s.monomials()))
+    t.add_term((1, 0), 1)
+    t.add_term((0, 2), Fraction(1, 2))
+    assert s.keys.pack((0, 2)) > s.keys.pack((1, 0))  # degree comes first
+    eq, mismatch = series_equals(s, t)
+    assert not eq
+    assert (mismatch["monomial"], mismatch["lhs"], mismatch["rhs"]) == \
+        ("y^2", *texts)
+    eq, mismatch = series_equals(t, s)
+    assert not eq and mismatch["monomial"] == "y^2"
+
+
 def test_q_difference_relation():
     # (1 - x) F(x) = (1 - t x) F(q x), read off coefficientwise:
     # c_k - c_{k-1} = q^k c_k - t q^{k-1} c_{k-1}
@@ -202,7 +222,7 @@ def test_exact_and_eval_commute():
 
         def at_pt(s):
             return MultiSeries(XYZ, 4, pt,
-                               {m: c.evaluate(pt) for m, c in s.terms.items()})
+                               {m: c.evaluate(pt) for m, c in s.monomials()})
 
         a = _random_series(rng, XYZ, 4, EXACT)
         b = _random_series(rng, XYZ, 4, EXACT)
@@ -347,7 +367,7 @@ def _values(s):
     """{monomial: value} of an eval-mode series, after checking its form."""
     assert type(s.den) is int and s.den > 0
     assert all(type(c) is int and c for c in s.terms.values())
-    return {m: s.coefficient(m) for m in s.terms}
+    return dict(s.monomials())
 
 
 def _random_coeff(rng, pt):
