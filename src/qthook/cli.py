@@ -119,7 +119,7 @@ def _hook_agreement(rec: dict, closed: dict) -> bool:
 
 
 def _poset_json(poset) -> dict:
-    rec = hook_monomials(poset, verify_choices=False)
+    rec = hook_monomials(poset)
     try:
         closed = hook_monomials_closed_form(poset)
         agreement = _hook_agreement(rec, closed)
@@ -162,7 +162,7 @@ def _poset_dot(poset) -> str:
 def cmd_show(args) -> int:
     poset = _build_poset(args)
     if args.what == "hooks":
-        rec = hook_monomials(poset, verify_choices=False)
+        rec = hook_monomials(poset)
         closed = hook_monomials_closed_form(poset)
         payload = {
             "family": poset.family,

@@ -415,12 +415,12 @@ def _mono_mul(a: dict, b: dict, mult: int = 1) -> dict:
     return out
 
 
-def hook_monomials(poset: ColoredPoset, verify_choices: bool = True) -> dict:
+def hook_monomials(poset: ColoredPoset) -> dict:
     """Hook monomial of every element by the bottom-up diamond recursion.
 
     Elements topping a d_k-interval get hook(x) hook(y) / hook(w); for
     d-complete posets the result is independent of the chosen interval,
-    which is asserted when verify_choices is set.
+    which is asserted at every element that tops more than one.
     """
     intervals = find_dk_intervals(poset)
     by_top = {}
@@ -435,13 +435,9 @@ def hook_monomials(poset: ColoredPoset, verify_choices: bool = True) -> dict:
                 mono = _mono_mul(mono, {poset.color[w]: 1})
             hooks[v] = mono
             continue
-        tops = sorted(tops, key=lambda iv: -iv.k)
-        results = []
-        for iv in (tops if verify_choices else tops[:1]):
-            x, y = sorted(iv.sides)
-            mono = _mono_mul(_mono_mul(hooks[x], hooks[y]), hooks[iv.bottom], -1)
-            results.append(mono)
-        if verify_choices and any(r != results[0] for r in results[1:]):
+        results = [_mono_mul(_mono_mul(*(hooks[s] for s in sorted(iv.sides))),
+                             hooks[iv.bottom], -1) for iv in tops]
+        if any(r != results[0] for r in results[1:]):
             raise AssertionError(f"diamond rule disagrees at {v}")
         if any(e < 0 for e in results[0].values()):
             raise ValueError(f"negative hook exponent at {v}")

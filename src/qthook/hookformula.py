@@ -477,7 +477,7 @@ def rhs_series(poset: ColoredPoset, trunc: int,
                point: EvalPoint | None = None, hooks=None) -> MultiSeries:
     """Product of F(hook monomial) over the vertices, truncated."""
     if hooks is None:
-        hooks = hook_monomials(poset, verify_choices=False)
+        hooks = hook_monomials(poset)
     return product_of_f([poset.varset.monomial(m) for m in hooks.values()],
                         poset.varset, trunc, point)
 
@@ -494,7 +494,7 @@ def verify_okada(poset: ColoredPoset, trunc: int, mode: str = "exact",
         degree=trunc, mode=mode, points=[])
     with timed(report):
         terms = lhs_terms(poset, trunc)
-        hooks = hook_monomials(poset, verify_choices=False)
+        hooks = hook_monomials(poset)
         if mode == "exact":
             point_list = [None]
         elif points:
@@ -532,8 +532,7 @@ def _kernel_f_args(tilde: dict, parts: Partition, n: int) -> list[dict]:
     return args
 
 
-def _kernel(poset: ColoredPoset, al: dict, trunc: int,
-            point: EvalPoint | None) -> MultiSeries:
+def _kernel(poset: ColoredPoset, al: dict, trunc: int) -> MultiSeries:
     """The kernel prefactor: F at every wing's complement-pair argument."""
     if poset.family == "bird":
         args = (_kernel_f_args(al["zt"], poset.params["alpha"], al["m"])
@@ -541,11 +540,10 @@ def _kernel(poset: ColoredPoset, al: dict, trunc: int,
     else:
         args = _kernel_f_args(al["zt"], poset.params["alpha"], al["n"])
     return product_of_f([poset.varset.monomial(a) for a in args],
-                        poset.varset, trunc, point)
+                        poset.varset, trunc)
 
 
-def _wing_series(poset: ColoredPoset, al: dict, lam: Partition,
-                 point: EvalPoint | None) -> MultiSeries:
+def _wing_series(poset: ColoredPoset, al: dict, lam: Partition) -> MultiSeries:
     """P_lam at the z~ aliases of the alpha wing (x~_0 times each on a bird:
     the hook table, checked against the diamond recursion, puts x~_0 inside
     the Cauchy arguments, not x~_1), and on birds times Q_lam at the y~
@@ -559,12 +557,12 @@ def _wing_series(poset: ColoredPoset, al: dict, lam: Partition,
         images = [_mono_mul(al["xt"][0], m) for m in images]
     varset = poset.varset
     out = macdonald_p(lam, width).substitute(
-        [varset.monomial(m) for m in images], varset, NO_TRUNC, point)
+        [varset.monomial(m) for m in images], varset, NO_TRUNC)
     if fam == "bird":
         beta = poset.params["beta"]
         out = out * macdonald_q(lam, 2).substitute(
             [varset.monomial(al["yt"][beta[i]]) for i in (1, 2)],
-            varset, NO_TRUNC, point)
+            varset, NO_TRUNC)
     return out
 
 
@@ -579,17 +577,16 @@ def _add_shifted(total: MultiSeries, term: MultiSeries, shift: dict,
     return total + term.truncated(trunc)
 
 
-def lhs_macdonald_form(poset: ColoredPoset, trunc: int,
-                       point: EvalPoint | None = None) -> MultiSeries:
+def lhs_macdonald_form(poset: ColoredPoset, trunc: int) -> MultiSeries:
     """The trace-resummed left-hand side (kernel times Macdonald sums)."""
     al = _alias_tables(poset)  # raises for any family but the three
     fam = poset.family
-    the_sum = MultiSeries(poset.varset, trunc, point)
+    the_sum = MultiSeries(poset.varset, trunc)
     if fam == "shifted":
         for lam in partitions_up_to(trunc, poset.params["alpha"].length()):
             wexp = (lam.weight() - lam.odd_columns()) // 2  # w has degree 0
             the_sum = _add_shifted(
-                the_sum, _wing_series(poset, al, lam, point).scale(b_el(lam)),
+                the_sum, _wing_series(poset, al, lam).scale(b_el(lam)),
                 _scaled(al["w"], wexp), lam.weight(), trunc)
     elif fam == "bird":
         f = poset.params["f"]
@@ -603,7 +600,7 @@ def lhs_macdonald_form(poset: ColoredPoset, trunc: int,
             lam = Partition((theta[0], rho[0]))
             scal, shift = phi_tilde(rho, theta, 0, f, al["xt"])
             the_sum = _add_shifted(
-                the_sum, _wing_series(poset, al, lam, point).scale(scal), shift,
+                the_sum, _wing_series(poset, al, lam).scale(scal), shift,
                 sum(rho.values()) + sum(theta.values()), trunc)
     else:
         f = poset.params["f"]
@@ -622,13 +619,12 @@ def lhs_macdonald_form(poset: ColoredPoset, trunc: int,
             floor = lam.weight() + sum(rho[i] + theta[i] for i in range(2, f + 1))
             the_sum = _add_shifted(
                 the_sum,
-                _wing_series(poset, al, lam, point).scale(hat * b_el(lam)),
+                _wing_series(poset, al, lam).scale(hat * b_el(lam)),
                 shift, floor, trunc)
-    return _kernel(poset, al, trunc, point) * the_sum
+    return _kernel(poset, al, trunc) * the_sum
 
 
-def rhs_macdonald_form(poset: ColoredPoset, trunc: int,
-                       point: EvalPoint | None = None) -> MultiSeries:
+def rhs_macdonald_form(poset: ColoredPoset, trunc: int) -> MultiSeries:
     """The hook-product right-hand side rewritten through Macdonald sums.
 
     Birds and banners run one sum; they differ in the wing width, the first
@@ -643,9 +639,9 @@ def rhs_macdonald_form(poset: ColoredPoset, trunc: int,
     width, first = (2, 1) if bird else (4, 2)
     tail = range(first, poset.params["f"] + 1)
     xdeg = [sum(al["xt"][i].values()) for i in tail]
-    the_sum = MultiSeries(poset.varset, trunc, point)
+    the_sum = MultiSeries(poset.varset, trunc)
     for lam in partitions_up_to(trunc, width):
-        wing = _wing_series(poset, al, lam, point)
+        wing = _wing_series(poset, al, lam)
         base = {} if bird else _scaled(_mono_mul(al["xt"][2], al["w"]),
                                        lam[2] + lam[4])
         for l in range(lam[width] + 1):
@@ -660,4 +656,4 @@ def rhs_macdonald_form(poset: ColoredPoset, trunc: int,
                         shift = _mono_mul(shift, al["xt"][i], k - e)
                     the_sum = _add_shifted(the_sum, wing.scale(coeff), shift,
                                            lam.weight(), trunc)
-    return _kernel(poset, al, trunc, point) * the_sum
+    return _kernel(poset, al, trunc) * the_sum

@@ -13,11 +13,13 @@ import random
 from fractions import Fraction
 
 from .partitions import Partition, bounded_tuples, monotone_chains
-from .qtcore import b_el, b_lambda, f_fun, qt_equals
+from .qtcore import b_el, b_lambda, f_fun
 from .report import VerificationReport, timed
 from .series import QTCoeff
 
 TERM_CAP = 512
+GASPER_MAX_N = 6  # the largest n = -log_q c of a Gasper sweep draw
+B_RATIO_MAX = 4   # the largest part of a b-ratio display shape
 
 
 class DegenerateDraw(Exception):
@@ -61,17 +63,6 @@ def _termination_bound(uppers, q, cap=TERM_CAP):
     """Smallest n with some upper equal to q^-n, or None."""
     return min((n for n in (_neg_q_power(a, q, cap) for a in uppers)
                 if n is not None), default=None)
-
-
-def is_balanced(uppers, lowers, q, z) -> bool:
-    """q * prod(uppers) == prod(lowers) and z == q."""
-    prod_u = Fraction(1)
-    for a in uppers:
-        prod_u *= Fraction(a)
-    prod_l = Fraction(1)
-    for b in lowers:
-        prod_l *= Fraction(b)
-    return Fraction(q) * prod_u == prod_l and Fraction(z) == Fraction(q)
 
 
 def phi_series(uppers, lowers, q, z) -> Fraction:
@@ -184,7 +175,7 @@ def _exact_sqrt(v) -> Fraction:
 # Gasper's transformation.
 # ---------------------------------------------------------------------------
 
-def gasper_both_sides(a, b, d, q, n: int, perturb: Fraction = Fraction(1)):
+def gasper_both_sides(a, b, d, q, n: int):
     """(lhs, rhs) of Gasper's identity with c = q^-n; raises DegenerateDraw.
 
     Draws where a parameter other than c is an exact q^-j (so that one side
@@ -223,13 +214,8 @@ def gasper_both_sides(a, b, d, q, n: int, perturb: Fraction = Fraction(1)):
             ("plain", a),
             ("plain", b),
             ("plain", c)]
-    rhs = perturb * prefactor * w_series(a1, tail, q, q / a)
+    rhs = prefactor * w_series(a1, tail, q, q / a)
     return lhs, rhs
-
-
-def gasper_check(a, b, d, q, n: int) -> bool:
-    lhs, rhs = gasper_both_sides(a, b, d, q, n)
-    return lhs == rhs
 
 
 def _draw_fraction(rng: random.Random) -> Fraction:
@@ -239,8 +225,7 @@ def _draw_fraction(rng: random.Random) -> Fraction:
     return v
 
 
-def gasper_sweep(trials: int, seed: int, max_n: int = 6,
-                 perturb: Fraction = Fraction(1)) -> VerificationReport:
+def gasper_sweep(trials: int, seed: int) -> VerificationReport:
     """Seeded random sweep of Gasper's identity; exact equality each draw."""
     report = VerificationReport(check="gasper", mode="exact",
                                 extra={"trials": trials, "seed": seed})
@@ -252,7 +237,7 @@ def gasper_sweep(trials: int, seed: int, max_n: int = 6,
                 lhs, rhs = gasper_both_sides(
                     _draw_fraction(rng), _draw_fraction(rng),
                     _draw_fraction(rng), _draw_fraction(rng),
-                    rng.randint(0, max_n), perturb)
+                    rng.randint(0, GASPER_MAX_N))
             except (DegenerateDraw, ZeroDivisionError):
                 continue
             if lhs != rhs:
@@ -283,9 +268,9 @@ def lemma_both_sides(m: int, k0: int, rho0: int, theta0: int, gamma: int):
     return general_both_sides(m, 1, k0, rho0, theta0, [gamma])
 
 
-def lemma_check(m, k0, rho0, theta0, gamma, mode: str = "exact",
-                points=None) -> bool:
-    return qt_equals(*lemma_both_sides(m, k0, rho0, theta0, gamma), mode, points)
+def lemma_check(m, k0, rho0, theta0, gamma) -> bool:
+    lhs, rhs = lemma_both_sides(m, k0, rho0, theta0, gamma)
+    return lhs.equals(rhs)
 
 
 def general_both_sides(m: int, n: int, k0: int, rho0: int, theta0: int,
@@ -325,9 +310,9 @@ def general_both_sides(m: int, n: int, k0: int, rho0: int, theta0: int,
     return _qsum(lhs_terms), _qsum(rhs_terms)
 
 
-def general_check(m, n, k0, rho0, theta0, gamma, mode: str = "exact",
-                  points=None) -> bool:
-    return qt_equals(*general_both_sides(m, n, k0, rho0, theta0, gamma), mode, points)
+def general_check(m, n, k0, rho0, theta0, gamma) -> bool:
+    lhs, rhs = general_both_sides(m, n, k0, rho0, theta0, gamma)
+    return lhs.equals(rhs)
 
 
 def _final_both_sides(rho_m: int, theta_m: int, m: int, n: int, r: list[int]):
@@ -365,9 +350,9 @@ def birds_final_both_sides(rho0: int, theta0: int, f: int, r: list[int]):
     return _final_both_sides(rho0, theta0, 0, f, r)
 
 
-def birds_final_check(rho0, theta0, f, r, mode: str = "exact",
-                      points=None) -> bool:
-    return qt_equals(*birds_final_both_sides(rho0, theta0, f, r), mode, points)
+def birds_final_check(rho0, theta0, f, r) -> bool:
+    lhs, rhs = birds_final_both_sides(rho0, theta0, f, r)
+    return lhs.equals(rhs)
 
 
 def banners_final_both_sides(lam: Partition, f: int, r: list[int]):
@@ -380,32 +365,33 @@ def banners_final_both_sides(lam: Partition, f: int, r: list[int]):
     return _final_both_sides(lam[4], lam[2], 1, f, r)
 
 
-def banners_final_check(lam, f, r, mode: str = "exact", points=None) -> bool:
-    return qt_equals(*banners_final_both_sides(lam, f, r), mode, points)
+def banners_final_check(lam, f, r) -> bool:
+    lhs, rhs = banners_final_both_sides(lam, f, r)
+    return lhs.equals(rhs)
 
 
-def b_ratio_checks(max_size: int = 4) -> bool:
+def b_ratio_checks() -> bool:
     """The two b-ratio displays feeding the Final identities, via b_lambda."""
-    for theta0 in range(max_size + 1):
+    for theta0 in range(B_RATIO_MAX + 1):
         for rho0 in range(theta0 + 1):
             base = b_lambda(Partition((theta0, rho0)))
             expect = (f_fun(theta0 - rho0, 0) * f_fun(theta0, 1)
                       * f_fun(rho0, 0) / f_fun(theta0 - rho0, 1))
-            if not qt_equals(base, expect):
+            if not base.equals(expect):
                 return False
             for l in range(rho0 + 1):
                 ratio = b_lambda(Partition((theta0 - l, rho0 - l))) / base
                 expect = (f_fun(rho0 - l, 0) * f_fun(theta0 - l, 1)
                           / (f_fun(rho0, 0) * f_fun(theta0, 1)))
-                if not qt_equals(ratio, expect):
+                if not ratio.equals(expect):
                     return False
-    for lam_parts in monotone_chains(0, max_size, 4):
+    for lam_parts in monotone_chains(0, B_RATIO_MAX, 4):
         lam = Partition(lam_parts)
         l4, l2 = lam[4], lam[2]
         for l in range(l4 + 1):
             ratio = b_el(lam.sub_rectangle(l, 4)) / b_el(lam)
             expect = (f_fun(l4 - l, 0) * f_fun(l2 - l, 2)
                       / (f_fun(l4, 0) * f_fun(l2, 2)))
-            if not qt_equals(ratio, expect):
+            if not ratio.equals(expect):
                 return False
     return True

@@ -37,7 +37,6 @@ from .qtcore import (
     b_el,
     b_lambda,
     b_oa,
-    f_series_coeff,
     phi_skew,
     psi_skew,
 )
@@ -527,19 +526,15 @@ def gram_p(lam: Partition, n: int) -> MultiSeries:
 class _OracleCoeff:
     """Coefficient of the Gram-Schmidt oracle: a reduced ``RatFunc``.
 
-    Not a ``QTCoeff``, whose denominator is a product of binomials; it mixes
-    with ``QTCoeff`` on either side of ``+``, ``*`` and ``equals`` (``QTCoeff``
-    defers to it), and every result is again an ``_OracleCoeff``.
+    Not a ``QTCoeff``, whose denominator is a product of binomials; an
+    oracle series is only compared, and ``equals`` takes a ``QTCoeff`` on
+    either side (``QTCoeff.equals`` defers to it).
     """
 
     __slots__ = ("rat",)
 
     def __init__(self, rat: RatFunc):
         self.rat = rat
-
-    @staticmethod
-    def _rat(c) -> RatFunc:
-        return c.rat if isinstance(c, _OracleCoeff) else RatFunc.from_qtcoeff(c)
 
     def __bool__(self):
         return not self.rat.is_zero()
@@ -548,29 +543,6 @@ class _OracleCoeff:
         if isinstance(other, _OracleCoeff):
             return self.rat.equals(other.rat)
         return self.rat.num * other._den_poly() == other.num * self.rat.den
-
-    def __add__(self, other):
-        return _OracleCoeff(self.rat + self._rat(other))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _OracleCoeff(RF_ZERO - self.rat)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        return _OracleCoeff(self.rat * self._rat(other))
-
-    __rmul__ = __mul__
-
-    def evaluate(self, point):
-        den = self.rat.den.evaluate(point.q0, point.t0)
-        if den == 0:
-            from .qtcore import VanishingFactor
-            raise VanishingFactor("oracle denominator vanishes at point")
-        return self.rat.num.evaluate(point.q0, point.t0) / den
 
     def num_den_strings(self) -> tuple[str, str]:
         return str(self.rat.num), str(self.rat.den)

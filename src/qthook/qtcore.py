@@ -7,9 +7,10 @@ dictionary merges and never expand anything (it is also the content of the
 exact series coefficient ``series.QTCoeff``).  Exact equality testing first
 cancels the monomial and the (1 - q^a t^b) powers both sides share
 (``cancelled_ratio``), then expands what is left to bivariate polynomials
-(``BiPoly``) and compares; eval mode compares values at rational sample
-points.  ``BiPoly`` keeps integral coefficients as Python ints and only the
-others as Fractions, and multiplies by the plain sparse term loop.
+(``BiPoly``) and compares.  ``BiPoly`` keeps integral coefficients as Python
+ints and only the others as Fractions, and multiplies by the plain sparse
+term loop.  The hook check's eval mode takes values at rational sample
+points (``EvalPoint``, ``resampled``).
 """
 
 from __future__ import annotations
@@ -150,20 +151,26 @@ def _canonical(terms: dict) -> dict:
             for k, v in terms.items() if v}
 
 
-BI_ONE = BiPoly.const(1)
+def _frozen(p: BiPoly) -> BiPoly:
+    """``p`` with read-only terms, for a value that callers share."""
+    p.terms = MappingProxyType(p.terms)
+    return p
+
+
+BI_ONE = _frozen(BiPoly.const(1))
 
 
 @lru_cache(maxsize=None)
 def _binomial_poly(a: int, b: int) -> BiPoly:
     """The polynomial 1 - q^a t^b."""
-    return BiPoly({(0, 0): 1, (a, b): -1})
+    return _frozen(BiPoly({(0, 0): 1, (a, b): -1}))
 
 
 @lru_cache(maxsize=None)
 def _binomial_power(a: int, b: int, e: int) -> BiPoly:
     if e == 0:
         return BI_ONE
-    return _binomial_power(a, b, e - 1) * _binomial_poly(a, b)
+    return _frozen(_binomial_power(a, b, e - 1) * _binomial_poly(a, b))
 
 
 class VanishingFactor(Exception):
@@ -199,20 +206,16 @@ class EvalPoint:
     def __hash__(self):
         return hash((self.q0, self.t0))
 
-    def binomial(self, a: int, b: int):
-        """B = qd^a td^b (1 - q0^a t0^b), nonzero: an int when a, b >= 0 (the
-        only binomials the package builds), else a Fraction.  Raises
-        VanishingFactor where the binomial is 0 at this point."""
+    def binomial(self, a: int, b: int) -> int:
+        """B = qd^a td^b (1 - q0^a t0^b), a nonzero int for a, b >= 0.
+        Raises VanishingFactor where the binomial is 0 at this point."""
         B = self._binomials.get((a, b))
         if B is None:
+            if a < 0 or b < 0:
+                raise ValueError(f"(1 - q^{a} t^{b}): need exponents >= 0")
             q0, t0 = self.q0, self.t0
-            if a >= 0 and b >= 0:
-                B = (q0.denominator ** a * t0.denominator ** b
-                     - q0.numerator ** a * t0.numerator ** b)
-            else:
-                B = (1 - q0 ** a * t0 ** b) \
-                    * Fraction(q0.denominator) ** a * Fraction(t0.denominator) ** b
-                B = B.numerator if B.denominator == 1 else B
+            B = (q0.denominator ** a * t0.denominator ** b
+                 - q0.numerator ** a * t0.numerator ** b)
             if B == 0:
                 raise VanishingFactor(f"(1 - q^{a} t^{b}) vanishes at {self}")
             self._binomials[(a, b)] = B
@@ -253,10 +256,7 @@ def sample_points(count: int, seed: int) -> list[EvalPoint]:
     Points where some factor later vanishes are replaced by ``resampled``.
     """
     rng = random.Random(seed)
-    pts = []
-    while len(pts) < count:
-        pts.append(_draw_point(rng))
-    return pts
+    return [_draw_point(rng) for _ in range(count)]
 
 
 def _draw_point(rng: random.Random) -> EvalPoint:
@@ -319,8 +319,9 @@ class QTFactored:
         for key, e in (factors or {}).items():  # reuse keys: copies cost memory
             if e == 0:
                 continue
-            if key == (0, 0):
-                raise ValueError("factor (1 - q^0 t^0) is zero")
+            if key == (0, 0) or key[0] < 0 or key[1] < 0:
+                raise ValueError(f"factor (1 - q^{key[0]} t^{key[1]}): need "
+                                 "exponents >= 0, not both 0")
             self.factors[key] = e
 
     @staticmethod
@@ -421,7 +422,7 @@ class QTFactored:
         return self.equals(other)
 
     def __hash__(self):
-        raise TypeError("QTFactored is unhashable; compare via qt_equals")
+        raise TypeError("QTFactored is unhashable; compare via equals")
 
     def __repr__(self):
         if self.coeff == 0:
@@ -457,24 +458,6 @@ def cancelled_ratio(xq: int, xt: int, xf: dict,
         elif e < 0:
             v = v * _binomial_power(a, b, -e)
     return u, v
-
-
-def qt_equals(x, y, mode: str = "exact",
-              points: list[EvalPoint] | None = None, seed: int = 0) -> bool:
-    """Decide x == y for two QTFactored or two QTCoeff values.
-
-    Exact mode is ``x.equals(y)``, a decision procedure.  Eval mode compares
-    values at every sample point (resampling a point when a factor vanishes
-    there) and is one-sided: agreement everywhere reports equality.
-    """
-    if mode == "exact":
-        return x.equals(y)
-    if mode == "eval":
-        if not points:
-            raise ValueError("eval mode requires at least one point")
-        return all(same for _, same in resampled(
-            points, seed, lambda pt: x.evaluate(pt) == y.evaluate(pt)))
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------

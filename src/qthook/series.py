@@ -34,7 +34,6 @@ from .qtcore import (
     BiPoly,
     EvalPoint,
     QTFactored,
-    VanishingFactor,
     _binomial_power,
     cancelled_ratio,
     f_series_coeff,
@@ -51,8 +50,7 @@ class QTCoeff:
 
     ``(dq, dt, den)`` is the display denominator q^dq t^dt prod
     (1 - q^a t^b)^den[a, b], summed by ``*`` and maxed by ``+``; the value
-    times it is the polynomial ``num``, which ``num_den_strings`` prints, and
-    ``evaluate`` raises VanishingFactor exactly where it vanishes.
+    times it is the polynomial ``num``, which ``num_den_strings`` prints.
     """
 
     __slots__ = ("content", "rem", "dq", "dt", "den")
@@ -169,14 +167,13 @@ class QTCoeff:
         return left == right
 
     def evaluate(self, point: EvalPoint) -> Fraction:
-        for k in self.den:  # raises where the display denominator vanishes
-            point.binomial(*k)
-        c = self.content
-        try:
-            return point.value(c.coeff * self.rem.evaluate(point.q0, point.t0),
-                               c.qexp, c.texp, c.factors)
-        except VanishingFactor:  # only a positive content factor can vanish
+        """The value at ``point``: 0 for zero, else VanishingFactor wherever
+        the content's ``QTFactored.evaluate`` raises it."""
+        if not self:
             return Fraction(0)
+        c = self.content
+        return point.value(c.coeff * self.rem.evaluate(point.q0, point.t0),
+                           c.qexp, c.texp, c.factors)
 
     def num_den_strings(self) -> tuple[str, str]:
         return str(self.num), str(self._den_poly())
@@ -542,12 +539,11 @@ class MultiSeries:
     def equals(self, other: "MultiSeries") -> bool:
         return series_equals(self, other)[0]
 
-    def substitute(self, images, varset: VarSet, trunc: int,
-                   point: EvalPoint | None = None) -> "MultiSeries":
+    def substitute(self, images, varset: VarSet, trunc: int) -> "MultiSeries":
         """This series with variable i replaced by the monomial ``images[i]``
         of ``varset`` (possibly the unit), truncated at ``trunc``."""
         assert len(images) == len(self.varset)
-        res = MultiSeries(varset, trunc, point)
+        res = MultiSeries(varset, trunc, self.point)
         image_keys = [res.keys.pack(image) for image in images]
         res.add_groups((c, (sum(map(mul, mono, image_keys)),))
                        for mono, c in self.monomials())
@@ -597,18 +593,20 @@ def product_of_f(monos, varset: VarSet, trunc: int,
     """prod_m F(x^m) truncated; the right-hand side shape of every hook formula.
 
     The factors go in by descending total degree of their monomial (a stable
-    sort).  A factor of large degree has only one or two terms below the
-    truncation, so it is cheapest to multiply in while the running product is
-    still small; the product, being exact, does not depend on the order.
+    sort), but not those of degree above the truncation, which are 1 below
+    it.  A factor of large degree has only one or two terms below the
+    truncation, so it is cheapest to multiply in while the running product
+    is still small; the product, being exact, does not depend on the order.
     Each f(k; 0) becomes a coefficient once, for k up to trunc over the
     smallest degree: the ones the factors use, and no others.
     """
-    monos = sorted(monos, key=sum, reverse=True)
-    out = MultiSeries.constant(1, varset, trunc, point)
-    if monos:
-        coeffs = _f_coeffs(trunc // max(sum(monos[-1]), 1), point)
-        for m in monos:
-            out = out * series_f(m, varset, trunc, point, coeffs)
+    monos = sorted((m for m in monos if sum(m) <= trunc), key=sum, reverse=True)
+    if not monos:
+        return MultiSeries.constant(1, varset, trunc, point)
+    coeffs = _f_coeffs(trunc // max(sum(monos[-1]), 1), point)
+    out = series_f(monos[0], varset, trunc, point, coeffs)
+    for m in monos[1:]:
+        out = out * series_f(m, varset, trunc, point, coeffs)
     return out
 
 

@@ -43,7 +43,7 @@ def _failures(results):
 
 
 def _b_ratio_display():
-    if not hypergeom.b_ratio_checks(4):
+    if not hypergeom.b_ratio_checks():
         yield {"params": "b-ratio display"}
 
 

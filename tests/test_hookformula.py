@@ -12,7 +12,6 @@ from qthook.qtcore import (
     b_el,
     b_lambda,
     f_fun,
-    qt_equals,
     sample_points,
 )
 from qthook.dposet import (
@@ -66,7 +65,7 @@ def test_single_box_weight():
     poset = build_shifted(P([1]))
     for k in range(5):
         w = weight_generic(poset, {(1, 1): k})
-        assert qt_equals(w, f_fun(k, 0)), k
+        assert w.equals(f_fun(k, 0)), k
 
 
 def test_f_nd_f_d_one_box():
@@ -74,7 +73,7 @@ def test_f_nd_f_d_one_box():
     for k in range(4):
         pi = {(1, 1): k}
         assert f_nd(alpha, pi).is_one()
-        assert qt_equals(f_d(alpha, pi), f_fun(k, 0))
+        assert f_d(alpha, pi).equals(f_fun(k, 0))
 
 
 def test_shifted_weight_formula_small():
@@ -84,7 +83,7 @@ def test_shifted_weight_formula_small():
     for pi in enumerate_p_partitions(poset, 4):
         w1 = weight_generic(poset, pi)
         w2 = weight_shifted(P([3, 1]), pi)
-        assert qt_equals(w1, w2), pi
+        assert w1.equals(w2), pi
         count += 1
     assert count > 10
 
@@ -94,7 +93,7 @@ def test_bird_weight_formula_exhaustive_small():
     for pi in enumerate_p_partitions(poset, 3):
         w1 = weight_generic(poset, pi)
         w2 = weight_bird(poset, pi)
-        assert qt_equals(w1, w2), pi
+        assert w1.equals(w2), pi
 
 
 def test_banner_weight_formula_random():
@@ -105,7 +104,7 @@ def test_banner_weight_formula_random():
     for pi in sample:
         w1 = weight_generic(poset, pi)
         w2 = weight_closed_form(poset, pi)
-        assert qt_equals(w1, w2), pi
+        assert w1.equals(w2), pi
 
 
 def _phi_chain_with_middle(middle):
@@ -130,8 +129,7 @@ def test_phi_verbatim_convention_fails_cross_check(monkeypatch):
     def mismatches(middle):
         monkeypatch.setattr(hookformula, "phi_chain",
                             _phi_chain_with_middle(middle))
-        return sum(not qt_equals(weight_generic(poset, pi),
-                                 weight_bird(poset, pi))
+        return sum(not weight_generic(poset, pi).equals(weight_bird(poset, pi))
                    for pi in enumerate_p_partitions(poset, 3))
 
     assert mismatches(lambda i: i) == 0  # the copy is faithful
@@ -176,7 +174,7 @@ def test_trace_form_weight_and_monomial(family, build, args, D):
     poset = build(*args)
     for pi in enumerate_p_partitions(poset, D):
         w, mono = weight_via_traces(poset, pi)
-        assert qt_equals(w, weight_generic(poset, pi)), pi
+        assert w.equals(weight_generic(poset, pi)), pi
         assert mono == z_monomial(poset, pi), pi
 
 
@@ -185,7 +183,7 @@ def test_trace_form_larger_horizon_matches():
     for pi in enumerate_p_partitions(poset, 3):
         w1, m1 = weight_via_traces(poset, pi)
         w2, m2 = weight_via_traces(poset, pi, horizon=5)
-        assert qt_equals(w1, w2)
+        assert w1.equals(w2)
         assert m1 == m2
 
 
@@ -198,7 +196,7 @@ def test_both_displays_of_shifted_trace_weight():
         tr = traces(alpha, pi, n)
         lhs = b_el(tr[0]) * bracket_psi(tr, eps)
         rhs = b_el(tr[0]) / b_lambda(tr[0]) * bracket_phi(tr, eps)
-        assert qt_equals(lhs, rhs), pi
+        assert lhs.equals(rhs), pi
 
 
 def test_w_exponent_identities():
@@ -350,7 +348,7 @@ def dropped_hook_report(mode, points=None):
     """The hook check of shifted (3,2) at D=4 with its lowest-degree hook
     dropped from the right side: a negative control."""
     poset = build_shifted(P([3, 2]))
-    hooks = hookformula.hook_monomials(poset, verify_choices=False)
+    hooks = hookformula.hook_monomials(poset)
     del hooks[min(hooks, key=lambda e: sum(hooks[e].values()))]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hookformula, "hook_monomials", lambda *a, **k: hooks)
@@ -370,7 +368,7 @@ def test_dropped_hook_reports_are_pinned():
 def test_lhs_macdonald_form_shifted():
     poset = build_shifted(P([2, 1]))
     direct = lhs_series(poset, 3, EXACT)
-    mac = lhs_macdonald_form(poset, 3, EXACT)
+    mac = lhs_macdonald_form(poset, 3)
     eq, info = series_equals(direct, mac)
     assert eq, info
 
@@ -378,7 +376,7 @@ def test_lhs_macdonald_form_shifted():
 def test_lhs_macdonald_form_bird():
     poset = build_bird(P([2, 1]), P([2, 1]), 1)
     direct = lhs_series(poset, 3, EXACT)
-    mac = lhs_macdonald_form(poset, 3, EXACT)
+    mac = lhs_macdonald_form(poset, 3)
     eq, info = series_equals(direct, mac)
     assert eq, info
 
@@ -386,7 +384,7 @@ def test_lhs_macdonald_form_bird():
 def test_rhs_macdonald_form_bird():
     poset = build_bird(P([2, 1]), P([2, 1]), 1)
     direct = rhs_series(poset, 3, EXACT)
-    mac = rhs_macdonald_form(poset, 3, EXACT)
+    mac = rhs_macdonald_form(poset, 3)
     eq, info = series_equals(direct, mac)
     assert eq, info
 
@@ -394,10 +392,10 @@ def test_rhs_macdonald_form_bird():
 def test_macdonald_forms_banner():
     poset = build_banner(P([4, 3, 2, 1]), 2)
     eq, info = series_equals(lhs_series(poset, 3, EXACT),
-                             lhs_macdonald_form(poset, 3, EXACT))
+                             lhs_macdonald_form(poset, 3))
     assert eq, info
     eq, info = series_equals(rhs_series(poset, 3, EXACT),
-                             rhs_macdonald_form(poset, 3, EXACT))
+                             rhs_macdonald_form(poset, 3))
     assert eq, info
 
 
@@ -406,14 +404,14 @@ def test_macdonald_forms_notice_a_doubled_factor(monkeypatch):
     monkeypatch.setattr(hookformula, "b_el", lambda lam: b_el(lam).scale(2))
     poset = build_shifted(P([2, 1]))
     eq, _ = series_equals(lhs_series(poset, 3, EXACT),
-                          lhs_macdonald_form(poset, 3, EXACT))
+                          lhs_macdonald_form(poset, 3))
     assert not eq
     monkeypatch.undo()
     monkeypatch.setattr(hookformula, "f_fun", lambda n, m: f_fun(n, m).scale(2))
     for poset in (build_bird(P([2, 1]), P([2, 1]), 1),
                   build_banner(P([4, 3, 2, 1]), 2)):
         eq, _ = series_equals(rhs_series(poset, 3, EXACT),
-                              rhs_macdonald_form(poset, 3, EXACT))
+                              rhs_macdonald_form(poset, 3))
         assert not eq, poset.family
 
 
@@ -453,7 +451,7 @@ def test_worked_bird_example_from_figure():
     count = 0
     for pi in enumerate_p_partitions(poset, 3):
         w, mono = weight_via_traces(poset, pi, horizon=4)
-        assert qt_equals(w, weight_generic(poset, pi)), pi
+        assert w.equals(weight_generic(poset, pi)), pi
         assert mono == z_monomial(poset, pi)
         count += 1
     assert count > 50
@@ -516,7 +514,7 @@ def test_phi_tilde_pair():
     rho = {0: 2, 1: 1}
     theta = {0: 2, 1: 4}
     value, mono = phi_tilde(rho, theta, 0, 1, al["xt"])
-    assert qt_equals(value, phi_hat(rho, theta, 0, 1))
+    assert value.equals(phi_hat(rho, theta, 0, 1))
     # x~_1 carries exponent rho1+theta1-rho0-theta0 = 1
     assert mono == {"zm1": 1}
 

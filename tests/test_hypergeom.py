@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qthook import hookformula
+from qthook import hookformula, hypergeom
 from qthook.partitions import Partition
 from qthook.qtcore import QTFactored
 from qthook.hypergeom import (
@@ -12,11 +12,10 @@ from qthook.hypergeom import (
     b_ratio_checks,
     banners_final_check,
     birds_final_check,
-    gasper_check,
+    gasper_both_sides,
     gasper_sweep,
     general_both_sides,
     general_check,
-    is_balanced,
     lemma_both_sides,
     lemma_check,
     phi_series,
@@ -84,14 +83,6 @@ def test_phi_series_trivial_and_binomial():
     assert phi_series([a], [], q, z) == direct
 
 
-def test_balanced_predicate():
-    q = F(1, 2)
-    uppers = [F(2), F(3)]
-    lowers = [q * F(2) * F(3)]
-    assert is_balanced(uppers, lowers, q, q)
-    assert not is_balanced(uppers, lowers, q, F(1, 3))
-
-
 def test_w_series_dual_evaluation():
     rng = random.Random(9)
     done = 0
@@ -120,17 +111,21 @@ def test_w_series_dual_evaluation():
 
 def test_gasper_tiny_cases():
     # n = 0: both sides must evaluate to 1 (computed, not assumed)
-    from qthook.hypergeom import gasper_both_sides
     lhs, rhs = gasper_both_sides(F(3), F(5), F(7), F(1, 2), 0)
     assert lhs == 1 and rhs == 1
-    assert gasper_check(F(3), F(5), F(7), F(1, 2), 1)
-    assert gasper_check(F(3, 2), F(5, 3), F(7, 4), F(2, 5), 3)
+    for params in ((F(3), F(5), F(7), F(1, 2), 1),
+                   (F(3, 2), F(5, 3), F(7, 4), F(2, 5), 3)):
+        lhs, rhs = gasper_both_sides(*params)
+        assert lhs == rhs, params
 
 
-def test_gasper_sweep_and_negative_control():
+def test_gasper_sweep_and_negative_control(monkeypatch):
     report = gasper_sweep(50, seed=7)
     assert report.passed, report.to_json()
-    bad = gasper_sweep(50, seed=7, perturb=F(9, 8))
+    # rhs = prefactor * w_series, so this scales the prefactor by 9/8
+    monkeypatch.setattr(hypergeom, "w_series",
+                        lambda *args: w_series(*args) * F(9, 8))
+    bad = gasper_sweep(50, seed=7)
     assert not bad.passed
 
 
@@ -257,17 +252,7 @@ def test_banners_final_is_general_at_m2():
 
 
 def test_b_ratio_displays():
-    assert b_ratio_checks(4)
-
-
-def test_checks_in_eval_mode():
-    from qthook.qtcore import sample_points
-
-    pts = sample_points(3, seed=12)
-    assert lemma_check(1, 0, 2, 3, 1, mode="eval", points=pts)
-    assert general_check(1, 2, 0, 2, 3, [1, 0], mode="eval", points=pts)
-    assert birds_final_check(2, 3, 2, [1, 0], mode="eval", points=pts)
-    assert banners_final_check(P([3, 2, 2, 1]), 2, [2], mode="eval", points=pts)
+    assert b_ratio_checks()
 
 
 @pytest.mark.parametrize("check", [
