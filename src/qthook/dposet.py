@@ -496,30 +496,33 @@ def _complement(alpha: Partition, n: int) -> Partition:
                             reverse=True))
 
 
+def _wing_hook(tilde: dict, alpha: Partition, comp: Partition, i: int, j: int,
+               inner: dict) -> dict:
+    """Hook monomial of cell (i, j) of the shifted wing alpha, whose
+    complement in 1..alpha_1 is comp: with r = l(alpha), inner z~_(alpha_i)
+    z~_(alpha_(j+1)) for j < r, z~_(alpha_i) at j = r and z~_(alpha_i) /
+    z~_(comp[alpha_1 - j + 1]) for j > r."""
+    r = alpha.length()
+    if j < r:
+        return _mono_mul(_mono_mul(inner, tilde[alpha[i]]), tilde[alpha[j + 1]])
+    if j == r:
+        return dict(tilde[alpha[i]])
+    return _mono_mul(tilde[alpha[i]], tilde[comp[alpha[1] - j + 1]], -1)
+
+
 def hook_monomials_closed_form(poset: ColoredPoset) -> dict:
     """Hook monomials from the per-family product tables."""
     fam = poset.family
     al = _alias_tables(poset)
-    hooks = {}
+    alpha = poset.params["alpha"]
     if fam == "shifted":
-        alpha = poset.params["alpha"]
-        r, n = alpha.length(), al["n"]
-        comp = _complement(alpha, n)
-        for (i, j) in poset.elements:
-            if j < r:
-                mono = _mono_mul(al["w"], al["zt"][alpha[i]])
-                mono = _mono_mul(mono, al["zt"][alpha[j + 1]])
-            elif j == r:
-                mono = dict(al["zt"][alpha[i]])
-            else:
-                mono = _mono_mul(al["zt"][alpha[i]],
-                                 al["zt"][comp[alpha[1] - j + 1]], -1)
-            hooks[(i, j)] = mono
-        return hooks
+        comp = _complement(alpha, al["n"])
+        return {(i, j): _wing_hook(al["zt"], alpha, comp, i, j, al["w"])
+                for (i, j) in poset.elements}
+    hooks = {}
     if fam == "bird":
-        alpha, beta, f = (poset.params[k] for k in ("alpha", "beta", "f"))
-        m, n = al["m"], al["n"]
-        compa, compb = _complement(alpha, m), _complement(beta, n)
+        beta = poset.params["beta"]
+        compa, compb = _complement(alpha, al["m"]), _complement(beta, al["n"])
         for (i, j) in poset.elements:
             if i == 1 and j <= 0:
                 mono = _mono_mul(_mono_mul(al["xt"][0], al["xt"][0]),
@@ -532,41 +535,29 @@ def hook_monomials_closed_form(poset: ColoredPoset) -> dict:
                 mono = _mono_mul(al["xt"][0], al["yt"][beta[j]])
                 mono = _mono_mul(mono, al["zt"][alpha[i]])
             elif 1 <= i <= 2 < j:
-                mono = _mono_mul(al["zt"][alpha[i]],
-                                 al["zt"][compa[alpha[1] - j + 1]], -1)
-            elif 1 <= j <= 2 < i:
-                mono = _mono_mul(al["yt"][beta[j]],
-                                 al["yt"][compb[beta[1] - i + 1]], -1)
+                mono = _wing_hook(al["zt"], alpha, compa, i, j, {})
+            elif 1 <= j <= 2 < i:  # the beta wing, transposed
+                mono = _wing_hook(al["yt"], beta, compb, j, i, {})
             else:  # tail
                 mono = dict(al["xt"][i - 2])
             hooks[(i, j)] = mono
         return hooks
-    if fam == "banner":
-        alpha, f = poset.params["alpha"], poset.params["f"]
-        n = al["n"]
-        comp = _complement(alpha, n)
-        for (i, j) in poset.elements:
-            if i == 1 and j <= 0:
-                mono = _mono_mul(_mono_mul(al["xt"][2], al["xt"][2]),
-                                 al["xt"][-j + 2], -1)
-                mono = _mono_mul(mono, al["w"])
-                mono = _mono_mul(mono, al["w"])
-                for part in alpha.parts:
-                    mono = _mono_mul(mono, al["zt"][part])
-            elif i <= j < 4 and not (j == 3 and i > 3):
-                mono = _mono_mul(al["w"], al["xt"][2])
-                mono = _mono_mul(mono, al["zt"][alpha[i]])
-                mono = _mono_mul(mono, al["zt"][alpha[j + 1]])
-            elif i <= j == 4:
-                mono = dict(al["zt"][alpha[i]])
-            elif i <= 4 < j:
-                mono = _mono_mul(al["zt"][alpha[i]],
-                                 al["zt"][comp[alpha[1] - j + 1]], -1)
-            else:  # tail (i, 3) with i > 3
-                mono = dict(al["xt"][i - 2])
-            hooks[(i, j)] = mono
-        return hooks
-    raise ValueError(f"no closed form for family {fam!r}")
+    comp = _complement(alpha, al["n"])  # a banner: _alias_tables raised
+    inner = _mono_mul(al["w"], al["xt"][2])
+    for (i, j) in poset.elements:
+        if i == 1 and j <= 0:
+            mono = _mono_mul(_mono_mul(al["xt"][2], al["xt"][2]),
+                             al["xt"][-j + 2], -1)
+            mono = _mono_mul(mono, al["w"])
+            mono = _mono_mul(mono, al["w"])
+            for part in alpha.parts:
+                mono = _mono_mul(mono, al["zt"][part])
+        elif i <= j:
+            mono = _wing_hook(al["zt"], alpha, comp, i, j, inner)
+        else:  # tail (i, 3) with i > 3
+            mono = dict(al["xt"][i - 2])
+        hooks[(i, j)] = mono
+    return hooks
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ validated against it.  It runs from a per-poset plan: the pairs, their kinds
 and their f-arguments are found once per poset (where the rank parities are
 also checked).  A weight counts each distinct f-argument (n, m) with its
 sign, then adds the factor exponents of each f once, scaled by its count;
-the hook LHS keeps those counts along one walk over all P-partitions.
+the hook LHS keeps those counts along one walk over all P-partitions.  The
+bird and banner forms take Phi and Phi-hat from ``qtcore``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from .dposet import (ColoredPoset, _alias_tables, _complement, _mono_mul,
                      enumerate_p_partitions, fill_order, hook_monomials)
 from .partitions import (Partition, bounded_tuples, is_horizontal_strip,
                          monotone_chains, partitions_up_to)
-from .qtcore import (EvalPoint, QTFactored, b_el, b_lambda, f_fun, phi_skew,
-                     psi_skew, resampled)
+from .macdonald import macdonald_p, macdonald_q
+from .qtcore import (EvalPoint, QTFactored, b_el, b_lambda, f_fun, phi_chain,
+                     phi_hat, phi_skew, psi_skew, resampled)
 from .report import VerificationReport, timed
 from .series import (NO_TRUNC, MultiSeries, key_layout, product_of_f,
                      series_equals)
@@ -167,51 +169,16 @@ def weight_shifted(alpha: Partition, pi: dict) -> QTFactored:
 
 
 # ---------------------------------------------------------------------------
-# The head/tail chain product Phi and its hatted/tilded variants.
+# The x-tilde monomial of Phi-hat (Phi itself lives in qtcore).
 # ---------------------------------------------------------------------------
 
-def _check_rho_theta(rho: dict, theta: dict, m: int, n: int):
-    for i in range(m, n):
-        if not rho[i + 1] <= rho[i]:
-            raise ValueError("rho must decrease along the chain")
-        if not theta[i] <= theta[i + 1]:
-            raise ValueError("theta must increase along the chain")
-    if not 0 <= rho[n] or not rho[m] <= theta[m]:
-        raise ValueError("need 0 <= rho_n <= ... <= rho_m <= theta_m <= ...")
-
-
-def phi_chain(rho: dict, theta: dict, m: int, n: int) -> QTFactored:
-    """Phi_m^n(rho, theta), with middle f-arguments i (not 0) at step i."""
-    _check_rho_theta(rho, theta, m, n)
-    out = QTFactored.one()
-    for i in range(m + 1, n + 1):
-        out = out * f_fun(rho[i - 1] - rho[i], 0)
-        out = out * f_fun(theta[i - 1] - rho[i], i)
-        out = out * f_fun(theta[i] - rho[i - 1], i)
-        out = out * f_fun(theta[i] - theta[i - 1], 0)
-        out = out / (f_fun(theta[i] - rho[i], i) * f_fun(theta[i] - rho[i], i + 1))
-    return out
-
-
-def phi_hat(rho: dict, theta: dict, m: int, n: int) -> QTFactored:
-    """Phi-hat: Phi with its boundary f-ratio."""
-    boundary = (f_fun(rho[n], 0) * f_fun(theta[n], n + 1)
-                / (f_fun(rho[m], 0) * f_fun(theta[m], m + 1)))
-    return boundary * phi_chain(rho, theta, m, n)
-
-
-def phi_tilde_monomial(rho: dict, theta: dict, m: int, n: int) -> dict:
-    """The x-tilde exponents attached to Phi-hat: index -> exponent."""
-    return {i: rho[i] + theta[i] - rho[i - 1] - theta[i - 1]
-            for i in range(m + 1, n + 1)}
-
-
 def phi_tilde(rho: dict, theta: dict, m: int, n: int, xt: dict):
-    """Phi-tilde: (Phi-hat value, monomial) with x-tilde aliases expanded."""
+    """Phi-tilde: (Phi-hat value, monomial), the monomial being the product
+    of xt[i]^(rho_i + theta_i - rho_(i-1) - theta_(i-1)) for m < i <= n."""
     mono = {}
-    for i, e in phi_tilde_monomial(rho, theta, m, n).items():
-        if e:
-            mono = _mono_mul(mono, xt[i], e)
+    for i in range(m + 1, n + 1):
+        mono = _mono_mul(mono, xt[i],
+                         rho[i] + theta[i] - rho[i - 1] - theta[i - 1])
     return phi_hat(rho, theta, m, n), mono
 
 
@@ -325,60 +292,43 @@ def weight_via_traces(poset: ColoredPoset, pi: dict, horizon: int | None = None)
     """(weight, monomial-exponent-dict) in trace form, per family."""
     fam = poset.family
     al = _alias_tables(poset)
+    alpha = poset.params["alpha"]
+    m = horizon if horizon is not None else alpha[1]
     if fam == "shifted":
-        alpha = poset.params["alpha"]
-        n = horizon if horizon is not None else alpha[1]
-        tr = traces(alpha, pi, n)
-        eps = epsilon_seq(alpha, n)
-        weight = b_el(tr[0]) * bracket_psi(tr, eps)
+        tr = traces(alpha, pi, m)
+        weight = b_el(tr[0]) * bracket_psi(tr, epsilon_seq(alpha, m))
         wexp = (tr[0].weight() - tr[0].odd_columns()) // 2
-        mono = _scaled(al["w"], wexp)
-        for i in range(1, n + 1):
-            exp = tr[i - 1].weight() - tr[i].weight()
-            if exp:  # horizons beyond alpha_1 pad with empty traces
-                mono = _mono_mul(mono, al["zt"][i], exp)
-        return weight, mono
+        return weight, _trace_monomial(_scaled(al["w"], wexp), al["zt"], tr)
     if fam == "bird":
-        alpha, beta, f = (poset.params[k] for k in ("alpha", "beta", "f"))
+        beta, f = poset.params["beta"], poset.params["f"]
         sigma, tau, rho, theta = bird_views(poset, pi)
-        m = horizon if horizon is not None else alpha[1]
         n = horizon if horizon is not None else beta[1]
         tr_s = traces(alpha, sigma, m)
         tr_t = traces(beta, tau, n)
-        weight = (phi_hat(rho, theta, 0, f)
-                  * bracket_psi(tr_s, epsilon_seq(alpha, m))
+        hat, mono = phi_tilde(rho, theta, 0, f, al["xt"])
+        weight = (hat * bracket_psi(tr_s, epsilon_seq(alpha, m))
                   * bracket_phi(tr_t, epsilon_seq(beta, n)))
-        mono = _scaled(al["xt"][0], rho[0] + theta[0])
-        for i in range(1, m + 1):
-            exp = tr_s[i - 1].weight() - tr_s[i].weight()
-            if exp:
-                mono = _mono_mul(mono, al["zt"][i], exp)
-        for i in range(1, n + 1):
-            exp = tr_t[i - 1].weight() - tr_t[i].weight()
-            if exp:
-                mono = _mono_mul(mono, al["yt"][i], exp)
-        for i in range(1, f + 1):
-            mono = _mono_mul(mono, al["xt"][i],
-                             rho[i] + theta[i] - rho[i - 1] - theta[i - 1])
-        return weight, mono
-    if fam == "banner":
-        alpha, f = poset.params["alpha"], poset.params["f"]
-        sigma, rho, theta = banner_views(poset, pi)
-        n = horizon if horizon is not None else alpha[1]
-        tr = traces(alpha, sigma, n)
-        weight = (phi_hat(rho, theta, 1, f) * b_el(tr[0])
-                  * bracket_psi(tr, epsilon_seq(alpha, n)))
-        mono = _scaled(_mono_mul(al["xt"][2] if f >= 2 else {}, al["w"], 1),
-                       sigma[(1, 1)] + sigma[(3, 3)])
-        for i in range(2, f + 1):
-            mono = _mono_mul(mono, al["xt"][i],
-                             rho[i] + theta[i] - rho[i - 1] - theta[i - 1])
-        for i in range(1, n + 1):
-            exp = tr[i - 1].weight() - tr[i].weight()
-            if exp:
-                mono = _mono_mul(mono, al["zt"][i], exp)
-        return weight, mono
-    raise ValueError(f"no trace form for family {poset.family!r}")
+        mono = _mono_mul(mono, al["xt"][0], rho[0] + theta[0])
+        mono = _trace_monomial(mono, al["zt"], tr_s)
+        return weight, _trace_monomial(mono, al["yt"], tr_t)
+    f = poset.params["f"]  # a banner: _alias_tables raised for the rest
+    sigma, rho, theta = banner_views(poset, pi)
+    tr = traces(alpha, sigma, m)
+    hat, mono = phi_tilde(rho, theta, 1, f, al["xt"])
+    weight = hat * b_el(tr[0]) * bracket_psi(tr, epsilon_seq(alpha, m))
+    mono = _mono_mul(mono, _mono_mul(al["xt"][2], al["w"]),
+                     sigma[(1, 1)] + sigma[(3, 3)])
+    return weight, _trace_monomial(mono, al["zt"], tr)
+
+
+def _trace_monomial(mono: dict, tilde: dict, tr: list[Partition]) -> dict:
+    """mono times tilde[i]^(|tr[i-1]| - |tr[i]|) for each step i of a trace
+    chain; horizons beyond the wing pad with empty traces, exponent 0."""
+    for i in range(1, len(tr)):
+        exp = tr[i - 1].weight() - tr[i].weight()
+        if exp:
+            mono = _mono_mul(mono, tilde[i], exp)
+    return mono
 
 
 def _scaled(mono: dict, k: int) -> dict:
@@ -548,8 +498,6 @@ def _wing_series(poset: ColoredPoset, al: dict, lam: Partition) -> MultiSeries:
     the hook table, checked against the diamond recursion, puts x~_0 inside
     the Cauchy arguments, not x~_1), and on birds times Q_lam at the y~
     aliases of the beta wing; untruncated."""
-    from .macdonald import macdonald_p, macdonald_q
-
     fam, alpha = poset.family, poset.params["alpha"]
     width = {"shifted": alpha.length(), "bird": 2, "banner": 4}[fam]
     images = [al["zt"][alpha[i]] for i in range(1, width + 1)]

@@ -4,16 +4,20 @@ Everything here is a finite sum of exact rational terms: q-shifted
 factorials, the r+1_phi_r series, very-well-poised W series evaluated
 through their square-root-free per-term form, Gasper's transformation, and
 the summation identities that close the hook-formula proof, whose sides are
-sums of f-ratio products added in a balanced tree (``_qsum``).
+sums of f-ratio products added in a balanced tree (``_qsum``).  The
+single-step lemma and the birds and banners closing identities are all
+instances of the general summation, whose left side sums the chain product
+``qtcore.phi_chain``.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 from .partitions import Partition, bounded_tuples, monotone_chains
-from .qtcore import b_el, b_lambda, f_fun
+from .qtcore import b_el, b_lambda, f_fun, phi_chain
 from .report import VerificationReport, timed
 from .series import QTCoeff
 
@@ -163,8 +167,6 @@ def _exact_sqrt(v) -> Fraction:
     v = Fraction(v)
     if v < 0:
         raise DegenerateDraw("negative value has no rational square root")
-    from math import isqrt
-
     num, den = isqrt(v.numerator), isqrt(v.denominator)
     if num * num != v.numerator or den * den != v.denominator:
         raise DegenerateDraw(f"{v} has no exact rational square root")
@@ -285,21 +287,16 @@ def general_both_sides(m: int, n: int, k0: int, rho0: int, theta0: int,
     if len(gamma) != n:
         raise ValueError("gamma must have length n")
     lhs_terms = []
+    last = m + n - 1  # the chain is keyed m - 1 ... m + n - 1
     for chain in monotone_chains(k0, rho0, n):
-        rho = {0: rho0}
-        theta = {0: theta0}
-        for i in range(1, n + 1):
-            rho[i] = chain[i - 1]
-            theta[i] = gamma[i - 1] + theta[i - 1] + rho[i - 1] - rho[i]
-        t = f_fun(rho[n] - k0, 0) * f_fun(theta[n] - k0, m + n)
-        for i in range(1, n + 1):
-            t = t * (f_fun(rho[i - 1] - rho[i], 0)
-                     * f_fun(theta[i - 1] - rho[i], i + m - 1)
-                     * f_fun(theta[i] - rho[i - 1], i + m - 1)
-                     * f_fun(theta[i] - theta[i - 1], 0)
-                     / (f_fun(theta[i] - rho[i], i + m - 1)
-                        * f_fun(theta[i] - rho[i], i + m)))
-        lhs_terms.append(t)
+        rho = {m - 1: rho0}
+        theta = {m - 1: theta0}
+        for i in range(m, last + 1):
+            rho[i] = chain[i - m]
+            theta[i] = gamma[i - m] + theta[i - 1] + rho[i - 1] - rho[i]
+        lhs_terms.append(f_fun(rho[last] - k0, 0)
+                         * f_fun(theta[last] - k0, m + n)
+                         * phi_chain(rho, theta, m - 1, last))
     rhs_terms = []
     for ks in bounded_tuples([1] * n, rho0 - k0):
         s = k0 + sum(ks)
@@ -315,39 +312,19 @@ def general_check(m, n, k0, rho0, theta0, gamma) -> bool:
     return lhs.equals(rhs)
 
 
-def _final_both_sides(rho_m: int, theta_m: int, m: int, n: int, r: list[int]):
-    """Both sides of the closing identity started at step m: the sum of
-    Phi-hat over chains rho_m >= rho_(m+1) >= ... >= rho_n >= 0, with
-    theta_i = rho_(i-1) + theta_(i-1) + r_i - rho_i, against its
-    f-product form; r lists r_(m+1), ..., r_n."""
-    from .hookformula import phi_hat
-
-    lhs_terms = []
-    for chain in monotone_chains(0, rho_m, n - m):
-        rho = {m: rho_m}
-        theta = {m: theta_m}
-        for i in range(m + 1, n + 1):
-            rho[i] = chain[i - m - 1]
-            theta[i] = rho[i - 1] + theta[i - 1] + r[i - m - 1] - rho[i]
-        lhs_terms.append(phi_hat(rho, theta, m, n))
-    rhs_terms = []
-    boundary = (f_fun(rho_m, 0) * f_fun(theta_m, m + 1)).inverse()
-    for ls in bounded_tuples([1] * (n - m), rho_m):
-        l = sum(ls)
-        t = f_fun(rho_m - l, 0) * f_fun(theta_m - l, m + 1) * boundary
-        for k, r_k in zip(ls, r):
-            t = t * f_fun(k, 0) * f_fun(k + r_k, 0)
-        rhs_terms.append(t)
-    return _qsum(lhs_terms), _qsum(rhs_terms)
-
-
 def birds_final_both_sides(rho0: int, theta0: int, f: int, r: list[int]):
-    """Both sides of the birds-closing identity: the closing sum from m = 0."""
+    """Both sides of the birds-closing identity, the sum of Phi-hat over
+    chains rho0 >= rho_1 >= ... >= rho_f >= 0 with theta_i = rho_(i-1) +
+    theta_(i-1) + r_i - rho_i, against its f-product form: the general
+    summation at m = 1, k0 = 0, gamma = r, divided by Phi-hat's constant
+    boundary f(rho0; 0) f(theta0; 1)."""
     if not 0 <= rho0 <= theta0:
         raise ValueError("need 0 <= rho0 <= theta0")
     if len(r) != f:
         raise ValueError("r must have length f")
-    return _final_both_sides(rho0, theta0, 0, f, r)
+    boundary = (f_fun(rho0, 0) * f_fun(theta0, 1)).inverse()
+    lhs, rhs = general_both_sides(1, f, 0, rho0, theta0, r)
+    return lhs.mul_qtf(boundary), rhs.mul_qtf(boundary)
 
 
 def birds_final_check(rho0, theta0, f, r) -> bool:
@@ -356,13 +333,17 @@ def birds_final_check(rho0, theta0, f, r) -> bool:
 
 
 def banners_final_both_sides(lam: Partition, f: int, r: list[int]):
-    """Both sides of the banners-closing identity, the closing sum from m = 1
-    with rho_1 = lam_4 and theta_1 = lam_2; r is indexed 2..f."""
+    """Both sides of the banners-closing identity, the sum of Phi-hat over
+    chains lam_4 = rho_1 >= ... >= rho_f >= 0 from theta_1 = lam_2, r
+    indexed 2..f: the general summation at m = 2, k0 = 0, gamma = r,
+    divided by the boundary f(lam_4; 0) f(lam_2; 2)."""
     if lam.length() > 4:
         raise ValueError("lam must have at most 4 parts")
     if len(r) != f - 1:
         raise ValueError("r must have length f - 1")
-    return _final_both_sides(lam[4], lam[2], 1, f, r)
+    boundary = (f_fun(lam[4], 0) * f_fun(lam[2], 2)).inverse()
+    lhs, rhs = general_both_sides(2, f - 1, 0, lam[4], lam[2], r)
+    return lhs.mul_qtf(boundary), rhs.mul_qtf(boundary)
 
 
 def banners_final_check(lam, f, r) -> bool:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .partitions import (
     EMPTY,
@@ -84,8 +85,6 @@ def m_expansion(poly: MultiSeries) -> dict[Partition, QTCoeff]:
 
 
 def _n_permutations(sorted_exps, n):
-    from math import factorial
-
     counts = {}
     for v in sorted_exps:
         counts[v] = counts.get(v, 0) + 1
@@ -436,8 +435,6 @@ def _m_to_p_matrix(d: int):
 
 def _z_weight(lam: Partition) -> RatFunc:
     """z_lam * prod (1 - q^{lam_i}) / (1 - t^{lam_i})."""
-    from math import factorial
-
     mult = {}
     for p in lam:
         mult[p] = mult.get(p, 0) + 1

@@ -10,7 +10,9 @@ cancels the monomial and the (1 - q^a t^b) powers both sides share
 (``BiPoly``) and compares.  ``BiPoly`` keeps integral coefficients as Python
 ints and only the others as Fractions, and multiplies by the plain sparse
 term loop.  The hook check's eval mode takes values at rational sample
-points (``EvalPoint``, ``resampled``).
+points (``EvalPoint``, ``resampled``).  The chain product Phi
+(``phi_chain``) and Phi-hat (``phi_hat``) are defined here once, next to
+the Pieri coefficients, for both the weights and the summation identities.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .partitions import Partition
+from .partitions import Partition, is_horizontal_strip
 
 ZERO = Fraction(0)
 
@@ -511,80 +513,107 @@ def b_cell(lam: Partition, i: int, j: int) -> QTFactored:
     return QTFactored.binomial(a, l + 1) * QTFactored.binomial(a + 1, l, -1)
 
 
-def b_lambda(lam: Partition) -> QTFactored:
+def _b_cells(lam: Partition, keep) -> QTFactored:
+    """Product of b-cell factors over the cells (i, j) with keep(i, j)."""
     out = QTFactored.one()
     for (i, j) in lam.cells():
-        out = out * b_cell(lam, i, j)
+        if keep(i, j):
+            out = out * b_cell(lam, i, j)
+    return out
+
+
+def b_lambda(lam: Partition) -> QTFactored:
+    return _b_cells(lam, lambda i, j: True)
+
+
+def b_el(lam: Partition) -> QTFactored:
+    """Product of b-cell factors over cells with even leg length."""
+    return _b_cells(lam, lambda i, j: lam.leg(i, j) % 2 == 0)
+
+
+def b_oa(lam: Partition) -> QTFactored:
+    """Product of b-cell factors over cells with odd arm length."""
+    return _b_cells(lam, lambda i, j: lam.arm(i, j) % 2 == 1)
+
+
+def _b_f_form(lam: Partition, step: int) -> QTFactored:
+    """The f-ratio double product over rows i and gaps m = 0, step, 2 step,
+    ... <= l(lam) - i."""
+    out = QTFactored.one()
+    n = lam.length()
+    for i in range(1, n + 1):
+        for m in range(0, n - i + 1, step):
+            out = out * f_fun(lam[i] - lam[i + m + 1], m)
+            out = out / f_fun(lam[i] - lam[i + m], m)
     return out
 
 
 def b_lambda_f_form(lam: Partition) -> QTFactored:
     """b_lambda as the double product of f-ratios over rows and gaps."""
-    out = QTFactored.one()
-    n = lam.length()
-    for i in range(1, n + 1):
-        for m in range(0, n - i + 1):
-            out = out * f_fun(lam[i] - lam[i + m + 1], m)
-            out = out / f_fun(lam[i] - lam[i + m], m)
-    return out
-
-
-def b_el(lam: Partition) -> QTFactored:
-    """Product of b-cell factors over cells with even leg length."""
-    out = QTFactored.one()
-    for (i, j) in lam.cells():
-        if lam.leg(i, j) % 2 == 0:
-            out = out * b_cell(lam, i, j)
-    return out
+    return _b_f_form(lam, 1)
 
 
 def b_el_f_form(lam: Partition) -> QTFactored:
     """b^el as the f-ratio product restricted to even gaps."""
+    return _b_f_form(lam, 2)
+
+
+def _strip_coeff(lam: Partition, mu: Partition, n: int,
+                 a: Partition, b: Partition) -> QTFactored:
+    """The Pieri product (Macdonald, Symmetric Functions and Hall
+    Polynomials, 2nd ed., VI 6) over 1 <= i <= j <= n, m = j - i, of
+    f(lam_i - mu_j; m) f(mu_i - lam_(j+1); m) / (f(a_i - a_j; m)
+    f(b_i - b_(j+1); m)); 0 when lam/mu is not a horizontal strip."""
+    if not (lam.contains(mu) and is_horizontal_strip(lam, mu)):
+        return QTFactored.zero()
     out = QTFactored.one()
-    n = lam.length()
     for i in range(1, n + 1):
-        for m in range(0, n - i + 1, 2):
-            out = out * f_fun(lam[i] - lam[i + m + 1], m)
-            out = out / f_fun(lam[i] - lam[i + m], m)
-    return out
-
-
-def b_oa(lam: Partition) -> QTFactored:
-    """Product of b-cell factors over cells with odd arm length."""
-    out = QTFactored.one()
-    for (i, j) in lam.cells():
-        if lam.arm(i, j) % 2 == 1:
-            out = out * b_cell(lam, i, j)
+        for j in range(i, n + 1):
+            m = j - i
+            out = out * f_fun(lam[i] - mu[j], m) * f_fun(mu[i] - lam[j + 1], m)
+            out = out / (f_fun(a[i] - a[j], m) * f_fun(b[i] - b[j + 1], m))
     return out
 
 
 def phi_skew(lam: Partition, mu: Partition) -> QTFactored:
     """Pieri coefficient phi_{lam/mu}; 0 when lam/mu is not a horizontal strip."""
-    from .partitions import is_horizontal_strip
-
-    if not (lam.contains(mu) and is_horizontal_strip(lam, mu)):
-        return QTFactored.zero()
-    out = QTFactored.one()
-    n = lam.length()
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            m = j - i
-            out = out * f_fun(lam[i] - mu[j], m) * f_fun(mu[i] - lam[j + 1], m)
-            out = out / (f_fun(lam[i] - lam[j], m) * f_fun(mu[i] - mu[j + 1], m))
-    return out
+    return _strip_coeff(lam, mu, lam.length(), lam, mu)
 
 
 def psi_skew(lam: Partition, mu: Partition) -> QTFactored:
     """Pieri coefficient psi_{lam/mu}; 0 when lam/mu is not a horizontal strip."""
-    from .partitions import is_horizontal_strip
+    return _strip_coeff(lam, mu, mu.length(), mu, lam)
 
-    if not (lam.contains(mu) and is_horizontal_strip(lam, mu)):
-        return QTFactored.zero()
+
+# ---------------------------------------------------------------------------
+# The head/tail chain product Phi and its hatted variant.
+# ---------------------------------------------------------------------------
+
+def _check_rho_theta(rho: dict, theta: dict, m: int, n: int):
+    for i in range(m, n):
+        if not rho[i + 1] <= rho[i]:
+            raise ValueError("rho must decrease along the chain")
+        if not theta[i] <= theta[i + 1]:
+            raise ValueError("theta must increase along the chain")
+    if not 0 <= rho[n] or not rho[m] <= theta[m]:
+        raise ValueError("need 0 <= rho_n <= ... <= rho_m <= theta_m <= ...")
+
+
+def phi_chain(rho: dict, theta: dict, m: int, n: int) -> QTFactored:
+    """Phi_m^n(rho, theta), with middle f-arguments i (not 0) at step i."""
+    _check_rho_theta(rho, theta, m, n)
     out = QTFactored.one()
-    n = mu.length()
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            m = j - i
-            out = out * f_fun(lam[i] - mu[j], m) * f_fun(mu[i] - lam[j + 1], m)
-            out = out / (f_fun(mu[i] - mu[j], m) * f_fun(lam[i] - lam[j + 1], m))
+    for i in range(m + 1, n + 1):
+        out = out * f_fun(rho[i - 1] - rho[i], 0)
+        out = out * f_fun(theta[i - 1] - rho[i], i)
+        out = out * f_fun(theta[i] - rho[i - 1], i)
+        out = out * f_fun(theta[i] - theta[i - 1], 0)
+        out = out / (f_fun(theta[i] - rho[i], i) * f_fun(theta[i] - rho[i], i + 1))
     return out
+
+
+def phi_hat(rho: dict, theta: dict, m: int, n: int) -> QTFactored:
+    """Phi-hat: Phi with its boundary f-ratio."""
+    boundary = (f_fun(rho[n], 0) * f_fun(theta[n], n + 1)
+                / (f_fun(rho[m], 0) * f_fun(theta[m], m + 1)))
+    return boundary * phi_chain(rho, theta, m, n)

@@ -4,13 +4,16 @@ from fractions import Fraction
 import pytest
 
 from qthook import hookformula, hypergeom
-from qthook.partitions import Partition
-from qthook.qtcore import QTFactored
+from qthook.partitions import Partition, bounded_tuples, monotone_chains
+from qthook.qtcore import QTFactored, f_fun
+from qthook.series import QTCoeff
 from qthook.hypergeom import (
     DegenerateDraw,
     _neg_q_power,
     b_ratio_checks,
+    banners_final_both_sides,
     banners_final_check,
+    birds_final_both_sides,
     birds_final_check,
     gasper_both_sides,
     gasper_sweep,
@@ -214,13 +217,33 @@ def test_banners_final_sweep():
             assert banners_final_check(lam, f, r), (quad, r)
 
 
-def test_birds_final_is_general_at_m1():
-    # the birds identity is the general one at m = 1, k0 = 0 (up to the
-    # hatted boundary ratio), with gamma = r
-    from qthook.hypergeom import birds_final_both_sides
-    from qthook.qtcore import f_fun
-    from qthook.series import QTCoeff
+def _paper_closing_sides(rho_m, theta_m, m, n, r):
+    """The closing identity as the paper writes it, started at step m: the
+    sum of Phi-hat over chains rho_m >= rho_(m+1) >= ... >= rho_n >= 0, with
+    theta_i = rho_(i-1) + theta_(i-1) + r_i - rho_i, and its f-product side;
+    r lists r_(m+1), ..., r_n."""
+    lhs = QTCoeff.zero()
+    for chain in monotone_chains(0, rho_m, n - m):
+        rho = {m: rho_m}
+        theta = {m: theta_m}
+        for i in range(m + 1, n + 1):
+            rho[i] = chain[i - m - 1]
+            theta[i] = rho[i - 1] + theta[i - 1] + r[i - m - 1] - rho[i]
+        lhs = lhs + QTCoeff.from_qtf(hookformula.phi_hat(rho, theta, m, n))
+    rhs = QTCoeff.zero()
+    boundary = (f_fun(rho_m, 0) * f_fun(theta_m, m + 1)).inverse()
+    for ls in bounded_tuples([1] * (n - m), rho_m):
+        l = sum(ls)
+        t = f_fun(rho_m - l, 0) * f_fun(theta_m - l, m + 1) * boundary
+        for k, r_k in zip(ls, r):
+            t = t * f_fun(k, 0) * f_fun(k + r_k, 0)
+        rhs = rhs + QTCoeff.from_qtf(t)
+    return lhs, rhs
 
+
+def test_birds_final_is_general_at_m1():
+    # the birds sides (the general summation at m = 1, k0 = 0, gamma = r,
+    # over the boundary ratio) are the paper's Phi-hat sum and f-products
     rng = random.Random(8)
     for _ in range(10):
         theta0 = rng.randint(0, 3)
@@ -228,27 +251,19 @@ def test_birds_final_is_general_at_m1():
         f = rng.randint(1, 2)
         r = [rng.randint(0, 2) for _ in range(f)]
         bl, br = birds_final_both_sides(rho0, theta0, f, r)
-        gl, gr = general_both_sides(1, f, 0, rho0, theta0, r)
-        scale = QTCoeff.from_qtf(f_fun(rho0, 0) * f_fun(theta0, 1))
-        assert (bl * scale).equals(gl)
-        assert (br * scale).equals(gr)
+        pl, pr = _paper_closing_sides(rho0, theta0, 0, f, r)
+        assert bl.equals(pl) and br.equals(pr), (rho0, theta0, f, r)
 
 
 def test_banners_final_is_general_at_m2():
-    from qthook.hypergeom import banners_final_both_sides
-    from qthook.qtcore import f_fun
-    from qthook.series import QTCoeff
-
     rng = random.Random(9)
     for quad in [(2, 1, 1, 0), (3, 2, 2, 1), (2, 2, 1, 1)]:
         lam = P([p for p in quad if p])
         f = 2
         r = [rng.randint(0, 2) for _ in range(f - 1)]
         bl, br = banners_final_both_sides(lam, f, r)
-        gl, gr = general_both_sides(2, f - 1, 0, lam[4], lam[2], r)
-        scale = QTCoeff.from_qtf(f_fun(lam[4], 0) * f_fun(lam[2], 2))
-        assert (bl * scale).equals(gl)
-        assert (br * scale).equals(gr)
+        pl, pr = _paper_closing_sides(lam[4], lam[2], 1, f, r)
+        assert bl.equals(pl) and br.equals(pr), (quad, r)
 
 
 def test_b_ratio_displays():
@@ -256,12 +271,16 @@ def test_b_ratio_displays():
 
 
 @pytest.mark.parametrize("check", [
+    lambda: lemma_check(1, 0, 2, 3, 1),
+    lambda: general_check(1, 2, 0, 2, 3, [1, 0]),
     lambda: birds_final_check(2, 3, 2, [1, 0]),
     lambda: banners_final_check(P([3, 2, 2, 1]), 2, [2]),
-], ids=["birds-final", "banners-final"])
-def test_closing_identities_fail_when_phi_hat_is_scaled(check, monkeypatch):
+], ids=["lemma", "general", "birds-final", "banners-final"])
+def test_summations_fail_when_phi_is_scaled(check, monkeypatch):
+    # every summation sums Phi through the one phi_chain; doubling it
+    # changes the chain side only
     assert check()
-    real = hookformula.phi_hat
-    monkeypatch.setattr(hookformula, "phi_hat",
+    real = hypergeom.phi_chain
+    monkeypatch.setattr(hypergeom, "phi_chain",
                         lambda *args: real(*args) * QTFactored(2))
     assert not check()
