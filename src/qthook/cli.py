@@ -110,21 +110,9 @@ def cmd_verify_all(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _hook_agreement(rec: dict, closed: dict) -> bool:
-    """Whether the recursion and the closed form give the same multiset of
-    hook monomials."""
-    rec_ms, closed_ms = (sorted(tuple(sorted(m.items())) for m in h.values())
-                         for h in (rec, closed))
-    return rec_ms == closed_ms
-
-
 def _poset_json(poset) -> dict:
     rec = hook_monomials(poset)
-    try:
-        closed = hook_monomials_closed_form(poset)
-        agreement = _hook_agreement(rec, closed)
-    except ValueError:
-        closed, agreement = None, None
+    closed = hook_monomials_closed_form(poset)
     ok, reason = d_complete_check(poset)
     return {
         "family": poset.family,
@@ -141,9 +129,9 @@ def _poset_json(poset) -> dict:
         "dComplete": ok,
         "dCompleteFailure": reason,
         "hooks": {str(e): dict(sorted(m.items())) for e, m in rec.items()},
-        "hooksClosedForm": None if closed is None else
-            {str(e): dict(sorted(m.items())) for e, m in closed.items()},
-        "hookAgreement": agreement,
+        "hooksClosedForm": {str(e): dict(sorted(m.items()))
+                            for e, m in closed.items()},
+        "hookAgreement": rec == closed,
     }
 
 
@@ -167,7 +155,7 @@ def cmd_show(args) -> int:
         payload = {
             "family": poset.family,
             "hooks": {str(e): dict(sorted(m.items())) for e, m in rec.items()},
-            "agreement": _hook_agreement(rec, closed),
+            "agreement": rec == closed,
         }
         _emit(payload, args.out)
         return 0

@@ -278,11 +278,11 @@ def _bracket(chain, eps, psi_first: bool) -> QTFactored:
     for i, e in enumerate(eps, start=1):
         prev, cur = chain[i - 1], chain[i]
         if e == +1:
-            if not (prev.contains(cur) and is_horizontal_strip(prev, cur)):
+            if not is_horizontal_strip(prev, cur):
                 raise ValueError(f"chain not compatible with eps at step {i}")
             out = out * (psi_skew(prev, cur) if psi_first else phi_skew(prev, cur))
         else:
-            if not (cur.contains(prev) and is_horizontal_strip(cur, prev)):
+            if not is_horizontal_strip(cur, prev):
                 raise ValueError(f"chain not compatible with eps at step {i}")
             out = out * (phi_skew(cur, prev) if psi_first else psi_skew(cur, prev))
     return out

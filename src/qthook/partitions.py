@@ -122,29 +122,6 @@ def is_horizontal_strip(lam: Partition, mu: Partition) -> bool:
     return True
 
 
-def horizontal_strips_above(mu: Partition, r: int, max_length: int | None = None):
-    """All lam with lam/mu a horizontal r-strip (and optional length cap)."""
-    if max_length is not None and mu.length() > max_length:
-        return []
-    results = []
-    nrows = mu.length() + 1
-    if max_length is not None:
-        nrows = min(nrows, max_length)
-
-    def rec(i, remaining, acc):
-        if i > nrows:
-            if remaining == 0:
-                results.append(Partition(acc))
-            return
-        hi = mu[i - 1] if i > 1 else mu[1] + remaining
-        hi = min(hi, mu[i] + remaining)
-        for v in range(mu[i], hi + 1):
-            rec(i + 1, remaining - (v - mu[i]), acc + [v])
-
-    rec(1, r, [])
-    return results
-
-
 @lru_cache(maxsize=None)
 def partitions_of(n: int, max_part: int | None = None, max_length: int | None = None):
     """All partitions of n, optionally bounding the largest part and length."""

@@ -98,14 +98,6 @@ class BiPoly:
         res.terms = _canonical({k: v * c for k, v in self.terms.items()}) if c else {}
         return res
 
-    def shift(self, a: int, b: int) -> "BiPoly":
-        """Multiply by q^a t^b (a, b >= 0)."""
-        if a == 0 and b == 0:
-            return self
-        res = BiPoly.__new__(BiPoly)
-        res.terms = {(i + a, j + b): v for (i, j), v in self.terms.items()}
-        return res
-
     def evaluate(self, q0: Fraction, t0: Fraction) -> Fraction:
         total = ZERO
         for (a, b), c in self.terms.items():
@@ -342,9 +334,6 @@ class QTFactored:
     def is_zero(self) -> bool:
         return self.coeff == 0
 
-    def is_one(self) -> bool:
-        return self.coeff == 1 and self.qexp == 0 and self.texp == 0 and not self.factors
-
     def __mul__(self, other: "QTFactored") -> "QTFactored":
         if self.coeff == 0 or other.coeff == 0:
             return QTFactored.zero()
@@ -376,29 +365,8 @@ class QTFactored:
         out.factors = {k: -e for k, e in self.factors.items()}
         return out
 
-    def __pow__(self, n: int) -> "QTFactored":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = QTFactored.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def scale(self, c) -> "QTFactored":
         return QTFactored(self.coeff * Fraction(c), self.qexp, self.texp, self.factors)
-
-    def num_den(self) -> tuple[BiPoly, BiPoly]:
-        """Expand into a (numerator, denominator) pair of polynomials."""
-        if self.coeff == 0:
-            return BiPoly(), BI_ONE
-        num = BiPoly.monomial(self.coeff, max(self.qexp, 0), max(self.texp, 0))
-        den = BiPoly.monomial(1, max(-self.qexp, 0), max(-self.texp, 0))
-        for (a, b), e in self.factors.items():
-            if e > 0:
-                num = num * _binomial_power(a, b, e)
-            else:
-                den = den * _binomial_power(a, b, -e)
-        return num, den
 
     def evaluate(self, point: EvalPoint) -> Fraction:
         """The value at ``point``, through one division (``EvalPoint.value``)."""
@@ -564,7 +532,7 @@ def _strip_coeff(lam: Partition, mu: Partition, n: int,
     Polynomials, 2nd ed., VI 6) over 1 <= i <= j <= n, m = j - i, of
     f(lam_i - mu_j; m) f(mu_i - lam_(j+1); m) / (f(a_i - a_j; m)
     f(b_i - b_(j+1); m)); 0 when lam/mu is not a horizontal strip."""
-    if not (lam.contains(mu) and is_horizontal_strip(lam, mu)):
+    if not is_horizontal_strip(lam, mu):
         return QTFactored.zero()
     out = QTFactored.one()
     for i in range(1, n + 1):

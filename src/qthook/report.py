@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
@@ -46,16 +47,12 @@ class VerificationReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-class timed:
-    """Context manager filling elapsed_ms on a report."""
-
-    def __init__(self, report: VerificationReport):
-        self.report = report
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self.report
-
-    def __exit__(self, *exc):
-        self.report.elapsed_ms = (time.perf_counter() - self.t0) * 1000.0
-        return False
+@contextmanager
+def timed(report: VerificationReport):
+    """Fill ``report.elapsed_ms`` with the wall time of the block, also when
+    it raises."""
+    t0 = time.perf_counter()
+    try:
+        yield report
+    finally:
+        report.elapsed_ms = (time.perf_counter() - t0) * 1000.0

@@ -55,35 +55,24 @@ class QTCoeff:
 
     __slots__ = ("content", "rem", "dq", "dt", "den")
 
-    def __init__(self, num: BiPoly, dq: int = 0, dt: int = 0, den=None):
-        """The coefficient num / (q^dq t^dt prod (1 - q^a t^b)^den[a, b])."""
-        den = {k: e for k, e in (den or {}).items() if e}
-        if any(e < 0 for e in den.values()):
-            raise ValueError("denominator exponents must be positive")
-        scale = lcm(*(Fraction(c).denominator for c in num.terms.values()))
-        self.content = QTFactored(Fraction(1, scale), -dq, -dt,
-                                  {k: -e for k, e in den.items()})
-        self.rem, self.dq, self.dt, self.den = num.scale(scale), dq, dt, den
-
-    @staticmethod
-    def _make(content: QTFactored, rem: BiPoly, dq, dt, den) -> "QTCoeff":
-        out = QTCoeff.__new__(QTCoeff)
-        out.content, out.rem, out.dq, out.dt, out.den = content, rem, dq, dt, den
-        return out
+    def __init__(self, content: QTFactored, rem: BiPoly, dq: int, dt: int,
+                 den: dict):
+        self.content, self.rem, self.dq, self.dt, self.den = \
+            content, rem, dq, dt, den
 
     @staticmethod
     def zero() -> "QTCoeff":
-        return QTCoeff(BiPoly())
+        return QTCoeff.from_qtf(QTFactored.zero())
 
     @staticmethod
     def one() -> "QTCoeff":
-        return QTCoeff(BI_ONE)
+        return QTCoeff.from_qtf(QTFactored.one())
 
     @staticmethod
     def from_qtf(f: QTFactored) -> "QTCoeff":
-        return QTCoeff._make(f, BI_ONE if f.coeff else BiPoly(),
-                             max(-f.qexp, 0), max(-f.texp, 0),
-                             {k: -e for k, e in f.factors.items() if e < 0})
+        return QTCoeff(f, BI_ONE if f.coeff else BiPoly(),
+                       max(-f.qexp, 0), max(-f.texp, 0),
+                       {k: -e for k, e in f.factors.items() if e < 0})
 
     def __bool__(self) -> bool:
         return bool(self.rem.terms)
@@ -125,12 +114,12 @@ class QTCoeff:
                     break
                 total, e = quotient, e + 1
             common[k] = e
-        return QTCoeff._make(QTFactored(scalar, qexp, texp, common), total,
-                             max(self.dq, other.dq), max(self.dt, other.dt), den)
+        return QTCoeff(QTFactored(scalar, qexp, texp, common), total,
+                       max(self.dq, other.dq), max(self.dt, other.dt), den)
 
     def __neg__(self) -> "QTCoeff":
-        return QTCoeff._make(self.content.scale(-1), self.rem,
-                             self.dq, self.dt, self.den)
+        return QTCoeff(self.content.scale(-1), self.rem,
+                       self.dq, self.dt, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -143,9 +132,9 @@ class QTCoeff:
         den = dict(self.den)
         for k, e in other.den.items():
             den[k] = den.get(k, 0) + e
-        return QTCoeff._make(self.content * other.content,
-                             _times(self.rem, other.rem),
-                             self.dq + other.dq, self.dt + other.dt, den)
+        return QTCoeff(self.content * other.content,
+                       _times(self.rem, other.rem),
+                       self.dq + other.dq, self.dt + other.dt, den)
 
     def mul_qtf(self, f: QTFactored) -> "QTCoeff":
         return self * QTCoeff.from_qtf(f)
@@ -234,12 +223,9 @@ def as_coeff(c, point: EvalPoint | None):
     """``c`` as a coefficient of a series at ``point``.
 
     With ``point`` None (exact mode) that is a QTCoeff; at a point it is the
-    Fraction value of ``c`` there (a Fraction is returned as it is).  ``c``
-    is a QTFactored, a QTCoeff, an int or a Fraction; anything else is a
-    TypeError.
+    Fraction value of ``c`` there.  ``c`` is a QTFactored, a QTCoeff, an int
+    or a Fraction; anything else is a TypeError.
     """
-    if isinstance(c, Fraction) and point is not None:
-        return c
     if isinstance(c, QTFactored):
         return QTCoeff.from_qtf(c) if point is None else c.evaluate(point)
     if isinstance(c, QTCoeff):
@@ -286,9 +272,6 @@ class VarSet:
         for name, e in exps.items():
             v[self.index[name]] += e
         return tuple(v)
-
-    def unit(self) -> tuple[int, ...]:
-        return (0,) * len(self.names)
 
 
 class KeyLayout:
@@ -350,25 +333,14 @@ class MultiSeries:
     __slots__ = ("varset", "trunc", "point", "terms", "den", "keys")
 
     def __init__(self, varset: VarSet, trunc: int,
-                 point: EvalPoint | None = None, terms=None):
-        """The series of the c x^m over the (m, c) of ``terms``, each m an
-        exponent tuple and each c anything ``as_coeff`` takes."""
+                 point: EvalPoint | None = None):
+        """The zero series; ``add_term`` and ``add_groups`` fill it."""
         self.varset = varset
         self.trunc = trunc
         self.point = point
         self.terms = {}
         self.den = 1
         self.keys = key_layout(len(varset), trunc)
-        if terms:
-            groups = []
-            for mono, c in terms.items():
-                if sum(mono) > trunc or not c:
-                    continue
-                if any(e < 0 for e in mono):
-                    raise ValueError(
-                        f"negative exponent in stored monomial {mono}")
-                groups.append((c, (self.keys.pack(mono),)))
-            self.add_groups(groups)
 
     def _make(self, terms: dict, den: int = 1) -> "MultiSeries":
         """A series like this one holding ``terms`` over ``den``, less

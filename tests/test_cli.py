@@ -3,9 +3,9 @@ from hashlib import sha256
 
 import pytest
 
-from qthook import suites
+from qthook import cli, suites
 from qthook.cli import main
-from qthook.report import VerificationReport
+from qthook.report import VerificationReport, timed
 
 
 def run_cli(argv, capsys):
@@ -141,6 +141,33 @@ def test_show_hooks(capsys):
     assert code == 0
     d = json.loads(out)
     assert len(d["hooks"]) == 3 and d["agreement"] is True
+
+
+def test_hook_agreement_is_per_element(capsys, monkeypatch):
+    # the closed form with two elements' hooks swapped: the same multiset
+    real = cli.hook_monomials_closed_form
+
+    def swapped(poset):
+        hooks = real(poset)
+        (a, ha), (b, hb) = [(e, m) for e, m in hooks.items()][:2]
+        assert ha != hb
+        hooks[a], hooks[b] = hb, ha
+        return hooks
+
+    monkeypatch.setattr(cli, "hook_monomials_closed_form", swapped)
+    argv = ["--family", "shifted", "--alpha", "2,1"]
+    _, out, _ = run_cli(["show", "hooks", *argv], capsys)
+    assert json.loads(out)["agreement"] is False
+    _, out, _ = run_cli(["show", "poset", *argv, "--format", "json"], capsys)
+    assert json.loads(out)["hookAgreement"] is False
+
+
+def test_timed_fills_elapsed_ms_when_the_block_raises():
+    report = VerificationReport(check="hook")
+    with pytest.raises(RuntimeError):
+        with timed(report):
+            raise RuntimeError("stop")
+    assert report.elapsed_ms > 0
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

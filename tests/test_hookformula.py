@@ -57,8 +57,9 @@ def test_weight_of_zero_partition_is_one():
     for poset in (build_shifted(P([2, 1])),
                   build_bird(P([2, 1]), P([2, 1]), 1),
                   build_banner(P([4, 3, 2, 1]), 2)):
-        assert weight_generic(poset, zero_pi(poset)).is_one()
-        assert weight_closed_form(poset, zero_pi(poset)).is_one()
+        assert weight_generic(poset, zero_pi(poset)).equals(QTFactored.one())
+        assert weight_closed_form(poset, zero_pi(poset)).equals(
+            QTFactored.one())
 
 
 def test_single_box_weight():
@@ -72,7 +73,7 @@ def test_f_nd_f_d_one_box():
     alpha = P([1])
     for k in range(4):
         pi = {(1, 1): k}
-        assert f_nd(alpha, pi).is_one()
+        assert f_nd(alpha, pi).equals(QTFactored.one())
         assert f_d(alpha, pi).equals(f_fun(k, 0))
 
 
@@ -161,7 +162,7 @@ def test_bracket_constant_chain():
     chain = [lam] * 4
     eps = (1, 1, 1)
     w = bracket_psi(chain, eps)
-    assert w.is_one()
+    assert w.equals(QTFactored.one())
 
 
 @pytest.mark.parametrize("family,build,args,D", [

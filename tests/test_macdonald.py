@@ -2,7 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from qthook.partitions import EMPTY, Partition, partitions_of, partitions_up_to
+from qthook.partitions import (
+    EMPTY,
+    Partition,
+    is_horizontal_strip,
+    partitions_of,
+    partitions_up_to,
+)
 from qthook.qtcore import EvalPoint, QTFactored, b_lambda, f_fun
 from qthook.series import NO_TRUNC, MultiSeries, QTCoeff
 from qthook import macdonald
@@ -36,6 +42,24 @@ def test_skew_p_base_cases():
     assert s.coefficient((0, 1)).equals(QTCoeff.one())
     # too many rows for the variable count
     assert skew_p(P([1, 1, 1]), EMPTY, 2).is_zero()
+
+
+def test_strip_chains_match_a_brute_force_enumeration():
+    # every sequence mu = nu_0, ..., nu_n = lam of partitions of weight <= 5
+    # whose steps are horizontal strips, grown one step at a time
+    pool = partitions_up_to(5)
+    above = {nu: [k for k in pool if is_horizontal_strip(k, nu)] for nu in pool}
+    for mu in pool:
+        chains = [(mu,)]
+        for n in range(5):
+            for lam in pool:
+                if not lam.contains(mu):
+                    continue
+                want = sorted([p.parts for p in c] for c in chains if c[-1] == lam)
+                got = sorted([p.parts for p in c]
+                             for c in macdonald._strip_chains(lam, mu, n))
+                assert got == want, (lam, mu, n)
+            chains = [c + (k,) for c in chains for k in above[c[-1]]]
 
 
 @pytest.mark.parametrize("build", [macdonald_p, macdonald_q])

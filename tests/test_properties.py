@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qthook.partitions import Partition, is_horizontal_strip
-from qthook.qtcore import BiPoly, QTFactored, sample_points
+from qthook.qtcore import BiPoly, QTFactored, cancelled_ratio, sample_points
 from qthook.polyops import divexact_bipoly, gcd_bipoly
 from qthook.series import NO_TRUNC, divide_binomial, key_layout
 
@@ -56,7 +56,8 @@ def test_mul_div_round_trip(x, y):
 @settings(max_examples=60, deadline=None)
 @given(qtf)
 def test_num_den_consistency(x):
-    num, den = x.num_den()
+    num, den = cancelled_ratio(x.qexp, x.texp, x.factors, 0, 0, {})
+    num = num.scale(x.coeff)
     pts = sample_points(2, seed=1)
     for pt in pts:
         lhs = num.evaluate(pt.q0, pt.t0)
