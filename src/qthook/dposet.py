@@ -28,13 +28,12 @@ def _color_sort_key(name: str):
 class ColoredPoset:
     """Finite poset with coordinates, a d-complete coloring and rank data."""
 
-    def __init__(self, family: str, params: dict, elements, block_of, color_of,
-                 strict: bool = True):
+    def __init__(self, family: str, params: dict, elements, block_of, color_of):
         """elements: coordinate list; block_of(e) labels the order block;
         color_of(e) gives the color name.  Order: (i1,j1) >= (i2,j2) iff
         i1 <= i2 and j1 <= j2, applied only inside a block, then closed
-        transitively.  strict demands a unique maximum and a well-defined
-        rank (true for every connected d-complete poset)."""
+        transitively.  The poset must have a unique maximum and a
+        well-defined rank (true for every connected d-complete poset)."""
         self.family = family
         self.params = params
         self.elements = sorted(set(elements))
@@ -72,12 +71,12 @@ class ColoredPoset:
             self._lower[hi].append(lo)
 
         maxima = [e for e in self.elements if not self._upper[e]]
-        if strict and len(maxima) != 1:
+        if len(maxima) != 1:
             raise ValueError(f"poset has {len(maxima)} maximal elements")
-        self.top = maxima[0] if len(maxima) == 1 else None
+        self.top = maxima[0]
 
-        # rank: depth from the maxima; in strict mode every saturated chain
-        # to the top must agree (Proctor's rank property)
+        # rank: depth from the top; every saturated chain to the top must
+        # agree (Proctor's rank property)
         self.rank = {}
         pending = sorted(self.elements,
                          key=lambda e: up[self.index[e]].bit_count())
@@ -87,9 +86,9 @@ class ColoredPoset:
                 self.rank[e] = 0
                 continue
             ranks = {self.rank[u] + 1 for u in uppers}
-            if strict and len(ranks) != 1:
+            if len(ranks) != 1:
                 raise ValueError(f"rank is not well defined at {e}")
-            self.rank[e] = max(ranks)
+            self.rank[e] = ranks.pop()
 
         self.top_tree = self._compute_top_tree()
         self.varset = VarSet(sorted({self.color[e] for e in self.elements},
@@ -123,9 +122,6 @@ class ColoredPoset:
 
     def downset(self, e):
         return self.members(self.down_mask(e))
-
-    def upset(self, e):
-        return self.members(self.up_mask(e))
 
     def lower_covers(self, e):
         return self._lower[e]
@@ -304,9 +300,8 @@ def _diamond_shape(poset: ColoredPoset, mask: int):
         return None  # not exactly one incomparable pair
     (i, _), (j, _) = incomparable
     chain = mask & ~(1 << i | 1 << j)
+    # no c is below i but not j (j < c < i would make i, j comparable)
     below, above = chain & down[i], chain & up[i]
-    if below | above != chain or below & ~down[j] or above & ~up[j]:
-        return None
     pair = (poset.elements[i], poset.elements[j])
     return pair, below.bit_count(), above.bit_count()
 
@@ -576,9 +571,11 @@ def enumerate_p_partitions(poset: ColoredPoset, bound: int):
     least the maximum over the upper covers, and at most (bound - used) //
     |downset(e)|, since every element below e is still empty and will take
     a value at least e's (Stanley's order-reversing maps, Mem. AMS 119).
-    The maps come in lexicographic order along ``fill_order``, each a dict
-    keyed in that order, from one odometer: it fills every position from
-    the first one it moved, and moves the deepest one below its cap.
+    The maps come in lexicographic order along ``fill_order`` from one
+    odometer: it fills every position from the first one it moved, and
+    moves the deepest one below its cap.  Each is yielded as (moved,
+    values): the values in fill order, and the least position moved since
+    the map before (0 for the first), where the two maps first differ.
     """
     order = fill_order(poset)
     pos = {e: i for i, e in enumerate(order)}
@@ -587,7 +584,7 @@ def enumerate_p_partitions(poset: ColoredPoset, bound: int):
     size = len(order)
     values, caps = [0] * size, [0] * size
     used = [0] * (size + 1)  # used[i]: the weight of positions before i
-    i = 0
+    i = moved = 0
     while True:
         while i < size:  # fill each position from i on with its least value
             v = 0
@@ -600,7 +597,8 @@ def enumerate_p_partitions(poset: ColoredPoset, bound: int):
             values[i], caps[i], used[i + 1] = v, cap, used[i] + v
             i += 1
         else:
-            yield dict(zip(order, values))
+            yield moved, tuple(values)
+            moved = size
         i -= 1  # move the deepest position below its cap, refill after it
         while i >= 0 and values[i] == caps[i]:
             i -= 1
@@ -608,4 +606,5 @@ def enumerate_p_partitions(poset: ColoredPoset, bound: int):
             return
         values[i] += 1
         used[i + 1] += 1
+        moved = min(moved, i)
         i += 1

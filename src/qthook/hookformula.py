@@ -24,17 +24,9 @@ from .report import VerificationReport, timed
 from .series import (NO_TRUNC, MultiSeries, key_layout, product_of_f,
                      series_equals)
 
-HAT = "__hat__"
-
 # ---------------------------------------------------------------------------
 # Generic weight.
 # ---------------------------------------------------------------------------
-
-def _color_adjacency(poset: ColoredPoset) -> set[frozenset]:
-    edges = poset.top_tree_adjacency()
-    edges.add(frozenset((HAT, poset.color[poset.top])))
-    return edges
-
 
 def _weight_plan(poset: ColoredPoset) -> tuple[tuple, tuple, tuple]:
     """The pairs weight_generic multiplies over, built once per poset.
@@ -47,7 +39,7 @@ def _weight_plan(poset: ColoredPoset) -> tuple[tuple, tuple, tuple]:
     plan = getattr(poset, "_weight_plan", None)
     if plan is not None:
         return plan
-    edges = _color_adjacency(poset)
+    edges = poset.top_tree_adjacency()
     rank, color, elements = poset.rank, poset.color, poset.elements
     adjacent, equal = [], []
     for x in elements:
@@ -354,14 +346,15 @@ def lhs_terms(poset: ColoredPoset,
 
     One walk over ``enumerate_p_partitions``: each plan pair is counted at
     the position of its lower element in ``fill_order``, and a P-partition
-    takes back and recounts only the pairs closed from the first position
-    where it differs from the one before (f-arguments with n = 0, where
-    f = 1, are not counted, and a count that returns to 0 is dropped, so
-    the counts are the group key as they stand); z^pi is kept the same way,
-    as its ``key_layout(len(poset.varset), trunc)`` key.  P-partitions with
-    the same counts share one weight, built once by ``_f_product``; groups
-    come in the order of their first P-partition and list their z^pi in
-    enumeration order.
+    takes back and recounts only the pairs closed from the position the
+    walk moved, where it first differs from the one before (the first
+    P-partition, from an all-zero map, which counts nothing).  f-arguments
+    with n = 0, where f = 1, are not counted, and a count that returns to 0
+    is dropped, so the counts are the group key as they stand; z^pi is kept
+    the same way, as its ``key_layout(len(poset.varset), trunc)`` key.
+    P-partitions with the same counts share one weight, built once by
+    ``_f_product``; groups come in the order of their first P-partition and
+    list their z^pi in enumeration order.
     """
     order = fill_order(poset)
     pos = {e: i for i, e in enumerate(order)}
@@ -375,7 +368,8 @@ def lhs_terms(poset: ColoredPoset,
         closes[pos[x]].append((-1, m, 1))
     units = key_layout(len(poset.varset), trunc).units
     unit = [units[poset.varset.index[poset.color[e]]] for e in order]
-    counts, groups, prev = {}, {}, []
+    counts, groups = {}, {}
+    prev = (0,) * (len(order) + 1)
     z_key = 0  # the key of z^pi, kept along with the counts
     get = counts.get
 
@@ -396,13 +390,9 @@ def lhs_terms(poset: ColoredPoset,
                         del counts[n, m]
         return sign * z
 
-    for pi in enumerate_p_partitions(poset, trunc):
-        vals = [*pi.values(), 0]  # the maps come keyed in fill order
-        start = 0
-        if prev:
-            while prev[start] == vals[start]:
-                start += 1
-            z_key += count(prev, start, -1)
+    for start, values in enumerate_p_partitions(poset, trunc):
+        vals = values + (0,)
+        z_key += count(prev, start, -1)
         z_key += count(vals, start, 1)
         prev = vals
         groups.setdefault(frozenset(counts.items()), []).append(z_key)

@@ -31,19 +31,13 @@ class DegenerateDraw(Exception):
 
 
 def q_poch(a: Fraction, q: Fraction, n: int) -> Fraction:
-    """(a; q)_n for any integer n, via the finite-product reading."""
+    """(a; q)_n = (1 - a)(1 - aq) ... (1 - aq^(n-1)) for n >= 0."""
+    if n < 0:
+        raise ValueError(f"(a;q)_n needs n >= 0, not {n}")
     a, q = Fraction(a), Fraction(q)
-    if n >= 0:
-        out = Fraction(1)
-        for k in range(n):
-            out *= 1 - a * q ** k
-        return out
     out = Fraction(1)
-    for k in range(1, -n + 1):
-        factor = 1 - a * q ** -k
-        if factor == 0:
-            raise ZeroDivisionError(f"(a;q)_{n} hits a vanishing factor")
-        out /= factor
+    for k in range(n):
+        out *= 1 - a * q ** k
     return out
 
 
@@ -322,9 +316,9 @@ def birds_final_both_sides(rho0: int, theta0: int, f: int, r: list[int]):
         raise ValueError("need 0 <= rho0 <= theta0")
     if len(r) != f:
         raise ValueError("r must have length f")
-    boundary = (f_fun(rho0, 0) * f_fun(theta0, 1)).inverse()
+    boundary = QTCoeff.from_qtf((f_fun(rho0, 0) * f_fun(theta0, 1)).inverse())
     lhs, rhs = general_both_sides(1, f, 0, rho0, theta0, r)
-    return lhs.mul_qtf(boundary), rhs.mul_qtf(boundary)
+    return lhs * boundary, rhs * boundary
 
 
 def birds_final_check(rho0, theta0, f, r) -> bool:
@@ -341,9 +335,9 @@ def banners_final_both_sides(lam: Partition, f: int, r: list[int]):
         raise ValueError("lam must have at most 4 parts")
     if len(r) != f - 1:
         raise ValueError("r must have length f - 1")
-    boundary = (f_fun(lam[4], 0) * f_fun(lam[2], 2)).inverse()
+    boundary = QTCoeff.from_qtf((f_fun(lam[4], 0) * f_fun(lam[2], 2)).inverse())
     lhs, rhs = general_both_sides(2, f - 1, 0, lam[4], lam[2], r)
-    return lhs.mul_qtf(boundary), rhs.mul_qtf(boundary)
+    return lhs * boundary, rhs * boundary
 
 
 def banners_final_check(lam, f, r) -> bool:

@@ -275,10 +275,6 @@ class RatFunc:
         return out
 
     @staticmethod
-    def const(c) -> "RatFunc":
-        return RatFunc(BiPoly.const(c))
-
-    @staticmethod
     def from_qtcoeff(c: QTCoeff) -> "RatFunc":
         return RatFunc(c.num, c._den_poly())
 
@@ -292,11 +288,6 @@ class RatFunc:
             return other if sign > 0 else RatFunc._raw(-other.num, other.den)
         if other.is_zero():
             return self
-        if _is_const(self.den) and _is_const(other.den):
-            num = self.num * other.den
-            num = num + (other.num * self.den if sign > 0
-                         else -(other.num * self.den))
-            return RatFunc._raw(num, self.den * other.den)
         g = gcd_bipoly(self.den, other.den)
         if _is_const(g):
             num = self.num * other.den
@@ -674,7 +665,7 @@ def pieri_check(mu: Partition, r: int, n: int, kind: str):
         return False, {"lam": str(lam), "mu": str(mu), "r": r, "kind": kind,
                        "reason": reason}
     if kind == "psi":
-        coeffs = {lam: c.mul_qtf(b_lambda(lam).inverse())
+        coeffs = {lam: c * QTCoeff.from_qtf(b_lambda(lam).inverse())
                   for lam, c in coeffs.items()}
     for lam in partitions_of(d, None, n):
         got = coeffs.get(lam, QTCoeff.zero())

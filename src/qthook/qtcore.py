@@ -54,9 +54,6 @@ class BiPoly:
     def __eq__(self, other):
         return isinstance(other, BiPoly) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other: "BiPoly") -> "BiPoly":
         out = dict(self.terms)
         for k, v in other.terms.items():
@@ -73,9 +70,6 @@ class BiPoly:
         res = BiPoly.__new__(BiPoly)
         res.terms = {k: -v for k, v in self.terms.items()}
         return res
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        return self + (-other)
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         lhs, rhs = self.terms, other.terms
@@ -465,13 +459,6 @@ def f_fun(n: int, m: int) -> QTFactored:
     if m < 0:
         raise ValueError("f(n; m) needs m >= 0")
     return _f_fun_cached(n, m)
-
-
-def f_series_coeff(k: int) -> QTFactored:
-    """Degree-k coefficient of F(x) = (tx; q)_inf / (x; q)_inf, i.e. f(k; 0)."""
-    if k < 0:
-        raise ValueError("series coefficient index must be >= 0")
-    return f_fun(k, 0)
 
 
 def b_cell(lam: Partition, i: int, j: int) -> QTFactored:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -42,9 +41,6 @@ class VerificationReport:
         }
         out.update(self.extra)
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 @contextmanager

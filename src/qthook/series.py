@@ -36,7 +36,7 @@ from .qtcore import (
     QTFactored,
     _binomial_power,
     cancelled_ratio,
-    f_series_coeff,
+    f_fun,
 )
 
 NO_TRUNC = 10 ** 9
@@ -135,9 +135,6 @@ class QTCoeff:
         return QTCoeff(self.content * other.content,
                        _times(self.rem, other.rem),
                        self.dq + other.dq, self.dt + other.dt, den)
-
-    def mul_qtf(self, f: QTFactored) -> "QTCoeff":
-        return self * QTCoeff.from_qtf(f)
 
     def equals(self, other) -> bool:
         """Cancel the two contents, then compare the remainders."""
@@ -553,7 +550,7 @@ def series_f(mono: tuple[int, ...], varset: VarSet, trunc: int,
 def _f_coeffs(top: int, point: EvalPoint | None) -> tuple[list, int]:
     """(numerators, den): f(k; 0) for k = 0..top as the stored coefficients
     of a series at ``point``, over one denominator (1 in exact mode)."""
-    coeffs = [as_coeff(f_series_coeff(k), point) for k in range(top + 1)]
+    coeffs = [as_coeff(f_fun(k, 0), point) for k in range(top + 1)]
     if point is None:
         return coeffs, 1
     den = lcm(*(c.denominator for c in coeffs))

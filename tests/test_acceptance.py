@@ -15,7 +15,6 @@ from qthook.qtcore import sample_points
 from qthook.series import series_equals
 from qthook.dposet import (
     build_family,
-    enumerate_p_partitions,
     hook_monomials,
     hook_monomials_closed_form,
 )
@@ -31,6 +30,8 @@ from qthook.hookformula import (
     z_monomial,
 )
 from qthook import hypergeom, macdonald, suites
+
+from p_maps import p_partitions
 
 P = Partition
 EXACT = None
@@ -58,12 +59,12 @@ def _announce(criterion, ok, detail=""):
 def test_criterion_1_okada_identity():
     for family, args, degree in EXACT_INSTANCES:
         report = verify_okada(build_family(family, *args), degree, "exact")
-        assert report.passed, report.to_json()
+        assert report.passed, report.to_dict()
     pts = sample_points(3, seed=0)
     for family, args, degree in EVAL_INSTANCES:
         report = verify_okada(build_family(family, *args), degree, "eval",
                               pts, seed=0)
-        assert report.passed, report.to_json()
+        assert report.passed, report.to_dict()
     _announce("1 (Okada hook identity, 5 exact + 3 eval instances)", True)
 
 
@@ -71,7 +72,7 @@ def test_criterion_2_weight_coherence():
     checked = 0
     for family, args, degree in EXACT_INSTANCES + EVAL_INSTANCES:
         poset = build_family(family, *args)
-        for pi in enumerate_p_partitions(poset, degree):
+        for pi in p_partitions(poset, degree):
             w_gen = weight_generic(poset, pi)
             w_closed = weight_closed_form(poset, pi)
             w_tr, mono = weight_via_traces(poset, pi)
@@ -153,7 +154,7 @@ def test_criterion_6_warnaar():
 
 def test_criterion_7_gasper(monkeypatch):
     report = hypergeom.gasper_sweep(50, seed=7)
-    assert report.passed, report.to_json()
+    assert report.passed, report.to_dict()
     # rhs = prefactor * w_series, so this scales the prefactor by 9/8
     w_series = hypergeom.w_series
     monkeypatch.setattr(hypergeom, "w_series",

@@ -84,6 +84,13 @@ USAGE_ERRORS = [  # (argv, environment)
     (["show", "poset", "--family", "shifted", "--alpha", "2,1", "--f", "3"], {}),
     (["show", "hooks", "--family", "banner", "--alpha", "4,3,2,1",
       "--beta", "3", "--f", "2"], {}),
+    (["verify", "hook", "--family", "shifted", "--alpha", "3,x"], {}),
+    (["verify", "hook", "--family", "shifted", "--alpha", "1,2"], {}),
+    (["verify", "hook", "--family", "shifted", "--alpha", "3,-1"], {}),
+    (["verify", "hook", "--family", "bird", "--alpha", "2,1", "--beta", "2,x",
+      "--f", "1"], {}),
+    (["verify", "hook", "--family", "shifted", "--alpha", "2,1", "--degree",
+      "2", "--mode", "eval", "--points", "0"], {}),
 ]
 
 

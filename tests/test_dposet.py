@@ -15,6 +15,8 @@ from qthook.dposet import (
     hook_monomials_closed_form,
 )
 
+from p_maps import p_partitions
+
 P = Partition
 
 
@@ -126,11 +128,14 @@ def test_d_complete_rejects_incomplete_diamond():
 
     poset = ColoredPoset("custom", {}, [(1, 1), (1, 2), (2, 1), (2, 2)],
                          block_of, color_of)
-    # remove the top by truncating: build a poset that is just the vee
-    vee = ColoredPoset("custom", {}, [(1, 2), (2, 1), (2, 2)], block_of,
-                       color_of, strict=False)
-    ok, reason = d_complete_check(vee)
-    assert not ok and "(D1)" in reason
+    # top > x > a > w and top > y > b > w: w is covered by a and b (a d_3^-),
+    # and nothing covers both a and b
+    top, x, y, a, b, w = (1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 3)
+    blocks = {top: {1, 2}, x: {1}, a: {1, 3}, y: {2}, b: {2, 4}, w: {3, 4}}
+    hexagon = ColoredPoset("custom", {}, list(blocks), blocks.get, color_of)
+    assert hexagon.rank == {top: 0, x: 1, y: 1, a: 2, b: 2, w: 3}
+    ok, reason = d_complete_check(hexagon)
+    assert not ok and reason == "(D1) fails for d_3^- at bottom (3, 3)"
     ok, reason = d_complete_check(poset)
     assert ok
 
@@ -212,11 +217,11 @@ def test_coloring_c1_to_c4():
 
 def test_enumerate_p_partitions_counts():
     single = build_shifted(P([1]))
-    assert len(list(enumerate_p_partitions(single, 2))) == 3
+    assert len(p_partitions(single, 2)) == 3
     chain = build_shifted(P([2, 1]))
     # weakly increasing triples down the chain with sum <= 2
-    assert len(list(enumerate_p_partitions(chain, 2))) == 4
-    for pi in enumerate_p_partitions(chain, 3):
+    assert len(p_partitions(chain, 2)) == 4
+    for pi in p_partitions(chain, 3):
         assert pi[(1, 1)] <= pi[(1, 2)] <= pi[(2, 2)]
 
 
@@ -244,7 +249,7 @@ def brute_force_p_partitions(poset, bound):
     (build_banner(P([4, 3, 2, 1]), 2), 5),
 ], ids=["shifted", "bird", "banner"])
 def test_pruned_enumeration_matches_brute_force(poset, D):
-    pis = list(enumerate_p_partitions(poset, D))
+    pis = p_partitions(poset, D)
     assert len(pis) > 20
     assert pis == brute_force_p_partitions(poset, D)
 
@@ -276,12 +281,19 @@ def recursive_p_partitions(poset, bound):
     (build_banner(P([4, 3, 2, 1]), 2), 0),
 ], ids=["shifted", "bird", "banner", "bound-0"])
 def test_odometer_matches_the_recursive_walk(poset, D):
-    got = [list(pi.items()) for pi in enumerate_p_partitions(poset, D)]
-    assert got == [list(pi.items())
+    order = fill_order(poset)
+    walk = list(enumerate_p_partitions(poset, D))
+    got = [values for _, values in walk]
+    assert got == [tuple(pi[e] for e in order)
                    for pi in recursive_p_partitions(poset, D)]
-    assert all([e for e, _ in pi] == fill_order(poset) for pi in got)
+    assert all(isinstance(values, tuple) and len(values) == len(order)
+               for values in got)
+    # moved: the first position where a map differs from the one before
+    assert [moved for moved, _ in walk] == [0] + [
+        next(i for i, (u, v) in enumerate(zip(before, after)) if u != v)
+        for before, after in zip(got, got[1:])]
     if D == 0:
-        assert got == [[(e, 0) for e in fill_order(poset)]]
+        assert got == [(0,) * len(order)]
     else:
         assert len(got) > 50
     assert list(enumerate_p_partitions(poset, -1)) == []
@@ -371,9 +383,9 @@ def test_bitmask_poset_matches_the_matrix_construction(build, args,
                                                        monkeypatch):
     refs, real = [], dposet.ColoredPoset
 
-    def recorded(family, params, elements, block_of, color_of, strict=True):
+    def recorded(family, params, elements, block_of, color_of):
         refs.append(MatrixPoset(elements, block_of))
-        return real(family, params, elements, block_of, color_of, strict)
+        return real(family, params, elements, block_of, color_of)
 
     monkeypatch.setattr(dposet, "ColoredPoset", recorded)
     poset = build(*args)
@@ -400,10 +412,12 @@ def test_bitmask_poset_matches_the_matrix_construction(build, args,
 
 
 def test_antichain_p_partition_count():
-    poset = ColoredPoset("custom", {}, [(1, 1), (2, 2)],
-                         lambda e: {e}, lambda e: f"c{e[0]}", strict=False)
-    # stars and bars: all pairs with sum <= 2
-    assert len(list(enumerate_p_partitions(poset, 2))) == 6
+    # a top over the antichain (1, 2), (2, 1): of weight <= 2 the top takes
+    # 0, so by stars and bars the maps are all pairs with sum <= 2
+    poset = ColoredPoset("custom", {}, [(1, 1), (1, 2), (2, 1)],
+                         lambda e: {1}, lambda e: f"c{e[0]}{e[1]}")
+    assert poset.top == (1, 1)
+    assert len(p_partitions(poset, 2)) == 6
 
 
 def test_p_partition_count_matches_hook_product_at_t_equals_q():
@@ -418,7 +432,7 @@ def test_p_partition_count_matches_hook_product_at_t_equals_q():
                   build_bird(P([2, 1]), P([2, 1]), 1)):
         rhs = rhs_series(poset, 3, ring)
         total = sum(rhs.terms.values())
-        count = len(list(enumerate_p_partitions(poset, 3)))
+        count = len(p_partitions(poset, 3))
         assert total == count
 
 def test_longer_tails_f3():

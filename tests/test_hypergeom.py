@@ -36,10 +36,11 @@ def test_q_poch_basics():
     assert q_poch(F(3), q, 0) == 1
     assert q_poch(F(1), q, 3) == 0  # first factor vanishes
     assert q_poch(F(2), F(1, 2), 2) == (1 - 2) * (1 - 1)  # = 0
-    # negative n: (a;q)_{-m} = 1 / prod_{k=1}^m (1 - a q^-k)
-    assert q_poch(F(3), q, -2) == 1 / ((1 - F(3) / q) * (1 - F(3) / q ** 2))
-    with pytest.raises(ZeroDivisionError):
-        q_poch(F(1, 2), F(1, 2), -1)
+    assert q_poch(F(3), q, 2) == (1 - 3) * (1 - F(3, 2))
+    # negative n is a wrong call: it raises instead of returning 1
+    for n in (-1, -2):
+        with pytest.raises(ValueError):
+            q_poch(F(3), q, n)
 
 
 def _neg_q_power_scan(x, q, cap):
@@ -124,7 +125,7 @@ def test_gasper_tiny_cases():
 
 def test_gasper_sweep_and_negative_control(monkeypatch):
     report = gasper_sweep(50, seed=7)
-    assert report.passed, report.to_json()
+    assert report.passed, report.to_dict()
     # rhs = prefactor * w_series, so this scales the prefactor by 9/8
     monkeypatch.setattr(hypergeom, "w_series",
                         lambda *args: w_series(*args) * F(9, 8))

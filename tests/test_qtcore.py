@@ -21,14 +21,13 @@ from qthook.qtcore import (
     b_cell,
     cancelled_ratio,
     f_fun,
-    f_series_coeff,
     phi_skew,
     psi_skew,
     resample_point,
     resampled,
     sample_points,
 )
-from qthook.series import QTCoeff
+from qthook.series import QTCoeff, _f_coeffs
 
 P = Partition
 
@@ -63,12 +62,15 @@ def test_f_fun_recurrence():
 
 
 def test_f_series_coeffs():
-    assert f_series_coeff(0).equals(QTFactored.one())
-    assert f_series_coeff(1).equals(f_fun(1, 0))
+    # the degree-k coefficients of F(x) = (tx; q)_inf / (x; q)_inf
+    coeffs, den = _f_coeffs(2, None)
+    assert den == 1 and len(coeffs) == 3
+    assert coeffs[0].equals(QTCoeff.one())
+    assert coeffs[1].equals(QTCoeff.from_qtf(f_fun(1, 0)))
     # (t;q)_2 / (q;q)_2 expanded
     expected = (QTFactored.binomial(0, 1) * QTFactored.binomial(1, 1)
                 * QTFactored.binomial(1, 0, -1) * QTFactored.binomial(2, 0, -1))
-    assert f_series_coeff(2).equals(expected)
+    assert coeffs[2].equals(QTCoeff.from_qtf(expected))
 
 
 def test_b_lambda_small():
@@ -396,7 +398,8 @@ def _over(num, dq, dt, den):
     total = QTCoeff.zero()
     for (a, b), c in num.terms.items():
         total = total + QTCoeff.from_qtf(QTFactored(c, a, b))
-    return total.mul_qtf(QTFactored(1, -dq, -dt, {k: -e for k, e in den.items()}))
+    return total * QTCoeff.from_qtf(
+        QTFactored(1, -dq, -dt, {k: -e for k, e in den.items()}))
 
 
 def test_qtcoeff_equals_cancels_shared_denominators():

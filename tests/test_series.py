@@ -183,8 +183,8 @@ def test_q_difference_relation():
         ck = s.coefficient(z("z0", k))
         ck1 = s.coefficient(z("z0", k - 1))
         lhs = ck - ck1
-        rhs = (ck.mul_qtf(QTFactored(1, k, 0))
-               - ck1.mul_qtf(QTFactored(1, k - 1, 1)))
+        rhs = (ck * QTCoeff.from_qtf(QTFactored(1, k, 0))
+               - ck1 * QTCoeff.from_qtf(QTFactored(1, k - 1, 1)))
         assert lhs.equals(rhs), k
 
 

@@ -91,7 +91,7 @@ def _fail_at(monkeypatch, module, attr, k, failure):
 
 
 def _mismatch_json(report):
-    return json.loads(report.to_json())["mismatch"]
+    return json.loads(json.dumps(report.to_dict()))["mismatch"]
 
 
 def test_forced_cases_cover_every_sweep():
@@ -123,6 +123,24 @@ def test_b_ratio_display_failure(name, monkeypatch):
     assert report.result == "fail"
     assert _mismatch_json(report) == {"params": "b-ratio display"}
     assert counter[0] == 1
+
+
+# A b-ratio that is wrong on some shapes ends both closing identities in a
+# fail.  A uniform scaling of b_el would leave the check blind: the display
+# is a ratio of two b_el values, so the factor cancels.
+B_RATIO_MUTATIONS = [("b_lambda", lambda lam: QTFactored.binomial(1, 1, lam[2])),
+                     ("b_el", lambda lam: QTFactored.binomial(1, 0, lam[4]))]
+
+
+@pytest.mark.parametrize("name", ["birds-final", "banners-final"])
+@pytest.mark.parametrize("attr, factor", B_RATIO_MUTATIONS,
+                         ids=[attr for attr, _ in B_RATIO_MUTATIONS])
+def test_b_ratio_display_fails_on_a_wrong_b(name, attr, factor, monkeypatch):
+    real = getattr(hypergeom, attr)
+    monkeypatch.setattr(hypergeom, attr, lambda lam: real(lam) * factor(lam))
+    report = suites.run_identity(name, seed=3)
+    assert report.result == "fail"
+    assert _mismatch_json(report) == {"params": "b-ratio display"}
 
 
 # Negative controls: doubling a coefficient the check relies on must turn the
