@@ -7,8 +7,8 @@ validated against it.  It runs from a per-poset plan: the pairs, their kinds
 and their f-arguments are found once per poset (where the rank parities are
 also checked).  A weight counts each distinct f-argument (n, m) with its
 sign, then adds the factor exponents of each f once, scaled by its count;
-the hook LHS keeps those counts along one walk over all P-partitions.  The
-bird and banner forms take Phi and Phi-hat from ``qtcore``.
+the hook LHS packs them into one int, a prefix sum along one walk over all
+P-partitions.  The bird and banner forms take Phi and Phi-hat from ``qtcore``.
 """
 
 from __future__ import annotations
@@ -344,59 +344,64 @@ def lhs_terms(poset: ColoredPoset,
               trunc: int) -> list[tuple[QTFactored, list[int]]]:
     """(weight, monomial keys) groups of the P-partition sum of W(pi) z^pi.
 
-    One walk over ``enumerate_p_partitions``: each plan pair is counted at
-    the position of its lower element in ``fill_order``, and a P-partition
-    takes back and recounts only the pairs closed from the position the
-    walk moved, where it first differs from the one before (the first
-    P-partition, from an all-zero map, which counts nothing).  f-arguments
-    with n = 0, where f = 1, are not counted, and a count that returns to 0
-    is dropped, so the counts are the group key as they stand; z^pi is kept
-    the same way, as its ``key_layout(len(poset.varset), trunc)`` key.
-    P-partitions with the same counts share one weight, built once by
+    One walk over ``enumerate_p_partitions``.  The weight key is one int
+    with a field of ``width`` bits for each f(n; m), n >= 1, that the plan
+    reaches (f(0; m) = 1), holding its signed count as a balanced digit; no
+    count reaches the pair count, < 2^(width - 1), so equal keys are equal
+    counts.  A pair adds its field at the position of its lower element in
+    ``fill_order``, through a row over n per partner, and every partner
+    comes first (the hat's is the 0 appended to each map).  ``wk``/``zk``
+    are prefix sums of that key and of z^pi's ``key_layout`` key, so a
+    P-partition recomputes only from the position the walk moved, where it
+    first differs from the one before.  A group's key is decoded once, for
     ``_f_product``; groups come in the order of their first P-partition and
     list their z^pi in enumeration order.
     """
     order = fill_order(poset)
+    size = len(order)
     pos = {e: i for i, e in enumerate(order)}
     adjacent, equal, hat = _weight_plan(poset)
-    closes = [[] for _ in order]  # (partner position, m, sign) per position
-    for x, y, e in equal:
-        closes[pos[x]] += [(pos[y], e, -1), (pos[y], e - 1, -1)]
-    for x, y, m in adjacent:
-        closes[pos[x]].append((pos[y], m, 1))
-    for x, m in hat:  # the partner -1 is the value 0 appended to each row
-        closes[pos[x]].append((-1, m, 1))
+    pairs = [(pos[x], pos[y], e - k, -1) for x, y, e in equal for k in (0, 1)]
+    pairs += [(pos[x], pos[y], m, 1) for x, y, m in adjacent]
+    pairs += [(pos[x], size, m, 1) for x, m in hat]
+    ms = sorted({m for *_, m, _ in pairs})
+    fields = [(n, m) for n in range(1, trunc + 1) for m in ms]
+    width = len(pairs).bit_length() + 1
+    shift = {field: k * width for k, field in enumerate(fields)}
+    rows = [{} for _ in order]  # position -> partner -> row over n
+    for i, j, m, sign in pairs:
+        if i <= j < size:
+            raise AssertionError(f"{order[j]} is filled after {order[i]}")
+        row = rows[i].setdefault(j, [0] * (trunc + 1))
+        for n in range(1, trunc + 1):
+            row[n] += sign << shift[n, m]
+    closes = [tuple(r.items()) for r in rows]
     units = key_layout(len(poset.varset), trunc).units
     unit = [units[poset.varset.index[poset.color[e]]] for e in order]
-    counts, groups = {}, {}
-    prev = (0,) * (len(order) + 1)
-    z_key = 0  # the key of z^pi, kept along with the counts
-    get = counts.get
-
-    def count(vals, start, sign):
-        """Count the pairs closed from ``start`` on; the sign times the
-        key of those positions' part of z^pi."""
-        z = 0
-        for i in range(start, len(order)):
-            v = vals[i]
-            z += v * unit[i]
-            for j, m, s in closes[i]:
-                n = v - vals[j]
-                if n:
-                    c = get((n, m), 0) + sign * s
-                    if c:
-                        counts[n, m] = c
-                    else:
-                        del counts[n, m]
-        return sign * z
-
-    for start, values in enumerate_p_partitions(poset, trunc):
+    wk, zk = [0] * (size + 1), [0] * (size + 1)
+    groups = {}
+    for moved, values in enumerate_p_partitions(poset, trunc):
         vals = values + (0,)
-        z_key += count(prev, start, -1)
-        z_key += count(vals, start, 1)
-        prev = vals
-        groups.setdefault(frozenset(counts.items()), []).append(z_key)
-    return [(_f_product(key), monos) for key, monos in groups.items()]
+        w, z = wk[moved], zk[moved]
+        for i in range(moved, size):
+            v = vals[i]
+            for j, row in closes[i]:
+                w += row[v - vals[j]]
+            z += v * unit[i]
+            wk[i + 1], zk[i + 1] = w, z
+        groups.setdefault(w, []).append(z)
+
+    def counts(key):
+        """The ((n, m), count) pairs of a weight key, lowest field first."""
+        half = 1 << width - 1
+        for field in fields:
+            if not key:
+                return
+            c = (key + half) % (2 * half) - half  # the balanced digit
+            yield field, c
+            key = (key - c) >> width
+
+    return [(_f_product(counts(key)), zs) for key, zs in groups.items()]
 
 
 def lhs_series(poset: ColoredPoset, trunc: int,

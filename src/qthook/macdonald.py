@@ -22,6 +22,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from types import MappingProxyType
 
 from .partitions import (
     EMPTY,
@@ -360,15 +361,16 @@ def _power_sum_poly(r: int, n: int) -> MultiSeries:
 @lru_cache(maxsize=None)
 def _p_to_m_matrix(d: int):
     """Integer expansion of p_lam over m_mu for lam, mu |- d (in d variables)."""
-    parts = sorted(partitions_of(d), key=lambda p: p.parts, reverse=True)
+    parts = tuple(sorted(partitions_of(d), key=lambda p: p.parts, reverse=True))
     rows = {}
     for lam in parts:
         poly = MultiSeries.constant(1, poly_vars(d), NO_TRUNC)
         for r in lam:
             poly = poly * _power_sum_poly(r, d)
         exp = m_expansion(poly)
-        rows[lam] = {mu: _qtcoeff_to_fraction(c) for mu, c in exp.items()}
-    return parts, rows
+        rows[lam] = MappingProxyType(
+            {mu: _qtcoeff_to_fraction(c) for mu, c in exp.items()})
+    return parts, MappingProxyType(rows)
 
 
 def _qtcoeff_to_fraction(c: QTCoeff) -> Fraction:
@@ -405,9 +407,9 @@ def _m_to_p_matrix(d: int):
     inverse = {}
     for mu in parts:  # m_mu = sum_lam inverse[mu][lam] p_lam
         r = idx[mu]
-        inverse[mu] = {lam: a[r][k + idx[lam]] for lam in parts}
+        inverse[mu] = MappingProxyType({lam: a[r][k + idx[lam]] for lam in parts})
     # note: rows of the inverse matrix live on the m side
-    return parts, inverse
+    return parts, MappingProxyType(inverse)
 
 
 def _z_weight(lam: Partition) -> RatFunc:
@@ -440,7 +442,7 @@ def _gram_matrix(d: int):
                 if c:
                     acc = acc + weights[lam].scale(c)
             b[(mu, nu)] = acc
-    return parts, b
+    return parts, MappingProxyType(b)
 
 
 def scalar_product(f: dict[Partition, RatFunc], g: dict[Partition, RatFunc],
@@ -462,7 +464,7 @@ def scalar_product(f: dict[Partition, RatFunc], g: dict[Partition, RatFunc],
 def _gram_p_basis(d: int):
     """Gram-Schmidt of the m basis in degree d: the P_lam in m coordinates."""
     if d == 0:
-        return {EMPTY: {EMPTY: RF_ONE}}
+        return MappingProxyType({EMPTY: MappingProxyType({EMPTY: RF_ONE})})
     parts = sorted(partitions_of(d), key=lambda p: p.parts)  # lex ascending
     built = {}
     norms = {}
@@ -475,9 +477,10 @@ def _gram_p_basis(d: int):
                 continue
             for nu, v in built[mu].items():
                 vec[nu] = vec.get(nu, RF_ZERO) - coef * v
-        built[lam] = {nu: v for nu, v in vec.items() if not v.is_zero()}
+        built[lam] = MappingProxyType(
+            {nu: v for nu, v in vec.items() if not v.is_zero()})
         norms[lam] = scalar_product(built[lam], built[lam], d)
-    return built
+    return MappingProxyType(built)
 
 
 def gram_p(lam: Partition, n: int) -> MultiSeries:

@@ -8,21 +8,21 @@ from functools import lru_cache
 class Partition:
     """A weakly decreasing sequence of positive integers.
 
-    Stored without trailing zeros.  Indexed access ``lam[i]`` is 1-based and
-    returns 0 beyond the last part, which is the convention every product
-    formula here relies on.
+    Zeros are accepted only as trailing parts, and stored without them.
+    Indexed access ``lam[i]`` is 1-based and returns 0 beyond the last part,
+    which is the convention every product formula here relies on.
     """
 
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts if p != 0)
+        parts = tuple(map(int, parts))
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError(f"parts must be weakly decreasing: {parts}")
         if parts and parts[-1] < 0:
             raise ValueError(f"parts must be positive: {parts}")
-        self.parts = parts
+        self.parts = tuple(filter(None, parts))
 
     @staticmethod
     def parse(text: str) -> "Partition":

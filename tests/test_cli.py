@@ -91,6 +91,8 @@ USAGE_ERRORS = [  # (argv, environment)
       "--f", "1"], {}),
     (["verify", "hook", "--family", "shifted", "--alpha", "2,1", "--degree",
       "2", "--mode", "eval", "--points", "0"], {}),
+    (["verify", "hook", "--family", "shifted", "--alpha", "3,0,1", "--degree",
+      "2"], {}),
 ]
 
 

@@ -3,6 +3,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qthook import hookformula
 from qthook.partitions import Partition
@@ -19,6 +21,7 @@ from qthook.dposet import (
     build_banner,
     build_bird,
     build_shifted,
+    fill_order,
 )
 from qthook.hookformula import (
     bracket_phi,
@@ -283,8 +286,12 @@ def test_lhs_groups_expand_to_the_weight_of_each_p_partition(poset, D):
     (build_banner(P([9, 6, 3, 2]), 2), 7),
 ], ids=["shifted", "bird", "banner"])
 def test_lhs_groups_are_the_p_partitions_grouped_by_weight(poset, D):
-    # the same groups, in the same order, as grouping each P-partition in
-    # enumeration order by its weight_generic weight
+    assert_lhs_groups_by_weight(poset, D)
+
+
+def assert_lhs_groups_by_weight(poset, D):
+    """The same groups, in the same order, as grouping each P-partition in
+    enumeration order by its weight_generic weight."""
     def key(w):
         return w.coeff, w.qexp, w.texp, frozenset(w.factors.items())
 
@@ -295,6 +302,46 @@ def test_lhs_groups_are_the_p_partitions_grouped_by_weight(poset, D):
     unpack = key_layout(len(poset.varset), D).unpack
     assert [(key(w), [unpack(m) for m in monos])
             for w, monos in lhs_terms(poset, D)] == list(by_weight.items())
+
+
+def strict_partitions(length, top, min_length=1):
+    return st.sets(st.integers(1, top), min_size=min_length,
+                   max_size=length).map(lambda s: P(sorted(s, reverse=True)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.builds(build_shifted, strict_partitions(3, 5)),
+    st.builds(build_bird, strict_partitions(2, 4, 2),
+              strict_partitions(2, 4, 2), st.integers(1, 2)),
+    st.builds(build_banner, strict_partitions(4, 7, 4), st.integers(2, 3)),
+), st.integers(0, 7))
+def test_lhs_groups_by_weight_on_random_posets(poset, D):
+    assert_lhs_groups_by_weight(poset, D)
+
+
+def test_lhs_keys_decode_negative_counts(monkeypatch):
+    # shifted (3,2) at D = 6: some P-partitions divide by f(2; 0) more often
+    # than they multiply by it, so a packed count is a negative digit
+    poset, D = build_shifted(P([3, 2])), 6
+    seen = []  # the counts each _f_product call is handed, but f(0; m) = 1
+    monkeypatch.setattr(hookformula, "_f_product", lambda counts: seen.append(
+        frozenset(((n, m), c) for (n, m), c in counts if c and n))
+        or len(seen) - 1)
+    decoded = [seen[i] for i, _ in lhs_terms(poset, D)]
+    seen.clear()
+    for pi in p_partitions(poset, D):
+        weight_generic(poset, pi)
+    assert decoded == list(dict.fromkeys(seen))
+    assert any(c < 0 for counts in decoded for _, c in counts)
+
+
+def test_lhs_terms_asserts_that_partners_come_first(monkeypatch):
+    poset = build_shifted(P([3, 1]))
+    monkeypatch.setattr(hookformula, "fill_order",
+                        lambda p: fill_order(p)[::-1])
+    with pytest.raises(AssertionError, match="is filled after"):
+        lhs_terms(poset, 3)
 
 
 def test_eval_mismatch_text_is_the_exact_coefficient_at_the_point():

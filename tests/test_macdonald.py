@@ -13,6 +13,7 @@ from qthook.qtcore import EvalPoint, QTFactored, b_lambda, f_fun
 from qthook.series import NO_TRUNC, MultiSeries, QTCoeff
 from qthook import macdonald
 from qthook.macdonald import (
+    RatFunc,
     branching_check,
     cauchy_check,
     expand_in_p,
@@ -347,3 +348,22 @@ def test_expand_in_p_names_what_it_cannot_expand():
     with pytest.raises(macdonald.NotInPBasis) as err:
         expand_in_p(poly, 1, 3)
     assert err.value.args == (P([1]), "the expansion left a nonzero remainder")
+
+
+@pytest.mark.parametrize("cache", [
+    macdonald._p_to_m_matrix, macdonald._m_to_p_matrix,
+    macdonald._gram_matrix, macdonald._gram_p_basis,
+], ids=["p_to_m", "m_to_p", "gram_matrix", "gram_p_basis"])
+def test_callers_cannot_corrupt_the_gram_caches(cache):
+    got = cache(3)
+    parts, table = got if isinstance(got, tuple) else (None, got)
+    assert parts is None or isinstance(parts, tuple)
+    for key, value in table.items():
+        with pytest.raises(TypeError):
+            table[key] = value
+        if not isinstance(value, RatFunc):  # a row: read-only as well
+            with pytest.raises(TypeError):
+                value[next(iter(value))] = Fraction(7)
+    assert cache(3) is got
+    # the oracle still builds the same P_lam after those attempts
+    assert gram_p(P([2, 1]), 3).equals(skew_p(P([2, 1]), EMPTY, 3))

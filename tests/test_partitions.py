@@ -1,4 +1,6 @@
-from qthook.partitions import bounded_tuples, monotone_chains
+import pytest
+
+from qthook.partitions import Partition, bounded_tuples, monotone_chains
 
 
 def test_monotone_chains_decreasing_order():
@@ -39,3 +41,14 @@ def test_bounded_tuple_empty_and_length_zero():
     assert bounded_tuples([], 0, exact=True) == [()]
     assert bounded_tuples([], 2, exact=True) == []
     assert bounded_tuples([1, 2], -1) == []
+
+
+def test_zeros_are_accepted_only_as_trailing_parts():
+    assert Partition([3, 1, 0, 0]).parts == (3, 1)
+    assert Partition([0, 0]).parts == ()
+    assert Partition.parse("2,2,0") == Partition([2, 2])
+    for parts in ([3, 0, 1], [0, 1], [2, 0, 0, 1]):
+        with pytest.raises(ValueError, match="weakly decreasing"):
+            Partition(parts)
+    with pytest.raises(ValueError, match="positive"):
+        Partition([2, 0, -1])
