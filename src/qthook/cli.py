@@ -233,7 +233,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # SystemExit (usage errors) passes through
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

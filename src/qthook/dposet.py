@@ -7,6 +7,8 @@ negative ones and z1p, z2p, ... (z0p) for primed ones.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .partitions import Partition
 from .series import VarSet
 
@@ -148,9 +150,6 @@ class ColoredPoset:
     def __len__(self):
         return len(self.elements)
 
-    def __repr__(self):
-        return f"ColoredPoset({self.family}, {self.params}, {len(self)} elements)"
-
 
 # ---------------------------------------------------------------------------
 # Builders.
@@ -266,26 +265,13 @@ def build_family(family: str, alpha: Partition, beta: Partition | None = None,
 # Double-tailed diamond intervals and the d-completeness test.
 # ---------------------------------------------------------------------------
 
-class DkInterval:
+class DkInterval(NamedTuple):
     """[w, v] isomorphic to d_k(1): one incomparable pair plus two chains."""
 
-    __slots__ = ("bottom", "top", "k", "sides")
-
-    def __init__(self, bottom, top, k, sides):
-        self.bottom = bottom
-        self.top = top
-        self.k = k
-        self.sides = frozenset(sides)
-
-    def __repr__(self):
-        return f"DkInterval(k={self.k}, [{self.bottom}, {self.top}])"
-
-    def __eq__(self, other):
-        return (self.bottom, self.top, self.k, self.sides) == \
-            (other.bottom, other.top, other.k, other.sides)
-
-    def __hash__(self):
-        return hash((self.bottom, self.top, self.k, self.sides))
+    bottom: tuple
+    top: tuple
+    k: int
+    sides: frozenset
 
 
 def _diamond_shape(poset: ColoredPoset, mask: int):
@@ -327,7 +313,7 @@ def find_dk_intervals(poset: ColoredPoset) -> list[DkInterval]:
             continue
         sides, below, above = shape
         if below == k - 2 and above == k - 2:
-            out.append(DkInterval(w, v, k, sides))
+            out.append(DkInterval(w, v, k, frozenset(sides)))
     return out
 
 
@@ -432,8 +418,10 @@ def hook_monomials(poset: ColoredPoset) -> dict:
             continue
         results = [_mono_mul(_mono_mul(*(hooks[s] for s in sorted(iv.sides))),
                              hooks[iv.bottom], -1) for iv in tops]
+        # unrun: internal invariant; the recursion is proved for d-complete P
         if any(r != results[0] for r in results[1:]):
             raise AssertionError(f"diamond rule disagrees at {v}")
+        # unrun: internal invariant; a hook of a d-complete P is a monomial
         if any(e < 0 for e in results[0].values()):
             raise ValueError(f"negative hook exponent at {v}")
         hooks[v] = results[0]
@@ -606,5 +594,6 @@ def enumerate_p_partitions(poset: ColoredPoset, bound: int):
             return
         values[i] += 1
         used[i + 1] += 1
-        moved = min(moved, i)
+        if i < moved:
+            moved = i
         i += 1

@@ -74,9 +74,11 @@ def weight_generic(poset: ColoredPoset, pi: dict) -> QTFactored:
     adjacent and hat pairs; then each distinct f(n; m) is looked up once and
     its factor exponents are added, scaled by its signed count.
 
-    Off P-partitions: a negative difference on an equal-color pair raises
-    ZeroDivisionError (it divides by f = 0); otherwise a negative difference
-    on an adjacent-color or hat pair makes the weight zero.
+    ``pi`` maps P into the nonnegative integers, so a hat pair, which reads
+    pi_x alone, never sees a negative argument.  Off P-partitions a
+    negative difference on an equal-color pair raises ZeroDivisionError (it
+    divides by f = 0); otherwise one on an adjacent-color pair makes the
+    weight zero.
     """
     adjacent, equal, hat = _weight_plan(poset)
     counts = {}  # (n, m) -> signed multiplicity of f(n; m) in the weight
@@ -94,8 +96,6 @@ def weight_generic(poset: ColoredPoset, pi: dict) -> QTFactored:
         counts[n, m] = get((n, m), 0) + 1
     for x, m in hat:
         n = pi[x]
-        if n < 0:
-            return QTFactored.zero()
         counts[n, m] = get((n, m), 0) + 1
     return _f_product(counts.items())
 

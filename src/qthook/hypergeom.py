@@ -198,6 +198,7 @@ def gasper_both_sides(a, b, d, q, n: int):
                      q, q * q / (a * a))
     prefactor = (q_poch(c * q / d, q, n) * q_poch(a * b * c / d, q, n)
                  / (q_poch(a * c / d, q, n) * q_poch(b * c * q / d, q, n)))
+    # unrun: its zeros (d or abc/d a power q^-j, j < n) are rejected above
     if prefactor == 0:
         raise DegenerateDraw("vanishing Gasper prefactor")
     a1 = b * c / d
@@ -358,6 +359,7 @@ def b_ratio_checks() -> bool:
                 ratio = b_lambda(Partition((theta0 - l, rho0 - l))) / base
                 expect = (f_fun(rho0 - l, 0) * f_fun(theta0 - l, 1)
                           / (f_fun(rho0, 0) * f_fun(theta0, 1)))
+                # unrun: implied by the two base displays, checked before it
                 if not ratio.equals(expect):
                     return False
     for lam_parts in monotone_chains(0, B_RATIO_MAX, 4):

@@ -250,6 +250,7 @@ class RatFunc:
     def __init__(self, num: BiPoly, den: BiPoly = BI_ONE):
         from .polyops import divexact_bipoly, gcd_bipoly
 
+        # unrun: goes with ROADMAP item 2; never zero
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
@@ -287,11 +288,12 @@ class RatFunc:
 
         if self.is_zero():
             return other if sign > 0 else RatFunc._raw(-other.num, other.den)
-        if other.is_zero():
+        if other.is_zero():  # unrun: goes with ROADMAP item 2; never zero
             return self
         g = gcd_bipoly(self.den, other.den)
         if _is_const(g):
             num = self.num * other.den
+            # unrun: goes with ROADMAP item 2; no difference has coprime dens
             num = num + (other.num * self.den if sign > 0
                          else -(other.num * self.den))
             return RatFunc._raw(num, self.den * other.den)
@@ -315,6 +317,7 @@ class RatFunc:
     def __mul__(self, other):
         from .polyops import divexact_bipoly, gcd_bipoly
 
+        # unrun: goes with ROADMAP item 2; never zero
         if self.is_zero() or other.is_zero():
             return RF_ZERO
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
@@ -329,20 +332,16 @@ class RatFunc:
         return RatFunc._raw(n1 * n2, d1 * d2)
 
     def __truediv__(self, other):
+        # unrun: goes with ROADMAP item 2; no zero norm
         if other.num.is_zero():
             raise ZeroDivisionError
         return self * RatFunc(other.den, other.num)
 
     def scale(self, c) -> "RatFunc":
-        if c == 0:
-            return RF_ZERO
         return RatFunc._raw(self.num.scale(c), self.den)
 
     def equals(self, other) -> bool:
         return self.num * other.den == other.num * self.den
-
-    def __repr__(self):
-        return f"({self.num})/({self.den})"
 
 
 RF_ZERO = RatFunc(BiPoly())
@@ -375,8 +374,7 @@ def _p_to_m_matrix(d: int):
 
 def _qtcoeff_to_fraction(c: QTCoeff) -> Fraction:
     # integer-coefficient helper for the p->m matrix
-    if not c:
-        return Fraction(0)
+    # unrun: internal invariant; power sums have integer coefficients
     if set(c.num.terms) != {(0, 0)} or c.den or c.dq or c.dt:
         raise AssertionError("expected a constant coefficient")
     return Fraction(c.num.terms[(0, 0)])
@@ -451,11 +449,7 @@ def scalar_product(f: dict[Partition, RatFunc], g: dict[Partition, RatFunc],
     parts, b = _gram_matrix(d)
     acc = RF_ZERO
     for mu, cf in f.items():
-        if cf.is_zero():
-            continue
         for nu, cg in g.items():
-            if cg.is_zero():
-                continue
             acc = acc + cf * cg * b[(mu, nu)]
     return acc
 
@@ -473,8 +467,6 @@ def _gram_p_basis(d: int):
         m_lam = {lam: RF_ONE}
         for mu in list(built):
             coef = scalar_product(m_lam, built[mu], d) / norms[mu]
-            if coef.is_zero():
-                continue
             for nu, v in built[mu].items():
                 vec[nu] = vec.get(nu, RF_ZERO) - coef * v
         built[lam] = MappingProxyType(
@@ -517,6 +509,7 @@ class _OracleCoeff:
         return not self.rat.is_zero()
 
     def equals(self, other):
+        # unrun: goes with ROADMAP item 2; the other side is a QTCoeff
         if isinstance(other, _OracleCoeff):
             return self.rat.equals(other.rat)
         return self.rat.num * other._den_poly() == other.num * self.rat.den

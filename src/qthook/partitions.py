@@ -37,9 +37,6 @@ class Partition:
             raise IndexError("partitions are 1-indexed")
         return self.parts[i - 1] if i <= len(self.parts) else 0
 
-    def __len__(self):
-        return len(self.parts)
-
     def __iter__(self):
         return iter(self.parts)
 

@@ -54,6 +54,7 @@ def _zmul(a, b):
     return _ztrim(out)
 
 
+# unrun: goes with ROADMAP item 2; only the PRS fallback calls it
 def _zpseudo_rem(a, b):
     a = list(a)
     db, lb = len(b) - 1, b[-1]
@@ -109,6 +110,7 @@ def _heu_uni(a, b):
             if g and _zdivides(a, g) and _zdivides(b, g):
                 return g
         xi = xi * 73 // 27 + 31
+    # unrun: goes with ROADMAP item 2; the heuristic never fails here
     return None
 
 
@@ -117,22 +119,23 @@ def _zgcd_poly(a, b):
     a, b = _zprimitive(list(a)), _zprimitive(list(b))
     if not a:
         return b
-    if not b:
+    if not b:  # unrun: goes with ROADMAP item 2; no caller passes a zero b
         return a
     if len(a) == 1 or len(b) == 1:
         return [1]
     g = _heu_uni(a, b)
     if g is not None:
         return g
+    # unrun: goes with ROADMAP item 2; runs where the heuristic fails
     while b:
         r = _zprimitive(_zpseudo_rem(a, b))
         a, b = b, r
-    return a
+    return a  # unrun: goes with ROADMAP item 2; reached only after the PRS
 
 
 def _zdivexact(a, b):
     """Exact division of integer polynomials (quotient known integral)."""
-    if not b:
+    if not b:  # unrun: goes with ROADMAP item 2; no divisor here is zero
         raise ZeroDivisionError
     a = list(a)
     q = [0] * max(len(a) - len(b) + 1, 0)
@@ -154,7 +157,7 @@ def _zdivexact(a, b):
 
 def _to_int_rec(p: BiPoly):
     """Clear denominators; return (rows, lcm), the integer rows of lcm * p."""
-    if p.is_zero():
+    if p.is_zero():  # unrun: goes with ROADMAP item 2; never zero
         return [], 1
     den = lcm(*(c.denominator for c in p.terms.values()))
     rows = [[] for _ in range(max(b for (_, b) in p.terms) + 1)]

@@ -191,9 +191,6 @@ class EvalPoint:
     def __eq__(self, other):
         return isinstance(other, EvalPoint) and (self.q0, self.t0) == (other.q0, other.t0)
 
-    def __hash__(self):
-        return hash((self.q0, self.t0))
-
     def binomial(self, a: int, b: int) -> int:
         """B = qd^a td^b (1 - q0^a t0^b), a nonzero int for a, b >= 0.
         Raises VanishingFactor where the binomial is 0 at this point."""
@@ -290,7 +287,8 @@ class QTFactored:
 
     The canonical zero has coeff == 0, empty factors and zero exponents.
     Factors are not irreducible, so multiset equality of factors is only a
-    sufficient test; real equality goes through :meth:`equals`.
+    sufficient test; real equality goes through :meth:`equals`, and ``==``
+    raises TypeError rather than compare anything less.
     """
 
     __slots__ = ("coeff", "qexp", "texp", "factors")
@@ -378,28 +376,7 @@ class QTFactored:
         return u.scale(self.coeff) == v.scale(other.coeff)
 
     def __eq__(self, other):
-        if not isinstance(other, QTFactored):
-            if other in (0, 1):
-                other = QTFactored(other)
-            else:
-                return NotImplemented
-        return self.equals(other)
-
-    def __hash__(self):
-        raise TypeError("QTFactored is unhashable; compare via equals")
-
-    def __repr__(self):
-        if self.coeff == 0:
-            return "QTF(0)"
-        bits = [str(self.coeff)]
-        if self.qexp:
-            bits.append(f"q^{self.qexp}")
-        if self.texp:
-            bits.append(f"t^{self.texp}")
-        for (a, b), e in sorted(self.factors.items()):
-            base = f"(1-q^{a}t^{b})"
-            bits.append(base if e == 1 else f"{base}^{e}")
-        return "QTF(" + "*".join(bits) + ")"
+        raise TypeError("compare QTFactored values with equals")
 
 
 def cancelled_ratio(xq: int, xt: int, xf: dict,
@@ -432,18 +409,9 @@ def cancelled_ratio(xq: int, xt: int, xf: dict,
 def _f_fun_cached(n: int, m: int) -> QTFactored:
     """f(n; m), shared by every caller: its factors are a read-only view."""
     factors = {}
-
-    def bump(a, b, e):
-        k = (a, b)
-        s = factors.get(k, 0) + e
-        if s:
-            factors[k] = s
-        else:
-            factors.pop(k, None)
-
-    for k in range(n):
-        bump(k, m + 1, +1)       # (1 - q^k t^(m+1))
-        bump(k + 1, m, -1)       # 1 / (1 - q^(k+1) t^m)
+    for k in range(n):  # the keys (k, m + 1) and (k + 1, m) never collide
+        factors[k, m + 1] = 1    # (1 - q^k t^(m+1))
+        factors[k + 1, m] = -1   # 1 / (1 - q^(k+1) t^m)
     out = QTFactored(1 if n >= 0 else 0, 0, 0, factors)
     out.factors = MappingProxyType(out.factors)
     return out

@@ -92,8 +92,6 @@ class QTCoeff:
     def __add__(self, other: "QTCoeff") -> "QTCoeff":
         """Keep the content both sides share, add the two expanded quotients,
         and divide out each denominator binomial of it while that is exact."""
-        if not isinstance(other, QTCoeff):
-            return NotImplemented
         if not (self and other):
             return self or other
         den = {k: max(self.den.get(k, 0), other.den.get(k, 0))
@@ -125,8 +123,6 @@ class QTCoeff:
         return self + (-other)
 
     def __mul__(self, other: "QTCoeff") -> "QTCoeff":
-        if not isinstance(other, QTCoeff):
-            return NotImplemented
         if not self or not other:
             return QTCoeff.zero()
         den = dict(self.den)
@@ -163,10 +159,6 @@ class QTCoeff:
 
     def num_den_strings(self) -> tuple[str, str]:
         return str(self.num), str(self._den_poly())
-
-    def __repr__(self):
-        n, d = self.num_den_strings()
-        return f"({n})/({d})" if d != "1" else f"({n})"
 
 
 def _times(a: BiPoly, b: BiPoly) -> BiPoly:
@@ -257,12 +249,6 @@ class VarSet:
 
     def __eq__(self, other):
         return isinstance(other, VarSet) and self.names == other.names
-
-    def __hash__(self):
-        return hash(self.names)
-
-    def __repr__(self):
-        return f"VarSet{self.names}"
 
     def monomial(self, exps: dict[str, int]) -> tuple[int, ...]:
         v = [0] * len(self.names)
@@ -517,12 +503,6 @@ class MultiSeries:
         res.add_groups((c, (sum(map(mul, mono, image_keys)),))
                        for mono, c in self.monomials())
         return res
-
-    def __repr__(self):
-        text = _coeff_text(self.point)
-        bits = [f"{text(c)}*{mono_str(m, self.varset)}"
-                for m, c in sorted(self.monomials(), key=itemgetter(0))]
-        return " + ".join(bits) if bits else "0"
 
 
 def series_f(mono: tuple[int, ...], varset: VarSet, trunc: int,

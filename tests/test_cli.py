@@ -1,7 +1,13 @@
+import io
 import json
+import runpy
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from hashlib import sha256
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qthook import cli, suites
 from qthook.cli import main
@@ -93,6 +99,15 @@ USAGE_ERRORS = [  # (argv, environment)
       "2", "--mode", "eval", "--points", "0"], {}),
     (["verify", "hook", "--family", "shifted", "--alpha", "3,0,1", "--degree",
       "2"], {}),
+    (["verify", "hook", "--family", "bird", "--alpha", "2,1", "--beta", "2",
+      "--f", "1"], {}),
+    (["verify", "hook", "--family", "bird", "--alpha", "2,1", "--beta", "2,1",
+      "--f", "0"], {}),
+    (["verify", "hook", "--family", "banner", "--alpha", "3,2,1", "--f", "2"],
+     {}),
+    (["verify", "hook", "--family", "bird", "--alpha", "2,1", "--beta", "2,1"],
+     {}),
+    (["verify", "hook", "--family", "banner", "--alpha", "4,3,2,1"], {}),
 ]
 
 
@@ -105,6 +120,79 @@ def test_usage_errors_exit_2(argv, env, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+PARTITION_TEXT = st.one_of(
+    st.lists(st.integers(-1, 5), max_size=5).map(
+        lambda parts: ",".join(map(str, parts))),
+    st.sampled_from(["x", "2,,1", "3, 1", "1.5", "-1,2"]))
+MALFORMED = {  # flag -> what a malformed value of it is (None drops it)
+    "--family": st.just("hexagon"),
+    "--alpha": PARTITION_TEXT,
+    "--beta": st.none() | PARTITION_TEXT,
+    "--f": st.sampled_from([None, "-1", "0", "1", "x"]),
+    "--degree": st.sampled_from(["-1", "x"]),
+    "--mode": st.just("both"),
+    "--points": st.just("0"),
+    "--format": st.just("svg"),
+}
+
+
+@st.composite
+def command_lines(draw):
+    """argv of a valid instance at degree <= 4, one flag in eight of it
+    malformed: partitions, --f, --beta, modes and degrees."""
+    def strict(k):
+        parts = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k,
+                              unique=True))
+        return ",".join(map(str, sorted(parts, reverse=True)))
+
+    family = draw(st.sampled_from(["shifted", "bird", "banner"]))
+    length = draw(st.integers(1, 4)) if family == "shifted" else \
+        {"bird": 2, "banner": 4}[family]
+    fields = {"--family": family, "--alpha": strict(length),
+              "--beta": strict(2) if family == "bird" else None,
+              "--f": None if family == "shifted" else
+              str(draw(st.integers(1 if family == "bird" else 2, 3)))}
+    command = draw(st.sampled_from([  # verify as often as both shows
+        ["show", "poset"], ["show", "hooks"], ["verify", "hook"],
+        ["verify", "hook"]]))
+    if command[0] == "verify":
+        fields.update({"--degree": str(draw(st.integers(0, 4))),
+                       "--mode": draw(st.sampled_from(["exact", "eval"])),
+                       "--points": draw(st.sampled_from(["1", "2"]))})
+    else:
+        fields["--format"] = draw(st.sampled_from(["json", "dot"]))
+    for flag in fields:
+        if draw(st.integers(0, 7)) == 7:
+            fields[flag] = draw(MALFORMED[flag])
+    return command + [text for flag, value in fields.items()
+                      if value is not None for text in (flag, value)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(command_lines())
+def test_every_command_line_ends_in_a_verdict_or_a_usage_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert sum("error:" in line
+                   for line in err.getvalue().splitlines()) == 1
+
+
+def test_module_entry_point(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["qthook", "verify", "hook", "--family",
+                                      "shifted", "--alpha", "2,1"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("qthook", run_name="__main__")
+    assert exc.value.code == 0
+    assert json.loads(capsys.readouterr().out)["result"] == "pass"
 
 
 def test_verify_identity(capsys):

@@ -140,6 +140,32 @@ def test_d_complete_rejects_incomplete_diamond():
     assert ok
 
 
+def _blocked(blocks):
+    """A poset on the cells of ``blocks`` (cell -> order blocks)."""
+    return ColoredPoset("custom", {}, list(blocks), blocks.get,
+                        lambda e: f"c{e[0]}{e[1]}")
+
+
+def test_d_complete_rejects_a_cover_outside_a_diamond():
+    # the diamond [w, v] = {w, x, y, v}, and v also covers u, in a block of
+    # its own: (D2) fails
+    top, x, y, w, u = (0, 0), (0, 1), (1, 0), (1, 1), (5, 5)
+    poset = _blocked({top: {1, 2}, x: {1}, y: {1}, w: {1}, u: {2}})
+    ok, reason = d_complete_check(poset)
+    assert not ok
+    assert reason.startswith("(D2) fails for DkInterval(bottom=(1, 1)")
+    assert reason.endswith("top covers (5, 5) outside")
+
+
+def test_d_complete_rejects_two_bottoms_under_one_pair():
+    # x and y cover both w1 and w2 (in different blocks): two d_3^- share
+    # their maximal elements, and (D3) fails
+    top, x, y, w1, w2 = (0, 0), (0, 1), (1, 0), (1, 1), (5, 5)
+    poset = _blocked({top: {1, 2}, x: {1, 2}, y: {1, 2}, w1: {1}, w2: {2}})
+    assert d_complete_check(poset) == (
+        False, "(D3) fails: d_3^- duplicated above (5, 5)")
+
+
 @pytest.mark.parametrize("family,args", [
     ("shifted", (P([1]),)),
     ("shifted", (P([2, 1]),)),

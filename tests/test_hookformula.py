@@ -571,14 +571,17 @@ def test_weight_plan_is_built_once_per_poset(monkeypatch):
 
 
 @pytest.mark.parametrize("colors, message", [
-    (("z0", "z1", "z1"), "odd-rank parity"),
-    (("z0", "z0"), "hat parity"),
+    # the chain (1,1) > (1,2) > ...
+    ({(1, 1): "z0", (1, 2): "z1", (1, 3): "z1"}, "odd-rank parity"),
+    ({(1, 1): "z0", (1, 2): "z0"}, "hat parity"),
+    # a diamond over (1,1), whose two upper covers keep it out of the top
+    # tree, with the chain (2,2) below it in the same color
+    ({(0, 0): "z0", (0, 1): "z1", (1, 0): "z2", (1, 1): "z3", (2, 2): "z3"},
+     "even-rank parity"),
 ])
 def test_weight_plan_rejects_a_wrong_coloring(colors, message):
-    # the chain (1,1) > (1,2) > ..., colored against the d-complete rules
-    cells = [(1, j) for j in range(1, len(colors) + 1)]
-    poset = ColoredPoset("chain", {}, cells, lambda e: {1},
-                         lambda e: colors[e[1] - 1])
+    # one order block, colored against the d-complete rules
+    poset = ColoredPoset("custom", {}, list(colors), lambda e: {1}, colors.get)
     with pytest.raises(AssertionError, match=message):
         weight_generic(poset, zero_pi(poset))
 

@@ -113,6 +113,37 @@ def test_w_series_dual_evaluation():
         done += 1
 
 
+def test_w_series_pair_witness():
+    """With no q^-n among the plain parameters the bound comes from the
+    first pair v = q^-2n; both evaluations sum to it and agree."""
+    q, z = F(1, 2), F(1, 3)
+    for a1, tail, bound in (
+            (F(9), [("sqrtpair", F(16))], 2),
+            (F(9, 4), [("sqrtpair", F(16)), ("plain", F(7))], 2),
+            (F(25), [("sqrtpair", F(64)), ("sqrtpair", F(9, 4))], 3)):
+        assert hypergeom._w_tail(tail, q)[2] == bound
+        assert w_series(a1, tail, q, z) == w_series_phi_form(a1, tail, q, z)
+
+
+DEGENERATE_DRAWS = [  # (call, message): each raise of DegenerateDraw
+    (lambda: phi_series([F(3)], [F(5)], F(1, 2), F(1, 3)),
+     "no termination witness q"),
+    (lambda: w_series(F(4), [("plain", F(3)), ("sqrtpair", F(9))], F(1, 2),
+                      F(1, 3)), "no termination witness in W tail"),
+    (lambda: w_series_phi_form(F(-4), [("plain", F(4))], F(1, 2), F(1, 3)),
+     "negative value"),
+    (lambda: w_series_phi_form(F(2), [("plain", F(4))], F(1, 2), F(1, 3)),
+     "2 has no exact rational square root"),
+]
+
+
+@pytest.mark.parametrize("call, message", DEGENERATE_DRAWS,
+                         ids=[f"draw{i}" for i in range(len(DEGENERATE_DRAWS))])
+def test_degenerate_draws_raise(call, message):
+    with pytest.raises(DegenerateDraw, match=message):
+        call()
+
+
 def test_gasper_tiny_cases():
     # n = 0: both sides must evaluate to 1 (computed, not assumed)
     lhs, rhs = gasper_both_sides(F(3), F(5), F(7), F(1, 2), 0)

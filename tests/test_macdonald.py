@@ -219,6 +219,19 @@ def test_branching():
     assert ok, info
 
 
+def test_branching_fails_on_a_wrong_skew(monkeypatch):
+    # doubling every P_{lam/mu} with mu nonempty changes the sum over mu but
+    # not P_lam itself (mu empty); a uniform doubling would cancel
+    real = macdonald.skew_p
+
+    def doubled(lam, mu, n):
+        out = real(lam, mu, n)
+        return out if mu == EMPTY else out.scale(QTFactored(2))
+
+    monkeypatch.setattr(macdonald, "skew_p", doubled)
+    assert branching_check(P([1]), 1, 1) == (False, {"lam": "1", "basis": "P"})
+
+
 def test_qp_lemma():
     ok, info = qp_lemma_check(EMPTY, EMPTY, 1, 1, 3)
     assert ok, info

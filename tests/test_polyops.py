@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qthook.polyops import divexact_bipoly
+from qthook.polyops import divexact_bipoly, gcd_bipoly
 from qthook.qtcore import BiPoly
 
 F = Fraction
@@ -40,3 +40,9 @@ def test_divexact_zero_divisor_raises():
         divexact_bipoly(BiPoly({(1, 0): F(1)}), BiPoly())
     with pytest.raises(ZeroDivisionError):
         divexact_bipoly(BiPoly(), BiPoly())
+
+
+def test_gcd_with_zero_is_the_other_operand():
+    p = BiPoly({(0, 0): F(1), (1, 1): F(-1, 2)})
+    assert gcd_bipoly(p, BiPoly()) == p
+    assert gcd_bipoly(BiPoly(), p) == p

@@ -1,6 +1,8 @@
 """Hypothesis property tests for the arithmetic core."""
 
-from hypothesis import given, settings
+from fractions import Fraction
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qthook.partitions import Partition, is_horizontal_strip
@@ -87,6 +89,9 @@ def test_gcd_divides_both(p, q):
 
 @settings(max_examples=40, deadline=None)
 @given(polys, polys, polys)
+# the heuristic bivariate gcd fails on this one, so the primitive PRS runs
+@example(BiPoly({(2, 0): -2}), BiPoly({(1, 4): Fraction(-1, 2), (4, 0): -1}),
+         BiPoly({(2, 3): -1, (0, 0): Fraction(-2, 3), (1, 3): 3}))
 def test_gcd_of_common_multiple(p, q, r):
     if r.is_zero():
         return

@@ -540,3 +540,17 @@ def test_callers_cannot_corrupt_cached_binomials():
         with pytest.raises(TypeError):
             frozen.terms[(3, 3)] = 1
     assert _binomial_power(1, 1, 2) == want and BI_ONE == BiPoly.const(1)
+
+
+def test_qtfactored_equality_is_equals_only():
+    """``==`` raises, also on the same object: factors are not irreducible,
+    so only ``equals`` compares values, and identity is no comparison."""
+    x = QTFactored.binomial(2, 0)
+    for other in (x, QTFactored.binomial(2, 0), 1):
+        with pytest.raises(TypeError, match="equals"):
+            x == other
+        with pytest.raises(TypeError, match="equals"):
+            x != other
+    with pytest.raises(TypeError):
+        hash(x)
+    assert x.equals(QTFactored.binomial(2, 0))

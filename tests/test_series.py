@@ -73,6 +73,16 @@ def test_mul_and_add_basics():
     assert diff.is_zero()
 
 
+def test_mul_drops_a_coefficient_that_cancels():
+    # (1 + z0)(1 - z0) = 1 - z0^2: the two z0 products cancel in the sum
+    one_plus = _series(XYZ, 3, EXACT, {UNIT: 1, z("z0"): 1})
+    one_minus = _series(XYZ, 3, EXACT, {UNIT: 1, z("z0"): -1})
+    prod = one_plus * one_minus
+    assert z("z0") not in dict(prod.monomials())
+    assert series_equals(prod, _series(XYZ, 3, EXACT,
+                                       {UNIT: 1, z("z0", 2): -1}))[0]
+
+
 def _series(varset, trunc, point, terms):
     s = MultiSeries(varset, trunc, point)
     for mono, c in terms.items():
