@@ -290,7 +290,8 @@ def weight_via_traces(poset: ColoredPoset, pi: dict, horizon: int | None = None)
         tr = traces(alpha, pi, m)
         weight = b_el(tr[0]) * bracket_psi(tr, epsilon_seq(alpha, m))
         wexp = (tr[0].weight() - tr[0].odd_columns()) // 2
-        return weight, _trace_monomial(_scaled(al["w"], wexp), al["zt"], tr)
+        return weight, _trace_monomial(_mono_mul({}, al["w"], wexp),
+                                       al["zt"], tr)
     if fam == "bird":
         beta, f = poset.params["beta"], poset.params["f"]
         sigma, tau, rho, theta = bird_views(poset, pi)
@@ -321,10 +322,6 @@ def _trace_monomial(mono: dict, tilde: dict, tr: list[Partition]) -> dict:
         if exp:
             mono = _mono_mul(mono, tilde[i], exp)
     return mono
-
-
-def _scaled(mono: dict, k: int) -> dict:
-    return {name: e * k for name, e in mono.items() if e * k}
 
 
 def z_monomial(poset: ColoredPoset, pi: dict) -> dict:
@@ -530,7 +527,7 @@ def lhs_macdonald_form(poset: ColoredPoset, trunc: int) -> MultiSeries:
             wexp = (lam.weight() - lam.odd_columns()) // 2  # w has degree 0
             the_sum = _add_shifted(
                 the_sum, _wing_series(poset, al, lam).scale(b_el(lam)),
-                _scaled(al["w"], wexp), lam.weight(), trunc)
+                _mono_mul({}, al["w"], wexp), lam.weight(), trunc)
     elif fam == "bird":
         f = poset.params["f"]
         # (rho, theta) chains with sum(rho_i + theta_i) <= trunc
@@ -557,8 +554,8 @@ def lhs_macdonald_form(poset: ColoredPoset, trunc: int) -> MultiSeries:
                    if lam.weight() + sum(rs) + sum(ts) <= trunc)
         for lam, rho, theta in triples:
             hat, shift = phi_tilde(rho, theta, 1, f, al["xt"])
-            shift = _mono_mul(shift, _scaled(_mono_mul(al["xt"][2], al["w"]),
-                                             lam[2] + lam[4]))
+            shift = _mono_mul(shift, _mono_mul(al["xt"][2], al["w"]),
+                              lam[2] + lam[4])
             floor = lam.weight() + sum(rho[i] + theta[i] for i in range(2, f + 1))
             the_sum = _add_shifted(
                 the_sum,
@@ -585,8 +582,8 @@ def rhs_macdonald_form(poset: ColoredPoset, trunc: int) -> MultiSeries:
     the_sum = MultiSeries(poset.varset, trunc)
     for lam in partitions_up_to(trunc, width):
         wing = _wing_series(poset, al, lam)
-        base = {} if bird else _scaled(_mono_mul(al["xt"][2], al["w"]),
-                                       lam[2] + lam[4])
+        base = {} if bird else _mono_mul({}, _mono_mul(al["xt"][2], al["w"]),
+                                         lam[2] + lam[4])
         for l in range(lam[width] + 1):
             inner = lam.sub_rectangle(l, width)
             ratio = b_lambda(inner) / b_lambda(lam) if bird else b_el(inner)

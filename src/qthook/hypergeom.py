@@ -1,12 +1,13 @@
 """Terminating basic hypergeometric series over exact rationals.
 
 Everything here is a finite sum of exact rational terms: q-shifted
-factorials, the r+1_phi_r series, very-well-poised W series evaluated
-through their square-root-free per-term form, Gasper's transformation, and
-the summation identities that close the hook-formula proof, whose sides are
-sums of f-ratio products added in a balanced tree (``_qsum``).  The
-single-step lemma and the birds and banners closing identities are all
-instances of the general summation, whose left side sums the chain product
+factorials, the r+1_phi_r series and the very-well-poised W series (both
+summed by their term ratio in the one loop ``_phi_partial``, the W series
+by its square-root-free ratio), Gasper's transformation, and the summation
+identities that close the hook-formula proof, whose sides are sums of
+f-ratio products added in a balanced tree (``_qsum``).  The single-step
+lemma and the birds and banners closing identities are all instances of
+the general summation, whose left side sums the chain product
 ``qtcore.phi_chain``.
 """
 
@@ -17,7 +18,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .partitions import Partition, bounded_tuples, monotone_chains
-from .qtcore import b_el, b_lambda, f_fun, phi_chain
+from .qtcore import b_el, b_lambda, b_lambda_f_form, f_fun, phi_chain
 from .report import VerificationReport, timed
 from .series import QTCoeff
 
@@ -69,7 +70,8 @@ def phi_series(uppers, lowers, q, z) -> Fraction:
     bound = _termination_bound(uppers, q)
     if bound is None:
         raise DegenerateDraw("no termination witness q^-n among uppers")
-    return _phi_partial(uppers, lowers, q, z, bound)
+    return _phi_partial([(Fraction(a), 1) for a in uppers],
+                        [(Fraction(b), 1) for b in lowers], q, z, bound)
 
 
 def _w_tail(tail, q):
@@ -87,7 +89,7 @@ def _w_tail(tail, q):
 
 
 def w_series(a1, tail, q, z) -> Fraction:
-    """Very-well-poised series by its square-root-free per-term form.
+    """Very-well-poised series summed by its square-root-free term ratio.
 
     tail entries are ("plain", a) for an ordinary parameter a, or
     ("sqrtpair", v) standing for the pair (+v^(1/2), -v^(1/2)); a pair
@@ -97,63 +99,53 @@ def w_series(a1, tail, q, z) -> Fraction:
     if a1 == 1:
         raise DegenerateDraw("a1 = 1 degenerates the W prefactor")
     plains, pairs, bound = _w_tail(tail, q)
-    q2 = q * q
-    total = Fraction(0)
-    for n in range(bound + 1):
-        term = (1 - a1 * q ** (2 * n)) / (1 - a1)
-        term *= q_poch(a1, q, n) / q_poch(q, q, n)
-        for a in plains:
-            den = q_poch(q * a1 / a, q, n)
-            if den == 0:
-                raise DegenerateDraw("W lower parameter pole")
-            term *= q_poch(a, q, n) / den
-        for v in pairs:
-            den = q_poch(q2 * a1 * a1 / v, q2, n)
-            if den == 0:
-                raise DegenerateDraw("W pair parameter pole")
-            term *= q_poch(v, q2, n) / den
-        total += term * z ** n
-    return total
+    # (1 - a1 q^2n) / (1 - a1) steps by (1 - q^2 a1 q^2n) / (1 - a1 q^2n)
+    uppers = [(a1, 1), (q * q * a1, 2), *((a, 1) for a in plains),
+              *((v, 2) for v in pairs)]
+    lowers = [(a1, 2), *((q * a1 / a, 1) for a in plains),
+              *((q * q * a1 * a1 / v, 2) for v in pairs)]
+    return _phi_partial(uppers, lowers, q, z, bound)
 
 
 def w_series_phi_form(a1, tail, q, z) -> Fraction:
     """The W series through its phi definition; needs exact square roots.
 
-    Shares the per-term form's termination bound so that the two evaluations
-    sum the same index range; 0/0 collisions inside the range surface as
-    DegenerateDraw through the lower-pole check.
+    Shares the term-ratio form's termination bound so that the two
+    evaluations sum the same index range; 0/0 collisions inside the range
+    surface as DegenerateDraw through the lower-pole check.
     """
-    q = Fraction(q)
+    a1, q = Fraction(a1), Fraction(q)
     bound = _w_tail(tail, q)[2]
     s = _exact_sqrt(a1)
-    uppers = [Fraction(a1), q * s, -q * s]
-    lowers = [s, -s]
+    uppers, lowers = [a1, q * s, -q * s], [s, -s]
     for kind, v in tail:
         if kind == "plain":
-            uppers.append(Fraction(v))
-            lowers.append(q * Fraction(a1) / Fraction(v))
+            roots = [Fraction(v)]
         else:
             u = _exact_sqrt(v)
-            uppers.extend([u, -u])
-            lowers.extend([q * Fraction(a1) / u, -q * Fraction(a1) / u])
-    return _phi_partial(uppers, lowers, q, Fraction(z), bound)
+            roots = [u, -u]
+        uppers += roots
+        lowers += [q * a1 / u for u in roots]
+    return _phi_partial([(a, 1) for a in uppers], [(b, 1) for b in lowers],
+                        q, Fraction(z), bound)
 
 
 def _phi_partial(uppers, lowers, q, z, bound: int) -> Fraction:
-    """The terms n = 0..bound of r+1_phi_r, summed by their term ratios."""
-    total = Fraction(0)
-    term = Fraction(1)
-    for n in range(bound + 1):
-        total += term
+    """The terms n = 0..bound of the series with first term 1 and term ratio
+    z / (1 - q^(n+1)) times prod (1 - c q^(k n)) over the upper factors
+    (c, k), over the same product for the lower ones."""
+    total = term = Fraction(1)
+    for n in range(bound):
         ratio = z / (1 - q ** (n + 1))
-        for a in uppers:
-            ratio *= 1 - Fraction(a) * q ** n
-        for b in lowers:
-            den = 1 - Fraction(b) * q ** n
+        for c, k in uppers:
+            ratio *= 1 - c * q ** (k * n)
+        for c, k in lowers:
+            den = 1 - c * q ** (k * n)
             if den == 0:
                 raise DegenerateDraw(f"lower parameter pole at step {n}")
             ratio /= den
         term *= ratio
+        total += term
     return total
 
 
@@ -347,23 +339,16 @@ def banners_final_check(lam, f, r) -> bool:
 
 
 def b_ratio_checks() -> bool:
-    """The two b-ratio displays feeding the Final identities, via b_lambda."""
-    for theta0 in range(B_RATIO_MAX + 1):
-        for rho0 in range(theta0 + 1):
-            base = b_lambda(Partition((theta0, rho0)))
-            expect = (f_fun(theta0 - rho0, 0) * f_fun(theta0, 1)
-                      * f_fun(rho0, 0) / f_fun(theta0 - rho0, 1))
-            if not base.equals(expect):
-                return False
-            for l in range(rho0 + 1):
-                ratio = b_lambda(Partition((theta0 - l, rho0 - l))) / base
-                expect = (f_fun(rho0 - l, 0) * f_fun(theta0 - l, 1)
-                          / (f_fun(rho0, 0) * f_fun(theta0, 1)))
-                # unrun: implied by the two base displays, checked before it
-                if not ratio.equals(expect):
-                    return False
-    for lam_parts in monotone_chains(0, B_RATIO_MAX, 4):
-        lam = Partition(lam_parts)
+    """The two b-ratio displays feeding the Final identities.
+
+    The birds display is a ratio of two b_lambda values on shapes of at most
+    two rows, so it holds once b_lambda agrees with its f-ratio form on every
+    such shape; the banners display is checked ratio by ratio, via b_el.
+    """
+    for lam in map(Partition, monotone_chains(0, B_RATIO_MAX, 2)):
+        if not b_lambda(lam).equals(b_lambda_f_form(lam)):
+            return False
+    for lam in map(Partition, monotone_chains(0, B_RATIO_MAX, 4)):
         l4, l2 = lam[4], lam[2]
         for l in range(l4 + 1):
             ratio = b_el(lam.sub_rectangle(l, 4)) / b_el(lam)

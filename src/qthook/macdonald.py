@@ -48,7 +48,6 @@ from .series import (
     VarSet,
     product_of_f,
     series_equals,
-    series_f,
 )
 
 
@@ -763,8 +762,11 @@ def warnaar_check(variant: str, n: int, trunc: int):
         lhs = lhs + term.scale(b_fun(lam)).shift_monomial(
             _mono(varset, w * w_exponent(lam)))
 
+    pair_w = w if variant in ("odd", "even") else []
+    pairs = [_mono(varset, pair_w + [xs[a], xs[b]])
+             for a in range(len(xs)) for b in range(a + 1, len(xs))]
     if variant == "oa":
-        rhs = MultiSeries.constant(1, varset, trunc)
+        rhs = product_of_f(pairs, varset, trunc)
         for i in xs:
             # (1 + w x_i) * (qt x_i^2; q^2)_inf / (x_i^2; q^2)_inf
             diag = MultiSeries(varset, trunc)
@@ -776,15 +778,8 @@ def warnaar_check(variant: str, n: int, trunc: int):
             lin = MultiSeries.constant(1, varset, trunc)
             lin.add_term(_mono(varset, w + [i]), QTFactored.one())
             rhs = rhs * diag * lin
-        for a in range(len(xs)):
-            for b in range(a + 1, len(xs)):
-                rhs = rhs * series_f(_mono(varset, [xs[a], xs[b]]),
-                                     varset, trunc)
     else:
         single_w = [] if variant == "even" else w
         single = [_mono(varset, single_w + [i]) for i in xs]
-        pair_w = [] if variant == "el" else w
-        pairs = [_mono(varset, pair_w + [xs[a], xs[b]])
-                 for a in range(len(xs)) for b in range(a + 1, len(xs))]
         rhs = product_of_f(single + pairs, varset, trunc)
     return series_equals(lhs, rhs)

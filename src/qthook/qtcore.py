@@ -4,15 +4,16 @@ Every weight and coefficient formula in this package is a product of factors
 (1 - q^a t^b)^(+-1) times a rational scalar, so the primary value type
 ``QTFactored`` keeps that factored shape: multiplication and division are
 dictionary merges and never expand anything (it is also the content of the
-exact series coefficient ``series.QTCoeff``).  Exact equality testing first
-cancels the monomial and the (1 - q^a t^b) powers both sides share
-(``cancelled_ratio``), then expands what is left to bivariate polynomials
-(``BiPoly``) and compares.  ``BiPoly`` keeps integral coefficients as Python
-ints and only the others as Fractions, and multiplies by the plain sparse
-term loop.  The hook check's eval mode takes values at rational sample
-points (``EvalPoint``, ``resampled``).  The chain product Phi
-(``phi_chain``) and Phi-hat (``phi_hat``) are defined here once, next to
-the Pieri coefficients, for both the weights and the summation identities.
+exact series coefficient ``series.QTCoeff``).  Both decide equality by one
+test, ``same_value``: it cancels the monomial and the (1 - q^a t^b) powers
+both sides share (``cancelled_ratio``), expands what is left to bivariate
+polynomials (``BiPoly``) and compares integer cross products.  ``BiPoly``
+keeps integral coefficients as Python ints and only the others as
+Fractions, and multiplies by the plain sparse term loop.  The hook check's
+eval mode takes values at rational sample points (``EvalPoint``,
+``resampled``).  The chain product Phi (``phi_chain``) and Phi-hat
+(``phi_hat``) are defined here once, next to the Pieri coefficients, for
+both the weights and the summation identities.
 """
 
 from __future__ import annotations
@@ -367,13 +368,8 @@ class QTFactored:
         return point.value(self.coeff, self.qexp, self.texp, self.factors)
 
     def equals(self, other: "QTFactored") -> bool:
-        """Exact equality: cancel the factors both sides share, expand what
-        is left and compare."""
-        if self.coeff == 0 or other.coeff == 0:
-            return self.coeff == other.coeff
-        u, v = cancelled_ratio(self.qexp, self.texp, self.factors,
-                               other.qexp, other.texp, other.factors)
-        return u.scale(self.coeff) == v.scale(other.coeff)
+        """Exact equality, through :func:`same_value`."""
+        return same_value(self, BI_ONE, other, BI_ONE)
 
     def __eq__(self, other):
         raise TypeError("compare QTFactored values with equals")
@@ -399,6 +395,27 @@ def cancelled_ratio(xq: int, xt: int, xf: dict,
         elif e < 0:
             v = v * _binomial_power(a, b, -e)
     return u, v
+
+
+def same_value(x: QTFactored, rx: BiPoly, y: QTFactored, ry: BiPoly) -> bool:
+    """Whether x * rx == y * ry, exactly: cancel what x and y share
+    (``cancelled_ratio``), then compare the two cross products, the scalars
+    taken as integer cross multiples."""
+    x_zero, y_zero = not (x.coeff and rx.terms), not (y.coeff and ry.terms)
+    if x_zero or y_zero:
+        return x_zero and y_zero
+    u, v = cancelled_ratio(x.qexp, x.texp, x.factors, y.qexp, y.texp, y.factors)
+    left, right = _times(rx, u), _times(ry, v)
+    sx = x.coeff.numerator * y.coeff.denominator
+    sy = y.coeff.numerator * x.coeff.denominator
+    if sx != sy:
+        left, right = left.scale(sx), right.scale(sy)
+    return left == right
+
+
+def _times(a: BiPoly, b: BiPoly) -> BiPoly:
+    """a * b, without a product when either is 1."""
+    return b if a.terms == BI_ONE.terms else a if b.terms == BI_ONE.terms else a * b
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,9 @@ from .qtcore import (
     EvalPoint,
     QTFactored,
     _binomial_power,
-    cancelled_ratio,
+    _times,
     f_fun,
+    same_value,
 )
 
 NO_TRUNC = 10 ** 9
@@ -133,20 +134,10 @@ class QTCoeff:
                        self.dq + other.dq, self.dt + other.dt, den)
 
     def equals(self, other) -> bool:
-        """Cancel the two contents, then compare the remainders."""
+        """Exact equality, through ``qtcore.same_value``."""
         if not isinstance(other, QTCoeff):
             return other.equals(self)
-        if not self or not other:
-            return not self and not other
-        x, y = self.content, other.content
-        u, v = cancelled_ratio(x.qexp, x.texp, x.factors,
-                               y.qexp, y.texp, y.factors)
-        left, right = _times(self.rem, u), _times(other.rem, v)
-        sx = x.coeff.numerator * y.coeff.denominator
-        sy = y.coeff.numerator * x.coeff.denominator
-        if sx != sy:
-            left, right = left.scale(sx), right.scale(sy)
-        return left == right
+        return same_value(self.content, self.rem, other.content, other.rem)
 
     def evaluate(self, point: EvalPoint) -> Fraction:
         """The value at ``point``: 0 for zero, else VanishingFactor wherever
@@ -159,11 +150,6 @@ class QTCoeff:
 
     def num_den_strings(self) -> tuple[str, str]:
         return str(self.num), str(self._den_poly())
-
-
-def _times(a: BiPoly, b: BiPoly) -> BiPoly:
-    """a * b, without a product when either is 1."""
-    return b if a.terms == BI_ONE.terms else a if b.terms == BI_ONE.terms else a * b
 
 
 def _lift(rem: BiPoly, f: QTFactored, scalar, qexp: int, texp: int,

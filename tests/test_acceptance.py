@@ -36,18 +36,14 @@ from p_maps import p_partitions
 P = Partition
 EXACT = None
 
-EXACT_INSTANCES = [
-    ("shifted", (P([1]), None, None), 3),
-    ("shifted", (P([2, 1]), None, None), 3),
-    ("shifted", (P([3, 1]), None, None), 3),
-    ("bird", (P([2, 1]), P([2, 1]), 1), 3),
-    ("banner", (P([4, 3, 2, 1]), None, 2), 3),
-]
-EVAL_INSTANCES = [
-    ("shifted", (P([3, 2]), None, None), 5),
-    ("bird", (P([4, 3]), P([3, 2]), 2), 5),
-    ("banner", (P([9, 6, 3, 2]), None, 2), 5),
-]
+
+def _desk_hooks(*modes):
+    """(family, build_family arguments, degree) of each hook instance of the
+    desk profile (``suites.DESK_HOOKS``) checked in one of ``modes``."""
+    return [(family, (P.parse(alpha), P.parse(beta) if beta else None, f),
+             degree)
+            for family, alpha, beta, f, degree, mode in suites.DESK_HOOKS
+            if mode in modes]
 
 
 def _announce(criterion, ok, detail=""):
@@ -57,11 +53,13 @@ def _announce(criterion, ok, detail=""):
 
 
 def test_criterion_1_okada_identity():
-    for family, args, degree in EXACT_INSTANCES:
+    exact, evals = _desk_hooks("exact"), _desk_hooks("eval")
+    assert (len(exact), len(evals)) == (5, 3)
+    for family, args, degree in exact:
         report = verify_okada(build_family(family, *args), degree, "exact")
         assert report.passed, report.to_dict()
     pts = sample_points(3, seed=0)
-    for family, args, degree in EVAL_INSTANCES:
+    for family, args, degree in evals:
         report = verify_okada(build_family(family, *args), degree, "eval",
                               pts, seed=0)
         assert report.passed, report.to_dict()
@@ -70,7 +68,7 @@ def test_criterion_1_okada_identity():
 
 def test_criterion_2_weight_coherence():
     checked = 0
-    for family, args, degree in EXACT_INSTANCES + EVAL_INSTANCES:
+    for family, args, degree in _desk_hooks("exact", "eval"):
         poset = build_family(family, *args)
         for pi in p_partitions(poset, degree):
             w_gen = weight_generic(poset, pi)
@@ -85,7 +83,7 @@ def test_criterion_2_weight_coherence():
 
 
 def test_criterion_3_hook_monomials():
-    instances = EXACT_INSTANCES + EVAL_INSTANCES + \
+    instances = _desk_hooks("exact", "eval") + \
         [("shifted", (P([4, 2, 1]), None, None), 0)]
     for family, args, _ in instances:
         poset = build_family(family, *args)

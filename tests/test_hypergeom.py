@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -105,11 +106,11 @@ def test_w_series_dual_evaluation():
             tail.append(("plain", F(rng.randint(2, 9), rng.randint(2, 9))))
         z = F(rng.randint(2, 9), rng.randint(2, 9))
         try:
-            per_term = w_series(a1, tail, q, z)
+            by_ratio = w_series(a1, tail, q, z)
             phi_form = w_series_phi_form(a1, tail, q, z)
         except (DegenerateDraw, ZeroDivisionError):
             continue
-        assert per_term == phi_form
+        assert by_ratio == phi_form
         done += 1
 
 
@@ -123,6 +124,94 @@ def test_w_series_pair_witness():
             (F(25), [("sqrtpair", F(64)), ("sqrtpair", F(9, 4))], 3)):
         assert hypergeom._w_tail(tail, q)[2] == bound
         assert w_series(a1, tail, q, z) == w_series_phi_form(a1, tail, q, z)
+
+
+def _w_series_per_term(a1, tail, q, z):
+    """The W series term by term, each term from its own q-Pochhammer
+    products: an oracle for the term-ratio sum of ``w_series``."""
+    a1, q, z = F(a1), F(q), F(z)
+    plains, pairs, bound = hypergeom._w_tail(tail, q)
+    total = F(0)
+    for n in range(bound + 1):
+        term = ((1 - a1 * q ** (2 * n)) / (1 - a1)
+                * q_poch(a1, q, n) / q_poch(q, q, n))
+        for a in plains:
+            term *= q_poch(a, q, n) / q_poch(q * a1 / a, q, n)
+        for v in pairs:
+            term *= q_poch(v, q * q, n) / q_poch(q * q * a1 * a1 / v, q * q, n)
+        total += term * z ** n
+    return total
+
+
+def _gasper_slice(monkeypatch):
+    """(draw, sides, w_series arguments) for the first 300 draws of the
+    Gasper sweep's stream at seeds 0, 1 and 2; sides and arguments are None
+    for a rejected draw."""
+    calls = []
+    real = hypergeom.w_series
+    monkeypatch.setattr(hypergeom, "w_series",
+                        lambda *args: calls.append(args) or real(*args))
+    for seed in range(3):
+        rng = random.Random(seed)
+        for _ in range(300):
+            draw = (*(hypergeom._draw_fraction(rng) for _ in range(4)),
+                    rng.randint(0, hypergeom.GASPER_MAX_N))
+            calls.clear()
+            try:
+                sides = gasper_both_sides(*draw)
+            except (DegenerateDraw, ZeroDivisionError):
+                yield draw, None, None
+                continue
+            yield draw, sides, calls[0]
+
+
+def test_w_series_matches_per_term_oracle_on_gasper_draws(monkeypatch):
+    checked = 0
+    for _, sides, args in _gasper_slice(monkeypatch):
+        if sides is not None:
+            assert w_series(*args) == _w_series_per_term(*args), args
+            checked += 1
+    assert checked == 376
+
+
+def test_gasper_slice_accepts_and_rejects_the_same_draws(monkeypatch):
+    """Counts and digest of the draw stream, measured before the W series
+    was summed by its term ratio: the same draws are accepted, with the
+    same sides, and the same rejected."""
+    digest, accepted = hashlib.sha256(), 0
+    for draw, sides, _ in _gasper_slice(monkeypatch):
+        if sides is None:
+            digest.update(f"reject {draw}\n".encode())
+        else:
+            accepted += 1
+            digest.update(f"accept {draw} {sides[0]} {sides[1]}\n".encode())
+    assert accepted == 376  # of 900; 524 rejected
+    assert digest.hexdigest() == (
+        "e46e70044af6824a42de0e112aec3e1134a6828d9a3d3262cb7714cfb6b35b17")
+
+
+def test_phi_series_sums_to_a_lower_pole_at_the_bound():
+    """A lower pole only at step ``bound`` is never met: the sum stops at
+    term ``bound``, and the ratio to the next term is not formed."""
+    q, z = F(1, 2), F(1, 3)
+    direct = sum(q_poch(F(5), q, n) / q_poch(q, q, n) * z ** n
+                 for n in range(3))  # the q^-2 upper and lower cancel
+    assert phi_series([q ** -2, F(5)], [q ** -2], q, z) == direct == F(1, 9)
+
+
+def test_w_series_raises_when_a1_is_an_inner_q_power(monkeypatch):
+    """a1 = q^-2m with m below the bound zeroes term m, so the term ratio
+    out of it is 0/0: both W evaluations reject the draw, and Gasper's
+    sides reject such an a1 before they reach the W series."""
+    q, z = F(1, 2), F(1, 3)
+    tail = [("plain", F(8)), ("sqrtpair", F(9))]  # bound 3; a1 = q^-2
+    for w in (w_series, w_series_phi_form):
+        with pytest.raises(DegenerateDraw, match="lower parameter pole at step 1"):
+            w(F(4), tail, q, z)
+    monkeypatch.setattr(hypergeom, "w_series", None)  # a call would fail
+    with pytest.raises(DegenerateDraw, match="collides with a q power"):
+        # a1 = b q^-3 / d = 4 = q^-2: no other side parameter is a q^-j
+        gasper_both_sides(F(5), F(3), F(6), q, 3)
 
 
 DEGENERATE_DRAWS = [  # (call, message): each raise of DegenerateDraw

@@ -127,8 +127,12 @@ def test_b_ratio_display_failure(name, monkeypatch):
 
 # A b-ratio that is wrong on some shapes ends both closing identities in a
 # fail.  A uniform scaling of b_el would leave the check blind: the display
-# is a ratio of two b_el values, so the factor cancels.
+# is a ratio of two b_el values, so the factor cancels.  The birds display
+# compares b_lambda with its f-ratio form, and a mutation of either side
+# reaches it.
 B_RATIO_MUTATIONS = [("b_lambda", lambda lam: QTFactored.binomial(1, 1, lam[2])),
+                     ("b_lambda_f_form",
+                      lambda lam: QTFactored.binomial(1, 1, lam[2])),
                      ("b_el", lambda lam: QTFactored.binomial(1, 0, lam[4]))]
 
 
