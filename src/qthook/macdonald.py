@@ -6,7 +6,8 @@ coefficients from :mod:`qthook.qtcore`.  A Gram-Schmidt construction against
 the (q, t) power-sum scalar product is kept as an independent oracle.  A
 polynomial in n variables is an exact ``MultiSeries`` over ``poly_vars(n)``
 (x1..xn) with truncation ``NO_TRUNC``; ``MultiSeries.substitute`` places it
-on the variables of a larger series.
+on the variables of a larger series.  Symmetric functions are expanded,
+multiplied and paired in m coordinates: {lam: coefficient of m_lam}.
 
 The series-level checks share one engine, the bracket partition sum
 (``partition_sum_check``): the Cauchy kernel is its bracket-Q instance with
@@ -22,6 +23,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import add, ge
 from types import MappingProxyType
 
 from .partitions import (
@@ -81,6 +83,24 @@ def m_expansion(poly: MultiSeries) -> dict[Partition, QTCoeff]:
         if key == e:
             out[Partition(key)] = c
     return out
+
+
+def m_product(a: MultiSeries, b: MultiSeries) -> dict[Partition, QTCoeff]:
+    """The m coordinates of a * b for symmetric a and b in the same variables.
+
+    Only the products whose exponent vectors sum to a weakly decreasing one
+    are formed: those carry the coefficients of the m_lam, and the rest of
+    a * b follows from symmetry.
+    """
+    right = list(b.monomials())
+    out = {}
+    for e1, c1 in a.monomials():
+        for e2, c2 in right:
+            e = tuple(map(add, e1, e2))
+            if all(map(ge, e, e[1:])):
+                lam = Partition(e)
+                out[lam] = out[lam] + c1 * c2 if lam in out else c1 * c2
+    return {lam: c for lam, c in out.items() if c}
 
 
 def _n_permutations(sorted_exps, n):
@@ -168,54 +188,35 @@ class NotInPBasis(ArithmeticError):
     """``expand_in_p`` could not expand: ``args`` is (lam, reason)."""
 
 
-def expand_in_p(poly: MultiSeries, degree: int, n: int) -> dict[Partition, QTCoeff]:
-    """Write a homogeneous symmetric polynomial as sum c_lam P_lam.
+def expand_in_p(coords: dict[Partition, QTCoeff], degree: int,
+                n: int) -> dict[Partition, QTCoeff]:
+    """Write a homogeneous symmetric polynomial in n variables, given by its
+    m coordinates, as sum c_lam P_lam.
 
-    Ties between dominance-incomparable partitions are broken
-    lexicographically (any linear extension works).  Raises NotInPBasis when
-    a P_lam used has x^lam coefficient other than 1, or a remainder is left.
+    In lex descending order (a linear extension of dominance), c_lam is the
+    remainder's coordinate at lam, and c_lam m_expansion(P_lam) is
+    subtracted.  Raises NotInPBasis when a P_lam used has m_lam coefficient
+    other than 1, or a remainder is left (named by its lex-largest partition,
+    the lex-largest exponent vector of a symmetric remainder).
     """
-    rest = poly
+    rest = dict(coords)
     out = {}
     candidates = sorted(partitions_of(degree, None, n),
                         key=lambda p: p.parts, reverse=True)
     for lam in candidates:
-        exps = lam.parts + (0,) * (n - lam.length())
-        c = rest.coefficient(exps)
+        c = rest.get(lam)
         if not c:
             continue
-        p_lam = macdonald_p(lam, n)
-        if not p_lam.coefficient(exps).equals(QTCoeff.one()):
+        p_lam = m_expansion(macdonald_p(lam, n))
+        if not p_lam[lam].equals(QTCoeff.one()):
             raise NotInPBasis(lam, "P_lam has a leading coefficient other than 1")
         out[lam] = c
-        rest = rest - p_lam.scale(c)
-    if not rest.is_zero():
-        raise NotInPBasis(Partition(sorted(max(e for e, _ in rest.monomials()),
-                                           reverse=True)),
+        for nu, v in p_lam.items():
+            rest[nu] = rest.get(nu, QTCoeff.zero()) - c * v
+    left = [nu for nu, c in rest.items() if c]
+    if left:
+        raise NotInPBasis(max(left, key=lambda p: p.parts),
                           "the expansion left a nonzero remainder")
-    return out
-
-
-def structure_constants(mu: Partition, nu: Partition, n: int) -> dict[Partition, QTCoeff]:
-    """Coefficients f^lam_{mu nu} of P_mu P_nu = sum f^lam P_lam."""
-    if n < mu.length() + nu.length():
-        raise ValueError("need n >= l(mu) + l(nu) for a faithful expansion")
-    prod = macdonald_p(mu, n) * macdonald_p(nu, n)
-    return expand_in_p(prod, mu.weight() + nu.weight(), n)
-
-
-def skew_q_via_structure(lam: Partition, mu: Partition, n: int) -> MultiSeries:
-    """Q_{lam/mu} = sum_nu f^lam_{mu nu} Q_nu, the defining expansion."""
-    d = lam.weight() - mu.weight()
-    out = MultiSeries(poly_vars(n), NO_TRUNC)
-    for nu in partitions_of(d):
-        if nu.length() > n:
-            continue  # Q_nu vanishes in n variables
-        consts = structure_constants(mu, nu, max(n, mu.length() + nu.length(),
-                                                 lam.length()))
-        c = consts.get(lam)
-        if c:
-            out = out + macdonald_q(nu, n).scale(c)
     return out
 
 
@@ -282,24 +283,17 @@ class RatFunc:
     def is_zero(self):
         return self.num.is_zero()
 
-    def _addsub(self, other: "RatFunc", sign: int) -> "RatFunc":
+    def __add__(self, other: "RatFunc") -> "RatFunc":
         from .polyops import divexact_bipoly, gcd_bipoly
 
         if self.is_zero():
-            return other if sign > 0 else RatFunc._raw(-other.num, other.den)
+            return other
         if other.is_zero():  # unrun: goes with ROADMAP item 2; never zero
             return self
         g = gcd_bipoly(self.den, other.den)
-        if _is_const(g):
-            num = self.num * other.den
-            # unrun: goes with ROADMAP item 2; no difference has coprime dens
-            num = num + (other.num * self.den if sign > 0
-                         else -(other.num * self.den))
-            return RatFunc._raw(num, self.den * other.den)
         d1 = divexact_bipoly(self.den, g)
         d2 = divexact_bipoly(other.den, g)
-        num = self.num * d2
-        num = num + (other.num * d1 if sign > 0 else -(other.num * d1))
+        num = self.num * d2 + other.num * d1
         den = self.den * d2
         t = gcd_bipoly(num, g)
         if not _is_const(t):
@@ -307,16 +301,12 @@ class RatFunc:
             den = divexact_bipoly(den, t)
         return RatFunc._raw(num, den)
 
-    def __add__(self, other):
-        return self._addsub(other, +1)
-
     def __sub__(self, other):
-        return self._addsub(other, -1)
+        return self + other.scale(-1)
 
     def __mul__(self, other):
         from .polyops import divexact_bipoly, gcd_bipoly
 
-        # unrun: goes with ROADMAP item 2; never zero
         if self.is_zero() or other.is_zero():
             return RF_ZERO
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
@@ -431,46 +421,55 @@ def _gram_matrix(d: int):
     parts, inverse = _m_to_p_matrix(d)
     weights = {lam: _z_weight(lam) for lam in parts}
     b = {}
-    for mu in parts:
-        for nu in parts:
+    for i, mu in enumerate(parts):
+        for nu in parts[i:]:  # the product is symmetric: one sum per pair
             acc = RF_ZERO
             for lam in parts:
                 c = inverse[mu].get(lam, Fraction(0)) * inverse[nu].get(lam, Fraction(0))
                 if c:
                     acc = acc + weights[lam].scale(c)
-            b[(mu, nu)] = acc
+            b[(mu, nu)] = b[(nu, mu)] = acc
     return parts, MappingProxyType(b)
 
 
 def scalar_product(f: dict[Partition, RatFunc], g: dict[Partition, RatFunc],
                    d: int) -> RatFunc:
-    """Macdonald scalar product of two degree-d elements in the m basis."""
+    """Macdonald scalar product of two degree-d elements in m coordinates:
+    sum_mu f_mu (sum_nu B[mu, nu] g_nu), each row summed before its one
+    product with f_mu."""
     parts, b = _gram_matrix(d)
     acc = RF_ZERO
     for mu, cf in f.items():
+        row = RF_ZERO
         for nu, cg in g.items():
-            acc = acc + cf * cg * b[(mu, nu)]
+            row = row + cg * b[(mu, nu)]
+        acc = acc + cf * row
     return acc
 
 
 @lru_cache(maxsize=None)
 def _gram_p_basis(d: int):
-    """Gram-Schmidt of the m basis in degree d: the P_lam in m coordinates."""
-    if d == 0:
-        return MappingProxyType({EMPTY: MappingProxyType({EMPTY: RF_ONE})})
+    """Gram-Schmidt of the m basis in degree d: the P_lam in m coordinates.
+
+    In lex ascending order, P_lam is m_lam less <m_lam, P_mu> / <m_mu, P_mu>
+    times each earlier P_mu.  So each P_mu needs one row of inner products
+    <m_kappa, P_mu>, kappa >= mu, one ``scalar_product`` an entry; the entry
+    at mu is the norm <P_mu, P_mu>, as P_mu is orthogonal to the earlier P,
+    which span the earlier m.
+    """
     parts = sorted(partitions_of(d), key=lambda p: p.parts)  # lex ascending
     built = {}
     norms = {}
     for lam in parts:
-        vec = {lam: RF_ONE}
         m_lam = {lam: RF_ONE}
-        for mu in list(built):
-            coef = scalar_product(m_lam, built[mu], d) / norms[mu]
-            for nu, v in built[mu].items():
+        vec = dict(m_lam)
+        for mu, p_mu in built.items():
+            coef = scalar_product(m_lam, p_mu, d) / norms[mu]
+            for nu, v in p_mu.items():
                 vec[nu] = vec.get(nu, RF_ZERO) - coef * v
         built[lam] = MappingProxyType(
             {nu: v for nu, v in vec.items() if not v.is_zero()})
-        norms[lam] = scalar_product(built[lam], built[lam], d)
+        norms[lam] = scalar_product(m_lam, built[lam], d)
     return MappingProxyType(built)
 
 
@@ -648,9 +647,9 @@ def pieri_check(mu: Partition, r: int, n: int, kind: str):
         raise ValueError("need l(mu) <= n")
     d = mu.weight() + r
     if kind == "phi":
-        prod, reference = macdonald_p(mu, n) * g_r(r, n), phi_skew
+        prod, reference = m_product(macdonald_p(mu, n), g_r(r, n)), phi_skew
     elif kind == "psi":
-        prod, reference = macdonald_q(mu, n) * g_r(r, n), psi_skew
+        prod, reference = m_product(macdonald_q(mu, n), g_r(r, n)), psi_skew
     else:
         raise ValueError(f"unknown Pieri kind {kind!r}")
     try:

@@ -54,8 +54,6 @@ GUARDS = [  # (call, exception, message)
      "r must have length f - 1"),
     (lambda: macdonald.skew_p(P([1]), P([2]), 2), ValueError,
      "is not contained"),
-    (lambda: macdonald.structure_constants(P([1]), P([1]), 1), ValueError,
-     "l\\(mu\\) \\+ l\\(nu\\)"),
     (lambda: macdonald.gram_p(P([7]), 1), ValueError, "budget"),
     (lambda: macdonald.gram_p(P([1, 1]), 1), ValueError, "l\\(lam\\) <= n"),
     (lambda: macdonald.pieri_check(P([1, 1]), 1, 1, "phi"), ValueError,

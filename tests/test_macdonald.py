@@ -13,6 +13,7 @@ from qthook.qtcore import EvalPoint, QTFactored, b_lambda, f_fun
 from qthook.series import NO_TRUNC, MultiSeries, QTCoeff
 from qthook import macdonald
 from qthook.macdonald import (
+    RF_ONE,
     RatFunc,
     branching_check,
     cauchy_check,
@@ -20,20 +21,44 @@ from qthook.macdonald import (
     g_r,
     gmacmahon_check,
     gram_p,
+    m_expansion,
+    m_product,
     macdonald_p,
     macdonald_q,
     orthonormality_check,
     partition_sum_check,
     pieri_check,
     qp_lemma_check,
+    scalar_product,
     skew_p,
     skew_q,
-    skew_q_via_structure,
-    structure_constants,
     warnaar_check,
 )
 
 P = Partition
+
+
+def structure_constants(mu: Partition, nu: Partition, n: int) -> dict:
+    """Coefficients f^lam_{mu nu} of P_mu P_nu = sum f^lam P_lam."""
+    if n < mu.length() + nu.length():
+        raise ValueError("need n >= l(mu) + l(nu) for a faithful expansion")
+    prod = m_product(macdonald_p(mu, n), macdonald_p(nu, n))
+    return expand_in_p(prod, mu.weight() + nu.weight(), n)
+
+
+def skew_q_via_structure(lam: Partition, mu: Partition, n: int) -> MultiSeries:
+    """Q_{lam/mu} = sum_nu f^lam_{mu nu} Q_nu, the defining expansion."""
+    d = lam.weight() - mu.weight()
+    out = MultiSeries(macdonald.poly_vars(n), NO_TRUNC)
+    for nu in partitions_of(d):
+        if nu.length() > n:
+            continue  # Q_nu vanishes in n variables
+        consts = structure_constants(mu, nu, max(n, mu.length() + nu.length(),
+                                                 lam.length()))
+        c = consts.get(lam)
+        if c:
+            out = out + macdonald_q(nu, n).scale(c)
+    return out
 
 
 def test_skew_p_base_cases():
@@ -133,6 +158,18 @@ def test_oracle_normalizes_with_exact_reciprocals():
                            for row in inverse.values() for v in row.values())
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_ratfunc_sum_over_coprime_denominators(sign):
+    # 1/(1-q) +- 1/(1-t) = (1 - t +- (1 - q)) / ((1-q)(1-t))
+    one_q = macdonald.BiPoly({(0, 0): 1, (1, 0): -1})
+    one_t = macdonald.BiPoly({(0, 0): 1, (0, 1): -1})
+    a, b = RatFunc(macdonald.BI_ONE, one_q), RatFunc(macdonald.BI_ONE, one_t)
+    got = a + b if sign > 0 else a - b
+    want = RatFunc(one_t + (one_q if sign > 0 else -one_q), one_q * one_t)
+    assert got.equals(want)
+    assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms)
+
+
 def test_g_r():
     assert g_r(0, 3).coefficient((0, 0, 0)).equals(QTCoeff.one())
     g1 = g_r(1, 2)
@@ -164,6 +201,11 @@ def test_skew_q_via_structure_constants():
             assert direct.equals(via), (lam, mu)
 
 
+def test_structure_constants_needs_enough_variables():
+    with pytest.raises(ValueError, match="l\\(mu\\) \\+ l\\(nu\\)"):
+        structure_constants(P([1]), P([1]), 1)
+
+
 def test_structure_constants_basics():
     consts = structure_constants(EMPTY, P([2, 1]), 3)
     assert set(consts) == {P([2, 1])}
@@ -187,7 +229,7 @@ def test_expansion_is_triangular_with_unit_leading_term():
         poly = macdonald_p(lam, 3)
         exps = lam.parts + (0,) * (3 - lam.length())
         assert poly.coefficient(exps).equals(QTCoeff.one())
-        back = expand_in_p(poly, lam.weight(), 3)
+        back = expand_in_p(m_expansion(poly), lam.weight(), 3)
         assert set(back) == {lam}
 
 
@@ -354,13 +396,57 @@ def test_bracket_checks_fail_on_a_wrong_side(name, fault, monkeypatch):
     assert "monomial" in info
 
 
-def test_expand_in_p_names_what_it_cannot_expand():
-    # x1 alone is not symmetric: P_(1) takes all of it and leaves -x2 - x3
-    poly = MultiSeries(macdonald.poly_vars(3), NO_TRUNC)
-    poly.add_term((1, 0, 0), 1)
-    with pytest.raises(macdonald.NotInPBasis) as err:
-        expand_in_p(poly, 1, 3)
-    assert err.value.args == (P([1]), "the expansion left a nonzero remainder")
+def test_expand_in_p_names_what_it_cannot_expand(monkeypatch):
+    # a P_(1,1) with an extra m_(2) term is not triangular: expanding e_2
+    # takes P_(1,1) once and leaves -m_(2) behind; a P_(1,1,1) with extra
+    # m_(3) and m_(2,1) terms leaves both, and the lex-largest is named
+    real = macdonald.macdonald_p
+    extra = {P([1, 1]): [P([2])], P([1, 1, 1]): [P([3]), P([2, 1])]}
+
+    def non_triangular(lam, n):
+        out = real(lam, n)
+        for mu in extra.get(lam, []):
+            for e in macdonald._distinct_permutations(mu, n):
+                out.add_term(e, QTCoeff.one())
+        return out
+
+    monkeypatch.setattr(macdonald, "macdonald_p", non_triangular)
+    for lam, named in ((P([1, 1]), P([2])), (P([1, 1, 1]), P([3]))):
+        with pytest.raises(macdonald.NotInPBasis) as err:
+            expand_in_p({lam: QTCoeff.one()}, lam.weight(), lam.length())
+        assert err.value.args == (named,
+                                  "the expansion left a nonzero remainder")
+
+
+def _same_coords(a: dict, b: dict) -> bool:
+    return set(a) == set(b) and all(a[k].equals(b[k]) for k in a)
+
+
+@pytest.mark.parametrize("build", [macdonald_p, macdonald_q])
+def test_m_product_matches_the_full_product(build):
+    for n in range(1, 5):
+        for mu in partitions_up_to(5, max_length=n):
+            for r in range(6 - mu.weight()):
+                a, b = build(mu, n), g_r(r, n)
+                assert _same_coords(m_product(a, b), m_expansion(a * b)), \
+                    (mu, r, n)
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_inner_product_with_m_mu_is_the_norm(d):
+    # <m_mu, P_mu> = <P_mu, P_mu> = 1 / b_mu (Macdonald VI (6.19)), the
+    # norm the Gram-Schmidt oracle reads off its inner-product rows
+    for mu in partitions_of(d):
+        p_mu = macdonald.m_coeffs_of(macdonald_p(mu, d))
+        norm = scalar_product(p_mu, p_mu, d)
+        assert scalar_product({mu: RF_ONE}, p_mu, d).equals(norm), mu
+        closed = RatFunc.from_qtcoeff(QTCoeff.from_qtf(b_lambda(mu).inverse()))
+        assert norm.equals(closed), mu
+
+
+def test_gram_matches_chains_at_5():
+    for lam in partitions_of(5):
+        assert gram_p(lam, 5).equals(macdonald_p(lam, 5)), lam
 
 
 @pytest.mark.parametrize("cache", [
