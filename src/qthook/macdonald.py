@@ -253,15 +253,12 @@ class RatFunc:
         # unrun: goes with ROADMAP item 2; never zero
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            num, den = BiPoly(), BI_ONE
-        else:
-            if not _is_const(den):
-                g = gcd_bipoly(num, den)
-                if not _is_const(g):
-                    num = divexact_bipoly(num, g)
-                    den = divexact_bipoly(den, g)
-            num, den = _monic(num, den)
+        if not _is_const(den):
+            g = gcd_bipoly(num, den)
+            if not _is_const(g):
+                num = divexact_bipoly(num, g)
+                den = divexact_bipoly(den, g)
+        num, den = _monic(num, den)
         self.num = num
         self.den = den
 
@@ -333,8 +330,8 @@ class RatFunc:
         return self.num * other.den == other.num * self.den
 
 
-RF_ZERO = RatFunc(BiPoly())
-RF_ONE = RatFunc(BI_ONE)
+RF_ZERO = RatFunc._raw(BiPoly(), BI_ONE)
+RF_ONE = RatFunc._raw(BI_ONE, BI_ONE)
 
 
 def _power_sum_poly(r: int, n: int) -> MultiSeries:

@@ -4,23 +4,26 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
 
 
-@dataclass
 class VerificationReport:
-    check: str
-    family: str | None = None
-    params: dict | None = None
-    degree: int | None = None
-    mode: str | None = None
-    points: list | None = None
-    result: str = "pass"
-    mismatch: dict | None = None
-    elapsed_ms: float = 0.0
-    extra: dict = field(default_factory=dict)
+    """One check's outcome.  A plain class, not a dataclass: ``dataclasses``
+    would pull ``inspect`` and its imports into every qthook process."""
+
+    __slots__ = ("check", "family", "params", "degree", "mode", "points",
+                 "result", "mismatch", "elapsed_ms", "extra")
+
+    def __init__(self, check: str, family: str | None = None,
+                 params: dict | None = None, degree: int | None = None,
+                 mode: str | None = None, points: list | None = None,
+                 result: str = "pass", mismatch: dict | None = None,
+                 elapsed_ms: float = 0.0, extra: dict | None = None):
+        self.check, self.family, self.params = check, family, params
+        self.degree, self.mode, self.points = degree, mode, points
+        self.result, self.mismatch, self.elapsed_ms = result, mismatch, elapsed_ms
+        self.extra = {} if extra is None else extra
 
     @property
     def passed(self) -> bool:

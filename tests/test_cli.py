@@ -1,6 +1,8 @@
 import io
 import json
+import os
 import runpy
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from hashlib import sha256
@@ -265,6 +267,29 @@ def test_timed_fills_elapsed_ms_when_the_block_raises():
         with timed(report):
             raise RuntimeError("stop")
     assert report.elapsed_ms > 0
+
+
+def test_reports_never_share_their_extra_dict():
+    a, b = VerificationReport(check="hook"), VerificationReport(check="hook")
+    a.extra["trials"] = 1
+    assert a.extra is not b.extra and b.extra == {}
+    assert a.to_dict()["trials"] == 1 and "trials" not in b.to_dict()
+
+
+START_UP = """import sys
+sys.path.insert(0, sys.argv[1])
+import qthook.suites, qthook.cli
+print([m for m in ("dataclasses", "inspect", "qthook.polyops") if m in sys.modules])
+"""
+
+
+def test_start_up_imports_no_dataclasses_inspect_or_polyops():
+    # -I ignores PYTHONPATH (so src goes on sys.path by hand) and also
+    # PYTHONDONTWRITEBYTECODE, which -B restores: no __pycache__ in src/
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    out = subprocess.run([sys.executable, "-I", "-B", "-c", START_UP, src],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qthook import qtcore
 from qthook.partitions import Partition, partitions_up_to, is_horizontal_strip
 from qthook.qtcore import (
     BI_ONE,
@@ -14,6 +15,7 @@ from qthook.qtcore import (
     VanishingFactor,
     _binomial_poly,
     _binomial_power,
+    _times,
     b_el,
     b_el_f_form,
     b_lambda,
@@ -25,6 +27,7 @@ from qthook.qtcore import (
     psi_skew,
     resample_point,
     resampled,
+    same_value,
     sample_points,
 )
 from qthook.series import QTCoeff, _f_coeffs
@@ -433,6 +436,113 @@ def test_qtcoeff_equals_matches_qt_equals():
         assert QTCoeff.from_qtf(f1 * c).equals(QTCoeff.from_qtf(f2 * c)) == \
             (f1 * c).equals(f2 * c)
         assert QTCoeff.from_qtf(f1 * c).equals(QTCoeff.from_qtf(c * f1))
+
+
+# -- identical factored forms are decided before anything is expanded -------
+
+def expanded_same_value(x, rx, y, ry):
+    """The oracle: same_value without the identical-form test, always
+    cancelling and expanding."""
+    x_zero, y_zero = not (x.coeff and rx.terms), not (y.coeff and ry.terms)
+    if x_zero or y_zero:
+        return x_zero and y_zero
+    u, v = cancelled_ratio(x.qexp, x.texp, x.factors, y.qexp, y.texp, y.factors)
+    left, right = _times(rx, u), _times(ry, v)
+    sx = x.coeff.numerator * y.coeff.denominator
+    sy = y.coeff.numerator * x.coeff.denominator
+    if sx != sy:
+        left, right = left.scale(sx), right.scale(sy)
+    return left == right
+
+
+def _form(coeff=Fraction(-3, 2), qexp=2, texp=-1, f=((2, 1, 1), (1, 0, -1))):
+    """coeff q^qexp t^texp times f(n; m)^s for each (n, m, s) of f, built
+    afresh on every call."""
+    out = QTFactored(coeff, qexp, texp)
+    for n, m, s in f:
+        out = out * (f_fun(n, m) if s > 0 else f_fun(n, m).inverse())
+    return out
+
+
+def _rem(terms=((0, 0, 2), (1, 2, -1))):
+    return BiPoly({(a, b): c for a, b, c in terms})
+
+
+def test_identical_forms_are_equal_without_expanding(monkeypatch):
+    def expand(*args):
+        raise AssertionError("identical forms were expanded")
+
+    monkeypatch.setattr(qtcore, "cancelled_ratio", expand)
+    x, y = _form(), _form()
+    assert x is not y and x.factors is not y.factors
+    assert same_value(x, _rem(), y, _rem())
+    assert x.equals(y) and f_fun(3, 2).equals(f_fun(3, 2))
+    a = QTCoeff.from_qtf(_form()) + QTCoeff.from_qtf(_form(qexp=3))
+    b = QTCoeff.from_qtf(_form()) + QTCoeff.from_qtf(_form(qexp=3))
+    assert a.rem.terms != BI_ONE.terms and a.equals(b)
+    with pytest.raises(AssertionError, match="expanded"):
+        _form().equals(_form(qexp=3))
+
+
+@pytest.mark.parametrize("other, rem", [
+    (_form(coeff=Fraction(3, 2)), _rem()),
+    (_form(qexp=1), _rem()),
+    (_form(texp=0), _rem()),
+    (_form(f=((2, 1, 1), (1, 0, -1), (1, 0, -1))), _rem()),
+    (_form(f=((2, 1, 1),)), _rem()),
+    (_form(), _rem(((0, 0, 2), (1, 2, 1)))),
+    (_form(), _rem(((0, 0, 2),))),
+], ids=["coeff", "qexp", "texp", "factor-exponent", "factor-dropped",
+        "rem-coeff", "rem-term"])
+def test_forms_one_part_apart_are_unequal(other, rem):
+    assert not same_value(_form(), _rem(), other, rem)
+    assert not same_value(other, rem, _form(), _rem())
+    assert not expanded_same_value(_form(), _rem(), other, rem)
+
+
+def test_one_value_in_two_forms_is_equal_through_the_expansion():
+    # (1 - q^2) * 1  against  (1 - q) * (1 + q)
+    x = QTFactored.binomial(2, 0)
+    y = QTFactored.binomial(1, 0)
+    one_plus_q = BiPoly({(0, 0): 1, (1, 0): 1})
+    assert same_value(x, BI_ONE, y, one_plus_q)
+    assert same_value(y, one_plus_q, x, BI_ONE)
+    assert not same_value(x, BI_ONE, y, BiPoly({(0, 0): 1, (1, 0): -1}))
+
+
+f_args = st.tuples(st.integers(0, 3), st.integers(0, 2), st.sampled_from([1, -1]))
+forms = st.tuples(
+    st.fractions(-4, 4, max_denominator=4), st.integers(-2, 2), st.integers(-2, 2),
+    st.lists(f_args, max_size=3).map(tuple))
+rems = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2)),
+                max_size=3).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(forms, rems, forms, rems,
+       st.sampled_from(["drawn", "identical", "moved", "one part drawn"]),
+       st.integers(0, 4),
+       st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(lambda ab: ab != (0, 0)))
+def test_same_value_agrees_with_expanding(xs, xr, ys, yr, how, part, moved):
+    """Independent draws; the same draw built twice; the same value with
+    one (1 - q^a t^b) moved from the content into the remainder; and the
+    same draw with one part (coeff, qexp, texp, f-product or remainder)
+    drawn anew."""
+    if how == "one part drawn" and part == 4:
+        ys = xs
+    elif how == "one part drawn":
+        ys, yr = xs[:part] + ys[part:part + 1] + xs[part + 1:], xr
+    elif how != "drawn":
+        ys, yr = xs, xr
+    x, rx = _form(*xs), _rem(xr)
+    y, ry = _form(*ys), _rem(yr)
+    if how == "moved":
+        y, ry = y * QTFactored.binomial(*moved, -1), ry * _binomial_poly(*moved)
+    got = same_value(x, rx, y, ry)
+    assert got == expanded_same_value(x, rx, y, ry)
+    assert got == same_value(y, ry, x, rx)
+    if how in ("identical", "moved"):
+        assert got
 
 
 # -- one-division point evaluation against the plain Fraction product --------
