@@ -324,15 +324,6 @@ def _trace_monomial(mono: dict, tilde: dict, tr: list[Partition]) -> dict:
     return mono
 
 
-def z_monomial(poset: ColoredPoset, pi: dict) -> dict:
-    """z^pi as a color-name exponent dictionary."""
-    out = {}
-    for e, v in pi.items():
-        if v:
-            out[poset.color[e]] = out.get(poset.color[e], 0) + v
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Both sides of the hook formula as truncated series.
 # ---------------------------------------------------------------------------

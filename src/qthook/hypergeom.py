@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import isqrt
 
 from .partitions import Partition, bounded_tuples, monotone_chains
 from .qtcore import b_el, b_lambda, b_lambda_f_form, f_fun, phi_chain
@@ -107,29 +106,6 @@ def w_series(a1, tail, q, z) -> Fraction:
     return _phi_partial(uppers, lowers, q, z, bound)
 
 
-def w_series_phi_form(a1, tail, q, z) -> Fraction:
-    """The W series through its phi definition; needs exact square roots.
-
-    Shares the term-ratio form's termination bound so that the two
-    evaluations sum the same index range; 0/0 collisions inside the range
-    surface as DegenerateDraw through the lower-pole check.
-    """
-    a1, q = Fraction(a1), Fraction(q)
-    bound = _w_tail(tail, q)[2]
-    s = _exact_sqrt(a1)
-    uppers, lowers = [a1, q * s, -q * s], [s, -s]
-    for kind, v in tail:
-        if kind == "plain":
-            roots = [Fraction(v)]
-        else:
-            u = _exact_sqrt(v)
-            roots = [u, -u]
-        uppers += roots
-        lowers += [q * a1 / u for u in roots]
-    return _phi_partial([(a, 1) for a in uppers], [(b, 1) for b in lowers],
-                        q, Fraction(z), bound)
-
-
 def _phi_partial(uppers, lowers, q, z, bound: int) -> Fraction:
     """The terms n = 0..bound of the series with first term 1 and term ratio
     z / (1 - q^(n+1)) times prod (1 - c q^(k n)) over the upper factors
@@ -147,16 +123,6 @@ def _phi_partial(uppers, lowers, q, z, bound: int) -> Fraction:
         term *= ratio
         total += term
     return total
-
-
-def _exact_sqrt(v) -> Fraction:
-    v = Fraction(v)
-    if v < 0:
-        raise DegenerateDraw("negative value has no rational square root")
-    num, den = isqrt(v.numerator), isqrt(v.denominator)
-    if num * num != v.numerator or den * den != v.denominator:
-        raise DegenerateDraw(f"{v} has no exact rational square root")
-    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ The series-level checks share one engine, the bracket partition sum
 eps (-1, +1) between empty shapes, the skew interchange lemma
 (``qp_lemma_check``) its bracket-P instance with eps (-1, +1), and the
 generalized MacMahon formula its bracket-P instance with eps (-1, +1)
-repeated T times.  Pieri, branching and Warnaar's sums are checked directly.
+repeated T times; the branching rule is its instance with eps (+1, +1) from
+lam down to the empty shape, anchored on the Gram-Schmidt oracle.  Pieri and
+Warnaar's sums are the two checks made directly.
 """
 
 from __future__ import annotations
@@ -174,9 +176,7 @@ def macdonald_q(lam: Partition, n: int) -> MultiSeries:
 
 
 def g_r(r: int, n: int) -> MultiSeries:
-    """g_r = Q_(r), the one-row Macdonald Q polynomial; g_0 = 1."""
-    if r == 0:
-        return MultiSeries.constant(1, poly_vars(n), NO_TRUNC)
+    """g_r = Q_(r), the one-row Macdonald Q polynomial; g_0 = Q_() = 1."""
     return macdonald_q(Partition([r]), n)
 
 
@@ -538,8 +538,9 @@ def orthonormality_check(lam: Partition, mu: Partition, n: int) -> bool:
 # ---------------------------------------------------------------------------
 # Series-level identity checks.  One walker, ``_bracket_sum_check``, runs the
 # bracket partition sum (Macdonald VI); the Cauchy kernel, the skew
-# interchange lemma and the generalized MacMahon formula are its instances.
-# Pieri, branching and Warnaar's sums are checked on their own.
+# interchange lemma, the generalized MacMahon formula and the branching rule
+# (anchored on the Gram-Schmidt oracle) are its instances.  Pieri and
+# Warnaar's sums are the two checks made on their own.
 # ---------------------------------------------------------------------------
 
 def _group_varset(groups: list[tuple[str, int]]) -> tuple[VarSet, dict[str, list[int]]]:
@@ -666,22 +667,18 @@ def pieri_check(mu: Partition, r: int, n: int, kind: str):
 
 
 def branching_check(lam: Partition, nx: int, nz: int):
-    """P_lam(x, z) = sum_mu P_{lam/mu}(x) P_mu(z), and the Q analogue."""
+    """P_lam(x, z) = sum_mu P_{lam/mu}(x) P_mu(z), and the Q analogue: the
+    bracket partition sum with eps (+1, +1) from lam down to the empty shape.
+
+    Both sides are strip-chain sums, so the strip-chain P_lam in the nx + nz
+    variables is first compared with the Gram-Schmidt oracle, where its
+    budget allows (|lam| <= 6, l(lam) <= nx + nz).
+    """
     n = nx + nz
-    varset = poly_vars(n)
-    for skew, label in ((skew_p, "P"), (skew_q, "Q")):
-        whole = skew(lam, EMPTY, n)
-        total = MultiSeries(varset, NO_TRUNC)
-        for d in range(lam.weight() + 1):
-            for mu in partitions_of(d):
-                if lam.contains(mu):
-                    total = total + _product_series(
-                        [(skew(lam, mu, nx), range(nx)),
-                         (skew(mu, EMPTY, nz), range(nx, n))],
-                        varset, NO_TRUNC)
-        if not whole.equals(total):
-            return False, {"lam": str(lam), "basis": label}
-    return True, None
+    if lam.weight() <= 6 and lam.length() <= n:
+        if not macdonald_p(lam, n).equals(gram_p(lam, n)):
+            return False, {"lam": str(lam), "basis": "Gram-Schmidt"}
+    return partition_sum_check((1, 1), lam, EMPTY, [nx, nz], lam.weight())
 
 
 def qp_lemma_check(mu: Partition, nu: Partition, nx: int, ny: int, trunc: int):

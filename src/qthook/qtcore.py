@@ -504,11 +504,6 @@ def b_lambda_f_form(lam: Partition) -> QTFactored:
     return _b_f_form(lam, 1)
 
 
-def b_el_f_form(lam: Partition) -> QTFactored:
-    """b^el as the f-ratio product restricted to even gaps."""
-    return _b_f_form(lam, 2)
-
-
 def _strip_coeff(lam: Partition, mu: Partition, n: int,
                  a: Partition, b: Partition) -> QTFactored:
     """The Pieri product (Macdonald, Symmetric Functions and Hall

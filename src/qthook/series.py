@@ -460,15 +460,11 @@ class MultiSeries:
         return min(self.terms) >> self.keys.shift if self.terms else None
 
     def truncated(self, new_trunc: int) -> "MultiSeries":
-        """Copy with a different degree bound (dropping higher terms)."""
-        res = MultiSeries(self.varset, new_trunc, self.point)
-        unpack, pack, limit = self.keys.unpack, res.keys.pack, res.keys.limit
-        terms = {}
-        for k, c in self.terms.items():
-            k = pack(unpack(k))
-            if k < limit:
-                terms[k] = c
-        return res._make(terms, self.den)
+        """Copy with a different degree bound (dropping higher terms): the
+        substitution of each variable by itself."""
+        n = len(self.varset)
+        return self.substitute([tuple(int(i == j) for j in range(n))
+                                for i in range(n)], self.varset, new_trunc)
 
     def is_zero(self) -> bool:
         return not self.terms

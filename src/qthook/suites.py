@@ -90,7 +90,7 @@ def _pieri(rng):
 
 
 def _branching(rng):
-    return _failures(({}, macdonald.branching_check(lam, 2, 1))
+    return _failures(({"lam": str(lam)}, macdonald.branching_check(lam, 2, 1))
                      for lam in partitions_up_to(4))
 
 

@@ -27,11 +27,10 @@ from qthook.hookformula import (
     weight_closed_form,
     weight_generic,
     weight_via_traces,
-    z_monomial,
 )
 from qthook import hypergeom, macdonald, suites
 
-from p_maps import p_partitions
+from p_maps import p_partitions, z_monomial
 
 P = Partition
 EXACT = None

@@ -43,11 +43,10 @@ from qthook.hookformula import (
     weight_generic,
     weight_shifted,
     weight_via_traces,
-    z_monomial,
 )
 from qthook.series import MultiSeries, key_layout, mono_str, series_equals
 
-from p_maps import p_partitions
+from p_maps import p_partitions, z_monomial
 
 P = Partition
 EXACT = None

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -25,11 +26,44 @@ from qthook.hypergeom import (
     phi_series,
     q_poch,
     w_series,
-    w_series_phi_form,
 )
 
 P = Partition
 F = Fraction
+
+
+def w_series_phi_form(a1, tail, q, z) -> Fraction:
+    """The W series through its phi definition; needs exact square roots.
+
+    Shares the term-ratio form's termination bound so that the two
+    evaluations sum the same index range; 0/0 collisions inside the range
+    surface as DegenerateDraw through the lower-pole check.
+    """
+    a1, q = Fraction(a1), Fraction(q)
+    bound = hypergeom._w_tail(tail, q)[2]
+    s = _exact_sqrt(a1)
+    uppers, lowers = [a1, q * s, -q * s], [s, -s]
+    for kind, v in tail:
+        if kind == "plain":
+            roots = [Fraction(v)]
+        else:
+            u = _exact_sqrt(v)
+            roots = [u, -u]
+        uppers += roots
+        lowers += [q * a1 / u for u in roots]
+    return hypergeom._phi_partial([(a, 1) for a in uppers],
+                                  [(b, 1) for b in lowers], q, Fraction(z),
+                                  bound)
+
+
+def _exact_sqrt(v) -> Fraction:
+    v = Fraction(v)
+    if v < 0:
+        raise DegenerateDraw("negative value has no rational square root")
+    num, den = isqrt(v.numerator), isqrt(v.denominator)
+    if num * num != v.numerator or den * den != v.denominator:
+        raise DegenerateDraw(f"{v} has no exact rational square root")
+    return Fraction(num, den)
 
 
 def test_q_poch_basics():

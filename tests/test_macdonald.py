@@ -263,7 +263,8 @@ def test_branching():
 
 def test_branching_fails_on_a_wrong_skew(monkeypatch):
     # doubling every P_{lam/mu} with mu nonempty changes the sum over mu but
-    # not P_lam itself (mu empty); a uniform doubling would cancel
+    # not P_lam itself (mu empty), so the oracle still agrees and the bracket
+    # sum reports the mismatch; a uniform doubling would cancel
     real = macdonald.skew_p
 
     def doubled(lam, mu, n):
@@ -271,7 +272,22 @@ def test_branching_fails_on_a_wrong_skew(monkeypatch):
         return out if mu == EMPTY else out.scale(QTFactored(2))
 
     monkeypatch.setattr(macdonald, "skew_p", doubled)
-    assert branching_check(P([1]), 1, 1) == (False, {"lam": "1", "basis": "P"})
+    assert branching_check(P([1]), 1, 1) == (False, {
+        "bracket": "P", "monomial": "x2_1", "lhs": "(2)/(1)", "rhs": "(1)/(1)"})
+
+
+def test_branching_fails_on_a_scaled_p(monkeypatch):
+    """psi_skew doubled scales every strip-chain P_lam, both sides of the
+    branching rule alike; the Gram-Schmidt anchor sees it."""
+    real = macdonald.psi_skew
+    monkeypatch.setattr(macdonald, "psi_skew",
+                        lambda *args: real(*args) * QTFactored(2))
+    macdonald._skew_cached.cache_clear()
+    try:
+        result = branching_check(P([2, 1]), 2, 1)
+    finally:
+        macdonald._skew_cached.cache_clear()  # no scaled polynomial outlives it
+    assert result == (False, {"lam": "2,1", "basis": "Gram-Schmidt"})
 
 
 def test_qp_lemma():

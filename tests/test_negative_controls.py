@@ -1,0 +1,117 @@
+"""One negative-control table: every check of ``verify all`` can fail.
+
+A check that cannot fail is a pass that checked nothing.  Each row applies
+one mutation to the code a check relies on and asserts that the check's
+report ends in "fail" (mutation analysis: DeMillo, Lipton & Sayward, "Hints
+on test data selection", IEEE Computer, 1978).  No mutation scales both
+sides of an identity alike: such a factor can cancel and leave a check
+blind.  The skew cache is emptied before and after each row, so every skew
+polynomial a row builds carries the mutation and none outlives it.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from qthook import hookformula, hypergeom, macdonald, suites
+from qthook.partitions import EMPTY, Partition
+from qthook.qtcore import QTFactored
+
+
+def _scaled(module, attr, factor):
+    """``module.attr`` with its value multiplied by ``factor``."""
+    real = getattr(module, attr)
+    return lambda mp: mp.setattr(module, attr,
+                                 lambda *args: real(*args) * factor)
+
+
+def _drop_last_rhs_summand(mp):
+    real = hypergeom.bounded_tuples
+    mp.setattr(hypergeom, "bounded_tuples",
+               lambda *args, **kw: real(*args, **kw)[:-1])
+
+
+def _drop_last_kernel_factor(mp):
+    real = macdonald.product_of_f
+    mp.setattr(macdonald, "product_of_f",
+               lambda monos, *rest: real(monos[:-1], *rest))
+
+
+def _double_q_of_one_box(mp):
+    real = macdonald.skew_q
+
+    def doubled(lam, mu, n):
+        out = real(lam, mu, n)
+        one_box = (lam, mu) == (Partition([1]), EMPTY)
+        return out.scale(QTFactored(2)) if one_box else out
+
+    mp.setattr(macdonald, "skew_q", doubled)
+
+
+def _drop_lowest_hook(mp):
+    real = hookformula.hook_monomials
+
+    def dropped(poset):
+        hooks = dict(real(poset))
+        del hooks[min(hooks, key=lambda e: sum(hooks[e].values()))]
+        return hooks
+
+    mp.setattr(hookformula, "hook_monomials", dropped)
+
+
+TWO = QTFactored(2)
+
+# identity -> the one mutation that must turn its report to "fail"
+IDENTITY_MUTATIONS = {
+    # rhs = prefactor * w_series, so this scales one side by 9/8
+    "gasper": _scaled(hypergeom, "w_series", Fraction(9, 8)),
+    "lemma": _scaled(hypergeom, "phi_chain", TWO),
+    "general": _drop_last_rhs_summand,
+    "birds-final": _scaled(hypergeom, "phi_chain", TWO),
+    "banners-final": _drop_last_rhs_summand,
+    "pieri": _scaled(macdonald, "phi_skew", TWO),
+    "cauchy": _drop_last_kernel_factor,
+    # scales every P_lam, both sides of the rule alike: the Gram-Schmidt
+    # anchor is what fails
+    "branching": _scaled(macdonald, "psi_skew", TWO),
+    "qp-lemma": _double_q_of_one_box,
+    "gmacmahon": _drop_last_kernel_factor,
+    "partition-sum": _double_q_of_one_box,
+    "warnaar-oa": _scaled(macdonald, "b_oa", TWO),
+    "warnaar-el": _scaled(macdonald, "b_el", TWO),
+    "warnaar-odd": _scaled(macdonald, "b_el", TWO),
+    "warnaar-even": _scaled(macdonald, "b_el", TWO),
+}
+
+# family -> its first desk instance, which must fail without its lowest hook
+HOOK_CASES = {}
+for case in suites.DESK_HOOKS:
+    HOOK_CASES.setdefault(case[0], case)
+
+
+@pytest.fixture
+def cold_skew_cache():
+    macdonald._skew_cached.cache_clear()
+    yield
+    macdonald._skew_cached.cache_clear()
+
+
+def test_every_identity_has_a_row():
+    assert sorted(IDENTITY_MUTATIONS) == sorted(suites.IDENTITY_NAMES)
+
+
+@pytest.mark.parametrize("name", IDENTITY_MUTATIONS)
+def test_identity_fails_under_its_mutation(name, monkeypatch, cold_skew_cache):
+    IDENTITY_MUTATIONS[name](monkeypatch)
+    report = suites.run_identity(name)
+    assert report.result == "fail", report.to_dict()
+
+
+@pytest.mark.parametrize("family", HOOK_CASES)
+def test_hook_fails_without_its_lowest_hook(family, monkeypatch):
+    _, alpha, beta, f, degree, mode = HOOK_CASES[family]
+    _drop_lowest_hook(monkeypatch)
+    report = suites.run_hook(family, Partition.parse(alpha),
+                             Partition.parse(beta) if beta else None,
+                             f, degree, mode, 3, 0)
+    assert report.result == "fail", report.to_dict()

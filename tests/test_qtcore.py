@@ -17,7 +17,6 @@ from qthook.qtcore import (
     _binomial_power,
     _times,
     b_el,
-    b_el_f_form,
     b_lambda,
     b_lambda_f_form,
     b_cell,
@@ -83,6 +82,11 @@ def test_b_lambda_small():
     expected = (QTFactored.binomial(1, 2) * QTFactored.binomial(2, 1, -1)
                 * QTFactored.binomial(0, 1, 2) * QTFactored.binomial(1, 0, -2))
     assert b_lambda(P([2, 1])).equals(expected)
+
+
+def b_el_f_form(lam: Partition) -> QTFactored:
+    """b^el as the f-ratio product restricted to even gaps."""
+    return qtcore._b_f_form(lam, 2)
 
 
 def test_b_forms_agree_weight_up_to_6():

@@ -46,8 +46,10 @@ FORCED = [
     ("pieri", 2, {"args": "(Partition([]), 1, 4, 'phi')", "call": 2}, 2),
     ("cauchy", 1, {"args": "(2, 2, 4)", "call": 1}, 1),
     ("cauchy", 2, None, 1),  # one case only: the sweep passes
-    ("branching", 1, {"args": "(Partition([]), 2, 1)", "call": 1}, 1),
-    ("branching", 2, {"args": "(Partition([1]), 2, 1)", "call": 2}, 2),
+    ("branching", 1, {"args": "(Partition([]), 2, 1)", "call": 1, "lam": ""},
+     1),
+    ("branching", 2,
+     {"args": "(Partition([1]), 2, 1)", "call": 2, "lam": "1"}, 2),
     ("qp-lemma", 1, {"args": "(Partition([]), Partition([]), 2, 2, 3)",
                      "call": 1, "mu": "", "nu": ""}, 1),
     ("qp-lemma", 2, {"args": "(Partition([]), Partition([1]), 2, 2, 3)",
