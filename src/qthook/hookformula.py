@@ -6,9 +6,16 @@ trace decompositions and the Macdonald-form rewrites of both sides are all
 validated against it.  It runs from a per-poset plan: the pairs, their kinds
 and their f-arguments are found once per poset (where the rank parities are
 also checked).  A weight counts each distinct f-argument (n, m) with its
-sign, then adds the factor exponents of each f once, scaled by its count;
-the hook LHS packs them into one int, a prefix sum along one walk over all
-P-partitions.  The bird and banner forms take Phi and Phi-hat from ``qtcore``.
+sign (``qtcore.f_product`` turns the counts into the weight).
+
+The hook check sets both sides up once as weight groups in one format,
+(f-argument counts, packed monomial keys): the left side packs the counts
+into one int, a prefix sum along one walk over all P-partitions
+(``lhs_terms``); the right side, prod_v F(z^(h_v)), is a sum over hook
+multiplicity vectors of prod f(k_v; 0), one walk over the multiplicities
+(``series.f_product_terms``).  ``verify_okada`` then decides each distinct
+monomial signature once.  The bird and banner forms take Phi and Phi-hat
+from ``qtcore``.
 """
 
 from __future__ import annotations
@@ -18,11 +25,11 @@ from .dposet import (ColoredPoset, _alias_tables, _complement, _mono_mul,
 from .partitions import (Partition, bounded_tuples, is_horizontal_strip,
                          monotone_chains, partitions_up_to)
 from .macdonald import macdonald_p, macdonald_q
-from .qtcore import (EvalPoint, QTFactored, b_el, b_lambda, f_fun, phi_chain,
-                     phi_hat, phi_skew, psi_skew, resampled)
+from .qtcore import (EvalPoint, QTFactored, b_el, b_lambda, f_fun, f_product,
+                     phi_chain, phi_hat, phi_skew, psi_skew, resampled)
 from .report import VerificationReport, timed
-from .series import (NO_TRUNC, MultiSeries, key_layout, product_of_f,
-                     series_equals)
+from .series import (NO_TRUNC, MultiSeries, QTCoeff, f_product_coeff,
+                     f_product_terms, key_layout, product_of_f, series_equals)
 
 # ---------------------------------------------------------------------------
 # Generic weight.
@@ -97,18 +104,7 @@ def weight_generic(poset: ColoredPoset, pi: dict) -> QTFactored:
     for x, m in hat:
         n = pi[x]
         counts[n, m] = get((n, m), 0) + 1
-    return _f_product(counts.items())
-
-
-def _f_product(counts) -> QTFactored:
-    """prod f(n; m)^c over the ((n, m), c) pairs of ``counts``: each f is
-    looked up once and its factor exponents are added, scaled by c."""
-    exps = {}
-    for (n, m), c in counts:
-        if c:
-            for k, v in f_fun(n, m).factors.items():
-                exps[k] = exps.get(k, 0) + c * v
-    return QTFactored(1, 0, 0, exps)
+    return f_product(counts.items())
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +324,8 @@ def _trace_monomial(mono: dict, tilde: dict, tr: list[Partition]) -> dict:
 # Both sides of the hook formula as truncated series.
 # ---------------------------------------------------------------------------
 
-def lhs_terms(poset: ColoredPoset,
-              trunc: int) -> list[tuple[QTFactored, list[int]]]:
-    """(weight, monomial keys) groups of the P-partition sum of W(pi) z^pi.
+def lhs_terms(poset: ColoredPoset, trunc: int) -> list[tuple[tuple, list[int]]]:
+    """(counts, monomial keys) groups of the P-partition sum of W(pi) z^pi.
 
     One walk over ``enumerate_p_partitions``.  The weight key is one int
     with a field of ``width`` bits for each f(n; m), n >= 1, that the plan
@@ -341,9 +336,10 @@ def lhs_terms(poset: ColoredPoset,
     comes first (the hat's is the 0 appended to each map).  ``wk``/``zk``
     are prefix sums of that key and of z^pi's ``key_layout`` key, so a
     P-partition recomputes only from the position the walk moved, where it
-    first differs from the one before.  A group's key is decoded once, for
-    ``_f_product``; groups come in the order of their first P-partition and
-    list their z^pi in enumeration order.
+    first differs from the one before.  A group's key is decoded once into
+    its counts, the ((n, m), c) pairs with c != 0 of the weight
+    prod f(n; m)^c (``qtcore.f_product``); groups come in the order of
+    their first P-partition and list their z^pi in enumeration order.
     """
     order = fill_order(poset)
     size = len(order)
@@ -382,14 +378,17 @@ def lhs_terms(poset: ColoredPoset,
     def counts(key):
         """The ((n, m), count) pairs of a weight key, lowest field first."""
         half = 1 << width - 1
+        out = []
         for field in fields:
             if not key:
-                return
+                break
             c = (key + half) % (2 * half) - half  # the balanced digit
-            yield field, c
+            if c:
+                out.append((field, c))
             key = (key - c) >> width
+        return tuple(out)
 
-    return [(_f_product(counts(key)), zs) for key, zs in groups.items()]
+    return [(counts(key), zs) for key, zs in groups.items()]
 
 
 def lhs_series(poset: ColoredPoset, trunc: int,
@@ -397,13 +396,17 @@ def lhs_series(poset: ColoredPoset, trunc: int,
     """Sum over P-partitions of weight <= trunc of W(pi) z^pi.
 
     ``terms`` are ``lhs_terms`` groups: each weight becomes a coefficient
-    once (one evaluation at ``point``, or one unexpanded ``QTCoeff`` in exact
-    mode) and is added at each of its monomials; at a point the series takes
-    the lcm of the values' denominators first, so every sum is of integers.
+    once (``f_product_coeff``: a QTFactored in exact mode, its value at
+    ``point``) and is added at each of its monomials.
     """
     out = MultiSeries(poset.varset, trunc, point)
-    out.add_groups(terms if terms is not None else lhs_terms(poset, trunc))
+    out.add_groups((f_product_coeff(counts, point), zs) for counts, zs in
+                   (terms if terms is not None else lhs_terms(poset, trunc)))
     return out
+
+
+def _hook_monos(poset: ColoredPoset, hooks) -> list[tuple[int, ...]]:
+    return [poset.varset.monomial(m) for m in hooks.values()]
 
 
 def rhs_series(poset: ColoredPoset, trunc: int,
@@ -411,41 +414,134 @@ def rhs_series(poset: ColoredPoset, trunc: int,
     """Product of F(hook monomial) over the vertices, truncated."""
     if hooks is None:
         hooks = hook_monomials(poset)
-    return product_of_f([poset.varset.monomial(m) for m in hooks.values()],
-                        poset.varset, trunc, point)
+    return product_of_f(_hook_monos(poset, hooks), poset.varset, trunc, point)
+
+
+def _signatures(left, right) -> dict:
+    """Each monomial's signature, mapped to the keys of the monomials that
+    share it.
+
+    A signature is the pair (left group indices, right group indices) of
+    the groups that contain the monomial, each index as often as its group
+    lists the monomial, in group order.  A monomial's coefficient on
+    either side is the sum of its groups' coefficients, so monomials with
+    one signature have one coefficient pair, and the signature decides
+    them all.
+    """
+    left_of, right_of = {}, {}  # monomial -> its group indices
+    for groups, of in ((left, left_of), (right, right_of)):
+        for i, (_, keys) in enumerate(groups):
+            one = (i,)
+            for z in keys:
+                of[z] = of[z] + one if z in of else one
+    sigs = {}
+    for z, ls in left_of.items():
+        sigs.setdefault((ls, right_of.pop(z, ())), []).append(z)
+    for z, rs in right_of.items():
+        sigs.setdefault(((), rs), []).append(z)
+    # every listed monomial of either side sits in exactly one signature
+    listed = sum(len(keys) for groups in (left, right) for _, keys in groups)
+    assert listed == sum((len(ls) + len(rs)) * len(zs)
+                         for (ls, rs), zs in sigs.items())
+    return sigs
+
+
+def _pair_sum(values, idxs) -> tuple[int, int]:
+    """The sum of the integer pairs (num, den) at ``idxs``, as a pair."""
+    num, den = 0, 1
+    for i in idxs:
+        n, d = values[i]
+        num, den = num * d + n * den, den * d
+    return num, den
+
+
+def _differing(left, right, sigs, point: EvalPoint | None) -> list:
+    """The signatures whose two sides differ, exactly or at ``point``.
+
+    Each group is valued once, and each signature compares the sum of its
+    left groups with the sum of its right ones: exact ``QTCoeff`` sums
+    compared by ``equals`` (one group against one group is mostly the
+    identical-form test), or at a point integer pairs compared by one
+    cross product.  Raises VanishingFactor where a group's value does.
+    """
+    if point is None:
+        lv, rv = ([QTCoeff.from_qtf(f_product(c)) for c, _ in groups]
+                  for groups in (left, right))
+        zero = QTCoeff.zero()
+        return [sig for sig in sigs
+                if not sum((lv[i] for i in sig[0]), zero).equals(
+                    sum((rv[i] for i in sig[1]), zero))]
+    lv, rv = ([point.f_product(c) for c, _ in groups]
+              for groups in (left, right))
+    out = []
+    for sig in sigs:
+        ln, ld = _pair_sum(lv, sig[0])
+        rn, rd = _pair_sum(rv, sig[1])
+        if ln * rd != rn * ld:
+            out.append(sig)
+    return out
+
+
+def _mismatch(poset: ColoredPoset, trunc: int, point: EvalPoint | None,
+              left, right, keys: set) -> dict:
+    """``series_equals``' report on the two sides restricted to ``keys``,
+    the monomials of the differing signatures: the lex-first of them with
+    both coefficient texts.  The left coefficients are added in group
+    order, as ``lhs_series`` adds them; the right ones in walk order, which
+    leaves the text alone, since it depends only on the value and on the
+    display denominator, the maximum over the summands'."""
+    sides = []
+    for groups in (left, right):
+        side = MultiSeries(poset.varset, trunc, point)
+        side.add_groups((f_product_coeff(counts, point), kept)
+                        for counts, zs in groups
+                        if (kept := [z for z in zs if z in keys]))
+        sides.append(side)
+    equal, mismatch = series_equals(*sides)
+    assert not equal  # the signatures differ there
+    return mismatch
 
 
 def verify_okada(poset: ColoredPoset, trunc: int, mode: str = "exact",
                  points=None, seed: int = 0) -> VerificationReport:
-    """seriesEquals(lhs, rhs) with full diagnostics; the theorem instance.
+    """The theorem instance: both sides as weight groups, compared one
+    monomial signature at a time, with full diagnostics.
 
-    ``report.points`` lists the eval points compared, replacements included.
+    Both sides are (counts, monomial keys) groups in one format: the left
+    is ``lhs_terms``, the right the walk over hook multiplicities
+    (``f_product_terms`` of the hook monomials).  The monomials are indexed
+    once by signature (``_signatures``).  Then per point (exact mode: once)
+    each distinct group is valued once and each distinct signature decided
+    once; in exact mode that decides every monomial of either side.  A
+    failure reports the lex-first differing monomial with both coefficient
+    texts, as ``series_equals`` of the two series would.  ``report.points``
+    lists the eval points compared, replacements included: a point is
+    redrawn where a group's value has a vanishing binomial.
     """
     report = VerificationReport(
         check="hook", family=poset.family,
         params={k: str(v) for k, v in poset.params.items()},
         degree=trunc, mode=mode, points=[])
     with timed(report):
-        terms = lhs_terms(poset, trunc)
-        hooks = hook_monomials(poset)
         if mode == "exact":
             point_list = [None]
         elif points:
             point_list = list(points)
         else:
             raise ValueError("eval mode requires points")
-
-        def sides(pt):
-            return (lhs_series(poset, trunc, pt, terms),
-                    rhs_series(poset, trunc, pt, hooks))
-
-        for pt, (lhs, rhs) in resampled(point_list, seed, sides):
+        left = lhs_terms(poset, trunc)
+        right = f_product_terms(_hook_monos(poset, hook_monomials(poset)),
+                                poset.varset, trunc)
+        sigs = _signatures(left, right)
+        for pt, differing in resampled(
+                point_list, seed, lambda pt: _differing(left, right, sigs, pt)):
             if pt is not None:
                 report.points.append([str(pt.q0), str(pt.t0)])
-            equal, mismatch = series_equals(lhs, rhs)
-            if not equal:
+            if differing:
                 report.result = "fail"
-                report.mismatch = mismatch
+                report.mismatch = _mismatch(
+                    poset, trunc, pt, left, right,
+                    {z for sig in differing for z in sigs[sig]})
                 break
     return report
 

@@ -13,9 +13,10 @@ bivariate polynomials (``BiPoly``) and integer cross products compared.
 ``BiPoly`` keeps integral coefficients as Python ints and only the others
 as Fractions, and multiplies by the plain sparse term loop.  The hook
 check's eval mode takes values at rational sample points (``EvalPoint``,
-``resampled``).  The chain product Phi (``phi_chain``) and Phi-hat
-(``phi_hat``) are defined here once, next to the Pieri coefficients, for
-both the weights and the summation identities.
+``resampled``); a weight group there, a product of f(n; m) powers, is
+valued from the point's f-table.  The chain product Phi (``phi_chain``)
+and Phi-hat (``phi_hat``) are defined here once, next to the Pieri
+coefficients, for both the weights and the summation identities.
 """
 
 from __future__ import annotations
@@ -174,10 +175,11 @@ class EvalPoint:
     With q0 = qn / qd and t0 = tn / td in lowest terms, each binomial is
     1 - q0^a t0^b = B / (qd^a td^b); the point caches the numerator B of
     every binomial it has met, so ``value`` can multiply integers and divide
-    once.
+    once.  Its f-table holds each f(n; m) it has met as an integer pair, so
+    that ``f_product`` values a weight group by a few integer products.
     """
 
-    __slots__ = ("q0", "t0", "_binomials")
+    __slots__ = ("q0", "t0", "_binomials", "_f_table")
 
     def __init__(self, q0, t0):
         q0, t0 = Fraction(q0), Fraction(t0)
@@ -187,6 +189,7 @@ class EvalPoint:
         self.q0 = q0
         self.t0 = t0
         self._binomials = {}
+        self._f_table = {}  # (n, m) -> f(n; m) as an integer pair
 
     def __repr__(self):
         return f"EvalPoint({self.q0}, {self.t0})"
@@ -236,6 +239,52 @@ class EvalPoint:
             elif exp < 0:
                 den *= base ** -exp
         return Fraction(num, den)
+
+    def _f_pair(self, n: int, m: int) -> tuple:
+        """f(n; m) here as an integer pair (num, den), () where one of its
+        binomials vanishes, kept in the f-table.  f(n; m) is f(n - 1; m)
+        times the one binomial ratio (1 - q0^(n-1) t0^(m+1)) /
+        (1 - q0^n t0^m), which is B(n - 1, m + 1) qd / (B(n, m) td); from
+        the first vanishing binomial on, every later f(n; m) carries it
+        too."""
+        if n == 0:
+            return 1, 1
+        pair = self._f_table.get((n, m))
+        if pair is None:
+            prev = self._f_pair(n - 1, m)
+            try:
+                pair = prev and (
+                    prev[0] * self.binomial(n - 1, m + 1) * self.q0.denominator,
+                    prev[1] * self.binomial(n, m) * self.t0.denominator)
+            except VanishingFactor:
+                pair = ()
+            self._f_table[n, m] = pair
+        return pair
+
+    def f_product(self, counts) -> tuple[int, int]:
+        """prod f(n; m)^c over the ((n, m), c) pairs of ``counts``, here, as
+        an integer pair (num, den) with den != 0: the value num / den,
+        neither reduced nor made positive.
+
+        Each f(n; m) comes from the point's f-table.  Where one of them has
+        a vanishing binomial the value is that of ``qtcore.f_product(counts)``
+        instead, whose ``evaluate`` raises VanishingFactor exactly when a
+        vanishing binomial keeps a nonzero exponent in the product.
+        """
+        num = den = 1
+        table = self._f_table
+        for field, c in counts:
+            pair = table.get(field) or self._f_pair(*field)
+            if not pair:
+                value = f_product(counts).evaluate(self)
+                return value.numerator, value.denominator
+            if c == 1:
+                num, den = num * pair[0], den * pair[1]
+            elif c > 0:
+                num, den = num * pair[0] ** c, den * pair[1] ** c
+            else:
+                num, den = num * pair[1] ** -c, den * pair[0] ** -c
+        return num, den
 
 
 def sample_points(count: int, seed: int) -> list[EvalPoint]:
@@ -443,6 +492,18 @@ def _f_fun_cached(n: int, m: int) -> QTFactored:
     out = QTFactored(1 if n >= 0 else 0, 0, 0, factors)
     out.factors = MappingProxyType(out.factors)
     return out
+
+
+def f_product(counts) -> QTFactored:
+    """prod f(n; m)^c over the ((n, m), c) pairs of ``counts``, exactly:
+    each f is looked up once and its factor exponents are added, scaled by
+    c.  The exact form of a weight group of the hook check (its value at a
+    point is ``EvalPoint.f_product``)."""
+    exps = {}
+    for (n, m), c in counts:
+        for k, v in f_fun(n, m).factors.items():
+            exps[k] = exps.get(k, 0) + c * v
+    return QTFactored(1, 0, 0, exps)
 
 
 def f_fun(n: int, m: int) -> QTFactored:

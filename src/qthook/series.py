@@ -20,6 +20,11 @@ the lex-first mismatch of ``series_equals``, orders the tuples.
 A polynomial is a series with truncation ``NO_TRUNC``: the Macdonald
 polynomials are exact series in x1..xn, and ``substitute`` places one on
 the variables of a larger series.
+
+A product of F-factors, the right side of every hook formula and of the
+Cauchy-type kernels, is built as weight groups, (f-argument counts, keys),
+by one walk over the factors' multiplicities (``f_product_terms``), and
+``product_of_f`` adds each group's coefficient at its monomials.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .qtcore import (
     QTFactored,
     _binomial_power,
     _times,
-    f_fun,
+    f_product,
     same_value,
 )
 
@@ -487,57 +492,63 @@ class MultiSeries:
         return res
 
 
-def series_f(mono: tuple[int, ...], varset: VarSet, trunc: int,
-             point: EvalPoint | None = None, coeffs=None) -> MultiSeries:
-    """F(x) = (tx; q)_inf / (x; q)_inf at x = the given monomial, truncated.
+def f_product_terms(monos, varset: VarSet, trunc: int) -> list[tuple]:
+    """The (counts, keys) groups of prod_m F(x^m) truncated at ``trunc``.
 
-    Expanded through its binomial coefficients f(k; 0); ``coeffs``, when
-    given, is ``_f_coeffs`` of k <= trunc // deg at least (``product_of_f``
-    shares one among its factors).
+    F(x) = sum_k f(k; 0) x^k, so the product is a sum over multiplicity
+    vectors (k_m) of prod f(k_m; 0) x^(sum k_m m).  One walk builds every
+    vector of degree <= trunc, one monomial at a time, as a list of
+    prefixes per level: each prefix carries its packed monomial key
+    (``key_layout``) and a count key, a field per k holding how many
+    monomials have multiplicity k.  Monomials of degree above the
+    truncation contribute only k = 0 and are left out; the others go in by
+    descending degree, so the early levels, whose monomials have the fewest
+    multiplicities, stay short.  Vectors with equal count keys share one
+    coefficient, a group; ``counts`` are its ((k, 0), c) pairs, as
+    ``qtcore.f_product`` and ``EvalPoint.f_product`` take them.
     """
-    deg = sum(mono)
-    if deg < 1:
-        raise ValueError("series_f needs a monomial of degree >= 1")
-    if any(e < 0 for e in mono):
-        raise ValueError("series_f needs nonnegative exponents")
-    top = trunc // deg
-    nums, den = coeffs or _f_coeffs(top, point)
-    res = MultiSeries(varset, trunc, point)
-    key = res.keys.pack(mono)
-    res.terms = {k * key: nums[k] for k in range(top + 1) if nums[k]}
-    res.den = den
-    return res
+    layout = key_layout(len(varset), trunc)
+    packed = []
+    for m in monos:
+        if any(e < 0 for e in m):
+            raise ValueError("product_of_f needs nonnegative exponents")
+        if sum(m) < 1:
+            raise ValueError("product_of_f needs monomials of degree >= 1")
+        if sum(m) <= trunc:
+            packed.append(layout.pack(m))
+    width, limit = len(packed).bit_length(), layout.limit
+    level = [(0, 0)]  # (monomial key, count key) of each prefix
+    for key in sorted(packed, reverse=True):  # the degree is the top field
+        steps = [(k * key, 1 << k * width)
+                 for k in range(1, trunc + 1) if k * key < limit]
+        level += [(z + dz, c + dc) for z, c in level for dz, dc in steps
+                  if z + dz < limit]
+    groups = {}
+    for z, c in level:
+        groups.setdefault(c, []).append(z)
+    mask = (1 << width) - 1
+    return [(tuple(((k, 0), c >> k * width & mask) for k in range(1, trunc + 1)
+                   if c >> k * width & mask), zs)
+            for c, zs in groups.items()]
 
 
-def _f_coeffs(top: int, point: EvalPoint | None) -> tuple[list, int]:
-    """(numerators, den): f(k; 0) for k = 0..top as the stored coefficients
-    of a series at ``point``, over one denominator (1 in exact mode)."""
-    coeffs = [as_coeff(f_fun(k, 0), point) for k in range(top + 1)]
+def f_product_coeff(counts, point: EvalPoint | None):
+    """The coefficient prod f(n; m)^c of a (counts, keys) group: a
+    QTFactored in exact mode, its Fraction value at a point."""
     if point is None:
-        return coeffs, 1
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+        return f_product(counts)
+    return Fraction(*point.f_product(counts))
 
 
 def product_of_f(monos, varset: VarSet, trunc: int,
                  point: EvalPoint | None = None) -> MultiSeries:
-    """prod_m F(x^m) truncated; the right-hand side shape of every hook formula.
-
-    The factors go in by descending total degree of their monomial (a stable
-    sort), but not those of degree above the truncation, which are 1 below
-    it.  A factor of large degree has only one or two terms below the
-    truncation, so it is cheapest to multiply in while the running product
-    is still small; the product, being exact, does not depend on the order.
-    Each f(k; 0) becomes a coefficient once, for k up to trunc over the
-    smallest degree: the ones the factors use, and no others.
-    """
-    monos = sorted((m for m in monos if sum(m) <= trunc), key=sum, reverse=True)
-    if not monos:
-        return MultiSeries.constant(1, varset, trunc, point)
-    coeffs = _f_coeffs(trunc // max(sum(monos[-1]), 1), point)
-    out = series_f(monos[0], varset, trunc, point, coeffs)
-    for m in monos[1:]:
-        out = out * series_f(m, varset, trunc, point, coeffs)
+    """prod_m F(x^m) truncated; the right-hand side shape of every hook
+    formula.  F(x) = (tx; q)_inf / (x; q)_inf.  Each group of
+    ``f_product_terms`` becomes a coefficient once and is added at each of
+    its monomials."""
+    out = MultiSeries(varset, trunc, point)
+    out.add_groups((f_product_coeff(counts, point), keys)
+                   for counts, keys in f_product_terms(monos, varset, trunc))
     return out
 
 

@@ -207,26 +207,20 @@ def test_criterion_9_structure_theorems():
     # composition: kernel x Warnaar-even product side = hook product side
     from qthook.dposet import _alias_tables, _mono_mul
     from qthook.hookformula import _kernel_f_args
-    from qthook.series import MultiSeries, series_f
+    from qthook.series import product_of_f
 
     alpha = P([2, 1])
     poset = build_family("shifted", alpha, None, None)
     al = _alias_tables(poset)
-    out = MultiSeries.constant(1, poset.varset, 3, EXACT)
-    for arg in _kernel_f_args(al["zt"], alpha, al["n"]):
-        out = out * series_f(poset.varset.monomial(arg),
-                             poset.varset, 3, EXACT)
+    monos = poset.varset.monomial
+    kernel = [monos(arg) for arg in _kernel_f_args(al["zt"], alpha, al["n"])]
     r = alpha.length()
-    for i in range(1, r + 1):
-        out = out * series_f(
-            poset.varset.monomial(al["zt"][alpha[i]]),
-            poset.varset, 3, EXACT)
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            arg = _mono_mul(_mono_mul(al["w"], al["zt"][alpha[i]]),
-                            al["zt"][alpha[j]])
-            out = out * series_f(poset.varset.monomial(arg),
-                                 poset.varset, 3, EXACT)
+    product_side = [monos(al["zt"][alpha[i]]) for i in range(1, r + 1)]
+    product_side += [monos(_mono_mul(_mono_mul(al["w"], al["zt"][alpha[i]]),
+                                     al["zt"][alpha[j]]))
+                     for i in range(1, r + 1) for j in range(i + 1, r + 1)]
+    out = (product_of_f(kernel, poset.varset, 3, EXACT)
+           * product_of_f(product_side, poset.varset, 3, EXACT))
     eq, info = series_equals(out, rhs_series(poset, 3, EXACT))
     assert eq, info
     _announce("9 (Macdonald-form rewrites of both sides + Warnaar-even "

@@ -75,7 +75,7 @@ GUARDS = [  # (call, exception, message)
     (lambda: series.VarSet(["x", "x"]), ValueError, "duplicate"),
     (lambda: series.MultiSeries.constant(1, S, 3).shift_monomial((-1, 0)),
      ValueError, "drives \\(0, 0\\) negative"),
-    (lambda: series.series_f((2, -1), S, 3), ValueError, "nonnegative"),
+    (lambda: series.product_of_f([(2, -1)], S, 3), ValueError, "nonnegative"),
     (lambda: P([1])[0], IndexError, "1-indexed"),
     (lambda: P([2, 1]).sub_rectangle(2, 2), ValueError, "cannot remove"),
     (lambda: suites.run_identity("hexagon"), ValueError, "unknown identity"),

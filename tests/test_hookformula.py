@@ -1,9 +1,8 @@
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qthook import hookformula
@@ -14,6 +13,8 @@ from qthook.qtcore import (
     b_el,
     b_lambda,
     f_fun,
+    f_product,
+    resampled,
     sample_points,
 )
 from qthook.dposet import (
@@ -239,21 +240,22 @@ def test_verify_okada_eval_small():
     assert report.passed, report.to_dict()
 
 
+# f(1; 1) / f(1; 0) = (1 + t)(1 - q)/(1 - qt), a factor that moves a weight
+CORRUPTION = (((1, 1), 1), ((1, 0), -1))
+
+
 def test_corrupted_weight_fails_with_lowest_mismatch():
     poset = build_shifted(P([2, 1]))
-    from qthook.series import MultiSeries, series_equals as seq
-
     terms, degree = [], key_layout(len(poset.varset), 3).shift
-    for w, monos in lhs_terms(poset, 3):
+    for counts, monos in lhs_terms(poset, 3):
         for mono in monos:
-            bad = w
-            if mono >> degree == 1 and w.factors:
-                # corrupt one factor's shift by 1: multiply by (1-qt)/(1-t)
-                bad = w * QTFactored.binomial(1, 1) / QTFactored.binomial(0, 1)
+            bad = counts
+            if mono >> degree == 1 and counts:
+                bad = counts + CORRUPTION
             terms.append((bad, [mono]))
     lhs = lhs_series(poset, 3, EXACT, terms)
     rhs = rhs_series(poset, 3, EXACT)
-    eq, mismatch = seq(lhs, rhs)
+    eq, mismatch = series_equals(lhs, rhs)
     assert not eq
     assert mismatch is not None
     # the corruption hits degree-1 monomials; the first mismatch is degree 1
@@ -271,7 +273,8 @@ def test_lhs_groups_expand_to_the_weight_of_each_p_partition(poset, D):
         return mono, w.coeff, w.qexp, w.texp, tuple(sorted(w.factors.items()))
 
     groups, unpack = lhs_terms(poset, D), key_layout(len(poset.varset), D).unpack
-    grouped = sorted(key(unpack(m), w) for w, monos in groups for m in monos)
+    grouped = sorted(key(unpack(m), f_product(counts))
+                     for counts, monos in groups for m in monos)
     single = sorted(key(poset.varset.monomial(z_monomial(poset, pi)),
                         weight_generic(poset, pi))
                     for pi in p_partitions(poset, D))
@@ -299,8 +302,8 @@ def assert_lhs_groups_by_weight(poset, D):
         by_weight.setdefault(key(weight_generic(poset, pi)), []).append(
             poset.varset.monomial(z_monomial(poset, pi)))
     unpack = key_layout(len(poset.varset), D).unpack
-    assert [(key(w), [unpack(m) for m in monos])
-            for w, monos in lhs_terms(poset, D)] == list(by_weight.items())
+    assert [(key(f_product(counts)), [unpack(m) for m in monos])
+            for counts, monos in lhs_terms(poset, D)] == list(by_weight.items())
 
 
 def strict_partitions(length, top, min_length=1):
@@ -319,16 +322,72 @@ def test_lhs_groups_by_weight_on_random_posets(poset, D):
     assert_lhs_groups_by_weight(poset, D)
 
 
+def series_okada(poset, D, mode, points, seed):
+    """(result, points, mismatch) of the series check: series_equals of
+    lhs_series and rhs_series at each point, a vanishing point redrawn."""
+    terms = hookformula.lhs_terms(poset, D)
+    hooks = hookformula.hook_monomials(poset)
+    used = []
+    for pt, sides in resampled([None] if mode == "exact" else points, seed,
+                               lambda pt: (lhs_series(poset, D, pt, terms),
+                                           rhs_series(poset, D, pt, hooks))):
+        if pt is not None:
+            used.append([str(pt.q0), str(pt.t0)])
+        equal, mismatch = series_equals(*sides)
+        if not equal:
+            return "fail", used, mismatch
+    return "pass", used, None
+
+
+@settings(max_examples=60, deadline=None)
+@example(build_banner(P([4, 3, 2, 1]), 2), 6, "eval", "corrupt", 4)
+@example(build_bird(P([3, 2]), P([2, 1]), 2), 5, "exact", "corrupt", 7)
+@example(build_shifted(P([5, 3, 1])), 7, "exact", "drop", 0)
+@example(build_shifted(P([3, 2])), 4, "eval", "drop", 3)
+@example(build_shifted(P([3, 2])), 4, "exact", "omit", 0)
+@given(st.one_of(
+    st.builds(build_shifted, strict_partitions(3, 5)),
+    st.builds(build_bird, strict_partitions(2, 3, 2),
+              strict_partitions(2, 3, 2), st.integers(1, 2)),
+    st.builds(build_banner, strict_partitions(4, 6, 4), st.integers(2, 3)),
+), st.integers(1, 7), st.sampled_from(["exact", "eval"]),
+   st.sampled_from([None, "corrupt", "omit", "drop"]), st.integers(0, 30))
+def test_signature_check_agrees_with_the_series_check(poset, D, mode,
+                                                      mutation, seed):
+    # mode "eval" at a seeded pair of points; one left group's weight moved
+    # by CORRUPTION, or the group left out, or the lowest hook dropped, or
+    # none of these
+    points = sample_points(2, seed) if mode == "eval" else None
+    with pytest.MonkeyPatch.context() as mp:
+        if mutation in ("corrupt", "omit"):
+            real_terms = hookformula.lhs_terms
+
+            def corrupted(poset, D):
+                groups = real_terms(poset, D)
+                i = seed % len(groups)
+                counts, zs = groups.pop(i)
+                if mutation == "corrupt":
+                    groups.insert(i, (counts + CORRUPTION, zs))
+                return groups
+            mp.setattr(hookformula, "lhs_terms", corrupted)
+        elif mutation == "drop":
+            hooks = hookformula.hook_monomials(poset)
+            del hooks[min(hooks, key=lambda e: sum(hooks[e].values()))]
+            mp.setattr(hookformula, "hook_monomials", lambda *a: dict(hooks))
+        report = verify_okada(poset, D, mode, points, seed)
+        want = series_okada(poset, D, mode, points, seed)
+    assert (report.result, report.points, report.mismatch) == want
+    assert (mutation is None) == (report.result == "pass")
+
+
 def test_lhs_keys_decode_negative_counts(monkeypatch):
     # shifted (3,2) at D = 6: some P-partitions divide by f(2; 0) more often
     # than they multiply by it, so a packed count is a negative digit
     poset, D = build_shifted(P([3, 2])), 6
-    seen = []  # the counts each _f_product call is handed, but f(0; m) = 1
-    monkeypatch.setattr(hookformula, "_f_product", lambda counts: seen.append(
-        frozenset(((n, m), c) for (n, m), c in counts if c and n))
-        or len(seen) - 1)
-    decoded = [seen[i] for i, _ in lhs_terms(poset, D)]
-    seen.clear()
+    decoded = [frozenset(counts) for counts, _ in lhs_terms(poset, D)]
+    seen = []  # the counts weight_generic hands f_product, but f(0; m) = 1
+    monkeypatch.setattr(hookformula, "f_product", lambda counts: seen.append(
+        frozenset(((n, m), c) for (n, m), c in counts if c and n)))
     for pi in p_partitions(poset, D):
         weight_generic(poset, pi)
     assert decoded == list(dict.fromkeys(seen))
@@ -347,12 +406,11 @@ def test_eval_mismatch_text_is_the_exact_coefficient_at_the_point():
     poset = build_shifted(P([3, 2]))
     pt = EvalPoint(Fraction(-2, 3), Fraction(5, 7))
     terms, degree = [], key_layout(len(poset.varset), 4).shift
-    for w, monos in lhs_terms(poset, 4):
+    for counts, monos in lhs_terms(poset, 4):
         for mono in monos:
-            if mono >> degree == 2 and w.factors:
-                # corrupt one factor's shift: multiply by (1-qt)/(1-t)
-                w = w * QTFactored.binomial(1, 1) / QTFactored.binomial(0, 1)
-            terms.append((w, [mono]))
+            if mono >> degree == 2 and counts:
+                counts = counts + CORRUPTION
+            terms.append((counts, [mono]))
     exact = [lhs_series(poset, 4, EXACT, terms), rhs_series(poset, 4, EXACT)]
     eq, want = series_equals(*exact)
     assert not eq
@@ -368,28 +426,46 @@ def test_eval_mismatch_text_is_the_exact_coefficient_at_the_point():
 
 def test_eval_mode_evaluates_each_group_once_per_point(monkeypatch):
     poset = build_bird(P([3, 2]), P([2, 1]), 2)
-    groups = []
+    groups = {"left": [], "right": []}
 
-    def recorded_lhs_terms(*args):
-        groups.extend(lhs_terms(*args))
-        return groups
+    def recorded(side, terms):
+        def record(*args):
+            groups[side] = terms(*args)
+            return groups[side]
+        return record
 
-    calls = Counter()
-    evaluate = QTFactored.evaluate
+    valued = {}  # point -> the counts valued there, in call order
+    f_product_at = EvalPoint.f_product
 
-    def counted_evaluate(w, pt):
-        calls[id(w)] += 1
-        return evaluate(w, pt)
+    def counted(pt, counts):
+        valued.setdefault(id(pt), []).append(counts)
+        return f_product_at(pt, counts)
 
-    monkeypatch.setattr(hookformula, "lhs_terms", recorded_lhs_terms)
-    monkeypatch.setattr(QTFactored, "evaluate", counted_evaluate)
+    monkeypatch.setattr(hookformula, "lhs_terms",
+                        recorded("left", hookformula.lhs_terms))
+    monkeypatch.setattr(hookformula, "f_product_terms",
+                        recorded("right", hookformula.f_product_terms))
+    monkeypatch.setattr(EvalPoint, "f_product", counted)
     report = verify_okada(poset, 5, "eval", sample_points(3, seed=2))
     assert report.passed and len(report.points) == 3
-    assert len(groups) > 10
-    # the right side evaluates its own coefficients; each group weight is
-    # evaluated once per point
-    assert {id(w): calls[id(w)] for w, _ in groups} == \
-        {id(w): 3 for w, _ in groups}
+    left, right = ([counts for counts, _ in groups[side]]
+                   for side in ("left", "right"))
+    assert len(left) > 10 and len(right) > 10
+    # every distinct group of either side is valued once per point
+    assert len(set(left)) == len(left) and len(set(right)) == len(right)
+    assert list(valued.values()) == 3 * [left + right]
+
+
+def test_a_vanishing_point_is_replaced_as_the_series_check_replaces_it():
+    # (1 - q^2 t) vanishes at (2, 1/4) and at (1/2, 4); the f-table meets
+    # it in f(n; 0) from n = 3 on and the weights fall back to their net form
+    poset = build_shifted(P([3, 2]))
+    bad = [EvalPoint(2, Fraction(1, 4)), EvalPoint(Fraction(1, 2), 4)]
+    for pt in bad:
+        report = verify_okada(poset, 3, "eval", [pt], seed=3)
+        assert report.passed and report.points == [["2/3", "3"]]
+    report = verify_okada(poset, 3, "eval", bad, seed=3)
+    assert report.passed and report.points == [["2/3", "3"], ["5/6", "3/7"]]
 
 
 def dropped_hook_report(mode, points=None):
@@ -496,27 +572,22 @@ def test_composition_warnaar_even_gives_product_form():
     # LHS-ShiftedShapes + Cor-Warnaar-even reproduces the hook product
     from qthook.dposet import _alias_tables, _mono_mul
     from qthook.hookformula import _kernel_f_args
-    from qthook.series import MultiSeries, series_f
+    from qthook.series import product_of_f
 
     alpha = P([2, 1])
     poset = build_shifted(alpha)
     al = _alias_tables(poset)
     D = 3
-    out = MultiSeries.constant(1, poset.varset, D, EXACT)
-    for arg in _kernel_f_args(al["zt"], alpha, al["n"]):
-        out = out * series_f(poset.varset.monomial(arg),
-                             poset.varset, D, EXACT)
+    monos = poset.varset.monomial
+    kernel = [monos(arg) for arg in _kernel_f_args(al["zt"], alpha, al["n"])]
     # product side of Cor-Warnaar-even at x_i = z~_{alpha_i}, w = w-alias
     r = alpha.length()
-    for i in range(1, r + 1):
-        out = out * series_f(poset.varset.monomial(al["zt"][alpha[i]]),
-                             poset.varset, D, EXACT)
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            arg = _mono_mul(_mono_mul(al["w"], al["zt"][alpha[i]]),
-                            al["zt"][alpha[j]])
-            out = out * series_f(poset.varset.monomial(arg),
-                                 poset.varset, D, EXACT)
+    product_side = [monos(al["zt"][alpha[i]]) for i in range(1, r + 1)]
+    product_side += [monos(_mono_mul(_mono_mul(al["w"], al["zt"][alpha[i]]),
+                                     al["zt"][alpha[j]]))
+                     for i in range(1, r + 1) for j in range(i + 1, r + 1)]
+    out = (product_of_f(kernel, poset.varset, D, EXACT)
+           * product_of_f(product_side, poset.varset, D, EXACT))
     eq, info = series_equals(out, rhs_series(poset, D, EXACT))
     assert eq, info
 

@@ -59,6 +59,20 @@ def _drop_lowest_hook(mp):
     mp.setattr(hookformula, "hook_monomials", dropped)
 
 
+def _corrupt_one_lhs_group(mp):
+    """One weight group of the left side times f(1; 0) = (1 - t)/(1 - q),
+    which is 1 at no sample point (they have q0 != t0)."""
+    real = hookformula.lhs_terms
+
+    def corrupted(poset, trunc):
+        groups = real(poset, trunc)
+        counts, keys = groups[-1]
+        groups[-1] = (counts + (((1, 0), 1),), keys)
+        return groups
+
+    mp.setattr(hookformula, "lhs_terms", corrupted)
+
+
 TWO = QTFactored(2)
 
 # identity -> the one mutation that must turn its report to "fail"
@@ -83,10 +97,12 @@ IDENTITY_MUTATIONS = {
     "warnaar-even": _scaled(macdonald, "b_el", TWO),
 }
 
-# family -> its first desk instance, which must fail without its lowest hook
-HOOK_CASES = {}
+# family -> its first desk instance (exact mode), and its first eval one,
+# each of which must fail without its lowest hook
+HOOK_CASES, EVAL_HOOK_CASES = {}, {}
 for case in suites.DESK_HOOKS:
-    HOOK_CASES.setdefault(case[0], case)
+    (EVAL_HOOK_CASES if case[-1] == "eval" else HOOK_CASES).setdefault(
+        case[0], case)
 
 
 @pytest.fixture
@@ -107,11 +123,35 @@ def test_identity_fails_under_its_mutation(name, monkeypatch, cold_skew_cache):
     assert report.result == "fail", report.to_dict()
 
 
+def _run_desk_hook(case):
+    family, alpha, beta, f, degree, mode = case
+    return suites.run_hook(family, Partition.parse(alpha),
+                           Partition.parse(beta) if beta else None,
+                           f, degree, mode, 3, 0)
+
+
+def test_every_family_has_a_row_in_each_mode():
+    assert sorted(HOOK_CASES) == sorted(EVAL_HOOK_CASES) == \
+        ["banner", "bird", "shifted"]
+
+
 @pytest.mark.parametrize("family", HOOK_CASES)
 def test_hook_fails_without_its_lowest_hook(family, monkeypatch):
-    _, alpha, beta, f, degree, mode = HOOK_CASES[family]
     _drop_lowest_hook(monkeypatch)
-    report = suites.run_hook(family, Partition.parse(alpha),
-                             Partition.parse(beta) if beta else None,
-                             f, degree, mode, 3, 0)
+    report = _run_desk_hook(HOOK_CASES[family])
+    assert report.result == "fail", report.to_dict()
+
+
+@pytest.mark.parametrize("family", EVAL_HOOK_CASES)
+def test_eval_hook_fails_without_its_lowest_hook(family, monkeypatch):
+    _drop_lowest_hook(monkeypatch)
+    report = _run_desk_hook(EVAL_HOOK_CASES[family])
+    assert report.result == "fail", report.to_dict()
+
+
+@pytest.mark.parametrize("mode", ["exact", "eval"])
+def test_hook_fails_with_one_left_group_corrupted(mode, monkeypatch):
+    _corrupt_one_lhs_group(monkeypatch)
+    report = _run_desk_hook((HOOK_CASES if mode == "exact"
+                             else EVAL_HOOK_CASES)["banner"])
     assert report.result == "fail", report.to_dict()

@@ -22,6 +22,7 @@ from qthook.qtcore import (
     b_cell,
     cancelled_ratio,
     f_fun,
+    f_product,
     phi_skew,
     psi_skew,
     resample_point,
@@ -29,7 +30,7 @@ from qthook.qtcore import (
     same_value,
     sample_points,
 )
-from qthook.series import QTCoeff, _f_coeffs
+from qthook.series import QTCoeff, VarSet, product_of_f
 
 P = Partition
 
@@ -65,14 +66,15 @@ def test_f_fun_recurrence():
 
 def test_f_series_coeffs():
     # the degree-k coefficients of F(x) = (tx; q)_inf / (x; q)_inf
-    coeffs, den = _f_coeffs(2, None)
-    assert den == 1 and len(coeffs) == 3
-    assert coeffs[0].equals(QTCoeff.one())
-    assert coeffs[1].equals(QTCoeff.from_qtf(f_fun(1, 0)))
+    x = VarSet(["x"])
+    coeffs = dict(product_of_f([(1,)], x, 2).monomials())
+    assert len(coeffs) == 3
+    assert coeffs[0,].equals(QTCoeff.one())
+    assert coeffs[1,].equals(QTCoeff.from_qtf(f_fun(1, 0)))
     # (t;q)_2 / (q;q)_2 expanded
     expected = (QTFactored.binomial(0, 1) * QTFactored.binomial(1, 1)
                 * QTFactored.binomial(1, 0, -1) * QTFactored.binomial(2, 0, -1))
-    assert coeffs[2].equals(QTCoeff.from_qtf(expected))
+    assert coeffs[2,].equals(QTCoeff.from_qtf(expected))
 
 
 def test_b_lambda_small():
@@ -668,3 +670,49 @@ def test_qtfactored_equality_is_equals_only():
     with pytest.raises(TypeError):
         hash(x)
     assert x.equals(QTFactored.binomial(2, 0))
+
+
+# -- weight groups: f-argument counts, exactly and through the f-table --------
+
+def random_counts(rng, top=5):
+    fields = rng.sample([(n, m) for n in range(1, top + 1) for m in range(4)],
+                        rng.randint(0, 5))
+    return tuple((field, rng.choice((-3, -2, -1, 1, 2, 3))) for field in fields)
+
+
+def test_f_product_is_the_product_of_f_powers():
+    rng = random.Random(4)
+    for _ in range(50):
+        counts = random_counts(rng)
+        want = QTFactored.one()
+        for (n, m), c in counts:
+            f = f_fun(n, m) if c > 0 else f_fun(n, m).inverse()
+            for _ in range(abs(c)):
+                want = want * f
+        assert f_product(counts).equals(want)
+    assert f_product(()).equals(QTFactored.one())
+
+
+@pytest.mark.parametrize("pt", EVAL_POINTS + [EvalPoint(2, Fraction(1, 4))],
+                         ids=repr)
+def test_f_table_values_match_the_exact_product(pt):
+    # at (2, 1/4) the binomial (1 - q^2 t) vanishes: f(n; 0) from n = 3 on,
+    # and f(n; 1) from n = 2 on, fall back to the net product
+    rng = random.Random(str(pt))
+    vanished = 0
+    for _ in range(200):
+        counts = random_counts(rng, 6)
+        try:
+            want = f_product(counts).evaluate(pt)
+        except VanishingFactor:
+            vanished += 1
+            with pytest.raises(VanishingFactor):
+                pt.f_product(counts)
+            continue
+        num, den = pt.f_product(counts)
+        assert type(num) is int and type(den) is int and den
+        assert Fraction(num, den) == want
+    assert vanished < 200
+    # a vanishing binomial with net exponent 0 cancels: f(3; 0) / f(3; 0)
+    cancelled = (((3, 0), 1), ((1, 1), 1), ((3, 0), -1))
+    assert Fraction(*pt.f_product(cancelled)) == f_fun(1, 1).evaluate(pt)

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from qthook import hypergeom
-from qthook.dposet import build_banner, build_bird, hook_monomials
+from qthook.dposet import build_banner, build_bird, build_shifted, hook_monomials
 from qthook.partitions import Partition as P
 from qthook.qtcore import BiPoly, EvalPoint, QTFactored, b_lambda, f_fun
 from qthook.series import (
@@ -16,7 +16,6 @@ from qthook.series import (
     as_coeff,
     product_of_f,
     series_equals,
-    series_f,
 )
 
 XYZ = VarSet(["z0", "z1", "z2"])
@@ -28,8 +27,17 @@ def z(name, k=1):
     return XYZ.monomial({name: k})
 
 
+def series_f(mono, varset, trunc, ring):
+    """F(x) = (tx; q)_inf / (x; q)_inf at x = the monomial, truncated: one
+    factor of the sequential product, each f(k; 0) through ``as_coeff``."""
+    key = MultiSeries(varset, trunc, ring).keys.pack(mono)
+    out = MultiSeries(varset, trunc, ring)
+    out.add_groups((f_fun(k, 0), [k * key]) for k in range(trunc // sum(mono) + 1))
+    return out
+
+
 def test_series_f_single_variable():
-    s = series_f(z("z0"), XYZ, 2, EXACT)
+    s = product_of_f([z("z0")], XYZ, 2, EXACT)
     assert s.coefficient(UNIT).equals(QTCoeff.one())
     assert s.coefficient(z("z0")).equals(QTCoeff.from_qtf(f_fun(1, 0)))
     assert s.coefficient(z("z0", 2)).equals(QTCoeff.from_qtf(f_fun(2, 0)))
@@ -38,24 +46,24 @@ def test_series_f_single_variable():
 
 def test_series_f_degree_two_monomial():
     m = XYZ.monomial({"z0": 1, "z1": 1})
-    s = series_f(m, XYZ, 3, EXACT)
+    s = product_of_f([m], XYZ, 3, EXACT)
     # only k = 0, 1 fit under total degree 3
     assert len(s.terms) == 2
     assert s.coefficient(m).equals(QTCoeff.from_qtf(f_fun(1, 0)))
 
 
 def test_series_f_rejects_unit_and_negative():
-    with pytest.raises(ValueError):
-        series_f(UNIT, XYZ, 3, EXACT)
-    with pytest.raises(ValueError):
-        series_f((1, -1, 0), XYZ, 3, EXACT)
+    with pytest.raises(ValueError, match="degree >= 1"):
+        product_of_f([z("z0"), UNIT], XYZ, 3, EXACT)
+    with pytest.raises(ValueError, match="nonnegative"):
+        product_of_f([(1, -1, 0)], XYZ, 3, EXACT)
 
 
 def test_series_f_at_t_equals_q_is_geometric():
     # f(k;0) telescopes to 1 at t = q; permitted only for this check
     pt = EvalPoint(Fraction(2, 3), Fraction(2, 3))
     ring = pt
-    s = series_f(z("z0"), XYZ, 5, ring)
+    s = product_of_f([z("z0")], XYZ, 5, ring)
     for k in range(6):
         assert s.coefficient(z("z0", k)) == 1
 
@@ -243,40 +251,58 @@ def test_exact_and_eval_commute():
         assert eq
 
 
-# -- product_of_f against the same factors in other orders -------------------
+# -- product_of_f against the sequential product of its factors --------------
 
 def product_in_order(monos, varset, trunc, ring):
-    """prod F(x^m) multiplied in the order given: the reference."""
+    """prod F(x^m) multiplied in the order given, one ``series_f`` factor
+    at a time: the oracle for the walk over multiplicities."""
     out = MultiSeries.constant(1, varset, trunc, ring)
     for m in monos:
-        out = out * series_f(m, varset, trunc, ring)
+        if sum(m) <= trunc:
+            out = out * series_f(m, varset, trunc, ring)
     return out
 
 
-@pytest.mark.parametrize("family, D", [("banner", 6), ("bird", 5)])
-def test_product_of_f_does_not_depend_on_the_order(family, D):
-    poset = (build_banner(P([4, 3, 2, 1]), 2) if family == "banner"
-             else build_bird(P([3, 2]), P([2, 1]), 2))
-    varset = poset.varset
-    monos = [varset.monomial(m)
-             for m in hook_monomials(poset).values()]
+def assert_same_product(monos, varset, D):
+    """product_of_f of ``monos`` in several orders equals the sequential
+    oracle at a point, and exactly with the same coefficient texts."""
     rng = random.Random(D)
     orders = [monos, monos[::-1]] + [rng.sample(monos, len(monos)) for _ in range(2)]
     ring = EvalPoint(Fraction(-2, 3), Fraction(5, 7))
     got = product_of_f(monos, varset, D, ring)
     assert len(got.terms) > 50 and got.den > 1
     for order in orders:
-        for other in (product_of_f(order, varset, D, ring),
-                      product_in_order(order, varset, D, ring)):
-            # each product divides out gcd(den, *numerators): one form
-            assert (other.terms, other.den) == (got.terms, got.den)
-            assert series_equals(other, got) == (True, None)
+        assert series_equals(product_in_order(order, varset, D, ring), got) \
+            == (True, None)
+        other = product_of_f(order, varset, D, ring)
+        assert (other.terms, other.den) == (got.terms, got.den)
     got = product_of_f(monos, varset, D, EXACT)
     for order in orders[:2]:
         ref = product_in_order(order, varset, D, EXACT)
         assert got.terms.keys() == ref.terms.keys()
-        assert all(got.terms[m].num_den_strings() == ref.terms[m].num_den_strings()
+        assert all(got.terms[m].equals(ref.terms[m]) and
+                   got.terms[m].num_den_strings() == ref.terms[m].num_den_strings()
                    for m in got.terms)
+
+
+@pytest.mark.parametrize("family, D", [("banner", 6), ("bird", 5), ("shifted", 6)])
+def test_product_of_f_does_not_depend_on_the_order(family, D):
+    poset = {"banner": lambda: build_banner(P([4, 3, 2, 1]), 2),
+             "bird": lambda: build_bird(P([3, 2]), P([2, 1]), 2),
+             "shifted": lambda: build_shifted(P([5, 3, 2]))}[family]()
+    varset = poset.varset
+    assert_same_product([varset.monomial(m)
+                         for m in hook_monomials(poset).values()], varset, D)
+
+
+def test_product_of_f_matches_the_sequential_product_on_a_cauchy_kernel():
+    # prod F(x_i y_j) over 2 x 3 variables, with a repeated and an
+    # over-degree monomial
+    xy = VarSet(["x1", "x2", "y1", "y2", "y3"])
+    monos = [xy.monomial({x: 1, y: 1}) for x in ("x1", "x2")
+             for y in ("y1", "y2", "y3")]
+    monos += [monos[0], xy.monomial({"x1": 3, "y2": 4})]
+    assert_same_product(monos, xy, 6)
 
 
 # -- the factored coefficient: tree sums and the display text ----------------
