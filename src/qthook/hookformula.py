@@ -20,6 +20,8 @@ from ``qtcore``.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .dposet import (ColoredPoset, _alias_tables, _complement, _mono_mul,
                      enumerate_p_partitions, fill_order, hook_monomials)
 from .partitions import (Partition, bounded_tuples, is_horizontal_strip,
@@ -28,8 +30,11 @@ from .macdonald import macdonald_p, macdonald_q
 from .qtcore import (EvalPoint, QTFactored, b_el, b_lambda, f_fun, f_product,
                      phi_chain, phi_hat, phi_skew, psi_skew, resampled)
 from .report import VerificationReport, timed
-from .series import (NO_TRUNC, MultiSeries, QTCoeff, f_product_coeff,
-                     f_product_terms, key_layout, product_of_f, series_equals)
+from .series import (NO_TRUNC, MultiSeries, QTCoeff, VarSet, coeff_text,
+                     f_product_terms, key_layout, mono_str, product_of_f)
+# unused here, but benchmarks/tracing.py patches it, lhs_series and
+# rhs_series by name in this module (ROADMAP item 5a)
+from .series import series_equals  # noqa: F401
 
 # ---------------------------------------------------------------------------
 # Generic weight.
@@ -391,16 +396,14 @@ def lhs_terms(poset: ColoredPoset, trunc: int) -> list[tuple[tuple, list[int]]]:
     return [(counts(key), zs) for key, zs in groups.items()]
 
 
-def lhs_series(poset: ColoredPoset, trunc: int,
-               point: EvalPoint | None = None, terms=None) -> MultiSeries:
+def lhs_series(poset: ColoredPoset, trunc: int, terms=None) -> MultiSeries:
     """Sum over P-partitions of weight <= trunc of W(pi) z^pi.
 
     ``terms`` are ``lhs_terms`` groups: each weight becomes a coefficient
-    once (``f_product_coeff``: a QTFactored in exact mode, its value at
-    ``point``) and is added at each of its monomials.
+    once (``qtcore.f_product``) and is added at each of its monomials.
     """
-    out = MultiSeries(poset.varset, trunc, point)
-    out.add_groups((f_product_coeff(counts, point), zs) for counts, zs in
+    out = MultiSeries(poset.varset, trunc)
+    out.add_groups((f_product(counts), zs) for counts, zs in
                    (terms if terms is not None else lhs_terms(poset, trunc)))
     return out
 
@@ -409,12 +412,11 @@ def _hook_monos(poset: ColoredPoset, hooks) -> list[tuple[int, ...]]:
     return [poset.varset.monomial(m) for m in hooks.values()]
 
 
-def rhs_series(poset: ColoredPoset, trunc: int,
-               point: EvalPoint | None = None, hooks=None) -> MultiSeries:
+def rhs_series(poset: ColoredPoset, trunc: int, hooks=None) -> MultiSeries:
     """Product of F(hook monomial) over the vertices, truncated."""
     if hooks is None:
         hooks = hook_monomials(poset)
-    return product_of_f(_hook_monos(poset, hooks), poset.varset, trunc, point)
+    return product_of_f(_hook_monos(poset, hooks), poset.varset, trunc)
 
 
 def _signatures(left, right) -> dict:
@@ -455,24 +457,19 @@ def _pair_sum(values, idxs) -> tuple[int, int]:
     return num, den
 
 
-def _differing(left, right, sigs, point: EvalPoint | None) -> list:
+def _differing(lv, rv, sigs, point: EvalPoint | None) -> list:
     """The signatures whose two sides differ, exactly or at ``point``.
 
-    Each group is valued once, and each signature compares the sum of its
-    left groups with the sum of its right ones: exact ``QTCoeff`` sums
-    compared by ``equals`` (one group against one group is mostly the
-    identical-form test), or at a point integer pairs compared by one
-    cross product.  Raises VanishingFactor where a group's value does.
+    Each signature compares the sum of its left group values ``lv`` with
+    the sum of its right ones ``rv``: exact ``QTCoeff`` sums compared by
+    ``equals`` (one group against one group is mostly the identical-form
+    test), or at a point integer pairs compared by one cross product.
     """
     if point is None:
-        lv, rv = ([QTCoeff.from_qtf(f_product(c)) for c, _ in groups]
-                  for groups in (left, right))
         zero = QTCoeff.zero()
         return [sig for sig in sigs
                 if not sum((lv[i] for i in sig[0]), zero).equals(
                     sum((rv[i] for i in sig[1]), zero))]
-    lv, rv = ([point.f_product(c) for c, _ in groups]
-              for groups in (left, right))
     out = []
     for sig in sigs:
         ln, ld = _pair_sum(lv, sig[0])
@@ -482,24 +479,23 @@ def _differing(left, right, sigs, point: EvalPoint | None) -> list:
     return out
 
 
-def _mismatch(poset: ColoredPoset, trunc: int, point: EvalPoint | None,
-              left, right, keys: set) -> dict:
-    """``series_equals``' report on the two sides restricted to ``keys``,
-    the monomials of the differing signatures: the lex-first of them with
-    both coefficient texts.  The left coefficients are added in group
-    order, as ``lhs_series`` adds them; the right ones in walk order, which
-    leaves the text alone, since it depends only on the value and on the
-    display denominator, the maximum over the summands'."""
-    sides = []
-    for groups in (left, right):
-        side = MultiSeries(poset.varset, trunc, point)
-        side.add_groups((f_product_coeff(counts, point), kept)
-                        for counts, zs in groups
-                        if (kept := [z for z in zs if z in keys]))
-        sides.append(side)
-    equal, mismatch = series_equals(*sides)
-    assert not equal  # the signatures differ there
-    return mismatch
+def _mismatch(varset: VarSet, trunc: int, point: EvalPoint | None,
+              lv, rv, sigs, differing) -> dict:
+    """The lex-first monomial of the ``differing`` signatures with both
+    coefficient texts, as ``series_equals`` of the two sides would give
+    them.  Each side sums its signature's group values in group order, as
+    ``MultiSeries.add_groups`` does: an exact text (``coeff_text``) shows
+    the display denominator of the summands since the last zero partial
+    sum, and a zero sum that of ``QTCoeff.zero()``; at ``point`` the text
+    is ``str`` of the Fraction.
+    """
+    unpack = key_layout(len(varset), trunc).unpack
+    mono, sig = min((unpack(z), sig) for sig in differing for z in sigs[sig])
+    zero = QTCoeff.zero()
+    lhs, rhs = (coeff_text(sum((vs[i] for i in idxs), zero) or zero)
+                if point is None else str(Fraction(*_pair_sum(vs, idxs)))
+                for vs, idxs in ((lv, sig[0]), (rv, sig[1])))
+    return {"monomial": mono_str(mono, varset), "lhs": lhs, "rhs": rhs}
 
 
 def verify_okada(poset: ColoredPoset, trunc: int, mode: str = "exact",
@@ -511,12 +507,13 @@ def verify_okada(poset: ColoredPoset, trunc: int, mode: str = "exact",
     is ``lhs_terms``, the right the walk over hook multiplicities
     (``f_product_terms`` of the hook monomials).  The monomials are indexed
     once by signature (``_signatures``).  Then per point (exact mode: once)
-    each distinct group is valued once and each distinct signature decided
-    once; in exact mode that decides every monomial of either side.  A
-    failure reports the lex-first differing monomial with both coefficient
-    texts, as ``series_equals`` of the two series would.  ``report.points``
-    lists the eval points compared, replacements included: a point is
-    redrawn where a group's value has a vanishing binomial.
+    each distinct group is valued once, and those values decide each
+    distinct signature once; in exact mode that decides every monomial of
+    either side.  A failure reports the lex-first differing monomial with
+    both coefficient texts, read from the same values (``_mismatch``).
+    ``report.points`` lists the eval points compared, replacements
+    included: a point is redrawn where a group's value has a vanishing
+    binomial.
     """
     report = VerificationReport(
         check="hook", family=poset.family,
@@ -533,15 +530,21 @@ def verify_okada(poset: ColoredPoset, trunc: int, mode: str = "exact",
         right = f_product_terms(_hook_monos(poset, hook_monomials(poset)),
                                 poset.varset, trunc)
         sigs = _signatures(left, right)
-        for pt, differing in resampled(
-                point_list, seed, lambda pt: _differing(left, right, sigs, pt)):
+
+        def decide(pt):
+            # each group valued once: a QTCoeff, or an integer pair at pt
+            value = (pt.f_product if pt is not None
+                     else lambda c: QTCoeff.from_qtf(f_product(c)))
+            lv, rv = ([value(c) for c, _ in groups] for groups in (left, right))
+            return lv, rv, _differing(lv, rv, sigs, pt)
+
+        for pt, (lv, rv, differing) in resampled(point_list, seed, decide):
             if pt is not None:
                 report.points.append([str(pt.q0), str(pt.t0)])
             if differing:
                 report.result = "fail"
-                report.mismatch = _mismatch(
-                    poset, trunc, pt, left, right,
-                    {z for sig in differing for z in sigs[sig]})
+                report.mismatch = _mismatch(poset.varset, trunc, pt, lv, rv,
+                                            sigs, differing)
                 break
     return report
 

@@ -70,11 +70,6 @@ class BiPoly:
         res.terms = out
         return res
 
-    def __neg__(self) -> "BiPoly":
-        res = BiPoly.__new__(BiPoly)
-        res.terms = {k: -v for k, v in self.terms.items()}
-        return res
-
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         lhs, rhs = self.terms, other.terms
         if len(lhs) > len(rhs):  # fewer, longer inner loops run faster
@@ -97,6 +92,8 @@ class BiPoly:
         return res
 
     def evaluate(self, q0: Fraction, t0: Fraction) -> Fraction:
+        """The value at (q0, t0), for ``QTCoeff.evaluate``, which only the
+        tests call."""
         total = ZERO
         for (a, b), c in self.terms.items():
             total += c * q0 ** a * t0 ** b
@@ -193,9 +190,6 @@ class EvalPoint:
 
     def __repr__(self):
         return f"EvalPoint({self.q0}, {self.t0})"
-
-    def __eq__(self, other):
-        return isinstance(other, EvalPoint) and (self.q0, self.t0) == (other.q0, other.t0)
 
     def binomial(self, a: int, b: int) -> int:
         """B = qd^a td^b (1 - q0^a t0^b), a nonzero int for a, b >= 0.

@@ -1,14 +1,12 @@
 """Truncated formal power series in named commuting variables.
 
-A series carries ``point``, and its coefficients are exact either way.  With
-``point`` None (exact mode) each is a ``QTCoeff``: a factored content times
-an integer polynomial, whose sums divide binomials back out
-(``divide_binomial``); at an :class:`~qthook.qtcore.EvalPoint` (eval mode)
-a series holds the values there as integer numerators over one denominator
-``den``, so that its sums and products are integer ones.  ``as_coeff`` turns
-any input into a coefficient of either kind (a ``Fraction`` at a point),
-and ``not c`` is the zero test for both.  Truncation is by total degree
-across all variables, which matches the weight |pi| of a P-partition.
+Every coefficient is exact, a ``QTCoeff``: a factored content times an
+integer polynomial, whose sums divide binomials back out
+(``divide_binomial``).  ``as_coeff`` turns any input into one, and ``not c``
+is the zero test.  Truncation is by total degree across all variables,
+which matches the weight |pi| of a P-partition.  A series has no point:
+the eval-mode hook check values weight groups, not series
+(``hookformula.verify_okada``).
 
 A series keys each monomial by one int (``KeyLayout``): its total degree in
 the top field, above one field per variable, so that a monomial product is
@@ -146,7 +144,8 @@ class QTCoeff:
 
     def evaluate(self, point: EvalPoint) -> Fraction:
         """The value at ``point``: 0 for zero, else VanishingFactor wherever
-        the content's ``QTFactored.evaluate`` raises it."""
+        the content's ``QTFactored.evaluate`` raises it.  No check calls
+        it: the tests value exact coefficients through it."""
         if not self:
             return Fraction(0)
         c = self.content
@@ -199,28 +198,21 @@ def divide_binomial(p: BiPoly, a: int, b: int) -> BiPoly | None:
     return BiPoly(out)
 
 
-def as_coeff(c, point: EvalPoint | None):
-    """``c`` as a coefficient of a series at ``point``.
-
-    With ``point`` None (exact mode) that is a QTCoeff; at a point it is the
-    Fraction value of ``c`` there.  ``c`` is a QTFactored, a QTCoeff, an int
-    or a Fraction; anything else is a TypeError.
-    """
+def as_coeff(c) -> QTCoeff:
+    """``c`` as a series coefficient, a QTCoeff.  ``c`` is a QTFactored, a
+    QTCoeff, an int or a Fraction; anything else is a TypeError."""
     if isinstance(c, QTFactored):
-        return QTCoeff.from_qtf(c) if point is None else c.evaluate(point)
+        return QTCoeff.from_qtf(c)
     if isinstance(c, QTCoeff):
-        return c if point is None else c.evaluate(point)
+        return c
     if isinstance(c, (int, Fraction)):
-        return QTCoeff.from_qtf(QTFactored(c)) if point is None else Fraction(c)
+        return QTCoeff.from_qtf(QTFactored(c))
     raise TypeError(f"cannot turn {type(c).__name__} into a series coefficient")
 
 
-def _coeff_text(point: EvalPoint | None):
-    """The text of a coefficient of a series at ``point``: "(num)/(den)" for
-    an exact one, ``str`` of the value at a point."""
-    if point is None:
-        return lambda c: "({})/({})".format(*c.num_den_strings())
-    return str
+def coeff_text(c) -> str:
+    """The text of a coefficient in a mismatch report, "(num)/(den)"."""
+    return "({})/({})".format(*c.num_den_strings())
 
 
 class VarSet:
@@ -292,62 +284,37 @@ def mono_str(mono, varset: VarSet) -> str:
 
 
 class MultiSeries:
-    """Power series truncated at total degree D, exact (``point`` None) or
-    at an EvalPoint.
+    """Power series truncated at total degree D, with QTCoeff coefficients.
 
-    The coefficient of x^m is ``terms[keys.pack(m)] / den``, ``keys`` being
-    the ``key_layout`` of the variables and D.  At a point ``terms`` holds
-    integer numerators over one positive integer ``den``, so sums and
-    products are integer sums and products; an exact series holds QTCoeffs
-    and keeps ``den`` at 1.  ``den`` need not be the least one: read values
-    through ``coefficient`` or ``monomials`` and compare through
-    ``series_equals``.
+    The coefficient of x^m is ``terms[keys.pack(m)]``, ``keys`` being the
+    ``key_layout`` of the variables and D; a zero coefficient is not stored.
+    Compare through ``series_equals``: ``QTCoeff`` has no ``==``.
     """
 
-    __slots__ = ("varset", "trunc", "point", "terms", "den", "keys")
+    __slots__ = ("varset", "trunc", "terms", "keys")
 
-    def __init__(self, varset: VarSet, trunc: int,
-                 point: EvalPoint | None = None):
+    def __init__(self, varset: VarSet, trunc: int):
         """The zero series; ``add_term`` and ``add_groups`` fill it."""
         self.varset = varset
         self.trunc = trunc
-        self.point = point
         self.terms = {}
-        self.den = 1
         self.keys = key_layout(len(varset), trunc)
 
-    def _make(self, terms: dict, den: int = 1) -> "MultiSeries":
-        """A series like this one holding ``terms`` over ``den``, less
-        gcd(den, *terms) (never computed in exact mode, where den is 1)."""
-        if den != 1:
-            g = gcd(den, *terms.values())
-            if g != 1:
-                terms = {k: v // g for k, v in terms.items()}
-                den //= g
+    def _make(self, terms: dict) -> "MultiSeries":
+        """A series like this one holding ``terms``."""
         res = MultiSeries.__new__(MultiSeries)
-        res.varset, res.trunc, res.point, res.keys = \
-            self.varset, self.trunc, self.point, self.keys
-        res.terms, res.den = terms, den
+        res.varset, res.trunc, res.keys = self.varset, self.trunc, self.keys
+        res.terms = terms
         return res
-
-    def _over(self, den: int) -> dict:
-        """The numerators over ``den``, a multiple of ``self.den``."""
-        r = den // self.den
-        return self.terms if r == 1 else {k: v * r for k, v in self.terms.items()}
-
-    def _value(self, c):
-        """The coefficient that the stored numerator ``c`` stands for."""
-        return c if self.point is None else Fraction(c, self.den)
 
     def monomials(self):
         """The (exponent tuple, coefficient) pairs of the nonzero terms."""
         unpack = self.keys.unpack
-        return ((unpack(k), self._value(c)) for k, c in self.terms.items())
+        return ((unpack(k), c) for k, c in self.terms.items())
 
     @staticmethod
-    def constant(c, varset: VarSet, trunc: int,
-                 point: EvalPoint | None = None) -> "MultiSeries":
-        s = MultiSeries(varset, trunc, point)
+    def constant(c, varset: VarSet, trunc: int) -> "MultiSeries":
+        s = MultiSeries(varset, trunc)
         s.add_groups(((c, (0,)),))  # 0 is the key of the unit monomial
         return s
 
@@ -356,23 +323,17 @@ class MultiSeries:
             raise ValueError("variable set mismatch")
         if self.trunc != other.trunc:
             raise ValueError("truncation mismatch")
-        if self.point != other.point:
-            raise ValueError("coefficient mode mismatch")
 
     def __add__(self, other: "MultiSeries") -> "MultiSeries":
         self._check_compatible(other)
-        den = lcm(self.den, other.den)
-        out = dict(self._over(den))
-        for k, c in other._over(den).items():
+        out = dict(self.terms)
+        for k, c in other.terms.items():
             s = out[k] + c if k in out else c
             if s:
                 out[k] = s
             else:
                 del out[k]
-        return self._make(out, den)
-
-    def __sub__(self, other: "MultiSeries") -> "MultiSeries":
-        return self + other.scale(-1)
+        return self._make(out)
 
     def __mul__(self, other: "MultiSeries") -> "MultiSeries":
         self._check_compatible(other)
@@ -398,15 +359,13 @@ class MultiSeries:
                         out[k] = s
                     else:
                         del out[k]
-        return self._make(out, self.den * other.den)
+        return self._make(out)
 
     def scale(self, c) -> "MultiSeries":
-        c = as_coeff(c, self.point)
+        c = as_coeff(c)
         if not c:
             return self._make({})
-        n, d = (c, 1) if self.point is None else (c.numerator, c.denominator)
-        return self._make({k: v * n for k, v in self.terms.items()},
-                          self.den * d)
+        return self._make({k: v * c for k, v in self.terms.items()})
 
     def add_term(self, mono, c):
         """Accumulate c * x^mono in place, mono an exponent tuple (trusted
@@ -419,22 +378,14 @@ class MultiSeries:
         internal constructor).
 
         A c all of whose monomials lie above the truncation is not turned
-        into a coefficient.  At a point ``den`` becomes the lcm of its own
-        and every value's denominator first, so that the sums are integer.
+        into a coefficient.
         """
-        limit, point = self.keys.limit, self.point
-        kept = []
+        limit, terms = self.keys.limit, self.terms
         for c, keys in groups:
             keys = [k for k in keys if k < limit]
-            if keys:
-                kept.append((as_coeff(c, point), keys))
-        if point is not None:
-            den = lcm(self.den, *(c.denominator for c, _ in kept))
-            self.terms, self.den = self._over(den), den
-            kept = [(c.numerator * (den // c.denominator), keys)
-                    for c, keys in kept]
-        terms = self.terms
-        for c, keys in kept:
+            if not keys:
+                continue
+            c = as_coeff(c)
             for k in keys:
                 s = terms[k] + c if k in terms else c
                 if s:
@@ -457,7 +408,7 @@ class MultiSeries:
             k = keys.pack(new)
             if k < keys.limit:
                 out[k] = c
-        return self._make(out, self.den)
+        return self._make(out)
 
     def min_total_degree(self):
         """The least total degree of a term (the degree field of the least
@@ -476,7 +427,7 @@ class MultiSeries:
 
     def coefficient(self, mono):
         c = None if min(mono, default=0) < 0 else self.terms.get(self.keys.pack(mono))
-        return self._value(c) if c else as_coeff(0, self.point)
+        return c if c else QTCoeff.zero()
 
     def equals(self, other: "MultiSeries") -> bool:
         return series_equals(self, other)[0]
@@ -485,7 +436,7 @@ class MultiSeries:
         """This series with variable i replaced by the monomial ``images[i]``
         of ``varset`` (possibly the unit), truncated at ``trunc``."""
         assert len(images) == len(self.varset)
-        res = MultiSeries(varset, trunc, self.point)
+        res = MultiSeries(varset, trunc)
         image_keys = [res.keys.pack(image) for image in images]
         res.add_groups((c, (sum(map(mul, mono, image_keys)),))
                        for mono, c in self.monomials())
@@ -532,22 +483,13 @@ def f_product_terms(monos, varset: VarSet, trunc: int) -> list[tuple]:
             for c, zs in groups.items()]
 
 
-def f_product_coeff(counts, point: EvalPoint | None):
-    """The coefficient prod f(n; m)^c of a (counts, keys) group: a
-    QTFactored in exact mode, its Fraction value at a point."""
-    if point is None:
-        return f_product(counts)
-    return Fraction(*point.f_product(counts))
-
-
-def product_of_f(monos, varset: VarSet, trunc: int,
-                 point: EvalPoint | None = None) -> MultiSeries:
+def product_of_f(monos, varset: VarSet, trunc: int) -> MultiSeries:
     """prod_m F(x^m) truncated; the right-hand side shape of every hook
     formula.  F(x) = (tx; q)_inf / (x; q)_inf.  Each group of
     ``f_product_terms`` becomes a coefficient once and is added at each of
     its monomials."""
-    out = MultiSeries(varset, trunc, point)
-    out.add_groups((f_product_coeff(counts, point), keys)
+    out = MultiSeries(varset, trunc)
+    out.add_groups((f_product(counts), keys)
                    for counts, keys in f_product_terms(monos, varset, trunc))
     return out
 
@@ -556,34 +498,20 @@ def series_equals(a: MultiSeries, b: MultiSeries):
     """Compare two series; on inequality report the lex-first differing monomial.
 
     Returns (equal, mismatch) where mismatch is None or a dict with the
-    monomial and both coefficient strings.  At a point the numerators are
-    compared across the two denominators, x * b.den == y * a.den (one dict
-    comparison when the denominators agree).  Every monomial is compared;
+    monomial and both ``coeff_text`` strings.  Every monomial is compared;
     the report names the least exponent tuple among those that differ, since
     keys of different degrees do not sort like their tuples.
     """
     a._check_compatible(b)
     ta, tb = a.terms, b.terms
-    if a.point is None:
-        zero = QTCoeff.zero()
-
-        def same(x, y):
-            return x.equals(y)
-    elif a.den == b.den and ta == tb:
-        return True, None
-    else:
-        zero, da, db = 0, a.den, b.den
-
-        def same(x, y):
-            return x * db == y * da
+    zero = QTCoeff.zero()
     differ = [k for k in ta.keys() | tb.keys()
-              if not same(ta.get(k, zero), tb.get(k, zero))]
+              if not ta.get(k, zero).equals(tb.get(k, zero))]
     if not differ:
         return True, None
     mono = min(map(a.keys.unpack, differ))
-    text = _coeff_text(a.point)
     return False, {
         "monomial": mono_str(mono, a.varset),
-        "lhs": text(a.coefficient(mono)),
-        "rhs": text(b.coefficient(mono)),
+        "lhs": coeff_text(a.coefficient(mono)),
+        "rhs": coeff_text(b.coefficient(mono)),
     }

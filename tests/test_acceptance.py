@@ -33,7 +33,6 @@ from qthook import hypergeom, macdonald, suites
 from p_maps import p_partitions, z_monomial
 
 P = Partition
-EXACT = None
 
 
 def _desk_hooks(*modes):
@@ -197,11 +196,11 @@ def test_criterion_9_structure_theorems():
     for family, args in [("shifted", (P([2, 1]), None, None)),
                          ("bird", (P([2, 1]), P([2, 1]), 1))]:
         poset = build_family(family, *args)
-        eq, info = series_equals(lhs_series(poset, 3, EXACT),
+        eq, info = series_equals(lhs_series(poset, 3),
                                  lhs_macdonald_form(poset, 3))
         assert eq, (family, "lhs", info)
         if family == "bird":
-            eq, info = series_equals(rhs_series(poset, 3, EXACT),
+            eq, info = series_equals(rhs_series(poset, 3),
                                      rhs_macdonald_form(poset, 3))
             assert eq, (family, "rhs", info)
     # composition: kernel x Warnaar-even product side = hook product side
@@ -219,9 +218,9 @@ def test_criterion_9_structure_theorems():
     product_side += [monos(_mono_mul(_mono_mul(al["w"], al["zt"][alpha[i]]),
                                      al["zt"][alpha[j]]))
                      for i in range(1, r + 1) for j in range(i + 1, r + 1)]
-    out = (product_of_f(kernel, poset.varset, 3, EXACT)
-           * product_of_f(product_side, poset.varset, 3, EXACT))
-    eq, info = series_equals(out, rhs_series(poset, 3, EXACT))
+    out = (product_of_f(kernel, poset.varset, 3)
+           * product_of_f(product_side, poset.varset, 3))
+    eq, info = series_equals(out, rhs_series(poset, 3))
     assert eq, info
     _announce("9 (Macdonald-form rewrites of both sides + Warnaar-even "
               "composition)", True)

@@ -45,12 +45,12 @@ from qthook.hookformula import (
     weight_shifted,
     weight_via_traces,
 )
-from qthook.series import MultiSeries, key_layout, mono_str, series_equals
+from qthook.series import (MultiSeries, QTCoeff, VarSet, f_product_terms,
+                           key_layout, mono_str, series_equals)
 
 from p_maps import p_partitions, z_monomial
 
 P = Partition
-EXACT = None
 
 
 def zero_pi(poset):
@@ -218,11 +218,10 @@ def test_w_exponent_identities():
 
 def test_one_box_series_both_sides():
     poset = build_shifted(P([1]))
-    lhs = lhs_series(poset, 5, EXACT)
-    rhs = rhs_series(poset, 5, EXACT)
+    lhs = lhs_series(poset, 5)
+    rhs = rhs_series(poset, 5)
     eq, _ = series_equals(lhs, rhs)
     assert eq
-    from qthook.series import QTCoeff
     for k in range(6):
         assert lhs.coefficient((k,)).equals(QTCoeff.from_qtf(f_fun(k, 0)))
 
@@ -253,8 +252,8 @@ def test_corrupted_weight_fails_with_lowest_mismatch():
             if mono >> degree == 1 and counts:
                 bad = counts + CORRUPTION
             terms.append((bad, [mono]))
-    lhs = lhs_series(poset, 3, EXACT, terms)
-    rhs = rhs_series(poset, 3, EXACT)
+    lhs = lhs_series(poset, 3, terms)
+    rhs = rhs_series(poset, 3)
     eq, mismatch = series_equals(lhs, rhs)
     assert not eq
     assert mismatch is not None
@@ -323,19 +322,43 @@ def test_lhs_groups_by_weight_on_random_posets(poset, D):
 
 
 def series_okada(poset, D, mode, points, seed):
-    """(result, points, mismatch) of the series check: series_equals of
-    lhs_series and rhs_series at each point, a vanishing point redrawn."""
+    """(result, points, mismatch) of a reference check.
+
+    Exact mode compares lhs_series with rhs_series (series_equals).  At a
+    point each monomial's two values are Fraction sums of
+    ``f_product(counts).evaluate(pt)`` over the ``lhs_terms`` groups and
+    over the ``f_product_terms`` groups of the hook monomials that list it;
+    a vanishing point is redrawn, and the mismatch is the lex-first
+    differing monomial with ``str`` of both values."""
     terms = hookformula.lhs_terms(poset, D)
     hooks = hookformula.hook_monomials(poset)
+    if mode == "exact":
+        equal, mismatch = series_equals(lhs_series(poset, D, terms),
+                                        rhs_series(poset, D, hooks))
+        return ("pass" if equal else "fail"), [], mismatch
+    right = f_product_terms([poset.varset.monomial(m) for m in hooks.values()],
+                            poset.varset, D)
+
+    def values(pt):
+        sides = ({}, {})
+        for side, groups in zip(sides, (terms, right)):
+            for counts, zs in groups:
+                v = f_product(counts).evaluate(pt)
+                for z in zs:
+                    side[z] = side.get(z, 0) + v
+        return sides
+
+    unpack = key_layout(len(poset.varset), D).unpack
     used = []
-    for pt, sides in resampled([None] if mode == "exact" else points, seed,
-                               lambda pt: (lhs_series(poset, D, pt, terms),
-                                           rhs_series(poset, D, pt, hooks))):
-        if pt is not None:
-            used.append([str(pt.q0), str(pt.t0)])
-        equal, mismatch = series_equals(*sides)
-        if not equal:
-            return "fail", used, mismatch
+    for pt, (lhs, rhs) in resampled(points, seed, values):
+        used.append([str(pt.q0), str(pt.t0)])
+        differ = [z for z in lhs.keys() | rhs.keys()
+                  if lhs.get(z, 0) != rhs.get(z, 0)]
+        if differ:
+            z = min(differ, key=unpack)
+            return "fail", used, {"monomial": mono_str(unpack(z), poset.varset),
+                                  "lhs": str(Fraction(lhs.get(z, 0))),
+                                  "rhs": str(Fraction(rhs.get(z, 0)))}
     return "pass", used, None
 
 
@@ -402,7 +425,8 @@ def test_lhs_terms_asserts_that_partners_come_first(monkeypatch):
         lhs_terms(poset, 3)
 
 
-def test_eval_mismatch_text_is_the_exact_coefficient_at_the_point():
+def test_eval_mismatch_text_is_the_exact_coefficient_at_the_point(
+        monkeypatch):
     poset = build_shifted(P([3, 2]))
     pt = EvalPoint(Fraction(-2, 3), Fraction(5, 7))
     terms, degree = [], key_layout(len(poset.varset), 4).shift
@@ -411,17 +435,53 @@ def test_eval_mismatch_text_is_the_exact_coefficient_at_the_point():
             if mono >> degree == 2 and counts:
                 counts = counts + CORRUPTION
             terms.append((counts, [mono]))
-    exact = [lhs_series(poset, 4, EXACT, terms), rhs_series(poset, 4, EXACT)]
-    eq, want = series_equals(*exact)
-    assert not eq
-    eq, got = series_equals(lhs_series(poset, 4, pt, terms),
-                            rhs_series(poset, 4, pt))
-    assert not eq and got["monomial"] == want["monomial"]
+    monkeypatch.setattr(hookformula, "lhs_terms", lambda *args: terms)
+    want = verify_okada(poset, 4, "exact").mismatch
+    report = verify_okada(poset, 4, "eval", [pt])
+    assert report.result == "fail" and report.points == [["-2/3", "5/7"]]
+    got = report.mismatch
+    assert got["monomial"] == want["monomial"]
+    exact = [lhs_series(poset, 4, terms), rhs_series(poset, 4)]
     mono = next(m for m, _ in sorted(exact[0].monomials())
                 if mono_str(m, poset.varset) == want["monomial"])
     assert [got["lhs"], got["rhs"]] == \
         [str(side.coefficient(mono).evaluate(pt)) for side in exact]
     assert "/" in got["lhs"] and got["lhs"] != got["rhs"]
+
+
+# A, B, -B and C display over 1 - q, (1 - q)(1 - q^2), the same and 1
+A = QTCoeff.from_qtf(f_fun(1, 0))
+B = QTCoeff.from_qtf(f_fun(2, 0))
+MINUS_B = QTCoeff.from_qtf(f_fun(2, 0).scale(-1))
+C = QTCoeff.from_qtf(QTFactored(Fraction(1, 2), 1, 0))
+
+
+@pytest.mark.parametrize("left, right", [
+    ([A, B], []),
+    ([B, MINUS_B, A], [C]),
+    ([B, MINUS_B], [C]),
+    ([C, A, B], [B, C]),
+], ids=["a-side-with-no-group", "cancels-partway", "cancels-in-full",
+        "different-display-denominators"])
+def test_mismatch_texts_are_the_series_texts(left, right):
+    # one monomial, xy, takes the groups of each side in order, and x^2,
+    # taking C on both sides, agrees; the report reads the group values
+    xy, trunc = VarSet(["x", "y"]), 3
+    pack = key_layout(2, trunc).pack
+    groups = [[(c, [pack((1, 1))]) for c in side] + [(C, [pack((2, 0))])]
+              for side in (left, right)]
+    lv, rv = ([c for c, _ in side] for side in groups)
+    sigs = hookformula._signatures(*groups)
+    differing = hookformula._differing(lv, rv, sigs, None)
+    assert len(differing) == 1
+    got = hookformula._mismatch(xy, trunc, None, lv, rv, sigs, differing)
+    sides = []
+    for side in groups:
+        series = MultiSeries(xy, trunc)
+        series.add_groups(side)
+        sides.append(series)
+    equal, want = series_equals(*sides)
+    assert not equal and got == want
 
 
 def test_eval_mode_evaluates_each_group_once_per_point(monkeypatch):
@@ -491,7 +551,7 @@ def test_dropped_hook_reports_are_pinned():
 
 def test_lhs_macdonald_form_shifted():
     poset = build_shifted(P([2, 1]))
-    direct = lhs_series(poset, 3, EXACT)
+    direct = lhs_series(poset, 3)
     mac = lhs_macdonald_form(poset, 3)
     eq, info = series_equals(direct, mac)
     assert eq, info
@@ -499,7 +559,7 @@ def test_lhs_macdonald_form_shifted():
 
 def test_lhs_macdonald_form_bird():
     poset = build_bird(P([2, 1]), P([2, 1]), 1)
-    direct = lhs_series(poset, 3, EXACT)
+    direct = lhs_series(poset, 3)
     mac = lhs_macdonald_form(poset, 3)
     eq, info = series_equals(direct, mac)
     assert eq, info
@@ -507,7 +567,7 @@ def test_lhs_macdonald_form_bird():
 
 def test_rhs_macdonald_form_bird():
     poset = build_bird(P([2, 1]), P([2, 1]), 1)
-    direct = rhs_series(poset, 3, EXACT)
+    direct = rhs_series(poset, 3)
     mac = rhs_macdonald_form(poset, 3)
     eq, info = series_equals(direct, mac)
     assert eq, info
@@ -515,10 +575,10 @@ def test_rhs_macdonald_form_bird():
 
 def test_macdonald_forms_banner():
     poset = build_banner(P([4, 3, 2, 1]), 2)
-    eq, info = series_equals(lhs_series(poset, 3, EXACT),
+    eq, info = series_equals(lhs_series(poset, 3),
                              lhs_macdonald_form(poset, 3))
     assert eq, info
-    eq, info = series_equals(rhs_series(poset, 3, EXACT),
+    eq, info = series_equals(rhs_series(poset, 3),
                              rhs_macdonald_form(poset, 3))
     assert eq, info
 
@@ -540,9 +600,9 @@ def test_macdonald_forms_with_a_kernel(poset, monkeypatch):
     # alpha (and beta) are no staircase, so some complement part lies below
     # a part and the kernel is a true product of F; a constant 1 must fail
     def both_forms_agree():
-        pairs = [(lhs_series(poset, 4, EXACT), lhs_macdonald_form(poset, 4))]
+        pairs = [(lhs_series(poset, 4), lhs_macdonald_form(poset, 4))]
         if poset.family != "shifted":
-            pairs.append((rhs_series(poset, 4, EXACT),
+            pairs.append((rhs_series(poset, 4),
                           rhs_macdonald_form(poset, 4)))
         return [series_equals(direct, mac)[0] for direct, mac in pairs]
 
@@ -556,14 +616,14 @@ def test_macdonald_forms_notice_a_doubled_factor(monkeypatch):
     # negative control: each rewrite must really use b_el and f_fun
     monkeypatch.setattr(hookformula, "b_el", lambda lam: b_el(lam).scale(2))
     poset = build_shifted(P([2, 1]))
-    eq, _ = series_equals(lhs_series(poset, 3, EXACT),
+    eq, _ = series_equals(lhs_series(poset, 3),
                           lhs_macdonald_form(poset, 3))
     assert not eq
     monkeypatch.undo()
     monkeypatch.setattr(hookformula, "f_fun", lambda n, m: f_fun(n, m).scale(2))
     for poset in (build_bird(P([2, 1]), P([2, 1]), 1),
                   build_banner(P([4, 3, 2, 1]), 2)):
-        eq, _ = series_equals(rhs_series(poset, 3, EXACT),
+        eq, _ = series_equals(rhs_series(poset, 3),
                               rhs_macdonald_form(poset, 3))
         assert not eq, poset.family
 
@@ -586,9 +646,9 @@ def test_composition_warnaar_even_gives_product_form():
     product_side += [monos(_mono_mul(_mono_mul(al["w"], al["zt"][alpha[i]]),
                                      al["zt"][alpha[j]]))
                      for i in range(1, r + 1) for j in range(i + 1, r + 1)]
-    out = (product_of_f(kernel, poset.varset, D, EXACT)
-           * product_of_f(product_side, poset.varset, D, EXACT))
-    eq, info = series_equals(out, rhs_series(poset, D, EXACT))
+    out = (product_of_f(kernel, poset.varset, D)
+           * product_of_f(product_side, poset.varset, D))
+    eq, info = series_equals(out, rhs_series(poset, D))
     assert eq, info
 
 

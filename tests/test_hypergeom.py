@@ -28,6 +28,8 @@ from qthook.hypergeom import (
     w_series,
 )
 
+from test_negative_controls import IDENTITY_MUTATIONS, TWO, _scaled
+
 P = Partition
 F = Fraction
 
@@ -280,9 +282,7 @@ def test_gasper_tiny_cases():
 def test_gasper_sweep_and_negative_control(monkeypatch):
     report = gasper_sweep(50, seed=7)
     assert report.passed, report.to_dict()
-    # rhs = prefactor * w_series, so this scales the prefactor by 9/8
-    monkeypatch.setattr(hypergeom, "w_series",
-                        lambda *args: w_series(*args) * F(9, 8))
+    IDENTITY_MUTATIONS["gasper"](monkeypatch)  # w_series times 9/8
     bad = gasper_sweep(50, seed=7)
     assert not bad.passed
 
@@ -435,7 +435,5 @@ def test_summations_fail_when_phi_is_scaled(check, monkeypatch):
     # every summation sums Phi through the one phi_chain; doubling it
     # changes the chain side only
     assert check()
-    real = hypergeom.phi_chain
-    monkeypatch.setattr(hypergeom, "phi_chain",
-                        lambda *args: real(*args) * QTFactored(2))
+    _scaled(hypergeom, "phi_chain", TWO)(monkeypatch)
     assert not check()

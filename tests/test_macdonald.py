@@ -35,6 +35,8 @@ from qthook.macdonald import (
     warnaar_check,
 )
 
+from test_negative_controls import _double_q_of_one_box, _drop_last_kernel_factor
+
 P = Partition
 
 
@@ -165,7 +167,7 @@ def test_ratfunc_sum_over_coprime_denominators(sign):
     one_t = macdonald.BiPoly({(0, 0): 1, (0, 1): -1})
     a, b = RatFunc(macdonald.BI_ONE, one_q), RatFunc(macdonald.BI_ONE, one_t)
     got = a + b if sign > 0 else a - b
-    want = RatFunc(one_t + (one_q if sign > 0 else -one_q), one_q * one_t)
+    want = RatFunc(one_t + one_q.scale(sign), one_q * one_t)
     assert got.equals(want)
     assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms)
 
@@ -367,23 +369,8 @@ def test_checks_with_asymmetric_variable_groups():
 
 
 # Negative controls: each bracket-sum check must notice a wrong kernel and a
-# wrong skew polynomial, not only pass on the right ones.
-
-def _drop_last_kernel_factor(monkeypatch):
-    real = macdonald.product_of_f
-    monkeypatch.setattr(macdonald, "product_of_f",
-                        lambda monos, *rest: real(monos[:-1], *rest))
-
-
-def _double_q_of_one_box(monkeypatch):
-    real = macdonald.skew_q
-
-    def doubled(lam, mu, n):
-        out = real(lam, mu, n)
-        return out.scale(QTFactored(2)) if (lam, mu) == (P([1]), EMPTY) else out
-
-    monkeypatch.setattr(macdonald, "skew_q", doubled)
-
+# wrong skew polynomial (two mutations of the negative-control table), not
+# only pass on the right ones, and name a monomial.
 
 PS_GROUPS = [("x1_", 1), ("x2_", 1)]
 BRACKET_CHECKS = {

@@ -26,6 +26,8 @@ def _scaled(module, attr, factor):
 
 
 def _drop_last_rhs_summand(mp):
+    """The sums of ``hypergeom`` lose their last RHS summand (``hookformula``
+    keeps its own ``bounded_tuples`` binding)."""
     real = hypergeom.bounded_tuples
     mp.setattr(hypergeom, "bounded_tuples",
                lambda *args, **kw: real(*args, **kw)[:-1])

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
@@ -20,24 +19,23 @@ from qthook.series import (
 
 XYZ = VarSet(["z0", "z1", "z2"])
 UNIT = XYZ.monomial({})
-EXACT = None
 
 
 def z(name, k=1):
     return XYZ.monomial({name: k})
 
 
-def series_f(mono, varset, trunc, ring):
+def series_f(mono, varset, trunc):
     """F(x) = (tx; q)_inf / (x; q)_inf at x = the monomial, truncated: one
     factor of the sequential product, each f(k; 0) through ``as_coeff``."""
-    key = MultiSeries(varset, trunc, ring).keys.pack(mono)
-    out = MultiSeries(varset, trunc, ring)
+    key = MultiSeries(varset, trunc).keys.pack(mono)
+    out = MultiSeries(varset, trunc)
     out.add_groups((f_fun(k, 0), [k * key]) for k in range(trunc // sum(mono) + 1))
     return out
 
 
 def test_series_f_single_variable():
-    s = product_of_f([z("z0")], XYZ, 2, EXACT)
+    s = product_of_f([z("z0")], XYZ, 2)
     assert s.coefficient(UNIT).equals(QTCoeff.one())
     assert s.coefficient(z("z0")).equals(QTCoeff.from_qtf(f_fun(1, 0)))
     assert s.coefficient(z("z0", 2)).equals(QTCoeff.from_qtf(f_fun(2, 0)))
@@ -46,7 +44,7 @@ def test_series_f_single_variable():
 
 def test_series_f_degree_two_monomial():
     m = XYZ.monomial({"z0": 1, "z1": 1})
-    s = product_of_f([m], XYZ, 3, EXACT)
+    s = product_of_f([m], XYZ, 3)
     # only k = 0, 1 fit under total degree 3
     assert len(s.terms) == 2
     assert s.coefficient(m).equals(QTCoeff.from_qtf(f_fun(1, 0)))
@@ -54,26 +52,25 @@ def test_series_f_degree_two_monomial():
 
 def test_series_f_rejects_unit_and_negative():
     with pytest.raises(ValueError, match="degree >= 1"):
-        product_of_f([z("z0"), UNIT], XYZ, 3, EXACT)
+        product_of_f([z("z0"), UNIT], XYZ, 3)
     with pytest.raises(ValueError, match="nonnegative"):
-        product_of_f([(1, -1, 0)], XYZ, 3, EXACT)
+        product_of_f([(1, -1, 0)], XYZ, 3)
 
 
 def test_series_f_at_t_equals_q_is_geometric():
     # f(k;0) telescopes to 1 at t = q; permitted only for this check
     pt = EvalPoint(Fraction(2, 3), Fraction(2, 3))
-    ring = pt
-    s = product_of_f([z("z0")], XYZ, 5, ring)
+    s = product_of_f([z("z0")], XYZ, 5)
     for k in range(6):
-        assert s.coefficient(z("z0", k)) == 1
+        assert s.coefficient(z("z0", k)).evaluate(pt) == 1
 
 
 def test_mul_and_add_basics():
-    s = series_f(z("z0"), XYZ, 3, EXACT)
-    one = MultiSeries.constant(1, XYZ, 3, EXACT)
+    s = series_f(z("z0"), XYZ, 3)
+    one = MultiSeries.constant(1, XYZ, 3)
     eq, _ = series_equals(s * one, s)
     assert eq
-    prod = series_f(z("z0"), XYZ, 3, EXACT) * series_f(z("z1"), XYZ, 3, EXACT)
+    prod = series_f(z("z0"), XYZ, 3) * series_f(z("z1"), XYZ, 3)
     c = prod.coefficient(XYZ.monomial({"z0": 1, "z1": 1}))
     f1 = QTCoeff.from_qtf(f_fun(1, 0) * f_fun(1, 0))
     assert c.equals(f1)
@@ -83,16 +80,16 @@ def test_mul_and_add_basics():
 
 def test_mul_drops_a_coefficient_that_cancels():
     # (1 + z0)(1 - z0) = 1 - z0^2: the two z0 products cancel in the sum
-    one_plus = _series(XYZ, 3, EXACT, {UNIT: 1, z("z0"): 1})
-    one_minus = _series(XYZ, 3, EXACT, {UNIT: 1, z("z0"): -1})
+    one_plus = _series(XYZ, 3, {UNIT: 1, z("z0"): 1})
+    one_minus = _series(XYZ, 3, {UNIT: 1, z("z0"): -1})
     prod = one_plus * one_minus
     assert z("z0") not in dict(prod.monomials())
-    assert series_equals(prod, _series(XYZ, 3, EXACT,
+    assert series_equals(prod, _series(XYZ, 3,
                                        {UNIT: 1, z("z0", 2): -1}))[0]
 
 
-def _series(varset, trunc, point, terms):
-    s = MultiSeries(varset, trunc, point)
+def _series(varset, trunc, terms):
+    s = MultiSeries(varset, trunc)
     for mono, c in terms.items():
         s.add_term(mono, c)
     return s
@@ -100,59 +97,49 @@ def _series(varset, trunc, point, terms):
 
 # 1 + 2a + 3b^2 + 5a^2 b, a polynomial in (a, b)
 AB = VarSet(["a", "b"])
-AB_POLY = _series(AB, NO_TRUNC, EXACT, {(0, 0): 1, (1, 0): 2, (0, 2): 3,
-                                        (2, 1): 5})
+AB_POLY = _series(AB, NO_TRUNC, {(0, 0): 1, (1, 0): 2, (0, 2): 3,
+                                 (2, 1): 5})
 ZERO_ONE = XYZ.monomial({"z0": 1, "z1": 1})
 
 
-@pytest.mark.parametrize("images, trunc, point, expected", [
+@pytest.mark.parametrize("images, trunc, expected", [
     # unit images at chosen slots: a -> z2, b -> z0
-    ([z("z2"), z("z0")], 3, EXACT,
+    ([z("z2"), z("z0")], 3,
      {UNIT: 1, z("z2"): 2, z("z0", 2): 3,
       XYZ.monomial({"z2": 2, "z0": 1}): 5}),
     # b -> the empty monomial merges 1 and 3b^2; a -> z0 z1 scales with its
     # exponent, so a^2 b lands at degree 4, above the truncation
-    ([ZERO_ONE, UNIT], 3, EXACT, {UNIT: 4, ZERO_ONE: 2}),
-    ([ZERO_ONE, UNIT], 4, EXACT,
+    ([ZERO_ONE, UNIT], 3, {UNIT: 4, ZERO_ONE: 2}),
+    ([ZERO_ONE, UNIT], 4,
      {UNIT: 4, ZERO_ONE: 2, XYZ.monomial({"z0": 2, "z1": 2}): 5}),
-    # an eval-mode series stays one: its values move
-    ([z("z2"), z("z0")], 2, EvalPoint(Fraction(2, 3), Fraction(5, 7)),
-     {UNIT: 1, z("z2"): 2, z("z0", 2): 3}),
 ])
-def test_substitute(images, trunc, point, expected):
-    source = _series(AB, NO_TRUNC, point, dict(AB_POLY.monomials()))
-    got = source.substitute(images, XYZ, trunc)
-    assert got.point == point and got.trunc == trunc
-    assert got.equals(_series(XYZ, trunc, point, expected))
+def test_substitute(images, trunc, expected):
+    got = AB_POLY.substitute(images, XYZ, trunc)
+    assert got.trunc == trunc
+    assert got.equals(_series(XYZ, trunc, expected))
 
 
 def test_incompatible_operands_are_rejected():
     other_vars = VarSet(["w0", "w1"])
-    s = series_f(z("z0"), XYZ, 3, EXACT)
-    t = series_f(other_vars.monomial({"w0": 1}), other_vars, 3, EXACT)
+    s = series_f(z("z0"), XYZ, 3)
+    t = series_f(other_vars.monomial({"w0": 1}), other_vars, 3)
     with pytest.raises(ValueError):
         s * t
     with pytest.raises(ValueError):
-        s + series_f(z("z0"), XYZ, 2, EXACT)  # truncation mismatch
-    from qthook.qtcore import EvalPoint
-    from fractions import Fraction
-    ring_eval = EvalPoint(Fraction(2, 3), Fraction(3, 5))
-    with pytest.raises(ValueError):
-        s + series_f(z("z0"), XYZ, 3, ring_eval)  # mode mismatch
+        s + series_f(z("z0"), XYZ, 2)  # truncation mismatch
 
 
 def test_coefficient_conversion_by_mode():
-    s = series_f(z("z0"), XYZ, 3, EXACT)
+    s = series_f(z("z0"), XYZ, 3)
     with pytest.raises(TypeError):
         s.add_term(z("z1"), 0.5)
     with pytest.raises(TypeError):
-        MultiSeries.constant(0.5, XYZ, 3, EXACT)
-    pt = EvalPoint(Fraction(2, 3), Fraction(3, 5))
+        MultiSeries.constant(0.5, XYZ, 3)
     f = f_fun(2, 0) * f_fun(1, 1)
-    assert as_coeff(f, pt) == f.evaluate(pt)
-    assert as_coeff(QTCoeff.from_qtf(f), pt) == f.evaluate(pt)
-    assert as_coeff(3, pt) == 3 and as_coeff(Fraction(1, 2), pt) == Fraction(1, 2)
-    assert as_coeff(f, EXACT).equals(QTCoeff.from_qtf(f))
+    assert as_coeff(f).equals(QTCoeff.from_qtf(f))
+    assert as_coeff(QTCoeff.from_qtf(f)).equals(QTCoeff.from_qtf(f))
+    assert as_coeff(3).equals(QTCoeff.from_qtf(QTFactored(3)))
+    assert as_coeff(Fraction(1, 2)).equals(QTCoeff.from_qtf(QTFactored(Fraction(1, 2))))
 
 
 def test_qtcoeff_truth_is_nonzero():
@@ -162,8 +149,8 @@ def test_qtcoeff_truth_is_nonzero():
 
 
 def test_series_equals_reports_first_mismatch():
-    s = series_f(z("z0"), XYZ, 3, EXACT)
-    t = series_f(z("z0"), XYZ, 3, EXACT)
+    s = series_f(z("z0"), XYZ, 3)
+    t = series_f(z("z0"), XYZ, 3)
     t.add_term(z("z0", 3), QTFactored.one())
     eq, mismatch = series_equals(s, t)
     assert not eq
@@ -172,22 +159,17 @@ def test_series_equals_reports_first_mismatch():
     assert eq and mismatch is None
 
 
-@pytest.mark.parametrize("ring, texts", [
-    (EXACT, ("(0)/(1)", "(1/2)/(1)")),
-    (EvalPoint(Fraction(2, 3), Fraction(3, 5)), ("0", "1/2")),
-], ids=["exact", "eval"])
-def test_series_equals_names_the_lex_first_mismatch_not_the_least_key(ring,
-                                                                      texts):
+def test_series_equals_names_the_lex_first_mismatch_not_the_least_key():
     xy = VarSet(["x", "y"])
-    s = series_f((1, 1), xy, 4, ring)
-    t = _series(xy, 4, ring, dict(s.monomials()))
+    s = series_f((1, 1), xy, 4)
+    t = _series(xy, 4, dict(s.monomials()))
     t.add_term((1, 0), 1)
     t.add_term((0, 2), Fraction(1, 2))
     assert s.keys.pack((0, 2)) > s.keys.pack((1, 0))  # degree comes first
     eq, mismatch = series_equals(s, t)
     assert not eq
     assert (mismatch["monomial"], mismatch["lhs"], mismatch["rhs"]) == \
-        ("y^2", *texts)
+        ("y^2", "(0)/(1)", "(1/2)/(1)")
     eq, mismatch = series_equals(t, s)
     assert not eq and mismatch["monomial"] == "y^2"
 
@@ -196,7 +178,7 @@ def test_q_difference_relation():
     # (1 - x) F(x) = (1 - t x) F(q x), read off coefficientwise:
     # c_k - c_{k-1} = q^k c_k - t q^{k-1} c_{k-1}
     D = 6
-    s = series_f(z("z0"), XYZ, D, EXACT)
+    s = series_f(z("z0"), XYZ, D)
     for k in range(1, D + 1):
         ck = s.coefficient(z("z0", k))
         ck1 = s.coefficient(z("z0", k - 1))
@@ -206,8 +188,8 @@ def test_q_difference_relation():
         assert lhs.equals(rhs), k
 
 
-def _random_series(rng, varset, trunc, ring):
-    s = MultiSeries(varset, trunc, ring)
+def _random_series(rng, varset, trunc):
+    s = MultiSeries(varset, trunc)
     for _ in range(rng.randint(1, 6)):
         mono = tuple(rng.randint(0, 2) for _ in varset.names)
         if sum(mono) > trunc:
@@ -222,9 +204,9 @@ def _random_series(rng, varset, trunc, ring):
 def test_ring_axioms_on_random_series():
     rng = random.Random(5)
     for _ in range(8):
-        a = _random_series(rng, XYZ, 4, EXACT)
-        b = _random_series(rng, XYZ, 4, EXACT)
-        c = _random_series(rng, XYZ, 4, EXACT)
+        a = _random_series(rng, XYZ, 4)
+        b = _random_series(rng, XYZ, 4)
+        c = _random_series(rng, XYZ, 4)
         eq, _ = series_equals((a * b) * c, a * (b * c))
         assert eq
         eq, _ = series_equals(a * (b + c), a * b + a * c)
@@ -233,56 +215,37 @@ def test_ring_axioms_on_random_series():
         assert eq
 
 
-def test_exact_and_eval_commute():
-    rng = random.Random(11)
-    from qthook.qtcore import sample_points
-    pts = sample_points(3, seed=2)
-    for trial in range(20):
-        pt = pts[trial % len(pts)]
-
-        def at_pt(s):
-            return _series(XYZ, 4, pt,
-                           {m: c.evaluate(pt) for m, c in s.monomials()})
-
-        a = _random_series(rng, XYZ, 4, EXACT)
-        b = _random_series(rng, XYZ, 4, EXACT)
-        a2, b2 = at_pt(a), at_pt(b)
-        eq, _ = series_equals(at_pt(a * b + a), a2 * b2 + a2)
-        assert eq
-
-
 # -- product_of_f against the sequential product of its factors --------------
 
-def product_in_order(monos, varset, trunc, ring):
+def product_in_order(monos, varset, trunc):
     """prod F(x^m) multiplied in the order given, one ``series_f`` factor
     at a time: the oracle for the walk over multiplicities."""
-    out = MultiSeries.constant(1, varset, trunc, ring)
+    out = MultiSeries.constant(1, varset, trunc)
     for m in monos:
         if sum(m) <= trunc:
-            out = out * series_f(m, varset, trunc, ring)
+            out = out * series_f(m, varset, trunc)
     return out
+
+
+def _same_texts(a, b):
+    """The two series hold equal coefficients with equal texts."""
+    return a.terms.keys() == b.terms.keys() and all(
+        a.terms[m].equals(b.terms[m]) and
+        a.terms[m].num_den_strings() == b.terms[m].num_den_strings()
+        for m in a.terms)
 
 
 def assert_same_product(monos, varset, D):
     """product_of_f of ``monos`` in several orders equals the sequential
-    oracle at a point, and exactly with the same coefficient texts."""
+    oracle, with the same coefficient texts."""
     rng = random.Random(D)
     orders = [monos, monos[::-1]] + [rng.sample(monos, len(monos)) for _ in range(2)]
-    ring = EvalPoint(Fraction(-2, 3), Fraction(5, 7))
-    got = product_of_f(monos, varset, D, ring)
-    assert len(got.terms) > 50 and got.den > 1
+    got = product_of_f(monos, varset, D)
+    assert len(got.terms) > 50
     for order in orders:
-        assert series_equals(product_in_order(order, varset, D, ring), got) \
-            == (True, None)
-        other = product_of_f(order, varset, D, ring)
-        assert (other.terms, other.den) == (got.terms, got.den)
-    got = product_of_f(monos, varset, D, EXACT)
+        assert _same_texts(got, product_of_f(order, varset, D))
     for order in orders[:2]:
-        ref = product_in_order(order, varset, D, EXACT)
-        assert got.terms.keys() == ref.terms.keys()
-        assert all(got.terms[m].equals(ref.terms[m]) and
-                   got.terms[m].num_den_strings() == ref.terms[m].num_den_strings()
-                   for m in got.terms)
+        assert _same_texts(got, product_in_order(order, varset, D))
 
 
 @pytest.mark.parametrize("family, D", [("banner", 6), ("bird", 5), ("shifted", 6)])
@@ -395,17 +358,17 @@ def test_operations_leave_their_operands_alone():
             for x in xs] == kept
 
 
-# -- eval mode: integer numerators over one denominator ----------------------
+# -- exact series against a Fraction reference at a point ---------------------
 
 EVAL_POINTS = [EvalPoint(Fraction(-2, 3), Fraction(5, 7)),
                EvalPoint(Fraction(2, 3), Fraction(3, 5))]
 
 
-def _values(s):
-    """{monomial: value} of an eval-mode series, after checking its form."""
-    assert type(s.den) is int and s.den > 0
-    assert all(type(c) is int and c for c in s.terms.values())
-    return dict(s.monomials())
+def _values(s, pt):
+    """{monomial: value at ``pt``} of the nonzero values of an exact series,
+    after checking that it stores only nonzero QTCoeffs."""
+    assert all(type(c) is QTCoeff and c for c in s.terms.values())
+    return {m: v for m, c in s.monomials() if (v := c.evaluate(pt))}
 
 
 def _random_coeff(rng, pt):
@@ -425,8 +388,8 @@ def _random_coeff(rng, pt):
 
 
 def _random_pair(rng, pt, trunc=4):
-    """An eval-mode series built by add_term, and its {mono: Fraction}."""
-    s, ref = MultiSeries(XYZ, trunc, pt), {}
+    """A series built by add_term, and its {mono: Fraction} at ``pt``."""
+    s, ref = MultiSeries(XYZ, trunc), {}
     for _ in range(rng.randint(0, 7)):
         mono = tuple(rng.randint(0, 3) for _ in XYZ.names)
         c, v = _random_coeff(rng, pt)
@@ -436,10 +399,10 @@ def _random_pair(rng, pt, trunc=4):
     return s, {m: v for m, v in ref.items() if v}
 
 
-def _ref_add(a, b, sign=1):
+def _ref_add(a, b):
     out = dict(a)
     for m, v in b.items():
-        out[m] = out.get(m, 0) + sign * v
+        out[m] = out.get(m, 0) + v
     return {m: v for m, v in out.items() if v}
 
 
@@ -455,22 +418,21 @@ def _ref_mul(a, b, trunc):
 
 @pytest.mark.parametrize("pt", EVAL_POINTS, ids=["negative-q", "positive"])
 def test_eval_series_match_a_fraction_reference(pt):
+    # each operation on exact series, valued at pt, against the same
+    # operation on the values
     rng = random.Random(14)
     for _ in range(60):
         (a, ra), (b, rb) = _random_pair(rng, pt), _random_pair(rng, pt)
-        assert _values(a) == ra and _values(b) == rb
-        assert _values(a + b) == _ref_add(ra, rb)
-        assert _values(a - b) == _ref_add(ra, rb, -1)
-        assert _values(a * b) == _ref_mul(ra, rb, 4)
+        assert _values(a, pt) == ra and _values(b, pt) == rb
+        assert _values(a + b, pt) == _ref_add(ra, rb)
+        assert _values(a * b, pt) == _ref_mul(ra, rb, 4)
         c, v = _random_coeff(rng, pt)
-        assert _values(a.scale(c)) == {m: x * v for m, x in ra.items() if v}
-        for p in (a * b, a.scale(c)):  # gcd(den, *numerators) divided out
-            assert gcd(p.den, *p.terms.values()) == 1
-        assert _values(a.truncated(2)) == {m: x for m, x in ra.items()
-                                           if sum(m) <= 2}
+        assert _values(a.scale(c), pt) == {m: x * v for m, x in ra.items() if v}
+        assert _values(a.truncated(2), pt) == {m: x for m, x in ra.items()
+                                               if sum(m) <= 2}
         low = [min((m[i] for m in ra), default=0) for i in range(3)]
         shift = tuple(rng.randint(-lo, 1) for lo in low)
-        assert _values(a.shift_monomial(shift)) == {
+        assert _values(a.shift_monomial(shift), pt) == {
             tuple(map(sum, zip(m, shift))): x for m, x in ra.items()
             if sum(m) + sum(shift) <= 4}
         images = [rng.choice([z("z0"), z("z1", 2), ZERO_ONE, UNIT])
@@ -481,10 +443,22 @@ def test_eval_series_match_a_fraction_reference(pt):
                         for i in range(3))
             if sum(new) <= 5:
                 want[new] = want.get(new, 0) + x
-        assert _values(a.substitute(images, XYZ, 5)) == {
+        assert _values(a.substitute(images, XYZ, 5), pt) == {
             m: x for m, x in want.items() if x}
         for m in {(0, 0, 0), (1, 1, 1), *ra}:
-            assert a.coefficient(m) == ra.get(m, 0)
-            assert type(a.coefficient(m)) is Fraction
+            assert a.coefficient(m).evaluate(pt) == ra.get(m, 0)
         assert series_equals(a + b, b + a) == (True, None)
         assert a.equals(a.scale(Fraction(3, 7)).scale(Fraction(7, 3)))
+
+
+def test_exact_and_eval_commute():
+    # the values of an exact result are the Fraction result of the values
+    rng = random.Random(11)
+    from qthook.qtcore import sample_points
+    pts = sample_points(3, seed=2)
+    for trial in range(20):
+        pt = pts[trial % len(pts)]
+        a = _random_series(rng, XYZ, 4)
+        b = _random_series(rng, XYZ, 4)
+        va, vb = _values(a, pt), _values(b, pt)
+        assert _values(a * b + a, pt) == _ref_add(_ref_mul(va, vb, 4), va)

@@ -12,6 +12,8 @@ import pytest
 from qthook import hypergeom, macdonald, suites
 from qthook.qtcore import QTFactored
 
+from test_negative_controls import TWO, _drop_last_rhs_summand, _scaled
+
 # identity -> (module, name of the check it runs per case)
 CHECKS = {
     "lemma": (hypergeom, "lemma_check"),
@@ -163,9 +165,7 @@ MUTATIONS = [("pieri", "phi_skew"), ("pieri", "psi_skew"),
 def test_sweep_fails_on_a_doubled_coefficient(name, attr, monkeypatch):
     assert suites.run_identity(name).result == "pass"
     misses = macdonald._skew_cached.cache_info().misses
-    real = getattr(macdonald, attr)
-    monkeypatch.setattr(macdonald, attr,
-                        lambda *args: real(*args) * QTFactored(2))
+    _scaled(macdonald, attr, TWO)(monkeypatch)
     report = suites.run_identity(name)
     assert report.result == "fail"
     assert report.mismatch is not None
@@ -176,9 +176,7 @@ def test_pieri_fails_on_a_scaled_p_basis(monkeypatch):
     """With psi_skew doubled and a cold skew cache every P_lam is scaled, so
     the P-basis expansion meets a leading coefficient other than 1: the sweep
     reports a fail, not an internal error."""
-    real = macdonald.psi_skew
-    monkeypatch.setattr(macdonald, "psi_skew",
-                        lambda *args: real(*args) * QTFactored(2))
+    _scaled(macdonald, "psi_skew", TWO)(monkeypatch)
     macdonald._skew_cached.cache_clear()
     try:
         report = suites.run_identity("pieri")
@@ -189,14 +187,6 @@ def test_pieri_fails_on_a_scaled_p_basis(monkeypatch):
     assert _mismatch_json(report) == {
         "lam": "", "mu": "", "r": 0, "kind": "phi",
         "reason": "P_lam has a leading coefficient other than 1"}
-
-
-def _drop_last_rhs_summand(monkeypatch):
-    """The sums of ``hypergeom`` lose their last RHS summand (``hookformula``
-    keeps its own ``bounded_tuples`` binding)."""
-    real = hypergeom.bounded_tuples
-    monkeypatch.setattr(hypergeom, "bounded_tuples",
-                        lambda *args, **kw: real(*args, **kw)[:-1])
 
 
 @pytest.mark.parametrize("name", ["lemma", "general", "birds-final",
