@@ -38,7 +38,7 @@ from .qtcore import (
     BI_ONE,
     BiPoly,
     QTFactored,
-    _binomial_poly,
+    _frozen,
     b_el,
     b_lambda,
     b_oa,
@@ -396,48 +396,48 @@ def _m_to_p_matrix(d: int):
     return parts, MappingProxyType(inverse)
 
 
-def _z_weight(lam: Partition) -> RatFunc:
+def _z_weight(lam: Partition) -> QTFactored:
     """z_lam * prod (1 - q^{lam_i}) / (1 - t^{lam_i})."""
     mult = {}
     for p in lam:
         mult[p] = mult.get(p, 0) + 1
-    z = 1
+    z, factors = 1, {}
     for v, m in mult.items():
         z *= (v ** m) * factorial(m)
-    num = BiPoly.const(z)
-    den = BI_ONE
-    for p in lam:
-        num = num * _binomial_poly(p, 0)
-        den = den * _binomial_poly(0, p)
-    return RatFunc(num, den)
+        factors[v, 0], factors[0, v] = m, -m
+    return QTFactored(z, 0, 0, factors)
 
 
 @lru_cache(maxsize=None)
 def _gram_matrix(d: int):
-    """B[mu][nu] = <m_mu, m_nu>_{q,t} for mu, nu |- d."""
+    """B[mu][nu] = <m_mu, m_nu>_{q,t} for mu, nu |- d, read-only QTCoeffs."""
     parts, inverse = _m_to_p_matrix(d)
     weights = {lam: _z_weight(lam) for lam in parts}
     b = {}
     for i, mu in enumerate(parts):
         for nu in parts[i:]:  # the product is symmetric: one sum per pair
-            acc = RF_ZERO
+            acc = QTCoeff.zero()
             for lam in parts:
-                c = inverse[mu].get(lam, Fraction(0)) * inverse[nu].get(lam, Fraction(0))
+                c = inverse[mu].get(lam, 0) * inverse[nu].get(lam, 0)
                 if c:
-                    acc = acc + weights[lam].scale(c)
+                    acc = acc + QTCoeff.from_qtf(weights[lam].scale(c))
+            # callers share the entry: every part becomes a read-only view
+            acc.content.factors = MappingProxyType(dict(acc.content.factors))
+            acc.rem = _frozen(BiPoly(acc.rem.terms))
+            acc.den = MappingProxyType(dict(acc.den))
             b[(mu, nu)] = b[(nu, mu)] = acc
     return parts, MappingProxyType(b)
 
 
-def scalar_product(f: dict[Partition, RatFunc], g: dict[Partition, RatFunc],
-                   d: int) -> RatFunc:
+def scalar_product(f: dict[Partition, QTCoeff], g: dict[Partition, QTCoeff],
+                   d: int) -> QTCoeff:
     """Macdonald scalar product of two degree-d elements in m coordinates:
     sum_mu f_mu (sum_nu B[mu, nu] g_nu), each row summed before its one
     product with f_mu."""
     parts, b = _gram_matrix(d)
-    acc = RF_ZERO
+    acc = QTCoeff.zero()
     for mu, cf in f.items():
-        row = RF_ZERO
+        row = QTCoeff.zero()
         for nu, cg in g.items():
             row = row + cg * b[(mu, nu)]
         acc = acc + cf * row
@@ -450,23 +450,29 @@ def _gram_p_basis(d: int):
 
     In lex ascending order, P_lam is m_lam less <m_lam, P_mu> / <m_mu, P_mu>
     times each earlier P_mu.  So each P_mu needs one row of inner products
-    <m_kappa, P_mu>, kappa >= mu, one ``scalar_product`` an entry; the entry
-    at mu is the norm <P_mu, P_mu>, as P_mu is orthogonal to the earlier P,
-    which span the earlier m.
+    <m_kappa, P_mu>, kappa >= mu, each a sum over a ``_gram_matrix`` row,
+    whose entries are converted to RatFunc once; the entry at mu is the norm
+    <P_mu, P_mu>: P_mu is orthogonal to the earlier P, so to the earlier m.
     """
+    gram = {}
+    for (mu, nu), c in _gram_matrix(d)[1].items():
+        gram[mu, nu] = gram.get((nu, mu)) or RatFunc.from_qtcoeff(c)
+
+    def inner(lam, vec):  # <m_lam, vec>
+        return sum((v * gram[lam, nu] for nu, v in vec.items()), RF_ZERO)
+
     parts = sorted(partitions_of(d), key=lambda p: p.parts)  # lex ascending
     built = {}
     norms = {}
     for lam in parts:
-        m_lam = {lam: RF_ONE}
-        vec = dict(m_lam)
+        vec = {lam: RF_ONE}
         for mu, p_mu in built.items():
-            coef = scalar_product(m_lam, p_mu, d) / norms[mu]
+            coef = inner(lam, p_mu) / norms[mu]
             for nu, v in p_mu.items():
                 vec[nu] = vec.get(nu, RF_ZERO) - coef * v
         built[lam] = MappingProxyType(
             {nu: v for nu, v in vec.items() if not v.is_zero()})
-        norms[lam] = scalar_product(m_lam, built[lam], d)
+        norms[lam] = inner(lam, built[lam])
     return MappingProxyType(built)
 
 
@@ -518,21 +524,17 @@ def _distinct_permutations(mu: Partition, n: int):
     return set(itertools.permutations(base))
 
 
-def m_coeffs_of(poly: MultiSeries) -> dict[Partition, RatFunc]:
-    return {mu: RatFunc.from_qtcoeff(c) for mu, c in m_expansion(poly).items()}
-
-
 def orthonormality_check(lam: Partition, mu: Partition, n: int) -> bool:
-    """<P_lam, Q_mu> = delta via power-sum expansion (needs n >= degrees)."""
+    """<P_lam, Q_mu> = delta via power-sum expansion (needs n >= degrees),
+    on QTCoeff m coordinates: no gcd."""
     if lam.weight() != mu.weight():
         return True  # different degrees are orthogonal for free
     d = lam.weight()
     if d == 0:
         return True
-    val = scalar_product(m_coeffs_of(macdonald_p(lam, n)),
-                         m_coeffs_of(macdonald_q(mu, n)), d)
-    target = RF_ONE if lam == mu else RF_ZERO
-    return val.equals(target)
+    val = scalar_product(m_expansion(macdonald_p(lam, n)),
+                         m_expansion(macdonald_q(mu, n)), d)
+    return val.equals(QTCoeff.one() if lam == mu else QTCoeff.zero())
 
 
 # ---------------------------------------------------------------------------

@@ -542,16 +542,27 @@ def b_oa(lam: Partition) -> QTFactored:
     return _b_cells(lam, lambda i, j: lam.arm(i, j) % 2 == 1)
 
 
+def _f_ratio(ups, downs) -> QTFactored:
+    """prod f(n; m) over the (n, m) of ``ups`` over the same product for
+    ``downs``: the arguments are counted and ``f_product`` is called once,
+    as for the hook weights.  A negative n, whose f-value is 0, raises
+    ValueError instead of dropping out of the product."""
+    counts = {}
+    for sign, args in ((1, ups), (-1, downs)):
+        for n, m in args:
+            if n < 0:
+                raise ValueError(f"f({n}; {m}) = 0 in a product of f-values")
+            counts[n, m] = counts.get((n, m), 0) + sign
+    return f_product(counts.items())
+
+
 def _b_f_form(lam: Partition, step: int) -> QTFactored:
     """The f-ratio double product over rows i and gaps m = 0, step, 2 step,
     ... <= l(lam) - i."""
-    out = QTFactored.one()
     n = lam.length()
-    for i in range(1, n + 1):
-        for m in range(0, n - i + 1, step):
-            out = out * f_fun(lam[i] - lam[i + m + 1], m)
-            out = out / f_fun(lam[i] - lam[i + m], m)
-    return out
+    gaps = [(i, m) for i in range(1, n + 1) for m in range(0, n - i + 1, step)]
+    return _f_ratio([(lam[i] - lam[i + m + 1], m) for i, m in gaps],
+                    [(lam[i] - lam[i + m], m) for i, m in gaps])
 
 
 def b_lambda_f_form(lam: Partition) -> QTFactored:
@@ -567,13 +578,11 @@ def _strip_coeff(lam: Partition, mu: Partition, n: int,
     f(b_i - b_(j+1); m)); 0 when lam/mu is not a horizontal strip."""
     if not is_horizontal_strip(lam, mu):
         return QTFactored.zero()
-    out = QTFactored.one()
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            m = j - i
-            out = out * f_fun(lam[i] - mu[j], m) * f_fun(mu[i] - lam[j + 1], m)
-            out = out / (f_fun(a[i] - a[j], m) * f_fun(b[i] - b[j + 1], m))
-    return out
+    pairs = [(i, j, j - i) for i in range(1, n + 1) for j in range(i, n + 1)]
+    return _f_ratio([arg for i, j, m in pairs
+                     for arg in ((lam[i] - mu[j], m), (mu[i] - lam[j + 1], m))],
+                    [arg for i, j, m in pairs
+                     for arg in ((a[i] - a[j], m), (b[i] - b[j + 1], m))])
 
 
 def phi_skew(lam: Partition, mu: Partition) -> QTFactored:
@@ -600,21 +609,24 @@ def _check_rho_theta(rho: dict, theta: dict, m: int, n: int):
         raise ValueError("need 0 <= rho_n <= ... <= rho_m <= theta_m <= ...")
 
 
+def _phi_args(rho: dict, theta: dict, m: int, n: int) -> tuple[list, list]:
+    """The f-arguments of Phi_m^n(rho, theta), numerator and denominator."""
+    _check_rho_theta(rho, theta, m, n)
+    ups, downs = [], []
+    for i in range(m + 1, n + 1):
+        ups += [(rho[i - 1] - rho[i], 0), (theta[i - 1] - rho[i], i),
+                (theta[i] - rho[i - 1], i), (theta[i] - theta[i - 1], 0)]
+        downs += [(theta[i] - rho[i], i), (theta[i] - rho[i], i + 1)]
+    return ups, downs
+
+
 def phi_chain(rho: dict, theta: dict, m: int, n: int) -> QTFactored:
     """Phi_m^n(rho, theta), with middle f-arguments i (not 0) at step i."""
-    _check_rho_theta(rho, theta, m, n)
-    out = QTFactored.one()
-    for i in range(m + 1, n + 1):
-        out = out * f_fun(rho[i - 1] - rho[i], 0)
-        out = out * f_fun(theta[i - 1] - rho[i], i)
-        out = out * f_fun(theta[i] - rho[i - 1], i)
-        out = out * f_fun(theta[i] - theta[i - 1], 0)
-        out = out / (f_fun(theta[i] - rho[i], i) * f_fun(theta[i] - rho[i], i + 1))
-    return out
+    return _f_ratio(*_phi_args(rho, theta, m, n))
 
 
 def phi_hat(rho: dict, theta: dict, m: int, n: int) -> QTFactored:
     """Phi-hat: Phi with its boundary f-ratio."""
-    boundary = (f_fun(rho[n], 0) * f_fun(theta[n], n + 1)
-                / (f_fun(rho[m], 0) * f_fun(theta[m], m + 1)))
-    return boundary * phi_chain(rho, theta, m, n)
+    ups, downs = _phi_args(rho, theta, m, n)
+    return _f_ratio(ups + [(rho[n], 0), (theta[n], n + 1)],
+                    downs + [(rho[m], 0), (theta[m], m + 1)])

@@ -84,8 +84,10 @@ class QTCoeff:
     @property
     def num(self) -> BiPoly:
         """The value times the display denominator, expanded."""
-        return _lift(self.rem, self.content, 1, -self.dq, -self.dt,
-                     {k: -e for k, e in self.den.items()})
+        c, den = self.content, self.den
+        return _lift(self.rem, c, 1, -self.dq, -self.dt,
+                     {k: -den.get(k, 0) for k in c.factors.keys() | den.keys()}
+                     ).scale(c.coeff)
 
     def _den_poly(self) -> BiPoly:
         out = BiPoly.monomial(1, self.dq, self.dt)
@@ -94,21 +96,29 @@ class QTCoeff:
         return out
 
     def __add__(self, other: "QTCoeff") -> "QTCoeff":
-        """Keep the content both sides share, add the two expanded quotients,
-        and divide out each denominator binomial of it while that is exact."""
+        """Keep the content both sides share, add the two lifted remainders,
+        and divide out each denominator binomial of it while that is exact.
+        The shared scalar gcd(nums) / lcm(dens) makes each lift an integer
+        multiple.  Equal display denominators and scalars are kept as they
+        stand, and the new content is not validated again."""
         if not (self and other):
             return self or other
-        den = {k: max(self.den.get(k, 0), other.den.get(k, 0))
-               for k in self.den.keys() | other.den.keys()}
+        den = self.den
+        if den != other.den:
+            den = {k: max(den.get(k, 0), other.den.get(k, 0))
+                   for k in den.keys() | other.den.keys()}
         x, y = self.content, other.content
-        # minimum exponents and gcd(nums) / lcm(dens): integral quotients
-        scalar = Fraction(gcd(x.coeff.numerator, y.coeff.numerator),
-                          lcm(x.coeff.denominator, y.coeff.denominator))
+        xc, yc = x.coeff, y.coeff
+        g = gcd(xc.numerator, yc.numerator)
+        d = lcm(xc.denominator, yc.denominator)
+        scalar = abs(xc) if xc == yc else Fraction(g, d)
         qexp, texp = min(x.qexp, y.qexp), min(x.texp, y.texp)
         common = {k: min(x.factors.get(k, 0), y.factors.get(k, 0))
                   for k in x.factors.keys() | y.factors.keys()}
-        total = (_lift(self.rem, x, scalar, qexp, texp, common)
-                 + _lift(other.rem, y, scalar, qexp, texp, common))
+        total = (_lift(self.rem, x, xc.numerator // g * (d // xc.denominator),
+                       qexp, texp, common)
+                 + _lift(other.rem, y, yc.numerator // g * (d // yc.denominator),
+                         qexp, texp, common))
         for k, e in common.items():
             while e < 0 and total.terms:
                 quotient = divide_binomial(total, *k)
@@ -116,8 +126,11 @@ class QTCoeff:
                     break
                 total, e = quotient, e + 1
             common[k] = e
-        return QTCoeff(QTFactored(scalar, qexp, texp, common), total,
-                       max(self.dq, other.dq), max(self.dt, other.dt), den)
+        content = QTFactored.__new__(QTFactored)
+        content.coeff, content.qexp, content.texp = scalar, qexp, texp
+        content.factors = {k: e for k, e in common.items() if e}
+        return QTCoeff(content, total, max(self.dq, other.dq),
+                       max(self.dt, other.dt), den)
 
     def __neg__(self) -> "QTCoeff":
         return QTCoeff(self.content.scale(-1), self.rem,
@@ -156,46 +169,61 @@ class QTCoeff:
         return str(self.num), str(self._den_poly())
 
 
-def _lift(rem: BiPoly, f: QTFactored, scalar, qexp: int, texp: int,
+def _lift(rem: BiPoly, f: QTFactored, c: int, qexp: int, texp: int,
           floor: dict) -> BiPoly:
-    """rem * f / (scalar q^qexp t^texp prod (1 - q^a t^b)^floor[a, b]),
-    expanded; no exponent of f lies below the one it is divided by."""
-    p = BiPoly.monomial(f.coeff / scalar, f.qexp - qexp, f.texp - texp)
-    for k in f.factors.keys() | floor.keys():
-        gap = f.factors.get(k, 0) - floor.get(k, 0)
+    """rem * c * f / (f.coeff q^qexp t^texp prod (1 - q^a t^b)^floor[a, b]),
+    expanded, for an integer rem, an int c != 0 and a floor that keys each
+    factor of f and lies below none.  A single-term rem, the common case,
+    shifts and scales the binomial product, and only a longer one is
+    multiplied with it."""
+    prod = None
+    for k, e in floor.items():
+        gap = f.factors.get(k, 0) - e
         if gap:
-            p = p * _binomial_power(*k, gap)
-    return _times(rem, p)
+            power = _binomial_power(*k, gap)
+            prod = power if prod is None else prod * power
+    dq, dt = f.qexp - qexp, f.texp - texp
+    if prod is not None and len(rem.terms) == 1:
+        [((i, j), v)] = rem.terms.items()
+        rem, prod, c, dq, dt = prod, None, c * v, dq + i, dt + j
+    if c != 1 or dq or dt:
+        shifted = BiPoly.__new__(BiPoly)
+        shifted.terms = {(i + dq, j + dt): c * v for (i, j), v in rem.terms.items()}
+        rem = shifted
+    return rem if prod is None else rem * prod
 
 
 def divide_binomial(p: BiPoly, a: int, b: int) -> BiPoly | None:
-    """p / (1 - q^a t^b) when that division is exact, else None.
+    """p / (1 - q^a t^b), p integral, when that division is exact, else None.
 
-    The terms of p fall into chains m, m + (a, b), ..., keyed by where each
-    chain starts; a or b may be 0.  Along a chain the quotient is the running
-    sum of p's coefficients, so the division is exact when every chain sums
-    to 0.  O(n log n), no gcd."""
+    The terms of p fall into chains m, m + (a, b), ...; a or b may be 0.
+    Along a chain the quotient is the running sum of p's coefficients, so
+    the division is exact when every chain sums to 0.  Lex order is chain
+    order for every (a, b): one sorted pass carries each chain's sum to its
+    next term, and a sum still nonzero past p's last exponent fails.
+    O(n log n), no gcd."""
     terms = p.terms
     i, j = max(terms, default=(0, 0))  # top of its chain: most failures show there
     if sum(terms.get((i - s * a, j - s * b), 0)
            for s in range(min(i // a if a else j // b, j // b if b else i // a) + 1)):
         return None
-    chains = {}
-    for (i, j), c in terms.items():
-        k = min(i // a if a else j // b, j // b if b else i // a)
-        chains.setdefault((i - k * a, j - k * b), []).append((k, c))
-    out = {}
-    for (i, j), chain in chains.items():
-        chain.sort()
-        total = 0
-        for (k, c), (k_next, _) in zip(chain, chain[1:]):
-            total += c
-            if total:
-                for s in range(k, k_next):
-                    out[i + s * a, j + s * b] = total
-        if total + chain[-1][1]:
-            return None
-    return BiPoly(out)
+    # a chain climbs in i, or in j when a = 0; no term of p lies past last
+    last = i if a else max((j for _, j in terms), default=0)
+    out, carried = {}, {}
+    for m in sorted(terms):
+        run = terms[m] + carried.pop(m, 0)
+        i, j = m
+        while run:
+            out[i, j] = run
+            i, j = i + a, j + b
+            if (i, j) in terms:
+                carried[i, j] = run
+                break
+            if (i if a else j) > last:
+                return None
+    quotient = BiPoly.__new__(BiPoly)
+    quotient.terms = out
+    return quotient
 
 
 def as_coeff(c) -> QTCoeff:

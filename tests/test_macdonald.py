@@ -13,7 +13,6 @@ from qthook.qtcore import EvalPoint, QTFactored, b_lambda, f_fun
 from qthook.series import NO_TRUNC, MultiSeries, QTCoeff
 from qthook import macdonald
 from qthook.macdonald import (
-    RF_ONE,
     RatFunc,
     branching_check,
     cauchy_check,
@@ -170,6 +169,13 @@ def test_ratfunc_sum_over_coprime_denominators(sign):
     want = RatFunc(one_t + one_q.scale(sign), one_q * one_t)
     assert got.equals(want)
     assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms)
+
+
+def test_ratfunc_zero_absorbs_and_a_cancelled_sum_is_zero():
+    one_q = macdonald.BiPoly({(0, 0): 1, (1, 0): -1})
+    a = RatFunc(macdonald.BI_ONE, one_q)
+    for zero in (a * macdonald.RF_ZERO, macdonald.RF_ZERO * a, a - a):
+        assert zero.is_zero() and zero.den.terms == {(0, 0): 1}
 
 
 def test_g_r():
@@ -438,13 +444,13 @@ def test_m_product_matches_the_full_product(build):
 @pytest.mark.parametrize("d", range(1, 5))
 def test_inner_product_with_m_mu_is_the_norm(d):
     # <m_mu, P_mu> = <P_mu, P_mu> = 1 / b_mu (Macdonald VI (6.19)), the
-    # norm the Gram-Schmidt oracle reads off its inner-product rows
+    # norm the Gram-Schmidt oracle reads off its inner-product rows, decided
+    # on the factored coefficient
     for mu in partitions_of(d):
-        p_mu = macdonald.m_coeffs_of(macdonald_p(mu, d))
+        p_mu = m_expansion(macdonald_p(mu, d))
         norm = scalar_product(p_mu, p_mu, d)
-        assert scalar_product({mu: RF_ONE}, p_mu, d).equals(norm), mu
-        closed = RatFunc.from_qtcoeff(QTCoeff.from_qtf(b_lambda(mu).inverse()))
-        assert norm.equals(closed), mu
+        assert scalar_product({mu: QTCoeff.one()}, p_mu, d).equals(norm), mu
+        assert norm.equals(QTCoeff.from_qtf(b_lambda(mu).inverse())), mu
 
 
 def test_gram_matches_chains_at_5():
@@ -463,7 +469,11 @@ def test_callers_cannot_corrupt_the_gram_caches(cache):
     for key, value in table.items():
         with pytest.raises(TypeError):
             table[key] = value
-        if not isinstance(value, RatFunc):  # a row: read-only as well
+        if isinstance(value, QTCoeff):  # a Gram entry: every part read-only
+            for part in (value.rem.terms, value.den, value.content.factors):
+                with pytest.raises(TypeError):
+                    part[1, 1] = 7
+        elif not isinstance(value, RatFunc):  # a row: read-only as well
             with pytest.raises(TypeError):
                 value[next(iter(value))] = Fraction(7)
     assert cache(3) is got

@@ -23,6 +23,7 @@ def test_divexact_divisor_with_denominators():
     p = BiPoly({(0, 0): F(1), (1, 1): F(-1)}) * BiPoly({(0, 0): F(3), (1, 0): F(1)})
     assert divexact_bipoly(p, d) == BiPoly({(0, 0): F(6), (1, 0): F(2)})
     assert divexact_bipoly(d, d) == BiPoly({(0, 0): F(1)})
+    assert divexact_bipoly(BiPoly(), d) == BiPoly()
 
 
 @pytest.mark.parametrize("p, d", [

@@ -1,14 +1,22 @@
 """Hypothesis property tests for the arithmetic core."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qthook.partitions import Partition, is_horizontal_strip
-from qthook.qtcore import BiPoly, QTFactored, cancelled_ratio, sample_points
+from qthook.qtcore import (
+    BiPoly,
+    QTFactored,
+    _binomial_power,
+    _times,
+    cancelled_ratio,
+    sample_points,
+)
 from qthook.polyops import divexact_bipoly, gcd_bipoly
-from qthook.series import NO_TRUNC, divide_binomial, key_layout
+from qthook.series import NO_TRUNC, QTCoeff, divide_binomial, key_layout
 
 partitions = st.lists(st.integers(1, 6), max_size=5).map(
     lambda xs: Partition(sorted(xs, reverse=True)))
@@ -161,3 +169,126 @@ def test_monomial_keys_pack_add_truncate_and_sort(case):
         assert ka + kb >= keys.limit
     # one degree: the keys sort like their exponent tuples
     assert (ka < keys.pack(a_perm)) == (a < a_perm)
+
+
+# ``QTCoeff.__add__`` as it was before its fast paths: every lift a product
+# (``_reference_lift``) and the division by chains grouped and sorted one by
+# one (``_reference_divide``).  The kernel must give the same factored form.
+
+def _reference_lift(rem, f, scalar, qexp, texp, floor):
+    p = BiPoly.monomial(f.coeff / scalar, f.qexp - qexp, f.texp - texp)
+    for k in f.factors.keys() | floor.keys():
+        gap = f.factors.get(k, 0) - floor.get(k, 0)
+        if gap:
+            p = p * _binomial_power(*k, gap)
+    return _times(rem, p)
+
+
+def _reference_divide(p, a, b):
+    terms = p.terms
+    i, j = max(terms, default=(0, 0))
+    if sum(terms.get((i - s * a, j - s * b), 0)
+           for s in range(min(i // a if a else j // b, j // b if b else i // a) + 1)):
+        return None
+    chains = {}
+    for (i, j), c in terms.items():
+        k = min(i // a if a else j // b, j // b if b else i // a)
+        chains.setdefault((i - k * a, j - k * b), []).append((k, c))
+    out = {}
+    for (i, j), chain in chains.items():
+        chain.sort()
+        total = 0
+        for (k, c), (k_next, _) in zip(chain, chain[1:]):
+            total += c
+            if total:
+                for s in range(k, k_next):
+                    out[i + s * a, j + s * b] = total
+        if total + chain[-1][1]:
+            return None
+    return BiPoly(out)
+
+
+def _reference_add(x, y):
+    """The parts (content, rem, dq, dt, den) of x + y, both nonzero."""
+    den = {k: max(x.den.get(k, 0), y.den.get(k, 0))
+           for k in x.den.keys() | y.den.keys()}
+    fx, fy = x.content, y.content
+    scalar = Fraction(gcd(fx.coeff.numerator, fy.coeff.numerator),
+                      lcm(fx.coeff.denominator, fy.coeff.denominator))
+    qexp, texp = min(fx.qexp, fy.qexp), min(fx.texp, fy.texp)
+    common = {k: min(fx.factors.get(k, 0), fy.factors.get(k, 0))
+              for k in fx.factors.keys() | fy.factors.keys()}
+    total = (_reference_lift(x.rem, fx, scalar, qexp, texp, common)
+             + _reference_lift(y.rem, fy, scalar, qexp, texp, common))
+    for k, e in common.items():
+        while e < 0 and total.terms:
+            quotient = _reference_divide(total, *k)
+            if quotient is None:
+                break
+            total, e = quotient, e + 1
+        common[k] = e
+    return (QTFactored(scalar, qexp, texp, common), total,
+            max(x.dq, y.dq), max(x.dt, y.dt), den)
+
+
+def _parts(c: QTCoeff):
+    f = c.content
+    return ((f.coeff, f.qexp, f.texp, dict(f.factors)), dict(c.rem.terms),
+            c.dq, c.dt, dict(c.den))
+
+
+shared_keys = st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)])
+few_scalars = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2),
+                               Fraction(1, 2), Fraction(-3, 2)])
+remainders = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.integers(-3, 3).filter(bool), min_size=1, max_size=4).map(BiPoly)
+
+
+@st.composite
+def qtcoeffs(draw):
+    """A nonzero QTCoeff with a content over a few shared binomials and a
+    display denominator at least the content's."""
+    content = QTFactored(draw(few_scalars), draw(st.integers(-1, 2)),
+                         draw(st.integers(-1, 2)),
+                         draw(st.dictionaries(shared_keys, st.integers(-2, 2),
+                                              max_size=3)))
+    den = {k: -e for k, e in content.factors.items() if e < 0}
+    for k, e in draw(st.dictionaries(shared_keys, st.integers(1, 2),
+                                     max_size=1)).items():
+        den[k] = max(den.get(k, 0), e)
+    return QTCoeff(content, draw(remainders), max(-content.qexp, 0),
+                   max(-content.texp, 0), den)
+
+
+@st.composite
+def summands(draw):
+    """Two nonzero QTCoeffs: drawn apart, sharing a content, or y = -c q^a
+    t^b x, so that x + y = x (1 - q^a t^b) when c = 1 and a shared
+    denominator binomial divides out."""
+    x = draw(qtcoeffs())
+    how = draw(st.sampled_from(["apart", "same content", "shifted"]))
+    if how == "apart":
+        return x, draw(qtcoeffs())
+    if how == "same content":
+        return x, QTCoeff(x.content, draw(remainders), x.dq, x.dt, x.den)
+    a, b = draw(shared_keys)
+    c = draw(st.sampled_from([1, 1, -2]))
+    return x, x * QTCoeff.from_qtf(QTFactored(-c, a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(summands())
+def test_qtcoeff_sum_keeps_the_reference_form(pair):
+    x, y = pair
+    assert _parts(x + y) == _parts(QTCoeff(*_reference_add(x, y)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_polys, binomial_keys, int_polys)
+def test_divide_binomial_matches_the_reference(p, ab, r):
+    b = BiPoly({(0, 0): 1, ab: -1})
+    for poly in (p, p * b, p * b * b + r, p * b + r * b * b):
+        got, want = divide_binomial(poly, *ab), _reference_divide(poly, *ab)
+        assert (got is None) == (want is None), (poly, ab)
+        assert got is None or got.terms == want.terms, (poly, ab)

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qthook import qtcore
-from qthook.partitions import Partition, partitions_up_to, is_horizontal_strip
+from qthook.partitions import (
+    Partition,
+    is_horizontal_strip,
+    monotone_chains,
+    partitions_up_to,
+)
 from qthook.qtcore import (
     BI_ONE,
     BiPoly,
@@ -23,6 +28,8 @@ from qthook.qtcore import (
     cancelled_ratio,
     f_fun,
     f_product,
+    phi_chain,
+    phi_hat,
     phi_skew,
     psi_skew,
     resample_point,
@@ -95,6 +102,98 @@ def test_b_forms_agree_weight_up_to_6():
     for lam in partitions_up_to(6):
         assert b_lambda(lam).equals(b_lambda_f_form(lam)), lam
         assert b_el(lam).equals(b_el_f_form(lam)), lam
+
+
+# The chained QTFactored products of f-values that the Pieri coefficients,
+# Phi, Phi-hat and the b f-forms were before they counted their f-arguments
+# into one f_product: the reference each must reproduce factor for factor.
+
+def chained_strip_coeff(lam, mu, n, a, b):
+    if not is_horizontal_strip(lam, mu):
+        return QTFactored.zero()
+    out = QTFactored.one()
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            m = j - i
+            out = out * f_fun(lam[i] - mu[j], m) * f_fun(mu[i] - lam[j + 1], m)
+            out = out / (f_fun(a[i] - a[j], m) * f_fun(b[i] - b[j + 1], m))
+    return out
+
+
+def chained_b_f_form(lam, step):
+    out = QTFactored.one()
+    n = lam.length()
+    for i in range(1, n + 1):
+        for m in range(0, n - i + 1, step):
+            out = out * f_fun(lam[i] - lam[i + m + 1], m)
+            out = out / f_fun(lam[i] - lam[i + m], m)
+    return out
+
+
+def chained_phi_chain(rho, theta, m, n):
+    out = QTFactored.one()
+    for i in range(m + 1, n + 1):
+        out = out * f_fun(rho[i - 1] - rho[i], 0)
+        out = out * f_fun(theta[i - 1] - rho[i], i)
+        out = out * f_fun(theta[i] - rho[i - 1], i)
+        out = out * f_fun(theta[i] - theta[i - 1], 0)
+        out = out / (f_fun(theta[i] - rho[i], i) * f_fun(theta[i] - rho[i], i + 1))
+    return out
+
+
+def chained_phi_hat(rho, theta, m, n):
+    boundary = (f_fun(rho[n], 0) * f_fun(theta[n], n + 1)
+                / (f_fun(rho[m], 0) * f_fun(theta[m], m + 1)))
+    return boundary * chained_phi_chain(rho, theta, m, n)
+
+
+def _parts(x: QTFactored):
+    return x.coeff, x.qexp, x.texp, dict(x.factors)
+
+
+def general_grid_chains(seed=0):
+    """The (rho, theta, m, n) of every Phi that the seeded ``general``
+    sweep builds (``suites._general``, ``hypergeom.general_both_sides``)."""
+    rng = random.Random(seed)
+    for n in range(4):
+        for m in range(3):
+            for theta0, rho0, k0 in monotone_chains(0, 3, 3):
+                gamma = [rng.randint(0, 3) for _ in range(n)]
+                for chain in monotone_chains(k0, rho0, n):
+                    rho, theta = {m - 1: rho0}, {m - 1: theta0}
+                    for i in range(m, m + n):
+                        rho[i] = chain[i - m]
+                        theta[i] = (gamma[i - m] + theta[i - 1] + rho[i - 1]
+                                    - rho[i])
+                    yield rho, theta, m - 1, m + n - 1
+
+
+def test_f_ratio_products_match_the_chained_products():
+    for lam in partitions_up_to(5):
+        for step in (1, 2):
+            assert _parts(qtcore._b_f_form(lam, step)) == \
+                _parts(chained_b_f_form(lam, step)), (lam, step)
+        for mu in partitions_up_to(lam.weight()):
+            if lam.contains(mu):  # every strip, and the shapes that are not
+                assert _parts(phi_skew(lam, mu)) == _parts(chained_strip_coeff(
+                    lam, mu, lam.length(), lam, mu)), (lam, mu)
+                assert _parts(psi_skew(lam, mu)) == _parts(chained_strip_coeff(
+                    lam, mu, mu.length(), mu, lam)), (lam, mu)
+    chains = list(general_grid_chains())
+    assert len(chains) == 585
+    for rho, theta, m, n in chains:
+        assert _parts(phi_chain(rho, theta, m, n)) == \
+            _parts(chained_phi_chain(rho, theta, m, n)), (rho, theta)
+        assert _parts(phi_hat(rho, theta, m, n)) == \
+            _parts(chained_phi_hat(rho, theta, m, n)), (rho, theta)
+
+
+def test_a_product_of_f_values_rejects_a_negative_argument():
+    # f(-1; m) = 0 has no factored form: counting it would drop the zero
+    with pytest.raises(ValueError, match=r"f\(-1; 1\) = 0"):
+        qtcore._f_ratio([(2, 0), (-1, 1)], [])
+    with pytest.raises(ValueError, match=r"f\(-2; 0\) = 0"):
+        qtcore._f_ratio([], [(-2, 0)])
 
 
 def test_leg_parity_partition_is_exhaustive():
