@@ -150,6 +150,8 @@ def _poset_dot(poset) -> str:
 def cmd_show(args) -> int:
     poset = _build_poset(args)
     if args.what == "hooks":
+        if args.format == "dot":
+            raise SystemExit(_usage("--format dot applies only to show poset"))
         rec = hook_monomials(poset)
         closed = hook_monomials_closed_form(poset)
         payload = {

@@ -57,9 +57,9 @@ def _neg_q_power(x, q, cap: int = TERM_CAP) -> int | None:
     return None
 
 
-def _termination_bound(uppers, q, cap=TERM_CAP):
-    """Smallest n with some upper equal to q^-n, or None."""
-    return min((n for n in (_neg_q_power(a, q, cap) for a in uppers)
+def _termination_bound(uppers, q):
+    """Smallest n <= TERM_CAP with some upper equal to q^-n, or None."""
+    return min((n for n in (_neg_q_power(a, q) for a in uppers)
                 if n is not None), default=None)
 
 

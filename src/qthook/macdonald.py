@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from operator import add, ge
 from types import MappingProxyType
 
@@ -38,6 +38,7 @@ from .qtcore import (
     BI_ONE,
     BiPoly,
     QTFactored,
+    _binomial_poly,
     _frozen,
     b_el,
     b_lambda,
@@ -69,7 +70,8 @@ def check_symmetric(poly: MultiSeries) -> MultiSeries:
         groups.setdefault(tuple(sorted(e, reverse=True)), []).append(e)
     for rep, members in groups.items():
         base = terms[members[0]]
-        if len(members) != _n_permutations(rep, len(poly.varset)):
+        if len(members) != len(_distinct_permutations(Partition(rep),
+                                                      len(poly.varset))):
             raise AssertionError(f"missing orbit members for {rep}")
         for m in members[1:]:
             if not terms[m].equals(base):
@@ -103,16 +105,6 @@ def m_product(a: MultiSeries, b: MultiSeries) -> dict[Partition, QTCoeff]:
                 lam = Partition(e)
                 out[lam] = out[lam] + c1 * c2 if lam in out else c1 * c2
     return {lam: c for lam, c in out.items() if c}
-
-
-def _n_permutations(sorted_exps, n):
-    counts = {}
-    for v in sorted_exps:
-        counts[v] = counts.get(v, 0) + 1
-    total = factorial(n)
-    for v, k in counts.items():
-        total //= factorial(k)
-    return total
 
 
 def _strip_chains(lam: Partition, mu: Partition, n: int):
@@ -273,10 +265,6 @@ class RatFunc:
         out.num, out.den = num, den
         return out
 
-    @staticmethod
-    def from_qtcoeff(c: QTCoeff) -> "RatFunc":
-        return RatFunc(c.num, c._den_poly())
-
     def is_zero(self):
         return self.num.is_zero()
 
@@ -326,73 +314,53 @@ class RatFunc:
     def scale(self, c) -> "RatFunc":
         return RatFunc._raw(self.num.scale(c), self.den)
 
-    def equals(self, other) -> bool:
-        return self.num * other.den == other.num * self.den
-
 
 RF_ZERO = RatFunc._raw(BiPoly(), BI_ONE)
 RF_ONE = RatFunc._raw(BI_ONE, BI_ONE)
 
 
-def _power_sum_poly(r: int, n: int) -> MultiSeries:
-    out = MultiSeries(poly_vars(n), NO_TRUNC)
-    for i in range(n):
-        e = [0] * n
-        e[i] = r
-        out.add_term(tuple(e), QTCoeff.one())
-    return out
+def _placements(lam: Partition, mu: Partition) -> int:
+    """The coefficient of m_mu in p_lam: the ways to place each part of lam
+    into a box of mu so that every box is filled exactly."""
+    ways = {mu.parts: 1}  # the room left in each box -> ways to leave it
+    for r in lam:
+        placed = {}
+        for room, w in ways.items():
+            for j, b in enumerate(room):
+                if b >= r:
+                    key = room[:j] + (b - r,) + room[j + 1:]
+                    placed[key] = placed.get(key, 0) + w
+        ways = placed
+    return ways.get((0,) * mu.length(), 0)
 
 
 @lru_cache(maxsize=None)
 def _p_to_m_matrix(d: int):
-    """Integer expansion of p_lam over m_mu for lam, mu |- d (in d variables)."""
+    """p_lam = sum_mu rows[lam][mu] m_mu over lam, mu |- d, lex descending."""
     parts = tuple(sorted(partitions_of(d), key=lambda p: p.parts, reverse=True))
-    rows = {}
-    for lam in parts:
-        poly = MultiSeries.constant(1, poly_vars(d), NO_TRUNC)
-        for r in lam:
-            poly = poly * _power_sum_poly(r, d)
-        exp = m_expansion(poly)
-        rows[lam] = MappingProxyType(
-            {mu: _qtcoeff_to_fraction(c) for mu, c in exp.items()})
+    rows = {lam: MappingProxyType({mu: c for mu in parts
+                                   if (c := _placements(lam, mu))})
+            for lam in parts}
     return parts, MappingProxyType(rows)
-
-
-def _qtcoeff_to_fraction(c: QTCoeff) -> Fraction:
-    # integer-coefficient helper for the p->m matrix
-    # unrun: internal invariant; power sums have integer coefficients
-    if set(c.num.terms) != {(0, 0)} or c.den or c.dq or c.dt:
-        raise AssertionError("expected a constant coefficient")
-    return Fraction(c.num.terms[(0, 0)])
 
 
 @lru_cache(maxsize=None)
 def _m_to_p_matrix(d: int):
-    """Inverse of the p->m matrix, exact rational entries."""
+    """Inverse of the p->m matrix, nonzero Fraction entries: m_mu = sum_lam
+    inverse[mu][lam] p_lam.  p_mu involves only m_mu and the m_nu with nu
+    dominating mu, which come first in lex descending order, so one pass
+    in that order solves for each m_mu."""
     parts, rows = _p_to_m_matrix(d)
-    k = len(parts)
-    idx = {p: i for i, p in enumerate(parts)}
-    a = [[Fraction(0)] * (2 * k) for _ in range(k)]
-    for lam in parts:
-        i = idx[lam]
-        for mu, v in rows[lam].items():
-            a[i][idx[mu]] = v
-        a[i][k + i] = Fraction(1)
-    # Gauss-Jordan over the rationals
-    for col in range(k):
-        piv = next(r for r in range(col, k) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(k):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     inverse = {}
-    for mu in parts:  # m_mu = sum_lam inverse[mu][lam] p_lam
-        r = idx[mu]
-        inverse[mu] = MappingProxyType({lam: a[r][k + idx[lam]] for lam in parts})
-    # note: rows of the inverse matrix live on the m side
+    for mu in parts:
+        row = {mu: Fraction(1)}
+        for nu, c in rows[mu].items():
+            if nu != mu:
+                for lam, v in inverse[nu].items():
+                    row[lam] = row.get(lam, 0) - c * v
+        diagonal = rows[mu][mu]
+        inverse[mu] = MappingProxyType(
+            {lam: v / diagonal for lam, v in row.items() if v})
     return parts, MappingProxyType(inverse)
 
 
@@ -408,6 +376,14 @@ def _z_weight(lam: Partition) -> QTFactored:
     return QTFactored(z, 0, 0, factors)
 
 
+def _read_only(c: QTCoeff) -> QTCoeff:
+    """``c``, which owns its parts, with each part a read-only view."""
+    c.content.factors = MappingProxyType(dict(c.content.factors))
+    c.rem = _frozen(BiPoly(c.rem.terms))
+    c.den = MappingProxyType(dict(c.den))
+    return c
+
+
 @lru_cache(maxsize=None)
 def _gram_matrix(d: int):
     """B[mu][nu] = <m_mu, m_nu>_{q,t} for mu, nu |- d, read-only QTCoeffs."""
@@ -421,11 +397,7 @@ def _gram_matrix(d: int):
                 c = inverse[mu].get(lam, 0) * inverse[nu].get(lam, 0)
                 if c:
                     acc = acc + QTCoeff.from_qtf(weights[lam].scale(c))
-            # callers share the entry: every part becomes a read-only view
-            acc.content.factors = MappingProxyType(dict(acc.content.factors))
-            acc.rem = _frozen(BiPoly(acc.rem.terms))
-            acc.den = MappingProxyType(dict(acc.den))
-            b[(mu, nu)] = b[(nu, mu)] = acc
+            b[(mu, nu)] = b[(nu, mu)] = _read_only(acc)
     return parts, MappingProxyType(b)
 
 
@@ -453,70 +425,67 @@ def _gram_p_basis(d: int):
     <m_kappa, P_mu>, kappa >= mu, each a sum over a ``_gram_matrix`` row,
     whose entries are converted to RatFunc once; the entry at mu is the norm
     <P_mu, P_mu>: P_mu is orthogonal to the earlier P, so to the earlier m.
+    A finished P_lam is handed out in QTCoeffs (``_over_c_lambda``).
     """
     gram = {}
     for (mu, nu), c in _gram_matrix(d)[1].items():
-        gram[mu, nu] = gram.get((nu, mu)) or RatFunc.from_qtcoeff(c)
+        gram[mu, nu] = gram.get((nu, mu)) or RatFunc(c.num, c._den_poly())
 
     def inner(lam, vec):  # <m_lam, vec>
         return sum((v * gram[lam, nu] for nu, v in vec.items()), RF_ZERO)
 
     parts = sorted(partitions_of(d), key=lambda p: p.parts)  # lex ascending
-    built = {}
-    norms = {}
+    built, norms, out = {}, {}, {}
     for lam in parts:
         vec = {lam: RF_ONE}
         for mu, p_mu in built.items():
             coef = inner(lam, p_mu) / norms[mu]
             for nu, v in p_mu.items():
                 vec[nu] = vec.get(nu, RF_ZERO) - coef * v
-        built[lam] = MappingProxyType(
-            {nu: v for nu, v in vec.items() if not v.is_zero()})
+        built[lam] = {nu: v for nu, v in vec.items() if not v.is_zero()}
         norms[lam] = inner(lam, built[lam])
-    return MappingProxyType(built)
+        out[lam] = _over_c_lambda(built[lam], lam)
+    return MappingProxyType(out)
+
+
+def _over_c_lambda(coords: dict[Partition, RatFunc], lam: Partition):
+    """The m coordinates of P_lam as read-only QTCoeffs over c_lam = prod
+    (1 - q^a(s) t^(l(s)+1)), s over the cells of lam: J_lam = c_lam P_lam
+    has m coordinates in Z[q, t] (Macdonald VI (8.3); Knop, J. reine angew.
+    Math. 482, 1997), so num c_lam / den divides exactly (checked, never
+    rounded), and the quotient, scaled to integers, is the remainder."""
+    from .polyops import divexact_bipoly
+
+    c_lam, expanded = {}, BI_ONE
+    for i, j in lam.cells():
+        k = lam.arm(i, j), lam.leg(i, j) + 1
+        c_lam[k] = c_lam.get(k, 0) + 1
+        expanded = expanded * _binomial_poly(*k)
+    out = {}
+    for nu, r in coords.items():
+        rem = divexact_bipoly(r.num * expanded, r.den)
+        scale = lcm(*(Fraction(v).denominator for v in rem.terms.values()))
+        content = QTFactored(Fraction(1, scale), 0, 0,
+                             {k: -e for k, e in c_lam.items()})
+        out[nu] = _read_only(QTCoeff(content, rem.scale(scale), 0, 0, c_lam))
+    return MappingProxyType(out)
 
 
 def gram_p(lam: Partition, n: int) -> MultiSeries:
-    """Oracle construction of P_lam by Gram-Schmidt; budget |lam| <= 6."""
+    """Oracle construction of P_lam by Gram-Schmidt; budget |lam| <= 6.
+    The P_lam are built in ``RatFunc``; c_lam (``_over_c_lambda``) only
+    turns their coordinates into the QTCoeffs that every series holds."""
     if lam.weight() > 6:
         raise ValueError("gram_p oracle budget is |lam| <= 6")
     if lam.length() > n:
         raise ValueError("gram_p needs l(lam) <= n")
-    coords = _gram_p_basis(lam.weight())[lam]
     out = MultiSeries(poly_vars(n), NO_TRUNC)
-    for mu, c in coords.items():
+    for mu, c in _gram_p_basis(lam.weight())[lam].items():
         if mu.length() > n:
             continue
-        qc = _OracleCoeff(c)  # not a QTCoeff: stored, not added
         for e in _distinct_permutations(mu, n):
-            out.terms[out.keys.pack(e)] = qc
+            out.terms[out.keys.pack(e)] = c
     return out
-
-
-class _OracleCoeff:
-    """Coefficient of the Gram-Schmidt oracle: a reduced ``RatFunc``.
-
-    Not a ``QTCoeff``, whose denominator is a product of binomials; an
-    oracle series is only compared, and ``equals`` takes a ``QTCoeff`` on
-    either side (``QTCoeff.equals`` defers to it).
-    """
-
-    __slots__ = ("rat",)
-
-    def __init__(self, rat: RatFunc):
-        self.rat = rat
-
-    def __bool__(self):
-        return not self.rat.is_zero()
-
-    def equals(self, other):
-        # unrun: goes with ROADMAP item 2; the other side is a QTCoeff
-        if isinstance(other, _OracleCoeff):
-            return self.rat.equals(other.rat)
-        return self.rat.num * other._den_poly() == other.num * self.rat.den
-
-    def num_den_strings(self) -> tuple[str, str]:
-        return str(self.rat.num), str(self.rat.den)
 
 
 def _distinct_permutations(mu: Partition, n: int):

@@ -151,8 +151,6 @@ class QTCoeff:
 
     def equals(self, other) -> bool:
         """Exact equality, through ``qtcore.same_value``."""
-        if not isinstance(other, QTCoeff):
-            return other.equals(self)
         return same_value(self.content, self.rem, other.content, other.rem)
 
     def evaluate(self, point: EvalPoint) -> Fraction:

@@ -1,8 +1,10 @@
 """Fail the run when a line of src/qthook never runs and gives no reason.
 
 Load with ``python -m pytest -p tests.linetrace`` on the whole suite, which
-runs about five times slower under it.  Lines are recorded with
-``sys.settrace`` from configure time on, so module bodies count too.  A
+runs slower under it.  Lines are recorded from configure time on, so
+module bodies count too: on Python >= 3.12 by a ``sys.monitoring`` (PEP
+669) LINE callback that disables each line once it has run, so every line
+costs one call, and before 3.12 by ``sys.settrace``.  A
 ``# unrun: <reason>`` comment at the end of a statement's first line, or
 alone on the line above it, excuses that statement (the whole block when it
 opens one).  A reason whose statement ran in full is stale and fails the run
@@ -35,12 +37,28 @@ def _trace(frame, event, arg):
     return _record if frame.f_code.co_filename.startswith(str(SRC)) else None
 
 
+def _line(code, line):
+    if code.co_filename.startswith(str(SRC)):
+        _hits.add((code.co_filename, line))
+    return sys.monitoring.DISABLE
+
+
 def pytest_configure(config):
-    sys.settrace(_trace)
+    if hasattr(sys, "monitoring"):
+        tool = sys.monitoring.COVERAGE_ID
+        sys.monitoring.use_tool_id(tool, "linetrace")
+        sys.monitoring.register_callback(tool, sys.monitoring.events.LINE, _line)
+        sys.monitoring.set_events(tool, sys.monitoring.events.LINE)
+    else:
+        sys.settrace(_trace)
 
 
 def pytest_sessionfinish(session, exitstatus):
-    sys.settrace(None)
+    if hasattr(sys, "monitoring"):
+        sys.monitoring.set_events(sys.monitoring.COVERAGE_ID, 0)
+        sys.monitoring.free_tool_id(sys.monitoring.COVERAGE_ID)
+    else:
+        sys.settrace(None)
     failures, total = 0, 0
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()

@@ -110,6 +110,8 @@ USAGE_ERRORS = [  # (argv, environment)
     (["verify", "hook", "--family", "bird", "--alpha", "2,1", "--beta", "2,1"],
      {}),
     (["verify", "hook", "--family", "banner", "--alpha", "4,3,2,1"], {}),
+    (["show", "hooks", "--family", "shifted", "--alpha", "2,1", "--format",
+      "dot"], {}),
 ]
 
 

@@ -145,6 +145,107 @@ def test_gram_oracle_mixes_with_qtcoeff_in_either_order():
     assert not g.equals(twice) and not twice.equals(g)
 
 
+def _square_free(s):
+    """x1 x2 ... xd, for a homogeneous series s of degree d."""
+    d = s.min_total_degree()
+    return tuple(int(i < d) for i in range(len(s.varset)))
+
+
+XS = macdonald.VarSet(["x", "y", "z", "w"])
+XS_IMAGES = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)]
+SERIES_OPS = {  # name -> (a, b) -> series
+    "add": lambda a, b: a + b,
+    "mul": lambda a, b: a * b,
+    # by b's coefficient at x1 ... xd, (1+q)(1-t)/(1-qt) for P_2
+    "scale": lambda a, b: a.scale(b.coefficient(_square_free(b))),
+    "truncated": lambda a, b: a.truncated(4) + b.truncated(4),
+    # x3 -> z w in x, y, z, w, truncated at degree 4
+    "substitute": lambda a, b: (a.substitute(XS_IMAGES, XS, 4)
+                                + b.substitute(XS_IMAGES, XS, 4)),
+}
+
+
+@pytest.mark.parametrize("lam", [P([2]), P([2, 1]), P([1, 1, 1])], ids=str)
+@pytest.mark.parametrize("op", SERIES_OPS)
+def test_oracle_series_is_an_ordinary_series(op, lam):
+    # the oracle's P_lam in either operand place gives what the strip-chain
+    # P_lam gives: its coefficients are QTCoeffs like every other series'
+    g, m = gram_p(lam, 3), macdonald_p(lam, 3)
+    assert g.terms and all(type(c) is QTCoeff for c in g.terms.values())
+    want = SERIES_OPS[op](m, m)
+    for got in (SERIES_OPS[op](g, m), SERIES_OPS[op](m, g),
+                SERIES_OPS[op](g, g)):
+        assert got.equals(want) and want.equals(got)
+
+
+def test_oracle_coordinates_divide_exactly_by_c_lambda():
+    # c_(1) = 1 - t does not cancel the denominator 1 - q^2: an error, not a
+    # rounded coefficient
+    one_q2 = macdonald.BiPoly({(0, 0): 1, (2, 0): -1})
+    with pytest.raises(ArithmeticError):
+        macdonald._over_c_lambda({P([1]): RatFunc(macdonald.BI_ONE, one_q2)},
+                                 P([1]))
+    # every coordinate of P_(2,1) is over c_(2,1) = (1 - q t^2)(1 - t)^2,
+    # whatever its reduced denominator was
+    for nu, c in macdonald._gram_p_basis(3)[P([2, 1])].items():
+        assert c.den == {(1, 2): 1, (0, 1): 2}, nu
+
+
+def _series_p_to_m(d):
+    """The p->m rows built as products of power-sum series in d variables."""
+    xs = macdonald.poly_vars(d)
+    rows = {}
+    for lam in partitions_of(d):
+        poly = MultiSeries.constant(1, xs, NO_TRUNC)
+        for r in lam:
+            power_sum = MultiSeries(xs, NO_TRUNC)
+            for i in range(d):
+                power_sum.add_term(tuple(r * (j == i) for j in range(d)),
+                                   QTCoeff.one())
+            poly = poly * power_sum
+        # the coefficients are integers: any point gives them
+        rows[lam] = {mu: c.evaluate(EvalPoint(Fraction(2), Fraction(3)))
+                     for mu, c in m_expansion(poly).items()}
+    return rows
+
+
+def _gauss_jordan_inverse(parts, rows):
+    """rows inverted by Gauss-Jordan elimination with pivot search."""
+    k = len(parts)
+    idx = {p: i for i, p in enumerate(parts)}
+    a = [[Fraction(0)] * (2 * k) for _ in range(k)]
+    for lam in parts:
+        for mu, v in rows[lam].items():
+            a[idx[lam]][idx[mu]] = Fraction(v)
+        a[idx[lam]][k + idx[lam]] = Fraction(1)
+    for col in range(k):
+        piv = next(r for r in range(col, k) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(k):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return {mu: {lam: a[idx[mu]][k + idx[lam]] for lam in parts}
+            for mu in parts}
+
+
+@pytest.mark.parametrize("d", range(0, 7))
+def test_power_sum_tables_match_series_products_and_elimination(d):
+    parts, rows = macdonald._p_to_m_matrix(d)
+    _, inverse = macdonald._m_to_p_matrix(d)
+    assert sorted(parts, key=lambda p: p.parts) == sorted(
+        partitions_of(d), key=lambda p: p.parts)
+    want_rows = _series_p_to_m(d)
+    want_inverse = _gauss_jordan_inverse(parts, want_rows)
+    for lam in parts:
+        for mu in parts:
+            assert rows[lam].get(mu, 0) == want_rows[lam].get(mu, 0), (lam, mu)
+            assert inverse[lam].get(mu, 0) == want_inverse[lam][mu], (lam, mu)
+            assert sum(rows[lam].get(nu, 0) * inverse[nu].get(mu, 0)
+                       for nu in parts) == (lam == mu), (lam, mu)
+
+
 def test_oracle_normalizes_with_exact_reciprocals():
     # the denominator 3 + q leads with 3, so both sides are divided by 3
     num = macdonald.BiPoly({(0, 0): 1, (0, 1): 2})
@@ -167,7 +268,6 @@ def test_ratfunc_sum_over_coprime_denominators(sign):
     a, b = RatFunc(macdonald.BI_ONE, one_q), RatFunc(macdonald.BI_ONE, one_t)
     got = a + b if sign > 0 else a - b
     want = RatFunc(one_t + one_q.scale(sign), one_q * one_t)
-    assert got.equals(want)
     assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms)
 
 
@@ -458,6 +558,12 @@ def test_gram_matches_chains_at_5():
         assert gram_p(lam, 5).equals(macdonald_p(lam, 5)), lam
 
 
+def _assert_read_only(c):
+    for part in (c.rem.terms, c.den, c.content.factors):
+        with pytest.raises(TypeError):
+            part[1, 1] = 7
+
+
 @pytest.mark.parametrize("cache", [
     macdonald._p_to_m_matrix, macdonald._m_to_p_matrix,
     macdonald._gram_matrix, macdonald._gram_p_basis,
@@ -469,13 +575,18 @@ def test_callers_cannot_corrupt_the_gram_caches(cache):
     for key, value in table.items():
         with pytest.raises(TypeError):
             table[key] = value
-        if isinstance(value, QTCoeff):  # a Gram entry: every part read-only
-            for part in (value.rem.terms, value.den, value.content.factors):
-                with pytest.raises(TypeError):
-                    part[1, 1] = 7
-        elif not isinstance(value, RatFunc):  # a row: read-only as well
+        if isinstance(value, QTCoeff):  # a Gram entry
+            _assert_read_only(value)
+        else:  # a row: read-only as well, and so is every QTCoeff in it
             with pytest.raises(TypeError):
                 value[next(iter(value))] = Fraction(7)
+            for entry in value.values():
+                assert isinstance(entry, (int, Fraction, QTCoeff))
+                if isinstance(entry, QTCoeff):
+                    _assert_read_only(entry)
+    # the oracle's series share the cached entries, read-only as well
+    for c in gram_p(P([2, 1]), 3).terms.values():
+        _assert_read_only(c)
     assert cache(3) is got
     # the oracle still builds the same P_lam after those attempts
     assert gram_p(P([2, 1]), 3).equals(skew_p(P([2, 1]), EMPTY, 3))
