@@ -160,10 +160,13 @@ def cmd_show(args) -> int:
             "agreement": rec == closed,
         }
         _emit(payload, args.out)
+        return 0 if payload["agreement"] else 1
+    if args.format == "dot":  # the Hasse diagram alone: nothing is checked
+        _emit(_poset_dot(poset), args.out)
         return 0
-    _emit(_poset_dot(poset) if args.format == "dot" else _poset_json(poset),
-          args.out)
-    return 0
+    payload = _poset_json(poset)
+    _emit(payload, args.out)
+    return 0 if payload["dComplete"] and payload["hookAgreement"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -38,77 +38,77 @@ class ColoredPoset:
         well-defined rank (true for every connected d-complete poset)."""
         self.family = family
         self.params = params
-        self.elements = sorted(set(elements))
-        self.index = {e: k for k, e in enumerate(self.elements)}
-        n = len(self.elements)
+        self.elements = elements = sorted(set(elements))
+        self.index = {e: k for k, e in enumerate(elements)}
+        n = len(elements)
 
-        # down[a]: bit b set iff a >= b; up[b]: bit a set iff a >= b
-        blocks = [block_of(e) for e in self.elements]
-        down = [sum(1 << b for b, eb in enumerate(self.elements)
-                    if ea[0] <= eb[0] and ea[1] <= eb[1]
-                    and blocks[a] & blocks[b])
-                for a, ea in enumerate(self.elements)]
-        for k in range(n):  # transitive closure
-            for a in range(n):
-                if down[a] >> k & 1:
-                    down[a] |= down[k]
-        up = [sum(1 << a for a in range(n) if down[a] >> b & 1)
-              for b in range(n)]
+        # down[a]: bit b set iff a >= b; up[b]: bit a set iff a >= b.  The
+        # elements are sorted, so a >= b puts b at or after a (and a row
+        # after a is never above it): each row is closed from the closed
+        # rows after it, and its lowest bit outside the downsets taken so
+        # far is a maximal element below a, a cover.
+        blocks = [block_of(e) for e in elements]
+        down, up, lowers = [0] * n, [0] * n, [[] for _ in elements]
+        for a in range(n - 1, -1, -1):
+            ja, m = elements[a][1], 1 << a
+            for b in range(a + 1, n):
+                if ja <= elements[b][1] and blocks[a] & blocks[b]:
+                    m |= 1 << b
+            rest = m ^ 1 << a
+            while rest:
+                b = (rest & -rest).bit_length() - 1
+                lowers[a].append(elements[b])
+                m |= down[b]
+                rest &= ~down[b]
+            down[a] = rest = m
+            while rest:
+                low = rest & -rest
+                up[low.bit_length() - 1] |= 1 << a
+                rest ^= low
         self._down, self._up = down, up
-        self.color = {e: color_of(e) for e in self.elements}
+        self.color = {e: color_of(e) for e in elements}
 
-        self.covers = []  # (lower, upper) pairs
-        for a, ea in enumerate(self.elements):
-            lower = down[a] & ~(1 << a)
-            deeper = 0  # what lies strictly below something strictly below a
-            for c in self._bits(lower):
-                deeper |= down[c] & ~(1 << c)
-            self.covers.extend((self.elements[b], ea)
-                               for b in self._bits(lower & ~deeper))
-
-        self._upper = {e: [] for e in self.elements}
-        self._lower = {e: [] for e in self.elements}
+        self.covers = [(lo, hi) for hi, los in zip(elements, lowers)
+                       for lo in los]  # (lower, upper) pairs
+        self._lower = dict(zip(elements, lowers))
+        self._upper = {e: [] for e in elements}
         for lo, hi in self.covers:
             self._upper[lo].append(hi)
-            self._lower[hi].append(lo)
 
-        maxima = [e for e in self.elements if not self._upper[e]]
+        maxima = [e for e in elements if not self._upper[e]]
         if len(maxima) != 1:
             raise ValueError(f"poset has {len(maxima)} maximal elements")
         self.top = maxima[0]
 
         # rank: depth from the top; every saturated chain to the top must
-        # agree (Proctor's rank property)
-        self.rank = {}
-        pending = sorted(self.elements,
-                         key=lambda e: up[self.index[e]].bit_count())
-        for e in pending:
-            uppers = self._upper[e]
-            if not uppers:
-                self.rank[e] = 0
-                continue
-            ranks = {self.rank[u] + 1 for u in uppers}
+        # agree (Proctor's rank property).  An upper cover comes earlier
+        # in element order.
+        self.rank = rank = {}
+        for e in elements:
+            ranks = {rank[u] + 1 for u in self._upper[e]} or {0}
             if len(ranks) != 1:
                 raise ValueError(f"rank is not well defined at {e}")
-            self.rank[e] = ranks.pop()
+            rank[e] = ranks.pop()
 
-        self.top_tree = self._compute_top_tree()
-        self.varset = VarSet(sorted({self.color[e] for e in self.elements},
+        # the top tree: the elements with no multiply covered element above
+        multi = 0
+        for a, e in enumerate(elements):
+            if len(self._upper[e]) > 1:
+                multi |= 1 << a
+        self.top_tree = {e for e, u in zip(elements, up) if not u & multi}
+        self.varset = VarSet(sorted(set(self.color.values()),
                                     key=_color_sort_key))
 
     # -- order primitives --------------------------------------------------
 
-    @staticmethod
-    def _bits(mask: int):
-        """The positions of the set bits of ``mask``, ascending."""
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
     def members(self, mask: int) -> list:
         """The elements whose bits ``mask`` sets, in element order."""
-        return [self.elements[i] for i in self._bits(mask)]
+        out, elements = [], self.elements
+        while mask:
+            low = mask & -mask
+            out.append(elements[low.bit_length() - 1])
+            mask ^= low
+        return out
 
     def down_mask(self, e) -> int:
         """The downset of e as a mask over element positions."""
@@ -130,11 +130,6 @@ class ColoredPoset:
 
     def upper_covers(self, e):
         return self._upper[e]
-
-    def _compute_top_tree(self):
-        multi = sum(1 << self.index[e] for e in self.elements
-                    if len(self._upper[e]) > 1)
-        return {e for e in self.elements if not self.up_mask(e) & multi}
 
     def top_tree_adjacency(self) -> set[frozenset]:
         """Color pairs adjacent in the top tree (Hasse edges inside T)."""
@@ -279,12 +274,18 @@ def _diamond_shape(poset: ColoredPoset, mask: int):
     if it is one incomparable pair x, y (x first in element order) with
     every other member below both or above both, else None."""
     down, up = poset._down, poset._up
-    incomparable = [(i, m) for i in poset._bits(mask)
-                    if (m := mask & ~(down[i] | up[i]))]
-    if len(incomparable) != 2 or any(m.bit_count() != 1
-                                     for _, m in incomparable):
-        return None  # not exactly one incomparable pair
-    (i, _), (j, _) = incomparable
+    pair, rest = [], mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        i = low.bit_length() - 1
+        if mask & ~(down[i] | up[i]):  # i is incomparable to a member
+            if len(pair) == 2:
+                return None  # more than one incomparable pair
+            pair.append(i)
+    if not pair:
+        return None  # a chain
+    i, j = pair
     chain = mask & ~(1 << i | 1 << j)
     # no c is below i but not j (j < c < i would make i, j comparable)
     below, above = chain & down[i], chain & up[i]
@@ -294,13 +295,18 @@ def _diamond_shape(poset: ColoredPoset, mask: int):
 
 def _intervals(poset: ColoredPoset, sizes):
     """(w, v, mask) of each interval [w, v] with w < v whose size is in
-    ``sizes``, in element order of w, then of v."""
-    for w in poset.elements:
-        up = poset.up_mask(w)
-        for v in poset.members(up & ~(1 << poset.index[w])):
-            mask = up & poset.down_mask(v)
+    ``sizes``, in element order of w, then of v: one walk over the bits of
+    each up mask."""
+    down, elements = poset._down, poset.elements
+    for w, up in enumerate(poset._up):
+        rest = up ^ 1 << w
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            mask = up & down[v]
             if mask.bit_count() in sizes:
-                yield w, v, mask
+                yield elements[w], elements[v], mask
 
 
 def find_dk_intervals(poset: ColoredPoset) -> list[DkInterval]:
@@ -410,11 +416,11 @@ def hook_monomials(poset: ColoredPoset) -> dict:
     hooks = {}
     for v in sorted(poset.elements, key=lambda e: -poset.rank[e]):
         tops = by_top.get(v)
-        if not tops:
-            mono = {}
+        if not tops:  # the colors of the downset, counted
+            mono = hooks[v] = {}
             for w in poset.downset(v):
-                mono = _mono_mul(mono, {poset.color[w]: 1})
-            hooks[v] = mono
+                c = poset.color[w]
+                mono[c] = mono.get(c, 0) + 1
             continue
         results = [_mono_mul(_mono_mul(*(hooks[s] for s in sorted(iv.sides))),
                              hooks[iv.bottom], -1) for iv in tops]
@@ -549,7 +555,7 @@ def hook_monomials_closed_form(poset: ColoredPoset) -> dict:
 
 def fill_order(poset: ColoredPoset) -> list:
     """The linear extension enumerate_p_partitions fills, top-down by rank."""
-    return sorted(poset.elements, key=lambda e: (poset.rank[e], e))
+    return sorted(poset.elements, key=poset.rank.__getitem__)  # ties: (i, j)
 
 
 def enumerate_p_partitions(poset: ColoredPoset, bound: int):
@@ -568,7 +574,7 @@ def enumerate_p_partitions(poset: ColoredPoset, bound: int):
     order = fill_order(poset)
     pos = {e: i for i, e in enumerate(order)}
     uppers = [[pos[u] for u in poset.upper_covers(e)] for e in order]
-    below = [len(poset.downset(e)) for e in order]
+    below = [poset.down_mask(e).bit_count() for e in order]
     size = len(order)
     values, caps = [0] * size, [0] * size
     used = [0] * (size + 1)  # used[i]: the weight of positions before i

@@ -14,8 +14,9 @@ into one int, a prefix sum along one walk over all P-partitions
 (``lhs_terms``); the right side, prod_v F(z^(h_v)), is a sum over hook
 multiplicity vectors of prod f(k_v; 0), one walk over the multiplicities
 (``series.f_product_terms``).  ``verify_okada`` then decides each distinct
-monomial signature once.  The bird and banner forms take Phi and Phi-hat
-from ``qtcore``.
+monomial signature once; exact mode values only the groups of signatures
+that are not one group against one of the same counts.  The bird and
+banner forms take Phi and Phi-hat from ``qtcore``.
 """
 
 from __future__ import annotations
@@ -54,10 +55,8 @@ def _weight_plan(poset: ColoredPoset) -> tuple[tuple, tuple, tuple]:
     edges = poset.top_tree_adjacency()
     rank, color, elements = poset.rank, poset.color, poset.elements
     adjacent, equal = [], []
-    for x in elements:
-        for y in elements:
-            if x == y or not poset.le(x, y):
-                continue
+    for k, x in enumerate(elements):
+        for y in poset.members(poset.up_mask(x) ^ 1 << k):  # x < y
             diff = rank[x] - rank[y]
             if frozenset((color[x], color[y])) in edges:
                 if diff % 2 != 1:
@@ -338,13 +337,14 @@ def lhs_terms(poset: ColoredPoset, trunc: int) -> list[tuple[tuple, list[int]]]:
     count reaches the pair count, < 2^(width - 1), so equal keys are equal
     counts.  A pair adds its field at the position of its lower element in
     ``fill_order``, through a row over n per partner, and every partner
-    comes first (the hat's is the 0 appended to each map).  ``wk``/``zk``
-    are prefix sums of that key and of z^pi's ``key_layout`` key, so a
-    P-partition recomputes only from the position the walk moved, where it
-    first differs from the one before.  A group's key is decoded once into
-    its counts, the ((n, m), c) pairs with c != 0 of the weight
-    prod f(n; m)^c (``qtcore.f_product``); groups come in the order of
-    their first P-partition and list their z^pi in enumeration order.
+    comes first (the hat's is the 0 appended to each map); the fields run
+    n-major, so a row's key at n is its key at 1 shifted n - 1 blocks up.
+    ``wk``/``zk`` are prefix sums of that key and of z^pi's ``key_layout``
+    key, so a P-partition recomputes only from the position the walk
+    moved, where it first differs from the one before.  A group's key is
+    decoded once into its counts, the ((n, m), c) pairs with c != 0 of the
+    weight prod f(n; m)^c (``qtcore.f_product``); groups come in the order
+    of their first P-partition and list their z^pi in enumeration order.
     """
     order = fill_order(poset)
     size = len(order)
@@ -356,15 +356,15 @@ def lhs_terms(poset: ColoredPoset, trunc: int) -> list[tuple[tuple, list[int]]]:
     ms = sorted({m for *_, m, _ in pairs})
     fields = [(n, m) for n in range(1, trunc + 1) for m in ms]
     width = len(pairs).bit_length() + 1
-    shift = {field: k * width for k, field in enumerate(fields)}
-    rows = [{} for _ in order]  # position -> partner -> row over n
+    slot = {m: k * width for k, m in enumerate(ms)}  # the field of f(1; m)
+    step = len(ms) * width  # from the field of f(n; m) to that of f(n + 1; m)
+    firsts = [{} for _ in order]  # position -> partner -> the key at n = 1
     for i, j, m, sign in pairs:
         if i <= j < size:
             raise AssertionError(f"{order[j]} is filled after {order[i]}")
-        row = rows[i].setdefault(j, [0] * (trunc + 1))
-        for n in range(1, trunc + 1):
-            row[n] += sign << shift[n, m]
-    closes = [tuple(r.items()) for r in rows]
+        firsts[i][j] = firsts[i].get(j, 0) + (sign << slot[m])
+    closes = [tuple((j, [0] + [b << n * step for n in range(trunc)])
+                    for j, b in r.items()) for r in firsts]
     units = key_layout(len(poset.varset), trunc).units
     unit = [units[poset.varset.index[poset.color[e]]] for e in order]
     wk, zk = [0] * (size + 1), [0] * (size + 1)
@@ -457,19 +457,46 @@ def _pair_sum(values, idxs) -> tuple[int, int]:
     return num, den
 
 
-def _differing(lv, rv, sigs, point: EvalPoint | None) -> list:
-    """The signatures whose two sides differ, exactly or at ``point``.
+class _Valued(dict):
+    """The exact value of each group of one side, made on first use and
+    kept for the check: ``QTCoeff.from_qtf(f_product(counts))``."""
 
-    Each signature compares the sum of its left group values ``lv`` with
-    the sum of its right ones ``rv``: exact ``QTCoeff`` sums compared by
-    ``equals`` (one group against one group is mostly the identical-form
-    test), or at a point integer pairs compared by one cross product.
+    def __init__(self, groups):
+        super().__init__()
+        self.groups = groups
+
+    def __missing__(self, i):
+        value = self[i] = QTCoeff.from_qtf(f_product(self.groups[i][0]))
+        return value
+
+
+def _decide_exact(left, right, sigs):
+    """(left values, right values, differing signatures), exactly.
+
+    A signature that sets one group against one group of the same counts
+    is equal unvalued: both sides would be the identical factored form,
+    which ``same_value`` accepts first.  Every other signature compares the
+    sum of its left group values with the sum of its right ones by
+    ``equals``; a group is valued the first time a signature needs it
+    (``_Valued``), so the values are those ``_mismatch`` reads.
     """
-    if point is None:
-        zero = QTCoeff.zero()
-        return [sig for sig in sigs
-                if not sum((lv[i] for i in sig[0]), zero).equals(
-                    sum((rv[i] for i in sig[1]), zero))]
+    lv, rv = _Valued(left), _Valued(right)
+    zero = QTCoeff.zero()
+    out = []
+    for sig in sigs:
+        ls, rs = sig
+        if len(ls) == len(rs) == 1 and left[ls[0]][0] == right[rs[0]][0]:
+            continue
+        if not sum((lv[i] for i in ls), zero).equals(
+                sum((rv[i] for i in rs), zero)):
+            out.append(sig)
+    return lv, rv, out
+
+
+def _differing(lv, rv, sigs) -> list:
+    """The signatures whose two sides differ at a point: each compares the
+    sum of its left group values ``lv`` with the sum of its right ones
+    ``rv``, integer pairs, by one cross product."""
     out = []
     for sig in sigs:
         ln, ld = _pair_sum(lv, sig[0])
@@ -506,14 +533,15 @@ def verify_okada(poset: ColoredPoset, trunc: int, mode: str = "exact",
     Both sides are (counts, monomial keys) groups in one format: the left
     is ``lhs_terms``, the right the walk over hook multiplicities
     (``f_product_terms`` of the hook monomials).  The monomials are indexed
-    once by signature (``_signatures``).  Then per point (exact mode: once)
-    each distinct group is valued once, and those values decide each
-    distinct signature once; in exact mode that decides every monomial of
-    either side.  A failure reports the lex-first differing monomial with
-    both coefficient texts, read from the same values (``_mismatch``).
-    ``report.points`` lists the eval points compared, replacements
-    included: a point is redrawn where a group's value has a vanishing
-    binomial.
+    once by signature (``_signatures``), and each distinct signature is
+    decided once, which decides every monomial of either side.  Exact mode
+    values a group only for a signature that is not one group against one
+    of the same counts, and then at most once (``_decide_exact``); at each
+    point every group is valued once (``_differing``).  A failure reports
+    the lex-first differing monomial with both coefficient texts, read
+    from the same values (``_mismatch``).  ``report.points`` lists the
+    eval points compared, replacements included: a point is redrawn where
+    a group's value has a vanishing binomial.
     """
     report = VerificationReport(
         check="hook", family=poset.family,
@@ -532,11 +560,13 @@ def verify_okada(poset: ColoredPoset, trunc: int, mode: str = "exact",
         sigs = _signatures(left, right)
 
         def decide(pt):
-            # each group valued once: a QTCoeff, or an integer pair at pt
-            value = (pt.f_product if pt is not None
-                     else lambda c: QTCoeff.from_qtf(f_product(c)))
-            lv, rv = ([value(c) for c, _ in groups] for groups in (left, right))
-            return lv, rv, _differing(lv, rv, sigs, pt)
+            if pt is None:
+                return _decide_exact(left, right, sigs)
+            # every group valued at pt, so a vanishing binomial in any
+            # group redraws the point
+            lv, rv = ([pt.f_product(c) for c, _ in groups]
+                      for groups in (left, right))
+            return lv, rv, _differing(lv, rv, sigs)
 
         for pt, (lv, rv, differing) in resampled(point_list, seed, decide):
             if pt is not None:

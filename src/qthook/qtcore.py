@@ -6,8 +6,7 @@ Every weight and coefficient formula in this package is a product of factors
 dictionary merges and never expand anything (it is also the content of the
 exact series coefficient ``series.QTCoeff``).  Both decide equality by one
 test, ``same_value``: two identical factored forms are equal as they
-stand (most pairs on the hook check, whose two sides share cached f(n; m)
-values); any other pair has the monomial and the (1 - q^a t^b) powers
+stand; any other pair has the monomial and the (1 - q^a t^b) powers
 both sides share cancelled (``cancelled_ratio``), what is left expanded to
 bivariate polynomials (``BiPoly``) and integer cross products compared.
 ``BiPoly`` keeps integral coefficients as Python ints and only the others
@@ -446,12 +445,12 @@ def same_value(x: QTFactored, rx: BiPoly, y: QTFactored, ry: BiPoly) -> bool:
     """Whether x * rx == y * ry, exactly.
 
     Identical forms (the same scalar, monomial, factor exponents and
-    remainder) are equal without expanding anything; on the hook check that
-    decides most pairs, since both sides build their coefficients from the
-    same cached f(n; m) values (5,240 of the 5,291 pairs of the seed-0
-    hook-exact benchmark).  Every other pair is decided in full: cancel
-    what x and y share (``cancelled_ratio``), then compare the two cross
-    products, the scalars taken as integer cross multiples."""
+    remainder) are equal without expanding anything.  (The hook check
+    settles the pairs it knows to be identical, one weight group against
+    one of the same counts, before it values them.)  Every other pair is
+    decided in full: cancel what x and y share (``cancelled_ratio``), then
+    compare the two cross products, the scalars taken as integer cross
+    multiples."""
     x_zero, y_zero = not (x.coeff and rx.terms), not (y.coeff and ry.terms)
     if x_zero or y_zero:
         return x_zero and y_zero

@@ -263,6 +263,35 @@ def test_hook_agreement_is_per_element(capsys, monkeypatch):
     assert json.loads(out)["hookAgreement"] is False
 
 
+@pytest.mark.parametrize("broken", ["hooks", "d-complete"])
+def test_show_exits_1_on_a_broken_invariant(broken, capsys, monkeypatch):
+    if broken == "hooks":  # a closed form one z0 too many at the top
+        real = cli.hook_monomials_closed_form
+
+        def wrong(poset):
+            hooks = real(poset)
+            top = hooks[poset.top]
+            hooks[poset.top] = {**top, "z0": top.get("z0", 0) + 1}
+            return hooks
+
+        monkeypatch.setattr(cli, "hook_monomials_closed_form", wrong)
+    else:
+        monkeypatch.setattr(cli, "d_complete_check",
+                            lambda poset: (False, "(D1) fails"))
+    argv = ["--family", "bird", "--alpha", "3,2", "--beta", "2,1", "--f", "2"]
+    code, out, _ = run_cli(["show", "poset", *argv], capsys)
+    report = json.loads(out)
+    assert code == 1
+    assert (report["hookAgreement"], report["dComplete"]) == \
+        ((False, True) if broken == "hooks" else (True, False))
+    code, out, _ = run_cli(["show", "hooks", *argv], capsys)
+    assert code == (1 if broken == "hooks" else 0)
+    assert json.loads(out)["agreement"] is (broken != "hooks")
+    # the Hasse diagram checks nothing
+    code, _, _ = run_cli(["show", "poset", *argv, "--format", "dot"], capsys)
+    assert code == 0
+
+
 def test_timed_fills_elapsed_ms_when_the_block_raises():
     report = VerificationReport(check="hook")
     with pytest.raises(RuntimeError):

@@ -1,6 +1,6 @@
 import pytest
 
-from qthook import dposet
+from qthook import dposet, hookformula
 from qthook.partitions import Partition
 from qthook.dposet import (
     ColoredPoset,
@@ -399,12 +399,42 @@ class MatrixPoset:
         return out
 
 
+def reference_weight_plan(ref, color):
+    """hookformula._weight_plan rebuilt pairwise from the matrix order,
+    without its parity checks."""
+    tree = ref.top_tree
+    edges = {frozenset((color[lo], color[hi])) for lo, hi in ref.covers
+             if lo in tree and hi in tree}
+    adjacent, equal = [], []
+    for x in ref.elements:
+        for y in ref.elements:
+            if x == y or not ref.le(x, y):
+                continue
+            diff = ref.rank[x] - ref.rank[y]
+            if frozenset((color[x], color[y])) in edges:
+                adjacent.append((x, y, (diff - 1) // 2))
+            elif color[x] == color[y]:
+                equal.append((x, y, diff // 2))
+    top = next(e for e in ref.elements if ref.rank[e] == 0)
+    hat = [(x, ref.rank[x] // 2) for x in ref.elements
+           if color[x] == color[top]]
+    return tuple(adjacent), tuple(equal), tuple(hat)
+
+
 @pytest.mark.parametrize("build, args", [
     (build_shifted, (P([4, 2, 1]),)),
     (build_bird, (P([3, 2]), P([2, 1]), 2)),
     (build_banner, (P([4, 3, 2, 1]), 2)),
     (build_banner, (P([9, 6, 3, 2]), 2)),
-], ids=["shifted", "bird", "banner", "banner-9632"])
+    (build_bird, (P([4, 3]), P([3, 2]), 2)),
+    (build_bird, (P([5, 3]), P([4, 2]), 1)),
+    (build_shifted, (P([9, 7, 5, 3, 1]),)),
+    (build_shifted, (P([6, 4, 3, 1]),)),
+    (build_banner, (P([6, 4, 3, 2]), 2)),
+    (build_banner, (P([5, 4, 2, 1]), 3)),
+], ids=["shifted", "bird", "banner", "banner-9632", "bird-43-32-2",
+        "bird-53-42-1", "shifted-97531", "shifted-6431", "banner-6432-2",
+        "banner-5421-3"])
 def test_bitmask_poset_matches_the_matrix_construction(build, args,
                                                        monkeypatch):
     refs, real = [], dposet.ColoredPoset
@@ -429,6 +459,8 @@ def test_bitmask_poset_matches_the_matrix_construction(build, args,
             in dposet._find_dk_minus(poset) if k >= 4] == \
         [(w, k, frozenset(ref.interval(w, v)), frozenset((v,)))
          for w, v, k, _ in ref.dk_intervals(minus=True)]
+    assert hookformula._weight_plan(poset) == \
+        reference_weight_plan(ref, poset.color)
     hooks = hook_monomials(poset)
     ref.color = poset.color
     ref.downset = lambda e: [f for f in ref.elements if ref.le(f, e)]

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -450,43 +451,43 @@ def test_eval_mismatch_text_is_the_exact_coefficient_at_the_point(
 
 
 # A, B, -B and C display over 1 - q, (1 - q)(1 - q^2), the same and 1
-A = QTCoeff.from_qtf(f_fun(1, 0))
-B = QTCoeff.from_qtf(f_fun(2, 0))
-MINUS_B = QTCoeff.from_qtf(f_fun(2, 0).scale(-1))
-C = QTCoeff.from_qtf(QTFactored(Fraction(1, 2), 1, 0))
+FORMS = {"A": f_fun(1, 0), "B": f_fun(2, 0), "-B": f_fun(2, 0).scale(-1),
+         "C": QTFactored(Fraction(1, 2), 1, 0)}
 
 
 @pytest.mark.parametrize("left, right", [
-    ([A, B], []),
-    ([B, MINUS_B, A], [C]),
-    ([B, MINUS_B], [C]),
-    ([C, A, B], [B, C]),
+    (["A", "B"], []),
+    (["B", "-B", "A"], ["C"]),
+    (["B", "-B"], ["C"]),
+    (["C", "A", "B"], ["B", "C"]),
 ], ids=["a-side-with-no-group", "cancels-partway", "cancels-in-full",
         "different-display-denominators"])
-def test_mismatch_texts_are_the_series_texts(left, right):
+def test_mismatch_texts_are_the_series_texts(left, right, monkeypatch):
     # one monomial, xy, takes the groups of each side in order, and x^2,
-    # taking C on both sides, agrees; the report reads the group values
+    # taking C on both sides, agrees; each group's counts are the name of
+    # its form, and the report reads the values the exact decision made
+    monkeypatch.setattr(hookformula, "f_product", FORMS.__getitem__)
     xy, trunc = VarSet(["x", "y"]), 3
     pack = key_layout(2, trunc).pack
-    groups = [[(c, [pack((1, 1))]) for c in side] + [(C, [pack((2, 0))])]
-              for side in (left, right)]
-    lv, rv = ([c for c, _ in side] for side in groups)
+    groups = [[(name, [pack((1, 1))]) for name in side]
+              + [("C", [pack((2, 0))])] for side in (left, right)]
     sigs = hookformula._signatures(*groups)
-    differing = hookformula._differing(lv, rv, sigs, None)
+    lv, rv, differing = hookformula._decide_exact(*groups, sigs)
     assert len(differing) == 1
     got = hookformula._mismatch(xy, trunc, None, lv, rv, sigs, differing)
     sides = []
     for side in groups:
         series = MultiSeries(xy, trunc)
-        series.add_groups(side)
+        series.add_groups((QTCoeff.from_qtf(FORMS[name]), keys)
+                          for name, keys in side)
         sides.append(series)
     equal, want = series_equals(*sides)
     assert not equal and got == want
 
 
-def test_eval_mode_evaluates_each_group_once_per_point(monkeypatch):
-    poset = build_bird(P([3, 2]), P([2, 1]), 2)
-    groups = {"left": [], "right": []}
+def record_groups(monkeypatch) -> dict:
+    """The groups the hook check's next run sets up, by side."""
+    groups = {}
 
     def recorded(side, terms):
         def record(*args):
@@ -494,6 +495,16 @@ def test_eval_mode_evaluates_each_group_once_per_point(monkeypatch):
             return groups[side]
         return record
 
+    monkeypatch.setattr(hookformula, "lhs_terms",
+                        recorded("left", hookformula.lhs_terms))
+    monkeypatch.setattr(hookformula, "f_product_terms",
+                        recorded("right", hookformula.f_product_terms))
+    return groups
+
+
+def test_eval_mode_evaluates_each_group_once_per_point(monkeypatch):
+    poset = build_bird(P([3, 2]), P([2, 1]), 2)
+    groups = record_groups(monkeypatch)
     valued = {}  # point -> the counts valued there, in call order
     f_product_at = EvalPoint.f_product
 
@@ -501,10 +512,6 @@ def test_eval_mode_evaluates_each_group_once_per_point(monkeypatch):
         valued.setdefault(id(pt), []).append(counts)
         return f_product_at(pt, counts)
 
-    monkeypatch.setattr(hookformula, "lhs_terms",
-                        recorded("left", hookformula.lhs_terms))
-    monkeypatch.setattr(hookformula, "f_product_terms",
-                        recorded("right", hookformula.f_product_terms))
     monkeypatch.setattr(EvalPoint, "f_product", counted)
     report = verify_okada(poset, 5, "eval", sample_points(3, seed=2))
     assert report.passed and len(report.points) == 3
@@ -514,6 +521,32 @@ def test_eval_mode_evaluates_each_group_once_per_point(monkeypatch):
     # every distinct group of either side is valued once per point
     assert len(set(left)) == len(left) and len(set(right)) == len(right)
     assert list(valued.values()) == 3 * [left + right]
+
+
+@pytest.mark.parametrize("poset, D, count", [
+    (build_bird(P([3, 2]), P([2, 1]), 2), 5, 0),
+    (build_shifted(P([3, 2])), 6, 11),
+], ids=["bird-D5", "shifted-D6"])
+def test_exact_mode_values_only_the_groups_a_signature_needs(poset, D, count,
+                                                             monkeypatch):
+    groups = record_groups(monkeypatch)
+    valued = []  # the counts valued, in call order
+    monkeypatch.setattr(hookformula, "f_product", lambda counts: (
+        valued.append(counts) or f_product(counts)))
+    report = verify_okada(poset, D, "exact")
+    assert report.passed
+    left, right = groups["left"], groups["right"]
+    assert len({c for c, _ in left}) == len(left)
+    assert len({c for c, _ in right}) == len(right)
+    # one group against one group of the same counts is equal unvalued;
+    # every group of every other signature is valued, and only once
+    needed = set()
+    for ls, rs in hookformula._signatures(left, right):
+        if not (len(ls) == len(rs) == 1 and left[ls[0]][0] == right[rs[0]][0]):
+            needed.update(("left", i) for i in ls)
+            needed.update(("right", j) for j in rs)
+    assert Counter(valued) == Counter(groups[side][i][0] for side, i in needed)
+    assert len(valued) == count < len(left) + len(right)
 
 
 def test_a_vanishing_point_is_replaced_as_the_series_check_replaces_it():
