@@ -310,7 +310,11 @@ def _intervals(poset: ColoredPoset, sizes):
 
 
 def find_dk_intervals(poset: ColoredPoset) -> list[DkInterval]:
-    """All intervals isomorphic to some d_k(1), k >= 3."""
+    """All intervals isomorphic to some d_k(1), k >= 3: walked once per
+    poset and kept on it, each caller getting a fresh list."""
+    kept = getattr(poset, "_dk_intervals", None)
+    if kept is not None:
+        return list(kept)
     out = []
     for w, v, mask in _intervals(poset, range(4, len(poset) + 1, 2)):
         k = (mask.bit_count() + 2) // 2
@@ -320,6 +324,7 @@ def find_dk_intervals(poset: ColoredPoset) -> list[DkInterval]:
         sides, below, above = shape
         if below == k - 2 and above == k - 2:
             out.append(DkInterval(w, v, k, frozenset(sides)))
+    poset._dk_intervals = tuple(out)
     return out
 
 

@@ -8,11 +8,13 @@ identities that close the hook-formula proof, whose sides are sums of
 f-ratio products added in a balanced tree (``_qsum``).  The single-step
 lemma and the birds and banners closing identities are all instances of
 the general summation, whose left side sums the chain product
-``qtcore.phi_chain``.
+``qtcore.phi_chain``.  ``q_poch`` and ``_phi_partial`` work on integers and
+normalise one Fraction per result; ``_neg_q_power`` is one power test.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -31,30 +33,33 @@ class DegenerateDraw(Exception):
 
 
 def q_poch(a: Fraction, q: Fraction, n: int) -> Fraction:
-    """(a; q)_n = (1 - a)(1 - aq) ... (1 - aq^(n-1)) for n >= 0."""
+    """(a; q)_n = (1 - a)(1 - aq) ... (1 - aq^(n-1)) for n >= 0: with
+    a = an/ad and q = qn/qd, one integer product of the factors
+    (ad qd^k - an qn^k) / (ad qd^k), normalised once."""
     if n < 0:
         raise ValueError(f"(a;q)_n needs n >= 0, not {n}")
-    a, q = Fraction(a), Fraction(q)
-    out = Fraction(1)
+    an, ad, qn, qd = a.numerator, a.denominator, q.numerator, q.denominator
+    num = den = 1
     for k in range(n):
-        out *= 1 - a * q ** k
-    return out
+        low = ad * qd ** k
+        num *= low - an * qn ** k
+        den *= low
+    return Fraction(num, den)
 
 
 def _neg_q_power(x, q, cap: int = TERM_CAP) -> int | None:
-    """Smallest n <= cap with x * q^n == 1 (so x = q^-n), or None; as
-    |x q^n| is monotone in n when |q| != 1, stop once it has crossed 1."""
-    val = Fraction(x)
-    if val == 0:
-        return None
-    grows, shrinks = abs(q) > 1, abs(q) < 1
-    for n in range(cap + 1):
-        if val == 1:
-            return n
-        if (grows and abs(val) > 1) or (shrinks and abs(val) < 1):
-            return None
-        val *= q
-    return None
+    """Smallest n <= cap with x * q^n == 1 (so x = q^-n), or None.  With
+    x = u/v and q = p/r in lowest terms that is u p^n == v r^n, so for
+    |q| != 1 only n = log_|p| v (or log_r |u| when |p| = 1) can fit."""
+    u, v, p, r = x.numerator, x.denominator, q.numerator, q.denominator
+    if 0 in (u, p) or abs(p) == r:  # x = 0, or q = 0, 1 or -1
+        n = 0 if u == v else 1 if u == -v and p == -r else None
+    else:
+        base, power = (abs(p), v) if abs(p) > 1 else (r, abs(u))
+        n = round(math.log(power, base))
+        if u * p ** n != v * r ** n:
+            n = None
+    return None if n is None or n > cap else n
 
 
 def _termination_bound(uppers, q):
@@ -65,20 +70,19 @@ def _termination_bound(uppers, q):
 
 def phi_series(uppers, lowers, q, z) -> Fraction:
     """Terminating r+1_phi_r as an exact rational number."""
-    q, z = Fraction(q), Fraction(z)
     bound = _termination_bound(uppers, q)
     if bound is None:
         raise DegenerateDraw("no termination witness q^-n among uppers")
-    return _phi_partial([(Fraction(a), 1) for a in uppers],
-                        [(Fraction(b), 1) for b in lowers], q, z, bound)
+    return _phi_partial([(a, 1) for a in uppers], [(b, 1) for b in lowers],
+                        q, z, bound)
 
 
 def _w_tail(tail, q):
     """(plain parameters, pair parameters, termination bound) of a W tail:
     the bound is the first q^-n among the plains, else the first q^-2n among
     the pairs."""
-    plains = [Fraction(v) for kind, v in tail if kind == "plain"]
-    pairs = [Fraction(v) for kind, v in tail if kind == "sqrtpair"]
+    plains = [v for kind, v in tail if kind == "plain"]
+    pairs = [v for kind, v in tail if kind == "sqrtpair"]
     bound = _termination_bound(plains, q)
     if bound is None:
         bound = _termination_bound(pairs, q * q)
@@ -109,20 +113,33 @@ def w_series(a1, tail, q, z) -> Fraction:
 def _phi_partial(uppers, lowers, q, z, bound: int) -> Fraction:
     """The terms n = 0..bound of the series with first term 1 and term ratio
     z / (1 - q^(n+1)) times prod (1 - c q^(k n)) over the upper factors
-    (c, k), over the same product for the lower ones."""
-    total = term = Fraction(1)
+    (c, k), over the same product for the lower ones: on integers, each
+    factor as (cd qd^(kn) - cn qn^(kn)) / (cd qd^(kn)) for q = qn/qd and
+    c = cn/cd, the sum over the term's denominator, normalised once."""
+    qn, qd, zn, zd = q.numerator, q.denominator, z.numerator, z.denominator
+    ups = [(c.numerator, c.denominator, k) for c, k in uppers]
+    lows = [(c.numerator, c.denominator, k) for c, k in lowers]
+    num = den = total = 1
     for n in range(bound):
-        ratio = z / (1 - q ** (n + 1))
-        for c, k in uppers:
-            ratio *= 1 - c * q ** (k * n)
-        for c, k in lowers:
-            den = 1 - c * q ** (k * n)
-            if den == 0:
+        step, ahead = qd ** (n + 1), qn ** (n + 1)
+        if step == ahead:
+            raise ZeroDivisionError(f"1 - q^{n + 1} = 0 at step {n}")
+        num *= zn * step
+        div = zd * (step - ahead)
+        for cn, cd, k in ups:
+            low = cd * qd ** (k * n)
+            num *= low - cn * qn ** (k * n)
+            div *= low
+        for cn, cd, k in lows:
+            low = cd * qd ** (k * n)
+            pole = low - cn * qn ** (k * n)
+            if pole == 0:
                 raise DegenerateDraw(f"lower parameter pole at step {n}")
-            ratio /= den
-        term *= ratio
-        total += term
-    return total
+            num *= low
+            div *= pole
+        den *= div
+        total = total * div + num
+    return Fraction(total, den)
 
 
 # ---------------------------------------------------------------------------
@@ -140,48 +157,45 @@ def gasper_both_sides(a, b, d, q, n: int):
     if 0 in (a, b, d, q) or 1 in (abs(a), abs(q)):
         raise DegenerateDraw("degenerate core parameter")
     c = q ** (-n)
-    a1_pre = b * c / d
+    q_a, c_d = q / a, c / d
+    a1, ab_d, ac_d = b * c_d, a * b / d, a * c_d
+    pairs = (a1 * q_a, q * a1 * q_a)  # bcq/(ad) = q a1/a, and q^2 a1/a
+    lowers = [b * q_a, c * q_a, d * q_a]
     cap = 2 * n + 6
-    side_params = [b * q / a, c * q / a, d * q / a,       # 4phi3 lowers
-                   a, b, d,                               # 4phi3 uppers
-                   a * b / d, a * c / d, a1_pre,          # W uppers
-                   q * a1_pre / a, q * b / d, q * c / d, q * b / a]  # W lowers
-    if any(_neg_q_power(x, q, cap) is not None for x in side_params):
+    if any(_neg_q_power(x, q, cap) is not None
+           for x in (*lowers, a, b, d,                # 4phi3 lowers, uppers
+                     ab_d, ac_d, a1,                    # W uppers
+                     pairs[0], q * b / d, q * c_d)):    # W lowers
         raise DegenerateDraw("parameter collides with a q power")
-    if any(_neg_q_power(x, q * q, cap) is not None
-           for x in (b * c * q / (a * d), q * q * a1_pre / a, a * a1_pre,
-                     q * a * a1_pre)):
+    q2, a_a1 = q * q, a * a1
+    if any(_neg_q_power(x, q2, cap) is not None
+           for x in (*pairs, a_a1, q * a_a1)):
         raise DegenerateDraw("pair parameter collides with a q^2 power")
-    lhs = phi_series([a, b, c, d], [b * q / a, c * q / a, d * q / a],
-                     q, q * q / (a * a))
-    prefactor = (q_poch(c * q / d, q, n) * q_poch(a * b * c / d, q, n)
-                 / (q_poch(a * c / d, q, n) * q_poch(b * c * q / d, q, n)))
+    lhs = phi_series([a, b, c, d], lowers, q, q_a * q_a)
+    prefactor = (q_poch(q * c_d, q, n) * q_poch(a_a1, q, n)
+                 / (q_poch(ac_d, q, n) * q_poch(q * a1, q, n)))
     # unrun: its zeros (d or abc/d a power q^-j, j < n) are rejected above
     if prefactor == 0:
         raise DegenerateDraw("vanishing Gasper prefactor")
-    a1 = b * c / d
     # the second pair is +-q (bc/(ad))^(1/2): the printed q (bc/d)^(1/2)
     # breaks the very-well-poised pairing x <-> q a1 / x and the identity
-    tail = [("sqrtpair", b * c * q / (a * d)),
-            ("sqrtpair", q * q * a1 / a),
-            ("plain", a * b / d),
-            ("plain", a * c / d),
-            ("plain", a),
-            ("plain", b),
-            ("plain", c)]
-    rhs = prefactor * w_series(a1, tail, q, q / a)
+    tail = [("sqrtpair", pairs[0]), ("sqrtpair", pairs[1]), ("plain", ab_d),
+            ("plain", ac_d), ("plain", a), ("plain", b), ("plain", c)]
+    rhs = prefactor * w_series(a1, tail, q, q_a)
     return lhs, rhs
 
 
 def _draw_fraction(rng: random.Random) -> Fraction:
-    v = Fraction(rng.randint(2, 9), rng.randint(2, 9))
+    num, den = rng.randint(2, 9), rng.randint(2, 9)
     if rng.random() < 0.5:
-        v = 1 / v
-    return v
+        num, den = den, num
+    return Fraction(num, den)
 
 
 def gasper_sweep(trials: int, seed: int) -> VerificationReport:
     """Seeded random sweep of Gasper's identity; exact equality each draw."""
+    if trials < 1:
+        raise ValueError(f"a Gasper sweep needs trials >= 1, not {trials}")
     report = VerificationReport(check="gasper", mode="exact",
                                 extra={"trials": trials, "seed": seed})
     rng = random.Random(seed)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qthook import cli, suites
+from qthook import cli, dposet, suites
 from qthook.cli import main
 from qthook.report import VerificationReport, timed
 
@@ -112,6 +112,7 @@ USAGE_ERRORS = [  # (argv, environment)
     (["verify", "hook", "--family", "banner", "--alpha", "4,3,2,1"], {}),
     (["show", "hooks", "--family", "shifted", "--alpha", "2,1", "--format",
       "dot"], {}),
+    (["verify", "identity", "--name", "gasper", "--trials", "0"], {}),
 ]
 
 
@@ -234,6 +235,21 @@ def test_show_poset_json(capsys):
     assert d["hookAgreement"] is True
     assert len(d["elements"]) == 14
     assert any(iv["k"] == 3 for iv in d["dkIntervals"])
+
+
+def test_show_poset_walks_the_dk_intervals_once(capsys, monkeypatch):
+    """The JSON, the diamond recursion and the d-completeness check share
+    one walk of the d_k-intervals, and print the bytes they printed when
+    each walked them itself."""
+    walks, real = [], dposet._intervals
+    monkeypatch.setattr(dposet, "_intervals", lambda poset, sizes: (
+        walks.append(sizes.start) or real(poset, sizes)))
+    code, out, _ = run_cli(["show", "poset", "--family", "banner",
+                            "--alpha", "9,6,3,2", "--f", "2"], capsys)
+    assert code == 0
+    assert walks == [4, 5]  # the d_k(1) walk, then the d_k^- walk
+    assert sha256(out.encode()).hexdigest() == (
+        "89cac8a1e06fa495f528e69d1dad7f93471f1b1e7ba681dcf558d1663403532b")
 
 
 def test_show_hooks(capsys):

@@ -63,6 +63,18 @@ def test_shifted_32_dk_interval():
     assert iv.sides == frozenset({(1, 3), (2, 2)})
 
 
+def test_kept_dk_intervals_are_not_the_callers_list():
+    poset = build_bird(P([4, 3]), P([4, 2]), 2)
+    first = find_dk_intervals(poset)
+    want = list(first)
+    first.clear()
+    again = find_dk_intervals(poset)
+    assert again == want and again is not find_dk_intervals(poset)
+    again.append(again.pop(0)._replace(k=9))
+    assert d_complete_check(poset) == (True, None)
+    assert find_dk_intervals(poset) == want
+
+
 def test_bird_figure_instance():
     poset = build_bird(P([4, 3]), P([4, 2]), 2)
     # 2f + |alpha| + |beta| - 2 = 15 vertices for these parameters

@@ -5,7 +5,7 @@ from math import isqrt
 
 import pytest
 
-from qthook import hookformula, hypergeom
+from qthook import hookformula, hypergeom, suites
 from qthook.partitions import Partition, bounded_tuples, monotone_chains
 from qthook.qtcore import QTFactored, f_fun
 from qthook.series import QTCoeff
@@ -112,6 +112,117 @@ def test_neg_q_power_matches_full_scan():
         assert _neg_q_power(x, q, cap) == want, (x, q, cap)
         hits += want is not None
     assert hits > len(qs)  # the comparison covers many hits, not only misses
+
+
+def test_neg_q_power_at_the_term_cap():
+    """Hits just below, at and just past TERM_CAP, of either sign, for a q
+    on each side of 1 and a negative one."""
+    cap = hypergeom.TERM_CAP
+    for q in (F(9, 8), F(-8, 9)):
+        for n in (cap - 1, cap, cap + 1):
+            for x in (q ** -n, -(q ** -n), q ** -n * F(9, 8)):
+                assert _neg_q_power(x, q, cap) == _neg_q_power_scan(x, q, cap)
+        assert _neg_q_power(q ** -cap, q, cap) == cap
+        assert _neg_q_power(q ** -(cap + 1), q, cap) is None
+
+
+def _phi_partial_fractions(uppers, lowers, q, z, bound):
+    """``_phi_partial`` in Fraction arithmetic, each term ratio formed and
+    reduced step by step: a reference for the integer kernel."""
+    total = term = F(1)
+    for n in range(bound):
+        ratio = z / (1 - q ** (n + 1))
+        for c, k in uppers:
+            ratio *= 1 - c * q ** (k * n)
+        for c, k in lowers:
+            den = 1 - c * q ** (k * n)
+            if den == 0:
+                raise DegenerateDraw(f"lower parameter pole at step {n}")
+            ratio /= den
+        term *= ratio
+        total += term
+    return total
+
+
+def _q_poch_fractions(a, q, n):
+    """``q_poch`` as a Fraction product: a reference for the integer one."""
+    out = F(1)
+    for k in range(n):
+        out *= 1 - a * q ** k
+    return out
+
+
+def _outcome(call):
+    """The value of ``call()``, or the type and text of what it raised."""
+    try:
+        return call()
+    except (DegenerateDraw, ZeroDivisionError) as exc:
+        return type(exc), str(exc) if type(exc) is DegenerateDraw else None
+
+
+def _kernel_draws(rng):
+    """Seeded (uppers, lowers, q, z, bound, planted) for ``_phi_partial``:
+    q on both sides of 1 and of either sign, z of either sign, bounds from
+    0, and in most draws a parameter c = q^-(k m) planted so that its factor
+    vanishes at step m <= bound: an upper (the term turns 0) or a lower (a
+    pole); ``planted`` names it when m < bound."""
+    def rational():
+        return F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+
+    for _ in range(400):
+        q = rational()
+        if abs(q) == 1:
+            continue
+        uppers, lowers = ([(rational(), rng.randint(1, 2))
+                           for _ in range(rng.randint(0, 3))] for _ in "ul")
+        bound = rng.randint(0, 7)
+        planted = rng.choice([None, "upper", "lower"])
+        k, m = rng.randint(1, 2), rng.randint(0, bound)
+        if planted is not None:
+            side = uppers if planted == "upper" else lowers
+            side.insert(rng.randint(0, len(side)), (q ** -(k * m), k))
+        yield (uppers, lowers, q, rational(), bound,
+               planted if m < bound else None)
+
+
+def test_phi_partial_matches_the_fraction_loop():
+    seen = {"|q|<1": 0, "|q|>1": 0, "q<0": 0, "z<0": 0, "bound 0": 0,
+            "term 0": 0, "pole": 0}
+    for *args, planted in _kernel_draws(random.Random(31)):
+        q, z, bound = args[2:]
+        got = _outcome(lambda: hypergeom._phi_partial(*args))
+        assert got == _outcome(lambda: _phi_partial_fractions(*args)), args
+        seen["|q|<1"] += abs(q) < 1
+        seen["|q|>1"] += abs(q) > 1
+        seen["q<0"] += q < 0
+        seen["z<0"] += z < 0
+        seen["bound 0"] += bound == 0
+        if isinstance(got, tuple):
+            seen["pole"] += planted == "lower"
+        else:
+            assert type(got) is F
+            seen["term 0"] += planted == "upper"
+    assert min(seen.values()) >= 10, seen
+    # q = -1: at step 1 both divide by 1 - q^2 = 0 before they reach the
+    # lower pole 1 - (-1) q
+    args = ([(F(3), 1)], [(F(-1), 1)], F(-1), F(1, 2), 3)
+    assert _outcome(lambda: hypergeom._phi_partial(*args)) == \
+        _outcome(lambda: _phi_partial_fractions(*args)) == \
+        (ZeroDivisionError, None)
+
+
+def test_q_poch_matches_the_fraction_product():
+    rng = random.Random(32)
+    zeros = 0
+    for _ in range(300):
+        q = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        n = rng.randint(0, 7)
+        a = (q ** -rng.randint(0, 7) if rng.random() < 0.3
+             else F(rng.randint(-9, 9), rng.randint(1, 9)))
+        got = q_poch(a, q, n)
+        assert type(got) is F and got == _q_poch_fractions(a, q, n), (a, q, n)
+        zeros += got == 0 and n > 0
+    assert zeros >= 10
 
 
 def test_phi_series_trivial_and_binomial():
@@ -277,6 +388,14 @@ def test_gasper_tiny_cases():
                    (F(3, 2), F(5, 3), F(7, 4), F(2, 5), 3)):
         lhs, rhs = gasper_both_sides(*params)
         assert lhs == rhs, params
+
+
+def test_gasper_sweep_of_no_trials_is_a_wrong_call():
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials >= 1"):
+            gasper_sweep(trials, 1)
+        with pytest.raises(ValueError, match="trials >= 1"):
+            suites.run_identity("gasper", trials=trials)
 
 
 def test_gasper_sweep_and_negative_control(monkeypatch):
