@@ -48,7 +48,8 @@ class ColoredPoset:
         # rows after it, and its lowest bit outside the downsets taken so
         # far is a maximal element below a, a cover.
         blocks = [block_of(e) for e in elements]
-        down, up, lowers = [0] * n, [0] * n, [[] for _ in elements]
+        down, up = [0] * n, [0] * n
+        lowers, uppers = [[] for _ in elements], [[] for _ in elements]
         for a in range(n - 1, -1, -1):
             ja, m = elements[a][1], 1 << a
             for b in range(a + 1, n):
@@ -57,7 +58,7 @@ class ColoredPoset:
             rest = m ^ 1 << a
             while rest:
                 b = (rest & -rest).bit_length() - 1
-                lowers[a].append(elements[b])
+                lowers[a].append(b)
                 m |= down[b]
                 rest &= ~down[b]
             down[a] = rest = m
@@ -65,35 +66,35 @@ class ColoredPoset:
                 low = rest & -rest
                 up[low.bit_length() - 1] |= 1 << a
                 rest ^= low
+        for a, los in enumerate(lowers):
+            for b in los:
+                uppers[b].append(a)
+        # each element's lower and upper covers by index (an upper one is smaller)
         self._down, self._up = down, up
+        self._lowers, self._uppers = lowers, uppers
         self.color = {e: color_of(e) for e in elements}
+        self.covers = [(elements[b], hi) for hi, los in zip(elements, lowers)
+                       for b in los]  # (lower, upper) pairs
 
-        self.covers = [(lo, hi) for hi, los in zip(elements, lowers)
-                       for lo in los]  # (lower, upper) pairs
-        self._lower = dict(zip(elements, lowers))
-        self._upper = {e: [] for e in elements}
-        for lo, hi in self.covers:
-            self._upper[lo].append(hi)
-
-        maxima = [e for e in elements if not self._upper[e]]
+        maxima = [e for e, ups in zip(elements, uppers) if not ups]
         if len(maxima) != 1:
             raise ValueError(f"poset has {len(maxima)} maximal elements")
         self.top = maxima[0]
 
         # rank: depth from the top; every saturated chain to the top must
-        # agree (Proctor's rank property).  An upper cover comes earlier
-        # in element order.
-        self.rank = rank = {}
-        for e in elements:
-            ranks = {rank[u] + 1 for u in self._upper[e]} or {0}
+        # agree (Proctor's rank property).
+        self._ranks = rank = [0] * n
+        for a, ups in enumerate(uppers):
+            ranks = {rank[u] + 1 for u in ups} or {0}
             if len(ranks) != 1:
-                raise ValueError(f"rank is not well defined at {e}")
-            rank[e] = ranks.pop()
+                raise ValueError(f"rank is not well defined at {elements[a]}")
+            rank[a] = ranks.pop()
+        self.rank = dict(zip(elements, rank))
 
         # the top tree: the elements with no multiply covered element above
         multi = 0
-        for a, e in enumerate(elements):
-            if len(self._upper[e]) > 1:
+        for a, ups in enumerate(uppers):
+            if len(ups) > 1:
                 multi |= 1 << a
         self.top_tree = {e for e, u in zip(elements, up) if not u & multi}
         self.varset = VarSet(sorted(set(self.color.values()),
@@ -110,26 +111,18 @@ class ColoredPoset:
             mask ^= low
         return out
 
-    def down_mask(self, e) -> int:
-        """The downset of e as a mask over element positions."""
-        return self._down[self.index[e]]
-
-    def up_mask(self, e) -> int:
-        """The upset of e as a mask over element positions."""
-        return self._up[self.index[e]]
-
     def le(self, x, y) -> bool:
         """x <= y in the poset order."""
         return bool(self._down[self.index[y]] >> self.index[x] & 1)
 
     def downset(self, e):
-        return self.members(self.down_mask(e))
+        return self.members(self._down[self.index[e]])
 
     def lower_covers(self, e):
-        return self._lower[e]
+        return [self.elements[b] for b in self._lowers[self.index[e]]]
 
     def upper_covers(self, e):
-        return self._upper[e]
+        return [self.elements[a] for a in self._uppers[self.index[e]]]
 
     def top_tree_adjacency(self) -> set[frozenset]:
         """Color pairs adjacent in the top tree (Hasse edges inside T)."""
@@ -140,7 +133,7 @@ class ColoredPoset:
         return edges
 
     def interval(self, w, v):
-        return self.members(self.up_mask(w) & self.down_mask(v))
+        return self.members(self._up[self.index[w]] & self._down[self.index[v]])
 
     def __len__(self):
         return len(self.elements)
@@ -269,63 +262,46 @@ class DkInterval(NamedTuple):
     sides: frozenset
 
 
-def _diamond_shape(poset: ColoredPoset, mask: int):
-    """Classify a convex set, given as a mask: ((x, y), |below|, |above|)
-    if it is one incomparable pair x, y (x first in element order) with
-    every other member below both or above both, else None."""
-    down, up = poset._down, poset._up
-    pair, rest = [], mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        i = low.bit_length() - 1
-        if mask & ~(down[i] | up[i]):  # i is incomparable to a member
-            if len(pair) == 2:
-                return None  # more than one incomparable pair
-            pair.append(i)
-    if not pair:
-        return None  # a chain
-    i, j = pair
-    chain = mask & ~(1 << i | 1 << j)
-    # no c is below i but not j (j < c < i would make i, j comparable)
-    below, above = chain & down[i], chain & up[i]
-    pair = (poset.elements[i], poset.elements[j])
-    return pair, below.bit_count(), above.bit_count()
-
-
 def _intervals(poset: ColoredPoset, sizes):
-    """(w, v, mask) of each interval [w, v] with w < v whose size is in
-    ``sizes``, in element order of w, then of v: one walk over the bits of
-    each up mask."""
-    down, elements = poset._down, poset.elements
+    """(w, v, mask, sides) of each interval [w, v] with w < v shaped like a
+    d_k(1), with or without its top, whose size is in ``sizes``, in element
+    order of w, then of v: one walk over the bits of each up mask.
+
+    The poset is graded, so the size is one more than the number of ranks
+    exactly when one rank holds two members, the sides, and every other one
+    member; the sides are then the one incomparable pair.  The shape is a
+    d_k(1) (even size) or one minus its top (odd) when the sides lie k - 2
+    ranks above w, half the rank difference rounded up.
+    """
+    down, elements, rank = poset._down, poset.elements, poset._ranks
+    level = {}  # each rank's elements, as bits
+    for a, r in enumerate(rank):
+        level[r] = level.get(r, 0) | 1 << a
     for w, up in enumerate(poset._up):
         rest = up ^ 1 << w
         while rest:
             low = rest & -rest
             rest ^= low
             v = low.bit_length() - 1
-            mask = up & down[v]
-            if mask.bit_count() in sizes:
-                yield elements[w], elements[v], mask
+            diff = rank[w] - rank[v]
+            if diff + 2 in sizes:
+                mask = up & down[v]
+                sides = mask & level[rank[w] - (diff + 1) // 2]
+                if mask.bit_count() == diff + 2 and sides.bit_count() == 2:
+                    yield elements[w], elements[v], mask, sides
 
 
 def find_dk_intervals(poset: ColoredPoset) -> list[DkInterval]:
     """All intervals isomorphic to some d_k(1), k >= 3: walked once per
     poset and kept on it, each caller getting a fresh list."""
     kept = getattr(poset, "_dk_intervals", None)
-    if kept is not None:
-        return list(kept)
-    out = []
-    for w, v, mask in _intervals(poset, range(4, len(poset) + 1, 2)):
-        k = (mask.bit_count() + 2) // 2
-        shape = _diamond_shape(poset, mask)
-        if shape is None:
-            continue
-        sides, below, above = shape
-        if below == k - 2 and above == k - 2:
-            out.append(DkInterval(w, v, k, frozenset(sides)))
-    poset._dk_intervals = tuple(out)
-    return out
+    if kept is None:
+        walk = _intervals(poset, range(4, len(poset) + 1, 2))
+        kept = poset._dk_intervals = tuple(
+            DkInterval(w, v, (mask.bit_count() + 2) // 2,
+                       frozenset(poset.members(sides)))
+            for w, v, mask, sides in walk)
+    return list(kept)
 
 
 def _find_dk_minus(poset: ColoredPoset):
@@ -339,14 +315,9 @@ def _find_dk_minus(poset: ColoredPoset):
                 members = frozenset((w, ups[i], ups[j]))
                 out.append((3, members, frozenset((ups[i], ups[j])), w))
     # k >= 4: intervals shaped like d_k(1) minus its top
-    for w, u, mask in _intervals(poset, range(5, len(poset) + 1, 2)):
-        k = (mask.bit_count() + 3) // 2
-        shape = _diamond_shape(poset, mask)
-        if shape is None:
-            continue
-        _, below, above = shape
-        if below == k - 2 and above == k - 3:
-            out.append((k, frozenset(poset.members(mask)), frozenset((u,)), w))
+    for w, u, mask, _ in _intervals(poset, range(5, len(poset) + 1, 2)):
+        out.append(((mask.bit_count() + 3) // 2, frozenset(poset.members(mask)),
+                    frozenset((u,)), w))
     return out
 
 
@@ -392,7 +363,8 @@ def d_complete_check(poset: ColoredPoset):
 
 
 # ---------------------------------------------------------------------------
-# Hook monomials: the diamond recursion and the closed-form tables.
+# Tables on fill positions (the weight plan and the diamond recursion of the
+# hooks among them), and the closed-form hook tables.
 # ---------------------------------------------------------------------------
 
 def _mono_mul(a: dict, b: dict, mult: int = 1) -> dict:
@@ -407,36 +379,115 @@ def _mono_mul(a: dict, b: dict, mult: int = 1) -> dict:
     return out
 
 
-def hook_monomials(poset: ColoredPoset) -> dict:
-    """Hook monomial of every element by the bottom-up diamond recursion.
+class PosetTables(NamedTuple):
+    """A poset's tables on fill positions, position i holding the element
+    ``order[i]`` (``poset_tables``)."""
 
-    Elements topping a d_k-interval get hook(x) hook(y) / hook(w); for
-    d-complete posets the result is independent of the chosen interval,
-    which is asserted at every element that tops more than one.
-    """
-    intervals = find_dk_intervals(poset)
+    order: tuple   # the linear extension of the P-partition walk
+    uppers: tuple  # each position's upper covers, as positions
+    below: tuple   # the size of each position's downset
+    colors: tuple  # the varset index of each position's color
+    plan: tuple    # the weight pairs (adjacent, equal, hat), on positions
+    ms: tuple      # the m of each f(n; m) the plan reaches, ascending
+    hooks: tuple   # each position's hook monomial, an exponent vector
+
+
+def poset_tables(poset: ColoredPoset) -> PosetTables:
+    """The tables of every hook check, from one pass over the masks, kept.
+
+    ``order`` is top-down by rank, ties in element order: every larger
+    element comes first (asserted).  The weight plan: comparable pairs (i,
+    j, m), i the lower position, of colors adjacent in the top tree, each
+    contributing f(pi_i - pi_j; m); equal-color pairs (i, j, e), each
+    dividing by f(pi_i - pi_j; e) f(pi_i - pi_j; e - 1); and hat pairs (i,
+    d) of the top's color, each contributing f(pi_i; d); m, e and d from the
+    ranks, whose parities are checked.  The hooks, bottom-up: an element
+    topping a d_k-interval gets hook(x) hook(y) / hook(w) (for d-complete P
+    the same for every such interval, asserted), any other the colors of
+    its downset, counted."""
+    kept = getattr(poset, "_tables", None)
+    if kept is not None:
+        return kept
+    elements, down, up, rank = poset.elements, poset._down, poset._up, poset._ranks
+    n, names = len(elements), poset.varset.index
+    order = sorted(range(n), key=rank.__getitem__)
+    pos = [0] * n
+    for i, a in enumerate(order):
+        pos[a] = i
+    color = [names[poset.color[e]] for e in elements]
+    same = [0] * len(names)  # the elements of each color, as bits
+    for a, c in enumerate(color):
+        same[c] |= 1 << a
+    near = [0] * len(names)  # the elements of a color adjacent to each
+    for edge in poset.top_tree_adjacency():  # {c} joins c to itself
+        c, d = (names[x] for x in (*edge, *edge)[:2])
+        near[c] |= same[d]
+        near[d] |= same[c]
+    adjacent, equal, hat, index = [], [], [], poset.index
+    for a, x in enumerate(elements):
+        i, above = pos[a], up[a] ^ 1 << a
+        near_a = above & near[color[a]]
+        for pairs, rest, parity, kind in (
+                (adjacent, near_a, 1, "odd"),
+                (equal, above & same[color[a]] & ~near_a, 0, "even")):
+            while rest:  # a < b
+                low = rest & -rest
+                rest ^= low
+                b = low.bit_length() - 1
+                j, diff, y = pos[b], rank[a] - rank[b], elements[b]
+                if j >= i:
+                    raise AssertionError(f"{y} is filled after {x}")
+                if diff % 2 != parity:
+                    raise AssertionError(f"{kind}-rank parity fails at {x} < {y}")
+                pairs.append((i, j, diff // 2))
+        if color[a] == color[index[poset.top]]:  # (x, 1-hat): rank -1
+            if rank[a] % 2 != 0:
+                raise AssertionError(f"hat parity fails at {x}")
+            hat.append((i, rank[a] // 2))
     by_top = {}
-    for iv in intervals:
-        by_top.setdefault(iv.top, []).append(iv)
-    hooks = {}
-    for v in sorted(poset.elements, key=lambda e: -poset.rank[e]):
-        tops = by_top.get(v)
+    for iv in find_dk_intervals(poset):
+        by_top.setdefault(index[iv.top], []).append(
+            [index[e] for e in (*iv.sides, iv.bottom)])
+    hooks = [()] * n
+    for a in reversed(order):
+        tops = by_top.get(a)
         if not tops:  # the colors of the downset, counted
-            mono = hooks[v] = {}
-            for w in poset.downset(v):
-                c = poset.color[w]
-                mono[c] = mono.get(c, 0) + 1
+            vec, rest = [0] * len(names), down[a]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                vec[color[low.bit_length() - 1]] += 1
+            hooks[a] = tuple(vec)
             continue
-        results = [_mono_mul(_mono_mul(*(hooks[s] for s in sorted(iv.sides))),
-                             hooks[iv.bottom], -1) for iv in tops]
+        results = [tuple(p + q - r for p, q, r in zip(hooks[x], hooks[y],
+                                                       hooks[w]))
+                   for x, y, w in tops]
         # unrun: internal invariant; the recursion is proved for d-complete P
         if any(r != results[0] for r in results[1:]):
-            raise AssertionError(f"diamond rule disagrees at {v}")
+            raise AssertionError(f"diamond rule disagrees at {elements[a]}")
         # unrun: internal invariant; a hook of a d-complete P is a monomial
-        if any(e < 0 for e in results[0].values()):
-            raise ValueError(f"negative hook exponent at {v}")
-        hooks[v] = results[0]
-    return hooks
+        if min(results[0]) < 0:
+            raise ValueError(f"negative hook exponent at {elements[a]}")
+        hooks[a] = results[0]
+    rows = zip(*[(elements[a], tuple([pos[b] for b in poset._uppers[a]]),
+                  down[a].bit_count(), color[a], hooks[a]) for a in order])
+    order, uppers, below, colors, hooks = rows
+    poset._tables = PosetTables(
+        order, uppers, below, colors,
+        (tuple(adjacent), tuple(equal), tuple(hat)),
+        tuple(sorted({p[-1] for p in adjacent + hat}
+                     | {e - k for *_, e in equal for k in (0, 1)})),
+        hooks)
+    return poset._tables
+
+
+def hook_monomials(poset: ColoredPoset) -> dict:
+    """Hook monomial of every element, bottom-up by rank, as a color-name
+    exponent dict: the diamond recursion of ``poset_tables``."""
+    tables, rank, names = poset_tables(poset), poset.rank, poset.varset.names
+    return {e: {c: k for c, k in zip(names, vec) if k}
+            for e, vec in sorted(zip(tables.order, tables.hooks),
+                                 key=lambda p: -rank[p[0]])}
 
 
 def _alias_tables(poset: ColoredPoset):
@@ -559,8 +610,9 @@ def hook_monomials_closed_form(poset: ColoredPoset) -> dict:
 # ---------------------------------------------------------------------------
 
 def fill_order(poset: ColoredPoset) -> list:
-    """The linear extension enumerate_p_partitions fills, top-down by rank."""
-    return sorted(poset.elements, key=poset.rank.__getitem__)  # ties: (i, j)
+    """The linear extension enumerate_p_partitions fills, top-down by rank
+    (ties in element order)."""
+    return list(poset_tables(poset).order)
 
 
 def enumerate_p_partitions(poset: ColoredPoset, bound: int):
@@ -576,11 +628,8 @@ def enumerate_p_partitions(poset: ColoredPoset, bound: int):
     values): the values in fill order, and the least position moved since
     the map before (0 for the first), where the two maps first differ.
     """
-    order = fill_order(poset)
-    pos = {e: i for i, e in enumerate(order)}
-    uppers = [[pos[u] for u in poset.upper_covers(e)] for e in order]
-    below = [poset.down_mask(e).bit_count() for e in order]
-    size = len(order)
+    tables = poset_tables(poset)
+    uppers, below, size = tables.uppers, tables.below, len(tables.order)
     values, caps = [0] * size, [0] * size
     used = [0] * (size + 1)  # used[i]: the weight of positions before i
     i = moved = 0

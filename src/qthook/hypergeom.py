@@ -98,16 +98,22 @@ def w_series(a1, tail, q, z) -> Fraction:
     ("sqrtpair", v) standing for the pair (+v^(1/2), -v^(1/2)); a pair
     contributes (v; q^2)_n / (q^2 a1^2 / v; q^2)_n per term.
     """
-    a1, q, z = Fraction(a1), Fraction(q), Fraction(z)
+    a1, q, z = _fractions(a1, q, z)
     if a1 == 1:
         raise DegenerateDraw("a1 = 1 degenerates the W prefactor")
     plains, pairs, bound = _w_tail(tail, q)
     # (1 - a1 q^2n) / (1 - a1) steps by (1 - q^2 a1 q^2n) / (1 - a1 q^2n)
-    uppers = [(a1, 1), (q * q * a1, 2), *((a, 1) for a in plains),
+    qa1 = q * a1
+    uppers = [(a1, 1), (q * qa1, 2), *((a, 1) for a in plains),
               *((v, 2) for v in pairs)]
-    lowers = [(a1, 2), *((q * a1 / a, 1) for a in plains),
-              *((q * q * a1 * a1 / v, 2) for v in pairs)]
+    lowers = [(a1, 2), *((qa1 / a, 1) for a in plains),
+              *((qa1 * qa1 / v, 2) for v in pairs)]
     return _phi_partial(uppers, lowers, q, z, bound)
+
+
+def _fractions(*values):
+    """The values as Fractions, each Fraction as it was formed."""
+    return (v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 def _phi_partial(uppers, lowers, q, z, bound: int) -> Fraction:
@@ -153,26 +159,26 @@ def gasper_both_sides(a, b, d, q, n: int):
     truncates earlier than the other, or a lower parameter hits a pole) are
     rejected for resampling.
     """
-    a, b, d, q = (Fraction(v) for v in (a, b, d, q))
+    a, b, d, q = _fractions(a, b, d, q)
     if 0 in (a, b, d, q) or 1 in (abs(a), abs(q)):
         raise DegenerateDraw("degenerate core parameter")
     c = q ** (-n)
     q_a, c_d = q / a, c / d
-    a1, ab_d, ac_d = b * c_d, a * b / d, a * c_d
+    a1, ab_d, ac_d, qc_d = b * c_d, a * b / d, a * c_d, q * c_d
     pairs = (a1 * q_a, q * a1 * q_a)  # bcq/(ad) = q a1/a, and q^2 a1/a
     lowers = [b * q_a, c * q_a, d * q_a]
     cap = 2 * n + 6
     if any(_neg_q_power(x, q, cap) is not None
            for x in (*lowers, a, b, d,                # 4phi3 lowers, uppers
                      ab_d, ac_d, a1,                    # W uppers
-                     pairs[0], q * b / d, q * c_d)):    # W lowers
+                     pairs[0], q * b / d, qc_d)):       # W lowers
         raise DegenerateDraw("parameter collides with a q power")
     q2, a_a1 = q * q, a * a1
     if any(_neg_q_power(x, q2, cap) is not None
            for x in (*pairs, a_a1, q * a_a1)):
         raise DegenerateDraw("pair parameter collides with a q^2 power")
     lhs = phi_series([a, b, c, d], lowers, q, q_a * q_a)
-    prefactor = (q_poch(q * c_d, q, n) * q_poch(a_a1, q, n)
+    prefactor = (q_poch(qc_d, q, n) * q_poch(a_a1, q, n)
                  / (q_poch(ac_d, q, n) * q_poch(q * a1, q, n)))
     # unrun: its zeros (d or abc/d a power q^-j, j < n) are rejected above
     if prefactor == 0:

@@ -489,9 +489,10 @@ def f_product_terms(monos, varset: VarSet, trunc: int) -> list[tuple]:
     for m in monos:
         if any(e < 0 for e in m):
             raise ValueError("product_of_f needs nonnegative exponents")
-        if sum(m) < 1:
+        degree = sum(m)
+        if degree < 1:
             raise ValueError("product_of_f needs monomials of degree >= 1")
-        if sum(m) <= trunc:
+        if degree <= trunc:
             packed.append(layout.pack(m))
     width, limit = len(packed).bit_length(), layout.limit
     level = [(0, 0)]  # (monomial key, count key) of each prefix
@@ -504,9 +505,17 @@ def f_product_terms(monos, varset: VarSet, trunc: int) -> list[tuple]:
     for z, c in level:
         groups.setdefault(c, []).append(z)
     mask = (1 << width) - 1
-    return [(tuple(((k, 0), c >> k * width & mask) for k in range(1, trunc + 1)
-                   if c >> k * width & mask), zs)
-            for c, zs in groups.items()]
+
+    def counts(c):
+        """The ((k, 0), count) pairs of a count key, k ascending."""
+        out, k = [], 0
+        while c:
+            k, c = k + 1, c >> width
+            if c & mask:
+                out.append(((k, 0), c & mask))
+        return tuple(out)
+
+    return [(counts(c), zs) for c, zs in groups.items()]
 
 
 def product_of_f(monos, varset: VarSet, trunc: int) -> MultiSeries:

@@ -13,6 +13,7 @@ from qthook.dposet import (
     find_dk_intervals,
     hook_monomials,
     hook_monomials_closed_form,
+    poset_tables,
 )
 
 from p_maps import p_partitions
@@ -411,6 +412,124 @@ class MatrixPoset:
         return out
 
 
+def plan_on_elements(poset):
+    """The weight plan of ``poset_tables``, its positions read as elements."""
+    tables = poset_tables(poset)
+    order, (adjacent, equal, hat) = tables.order, tables.plan
+    return (tuple((order[i], order[j], m) for i, j, m in adjacent),
+            tuple((order[i], order[j], e) for i, j, e in equal),
+            tuple((order[i], d) for i, d in hat))
+
+
+def coordinate_hooks(poset, intervals) -> dict:
+    """The diamond recursion on coordinates and name dicts, as dposet ran it
+    before its tables moved to fill positions: the reference for the hooks
+    of ``poset_tables``, in the order hook_monomials lists them."""
+    by_top = {}
+    for iv in intervals:
+        by_top.setdefault(iv.top, []).append(iv)
+    hooks = {}
+    for v in sorted(poset.elements, key=lambda e: -poset.rank[e]):
+        tops = by_top.get(v)
+        if not tops:
+            mono = hooks[v] = {}
+            for w in poset.downset(v):
+                mono[poset.color[w]] = mono.get(poset.color[w], 0) + 1
+            continue
+        results = [dposet._mono_mul(dposet._mono_mul(
+            *(hooks[s] for s in sorted(iv.sides))), hooks[iv.bottom], -1)
+            for iv in tops]
+        assert all(r == results[0] for r in results)
+        hooks[v] = results[0]
+    return hooks
+
+
+def coordinate_weight_plan(poset):
+    """The weight plan on coordinates, one up mask at a time, as hookformula
+    built it before its tables moved to fill positions (parities unchecked)."""
+    edges = poset.top_tree_adjacency()
+    rank, color = poset.rank, poset.color
+    adjacent, equal = [], []
+    for k, x in enumerate(poset.elements):
+        for y in poset.members(poset._up[k] ^ 1 << k):
+            diff = rank[x] - rank[y]
+            if frozenset((color[x], color[y])) in edges:
+                adjacent.append((x, y, (diff - 1) // 2))
+            elif color[x] == color[y]:
+                equal.append((x, y, diff // 2))
+    hat = [(x, rank[x] // 2) for x in poset.elements
+           if color[x] == color[poset.top]]
+    return tuple(adjacent), tuple(equal), tuple(hat)
+
+
+def coordinate_dk_intervals(poset) -> list:
+    """Every d_k(1) interval, k >= 3, from a walk over coordinate pairs: one
+    incomparable pair, k - 2 members below both and k - 2 above both."""
+    out = []
+    for w in poset.elements:
+        for v in poset.elements:
+            members = poset.interval(w, v) if w != v else []
+            if len(members) < 4 or len(members) % 2:
+                continue
+            k = (len(members) + 2) // 2
+            pairs = [(x, y) for i, x in enumerate(members) for y in members[i:]
+                     if not poset.le(x, y) and not poset.le(y, x)]
+            if len(pairs) != 1:
+                continue
+            (x, y), rest = pairs[0], set(members) - set(pairs[0])
+            below = [e for e in rest if poset.le(e, x) and poset.le(e, y)]
+            above = [e for e in rest if poset.le(x, e) and poset.le(y, e)]
+            if len(below) == len(above) == k - 2:
+                out.append(dposet.DkInterval(w, v, k, frozenset((x, y))))
+    return out
+
+
+# every instance of the hook benchmark pools, birds either way round, and
+# the three posets of CI's show poset step
+POOL_POSETS = [("shifted", a) for a in (
+    "3,2", "4,2", "4,3", "5,3", "4,2,1", "5,3,1", "5,4,2", "6,4,2",
+    "5,4,3,1", "6,4,3,1", "7,5,3,1", "9,7,5,3,1")] + [
+    ("banner", a, f) for a, f in (("4,3,2,1", 2), ("4,3,2,1", 3),
+                                  ("5,4,2,1", 3), ("6,4,3,2", 2),
+                                  ("9,6,3,2", 2))] + [
+    ("bird", a, b, f) for (x, y, fs) in (
+        ("2,1", "2,1", (1, 2, 3)), ("3,1", "2,1", (1, 2, 3)),
+        ("3,2", "2,1", (1, 2)), ("3,2", "3,2", (1, 2)),
+        ("4,3", "3,2", (2, 3)), ("5,3", "4,2", (1,)))
+    for f in fs for a, b in dict.fromkeys(((x, y), (y, x)))]
+
+
+def build_pool_poset(spec):
+    family, *args = spec
+    args = [P.parse(a) if isinstance(a, str) else a for a in args]
+    return {"shifted": build_shifted, "bird": build_bird,
+            "banner": build_banner}[family](*args)
+
+
+@pytest.mark.parametrize("spec", POOL_POSETS,
+                         ids=["-".join(map(str, s)) for s in POOL_POSETS])
+def test_tables_match_the_coordinate_loops(spec):
+    poset = build_pool_poset(spec)
+    tables = poset_tables(poset)
+    assert poset_tables(poset) is tables  # built once, kept on the poset
+    order = sorted(poset.elements, key=poset.rank.__getitem__)
+    pos = {e: i for i, e in enumerate(order)}
+    assert list(tables.order) == fill_order(poset) == order
+    assert tables.uppers == tuple(tuple(pos[u] for u in poset.upper_covers(e))
+                                  for e in order)
+    assert tables.below == tuple(len(poset.downset(e)) for e in order)
+    assert tables.colors == tuple(poset.varset.index[poset.color[e]]
+                                  for e in order)
+    assert plan_on_elements(poset) == coordinate_weight_plan(poset)
+    intervals = coordinate_dk_intervals(poset)
+    assert find_dk_intervals(poset) == intervals
+    assert list(hook_monomials(poset).items()) == \
+        list(coordinate_hooks(poset, intervals).items())
+    assert [poset.varset.monomial(m) for m in
+            coordinate_hooks(poset, intervals).values()] == \
+        [tables.hooks[pos[e]] for e in hook_monomials(poset)]
+
+
 def reference_weight_plan(ref, color):
     """hookformula._weight_plan rebuilt pairwise from the matrix order,
     without its parity checks."""
@@ -471,14 +590,11 @@ def test_bitmask_poset_matches_the_matrix_construction(build, args,
             in dposet._find_dk_minus(poset) if k >= 4] == \
         [(w, k, frozenset(ref.interval(w, v)), frozenset((v,)))
          for w, v, k, _ in ref.dk_intervals(minus=True)]
-    assert hookformula._weight_plan(poset) == \
-        reference_weight_plan(ref, poset.color)
-    hooks = hook_monomials(poset)
+    assert plan_on_elements(poset) == reference_weight_plan(ref, poset.color)
     ref.color = poset.color
     ref.downset = lambda e: [f for f in ref.elements if ref.le(f, e)]
-    monkeypatch.setattr(dposet, "find_dk_intervals", lambda p: [
-        dposet.DkInterval(*iv) for iv in p.dk_intervals()])
-    assert hook_monomials(ref) == hooks
+    assert list(hook_monomials(poset).items()) == list(coordinate_hooks(
+        ref, [dposet.DkInterval(*iv) for iv in ref.dk_intervals()]).items())
 
 
 def test_antichain_p_partition_count():

@@ -11,6 +11,7 @@ from qthook.partitions import Partition
 from qthook.qtcore import (
     EvalPoint,
     QTFactored,
+    VanishingFactor,
     b_el,
     b_lambda,
     f_fun,
@@ -23,7 +24,7 @@ from qthook.dposet import (
     build_banner,
     build_bird,
     build_shifted,
-    fill_order,
+    poset_tables,
 )
 from qthook.hookformula import (
     bracket_phi,
@@ -418,10 +419,10 @@ def test_lhs_keys_decode_negative_counts(monkeypatch):
     assert any(c < 0 for counts in decoded for _, c in counts)
 
 
-def test_lhs_terms_asserts_that_partners_come_first(monkeypatch):
+def test_lhs_terms_asserts_that_partners_come_first():
+    # ranks turned upside down put every larger element after the smaller
     poset = build_shifted(P([3, 1]))
-    monkeypatch.setattr(hookformula, "fill_order",
-                        lambda p: fill_order(p)[::-1])
+    poset._ranks = [-r for r in poset._ranks]
     with pytest.raises(AssertionError, match="is filled after"):
         lhs_terms(poset, 3)
 
@@ -502,25 +503,52 @@ def record_groups(monkeypatch) -> dict:
     return groups
 
 
-def test_eval_mode_evaluates_each_group_once_per_point(monkeypatch):
-    poset = build_bird(P([3, 2]), P([2, 1]), 2)
+def needed_groups(left, right) -> Counter:
+    """The groups of every signature that is not one group against one of
+    the same counts, each once, by side: those the hook check values."""
+    needed = set()
+    for ls, rs in hookformula._signatures(left, right):
+        if not (len(ls) == len(rs) == 1 and left[ls[0]][0] == right[rs[0]][0]):
+            needed.update(("left", i) for i in ls)
+            needed.update(("right", j) for j in rs)
+    groups = {"left": left, "right": right}
+    return Counter(groups[side][i][0] for side, i in needed)
+
+
+def test_eval_mode_values_only_the_groups_a_signature_needs(monkeypatch):
+    poset = build_shifted(P([3, 2]))
     groups = record_groups(monkeypatch)
     valued = {}  # point -> the counts valued there, in call order
     f_product_at = EvalPoint.f_product
 
     def counted(pt, counts):
-        valued.setdefault(id(pt), []).append(counts)
+        valued.setdefault(pt, []).append(counts)
         return f_product_at(pt, counts)
 
     monkeypatch.setattr(EvalPoint, "f_product", counted)
-    report = verify_okada(poset, 5, "eval", sample_points(3, seed=2))
+    # (1 - q^2 t) vanishes at (2, 1/4): f(n; 0) carries it from n = 3 on
+    bad = EvalPoint(2, Fraction(1, 4))
+    report = verify_okada(poset, 6, "eval", [bad] + sample_points(2, seed=2),
+                          seed=3)
     assert report.passed and len(report.points) == 3
-    left, right = ([counts for counts, _ in groups[side]]
-                   for side in ("left", "right"))
-    assert len(left) > 10 and len(right) > 10
-    # every distinct group of either side is valued once per point
-    assert len(set(left)) == len(left) and len(set(right)) == len(right)
-    assert list(valued.values()) == 3 * [left + right]
+    assert report.points[0] != ["2", "1/4"]
+    left, right = groups["left"], groups["right"]
+    assert len({c for c, _ in left}) == len(left) > 10
+    assert len({c for c, _ in right}) == len(right) > 10
+    needed = needed_groups(left, right)
+    assert 0 < sum(needed.values()) < len(left) + len(right)
+    # where a binomial vanishes every group is valued in turn, until one
+    # keeps it in its exact form, and the point is redrawn
+    every = [c for c, _ in left + right]
+    at_bad = valued.pop(bad)
+    assert at_bad == every[:len(at_bad)] and set(at_bad) - set(needed)
+    with pytest.raises(VanishingFactor):
+        f_product(at_bad[-1]).evaluate(bad)
+    for counts in at_bad[:-1]:
+        f_product(counts).evaluate(bad)
+    # elsewhere only the groups of the signatures that need them, once each
+    assert len(valued) == 3
+    assert all(Counter(counts) == needed for counts in valued.values())
 
 
 @pytest.mark.parametrize("poset, D, count", [
@@ -540,12 +568,7 @@ def test_exact_mode_values_only_the_groups_a_signature_needs(poset, D, count,
     assert len({c for c, _ in right}) == len(right)
     # one group against one group of the same counts is equal unvalued;
     # every group of every other signature is valued, and only once
-    needed = set()
-    for ls, rs in hookformula._signatures(left, right):
-        if not (len(ls) == len(rs) == 1 and left[ls[0]][0] == right[rs[0]][0]):
-            needed.update(("left", i) for i in ls)
-            needed.update(("right", j) for j in rs)
-    assert Counter(valued) == Counter(groups[side][i][0] for side, i in needed)
+    assert Counter(valued) == needed_groups(left, right)
     assert len(valued) == count < len(left) + len(right)
 
 
@@ -727,7 +750,7 @@ def test_weight_plan_is_built_once_per_poset(monkeypatch):
     for pi in pis:
         weight_generic(poset, pi)
     assert len(pis) > 20 and built == [poset]
-    plan = poset._weight_plan
+    plan = poset._tables.plan
     assert isinstance(plan, tuple) and len(plan) == 3
     assert all(isinstance(pair, tuple) for part in plan for pair in part)
     assert all(isinstance(part, tuple) for part in plan)
@@ -768,7 +791,9 @@ def test_phi_tilde_pair():
 def pair_walk_weight(poset, pi):
     """The generic weight one plan pair at a time, each pair's f-factors
     added as it comes: the reference weight_generic must reproduce."""
-    adjacent, equal, hat = hookformula._weight_plan(poset)
+    tables = poset_tables(poset)
+    adjacent, equal, hat = tables.plan
+    pi = [pi[e] for e in tables.order]
     exps = {}
     for x, y, e in equal:
         n = pi[x] - pi[y]

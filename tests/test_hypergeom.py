@@ -337,6 +337,25 @@ def test_gasper_slice_accepts_and_rejects_the_same_draws(monkeypatch):
         "e46e70044af6824a42de0e112aec3e1134a6828d9a3d3262cb7714cfb6b35b17")
 
 
+def test_gasper_parameters_pass_through_and_ints_are_converted_once():
+    x = F(3, 7)
+    assert next(hypergeom._fractions(x)) is x
+    assert [type(v) for v in hypergeom._fractions(2, -3, x)] == [F, F, F]
+    # a W series and a Gasper draw give the same values from ints
+    tail = [("plain", F(1, 4)), ("sqrtpair", F(16)), ("plain", 7)]
+    want = w_series(F(9), tail, F(2), F(3))
+    assert want == w_series(9, tail, 2, 3) and type(w_series(9, tail, 2, 3)) is F
+    lhs, rhs = gasper_both_sides(F(2), F(5), F(7), F(2, 3), 2)
+    assert lhs == rhs == F(2309, 5) == gasper_both_sides(2, 5, 7, F(2, 3), 2)[1]
+    # and the same DegenerateDraw at the same step
+    for a1 in (1, F(1)):
+        with pytest.raises(DegenerateDraw, match="a1 = 1 degenerates"):
+            w_series(a1, tail, 2, 3)
+    for q in (1, F(1), -1):
+        with pytest.raises(DegenerateDraw, match="degenerate core parameter"):
+            gasper_both_sides(2, 3, 5, q, 2)
+
+
 def test_phi_series_sums_to_a_lower_pole_at_the_bound():
     """A lower pole only at step ``bound`` is never met: the sum stops at
     term ``bound``, and the ratio to the next term is not formed."""

@@ -337,6 +337,32 @@ def test_eval_point_validation():
         assert p.q0 not in (0, 1, -1) and p.t0 not in (0, 1, -1)
 
 
+def fraction_draw_point(rng):
+    """A sample point drawn on Fractions, as ``_draw_point`` drew it before
+    it moved to integers: the reference for the integer sampler."""
+    while True:
+        qn, qd = rng.randint(2, 7), rng.randint(2, 7)
+        tn, td = rng.randint(2, 7), rng.randint(2, 7)
+        q0, t0 = Fraction(qn, qd), Fraction(tn, td)
+        if q0 == 1 or t0 == 1 or q0 == t0:
+            continue
+        if q0 * t0 == 1:
+            continue
+        return q0, t0
+
+
+def test_integer_sampler_draws_the_fraction_points():
+    for seed in range(3000):
+        for count in (1, 2, 3):
+            rng = random.Random(seed)
+            want = [fraction_draw_point(rng) for _ in range(count)]
+            got = sample_points(count, seed)
+            assert [(str(p.q0), str(p.t0)) for p in got] == \
+                [(str(q0), str(t0)) for q0, t0 in want]
+    assert _at(resample_point(5, 1, 2)) == fraction_draw_point(
+        random.Random(int.from_bytes(b"5,1,2", "big")))
+
+
 def test_partition_basics():
     lam = P([4, 3, 1])
     assert lam.length() == 3 and lam.weight() == 8
